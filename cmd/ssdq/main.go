@@ -6,7 +6,6 @@
 //
 //	ssdq -db file.ssd stats
 //	ssdq -db file.ssd query  'select T from DB.Entry.Movie.Title T'
-//	ssdq -db file.ssd -engine naive query 'select T from DB.Entry.Movie.Title T'
 //	ssdq -db file.ssd explain 'select T from DB.Entry.Movie.Title T'
 //	ssdq -db file.ssd prepare 'select T from DB.Entry.$kind.Title T'
 //	ssdq -db file.ssd -param kind=Movie run 'select T from DB.Entry.$kind.Title T'
@@ -34,8 +33,7 @@
 // statement: -param name=value (repeatable) binds parameters — values
 // parse as label literals (symbol, "string", number, true/false). Query
 // and path statements stream their rows; transform statements print the
-// restructured database. -engine naive runs the substitution-based naive
-// evaluator with identical parameter semantics.
+// restructured database.
 //
 // The mutate command applies a mutation script (see internal/mutate's
 // ParseScript for the statement forms) as one atomic batch. -wal attaches a
@@ -67,7 +65,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mutate"
-	"repro/internal/query"
 	"repro/internal/ssd"
 	"repro/internal/workload"
 )
@@ -100,7 +97,6 @@ func main() {
 		limit   = flag.Int("limit", 40, "browse: maximum paths listed")
 		out     = flag.String("o", "", "convert/mutate: output file (.ssd or .ssdg)")
 		wal     = flag.String("wal", "", "mutate: write-ahead log file (replayed on open, appended on commit)")
-		engine  = flag.String("engine", "planned", "query/run: evaluation engine (planned|naive)")
 		explain = flag.Bool("explain", false, "query: print the chosen plan before the result")
 		analyze = flag.Bool("analyze", false, "explain: execute the query and annotate the plan with actual row counts")
 		trace   = flag.Bool("trace", false, "run: stream the rows, then print the per-operator execution trace as JSON on stderr")
@@ -166,21 +162,14 @@ func main() {
 		fmt.Println(db.Format())
 	case "query":
 		src := arg(rest, "query")
-		eng, err := parseEngine(*engine)
-		if err != nil {
-			fatal(err)
-		}
 		if *explain {
 			plan, err := db.Explain(src)
 			if err != nil {
 				fatal(err)
 			}
-			if eng == query.EngineNaive {
-				fmt.Println("-- plan shown for reference; -engine naive runs the tree-walking evaluator instead")
-			}
 			fmt.Print(plan)
 		}
-		res, err := db.QueryEngine(src, eng)
+		res, err := db.Query(src)
 		if err != nil {
 			fatal(err)
 		}
@@ -215,11 +204,7 @@ func main() {
 		}
 		fmt.Print(plan)
 	case "run":
-		eng, err := parseEngine(*engine)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runStmt(db, arg(rest, "run"), params, eng, *limit, *trace); err != nil {
+		if err := runStmt(db, arg(rest, "run"), params, *limit, *trace); err != nil {
 			fatal(err)
 		}
 	case "path":
@@ -314,17 +299,6 @@ func arg(rest []string, cmd string) string {
 	return rest[0]
 }
 
-func parseEngine(s string) (query.Engine, error) {
-	switch s {
-	case "planned":
-		return query.EnginePlanned, nil
-	case "naive":
-		return query.EngineNaive, nil
-	default:
-		return 0, fmt.Errorf("unknown engine %q (want planned or naive)", s)
-	}
-}
-
 func load(path string) (*core.Database, error) {
 	if path == "" {
 		return core.FromGraph(workload.Fig1(false)), nil
@@ -381,11 +355,9 @@ func runMutate(db *core.Database, script, outPath string) error {
 
 // runStmt prepares and executes one statement with bound parameters.
 // Query statements print the result database (streaming the rows would
-// lose the select template); with -engine naive the substitution-based
-// evaluator runs instead — identical parameter semantics, no plan. Path
-// and datalog statements stream their rows; transforms print the
-// restructured database.
-func runStmt(db *core.Database, src string, params []core.Param, eng query.Engine, limit int, trace bool) error {
+// lose the select template). Path and datalog statements stream their
+// rows; transforms print the restructured database.
+func runStmt(db *core.Database, src string, params []core.Param, limit int, trace bool) error {
 	s, err := db.Prepare(src)
 	if err != nil {
 		return err
@@ -394,9 +366,6 @@ func runStmt(db *core.Database, src string, params []core.Param, eng query.Engin
 	if trace && s.Lang() != core.LangTransform {
 		// Tracing needs the streaming cursor, so select queries stream
 		// their rows here instead of materializing a result database.
-		if eng == query.EngineNaive {
-			fmt.Println("-- -trace runs the planned engine")
-		}
 		qtr := new(core.QueryTrace)
 		rows, err := s.QueryTraced(ctx, qtr, params...)
 		if err != nil {
@@ -414,29 +383,13 @@ func runStmt(db *core.Database, src string, params []core.Param, eng query.Engin
 		return nil
 	}
 	switch s.Lang() {
-	case core.LangQuery:
-		var res *core.Database
-		if eng == query.EngineNaive {
-			res, err = db.QueryEngineArgs(s.Source(), eng, params...)
-		} else {
-			res, err = s.Exec(ctx, params...)
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Format())
-	case core.LangTransform:
+	case core.LangQuery, core.LangTransform:
 		res, err := s.Exec(ctx, params...)
 		if err != nil {
 			return err
 		}
 		fmt.Println(res.Format())
 	default: // path, datalog: stream rows
-		if eng == query.EngineNaive && s.Lang() == core.LangPath {
-			// The ablation engines only exist for the query language; path
-			// traversal has a single implementation.
-			fmt.Println("-- -engine naive has no effect on path statements")
-		}
 		rows, err := s.Query(ctx, params...)
 		if err != nil {
 			return err

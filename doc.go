@@ -29,9 +29,13 @@
 //     and ssd.Graph.In (cached reverse adjacency).
 //
 // The original recursive tree-walking evaluator is retained as
-// query.EvalNaive behind Options.Engine, cross-checked against the planned
-// engine on the whole query test suite and ablated by BenchmarkPlannedVsNaive
-// and `ssdbench -exp e12`.
+// query.EvalNaive — a reference implementation, not a selectable engine —
+// cross-checked against the planned engine on the whole query test suite
+// and ablated by BenchmarkPlannedVsNaive and `ssdbench -exp e12`.
+//
+// All four text front-ends (ssd text, queries, path expressions, datalog)
+// share one scanner, ssd.Scanner, and one path grammar, owned by
+// internal/pathexpr; see ARCHITECTURE.md "Lexical layer".
 //
 // # Write path
 //

@@ -507,47 +507,6 @@ func (db *Database) Query(src string) (*Database, error) {
 	return s.Exec(context.Background())
 }
 
-// QueryEngine runs a query with an explicit engine choice — the ablation
-// hook behind ssdq's -engine flag. Parameterized queries need values; use
-// QueryEngineArgs.
-//
-// Deprecated: use Prepare and Stmt.Exec (EnginePlanned is the only engine
-// statements execute; the naive engine exists for cross-checking).
-func (db *Database) QueryEngine(src string, engine query.Engine) (*Database, error) {
-	return db.QueryEngineArgs(src, engine)
-}
-
-// QueryEngineArgs is QueryEngine with parameter values — the hook behind
-// ssdq's -engine and -param flags. Both engines see identical parameter
-// semantics: the planned engine binds values into plan slots, the naive
-// engine substitutes them into the AST.
-func (db *Database) QueryEngineArgs(src string, engine query.Engine, args ...Param) (*Database, error) {
-	s, err := db.prepared(src)
-	if err != nil {
-		return nil, err
-	}
-	if s.lang != LangQuery {
-		return nil, fmt.Errorf("core: %q is a %s statement, not a query", src, s.lang)
-	}
-	if engine != query.EngineNaive {
-		return s.Exec(context.Background(), args...)
-	}
-	vals, err := s.bindArgs(args)
-	if err != nil {
-		return nil, err
-	}
-	// The naive engine ignores PlanOptions; don't build indexes for it —
-	// that would skew the very baseline the ablation flag exists for.
-	snap := db.snapshot()
-	res, err := query.EvalOpts(s.q, snap.g, query.Options{
-		Minimize: true, Engine: query.EngineNaive, Params: vals,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return FromGraph(res), nil
-}
-
 // Explain parses and plans a statement without running it, returning the
 // planner's human-readable plan: atom order, access paths, estimates.
 func (db *Database) Explain(src string) (string, error) {

@@ -67,11 +67,11 @@ func TestMutationInvalidatesCaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := db.QueryEngine(titles, query.EngineNaive)
+	naive, err := query.EvalNaive(query.MustParse(titles), db.Graph())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Equal(naive) {
+	if !res.Equal(FromGraph(naive)) {
 		t.Fatal("planned and naive engines disagree after mutation")
 	}
 	// Value index: the new string is findable.

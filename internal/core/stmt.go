@@ -1040,20 +1040,13 @@ func parseLabelOrParam(src string) (ssd.Label, string, error) {
 	return l, "", err
 }
 
-// ParseLabelLiteral parses a label literal in the path-expression literal
-// syntax: bare word → symbol, "quoted" → string, number → int/float,
-// true/false → bool. It is the one parser behind transform target labels
-// and ssdq's -param values, so the accepted syntax cannot diverge.
+// ParseLabelLiteral parses a label literal: bare word → symbol, "quoted" →
+// string, number → int/float, true/false → bool. It is the scanner's one
+// literal rule (ssd.Scanner.Label) behind transform target labels, ssdq's
+// -param values and /query parameters, so the accepted syntax cannot
+// diverge from what Label.String() prints or the query languages read.
 func ParseLabelLiteral(src string) (ssd.Label, error) {
-	pred, err := pathexpr.ParsePred(strings.TrimSpace(src))
-	if err != nil {
-		return ssd.Label{}, err
-	}
-	ex, ok := pred.(pathexpr.ExactPred)
-	if !ok {
-		return ssd.Label{}, fmt.Errorf("core: %q is not a label literal", src)
-	}
-	return ex.L, nil
+	return ssd.ParseLabel(src)
 }
 
 // apply runs the transform against g with parameters bound, returning the

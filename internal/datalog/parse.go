@@ -2,8 +2,6 @@ package datalog
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"unicode"
 	"unicode/utf8"
 
@@ -23,13 +21,9 @@ import (
 // quoted with single quotes ('Title', 'Movie') to distinguish them from
 // variables. Comments run from % to newline.
 func ParseProgram(src string) (*Program, error) {
-	p := &dlParser{lex: newDlLexer(src)}
-	p.lex.next()
+	p := &dlParser{lex: ssd.NewScanner(syntax, src)}
 	prog := &Program{}
-	for p.lex.tok != dlEOF {
-		if p.lex.tok == dlError {
-			return nil, p.lex.err
-		}
+	for p.lex.Tok != ssd.TokEOF {
 		r, err := p.parseRule()
 		if err != nil {
 			return nil, err
@@ -48,211 +42,19 @@ func MustParseProgram(src string) *Program {
 	return p
 }
 
-type dlToken int
-
-const (
-	dlEOF   dlToken = iota
-	dlIdent         // lowercase ident (predicate or symbol constant)
-	dlVar           // Uppercase ident
-	dlUnder         // _
-	dlString
-	dlInt
-	dlFloat
-	dlLParen
-	dlRParen
-	dlComma
-	dlPeriod
-	dlImplies // :-
-	dlQuoted  // 'Symbol'
-	dlError
-)
-
-type dlLexer struct {
-	src   string
-	pos   int
-	tok   dlToken
-	text  string
-	err   error
-	fresh int // anonymous variable counter
-}
-
-func newDlLexer(src string) *dlLexer { return &dlLexer{src: src} }
-
-func (lx *dlLexer) errorf(format string, args ...interface{}) {
-	if lx.err == nil {
-		lx.err = fmt.Errorf("datalog: offset %d: "+format, append([]interface{}{lx.pos}, args...)...)
-	}
-	lx.tok = dlError
-}
-
-func (lx *dlLexer) next() {
-	for lx.pos < len(lx.src) {
-		c := lx.src[lx.pos]
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
-			lx.pos++
-			continue
-		}
-		if c == '%' {
-			for lx.pos < len(lx.src) && lx.src[lx.pos] != '\n' {
-				lx.pos++
-			}
-			continue
-		}
-		break
-	}
-	if lx.pos >= len(lx.src) {
-		lx.tok = dlEOF
-		return
-	}
-	c := lx.src[lx.pos]
-	switch {
-	case c == ':' && lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '-':
-		lx.pos += 2
-		lx.tok = dlImplies
-	case c == '(':
-		lx.pos++
-		lx.tok = dlLParen
-	case c == ')':
-		lx.pos++
-		lx.tok = dlRParen
-	case c == ',':
-		lx.pos++
-		lx.tok = dlComma
-	case c == '.':
-		lx.pos++
-		lx.tok = dlPeriod
-	case c == '"':
-		lx.lexString()
-	case c == '\'':
-		lx.lexQuotedSymbol()
-	case c == '-' || c >= '0' && c <= '9':
-		lx.lexNumber()
-	case c == '_' && !dlFollowsIdent(lx.src, lx.pos):
-		lx.pos++
-		lx.tok = dlUnder
-	case isDlIdentStart(rune(c)):
-		lx.lexIdent()
-	default:
-		lx.errorf("unexpected character %q", c)
-	}
-}
-
-func dlFollowsIdent(src string, pos int) bool {
-	if pos+1 >= len(src) {
-		return false
-	}
-	r, _ := utf8.DecodeRuneInString(src[pos+1:])
-	return isDlIdentCont(r)
-}
-
-func (lx *dlLexer) lexString() {
-	lx.pos++
-	var b strings.Builder
-	for lx.pos < len(lx.src) {
-		c := lx.src[lx.pos]
-		if c == '"' {
-			lx.pos++
-			lx.tok, lx.text = dlString, b.String()
-			return
-		}
-		if c == '\\' && lx.pos+1 < len(lx.src) {
-			esc := lx.src[lx.pos+1]
-			lx.pos += 2
-			switch esc {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case '"':
-				b.WriteByte('"')
-			case '\\':
-				b.WriteByte('\\')
-			default:
-				lx.errorf("unknown escape \\%c", esc)
-				return
-			}
-			continue
-		}
-		b.WriteByte(c)
-		lx.pos++
-	}
-	lx.errorf("unterminated string")
-}
-
-func (lx *dlLexer) lexQuotedSymbol() {
-	lx.pos++
-	start := lx.pos
-	for lx.pos < len(lx.src) && lx.src[lx.pos] != '\'' {
-		lx.pos++
-	}
-	if lx.pos >= len(lx.src) {
-		lx.errorf("unterminated quoted symbol")
-		return
-	}
-	lx.text = lx.src[start:lx.pos]
-	lx.pos++
-	lx.tok = dlQuoted
-}
-
-func (lx *dlLexer) lexNumber() {
-	start := lx.pos
-	if lx.src[lx.pos] == '-' {
-		lx.pos++
-	}
-	digits := 0
-	for lx.pos < len(lx.src) && lx.src[lx.pos] >= '0' && lx.src[lx.pos] <= '9' {
-		lx.pos++
-		digits++
-	}
-	if digits == 0 {
-		lx.errorf("malformed number")
-		return
-	}
-	isFloat := false
-	// A '.' is a float point only when a digit follows; otherwise it is the
-	// rule terminator (e.g. `p(3).`).
-	if lx.pos+1 < len(lx.src) && lx.src[lx.pos] == '.' &&
-		lx.src[lx.pos+1] >= '0' && lx.src[lx.pos+1] <= '9' {
-		isFloat = true
-		lx.pos++
-		for lx.pos < len(lx.src) && lx.src[lx.pos] >= '0' && lx.src[lx.pos] <= '9' {
-			lx.pos++
-		}
-	}
-	lx.text = lx.src[start:lx.pos]
-	if isFloat {
-		lx.tok = dlFloat
-	} else {
-		lx.tok = dlInt
-	}
-}
-
-func (lx *dlLexer) lexIdent() {
-	start := lx.pos
-	for lx.pos < len(lx.src) {
-		r, size := utf8.DecodeRuneInString(lx.src[lx.pos:])
-		if !isDlIdentCont(r) {
-			break
-		}
-		lx.pos += size
-	}
-	lx.text = lx.src[start:lx.pos]
-	r, _ := utf8.DecodeRuneInString(lx.text)
-	if unicode.IsUpper(r) {
-		lx.tok = dlVar
-	} else {
-		lx.tok = dlIdent
-	}
-}
-
-func isDlIdentStart(r rune) bool { return r == '_' || unicode.IsLetter(r) }
-
-func isDlIdentCont(r rune) bool {
-	return r == '_' || r == '-' || unicode.IsLetter(r) || unicode.IsDigit(r)
+// syntax is datalog's share of the scanner: % comments, `:-`, the rule
+// punctuation and 'Quoted' symbols.
+var syntax = &ssd.Syntax{
+	Prefix:  "datalog",
+	Comment: "%",
+	Punct:   "(),.",
+	Ops:     []ssd.Tok{ssd.TokImplies},
+	Quoted:  true,
 }
 
 type dlParser struct {
-	lex *dlLexer
+	lex   *ssd.Scanner
+	fresh int // anonymous variable counter
 }
 
 func (p *dlParser) parseRule() (Rule, error) {
@@ -262,34 +64,39 @@ func (p *dlParser) parseRule() (Rule, error) {
 	}
 	r := Rule{Head: head}
 	lx := p.lex
-	if lx.tok == dlImplies {
-		lx.next()
+	if lx.Tok == ssd.TokImplies {
+		lx.Next()
 		for {
 			lit, err := p.parseLiteral()
 			if err != nil {
 				return Rule{}, err
 			}
 			r.Body = append(r.Body, lit)
-			if lx.tok == dlComma {
-				lx.next()
-				continue
+			if lx.Tok != ',' {
+				break
 			}
-			break
+			lx.Next()
 		}
 	}
-	if lx.tok != dlPeriod {
-		return Rule{}, fmt.Errorf("datalog: offset %d: expected '.' to end rule", lx.pos)
+	if lx.Tok != '.' {
+		return Rule{}, lx.Errorf("expected '.' to end rule")
 	}
-	lx.next()
+	lx.Next()
 	return r, nil
+}
+
+// isVar reports whether an identifier is a variable: it starts upper-case.
+func isVar(ident string) bool {
+	r, _ := utf8.DecodeRuneInString(ident)
+	return unicode.IsUpper(r)
 }
 
 func (p *dlParser) parseLiteral() (Literal, error) {
 	lx := p.lex
 	neg := false
-	if lx.tok == dlIdent && lx.text == "not" {
+	if lx.Tok == ssd.TokIdent && lx.Text == "not" {
 		neg = true
-		lx.next()
+		lx.Next()
 	}
 	a, err := p.parseAtom()
 	if err != nil {
@@ -300,84 +107,55 @@ func (p *dlParser) parseLiteral() (Literal, error) {
 
 func (p *dlParser) parseAtom() (Atom, error) {
 	lx := p.lex
-	if lx.tok != dlIdent {
-		return Atom{}, fmt.Errorf("datalog: offset %d: expected predicate name", lx.pos)
+	if lx.Tok != ssd.TokIdent || isVar(lx.Text) || lx.Text == "_" {
+		return Atom{}, lx.Errorf("expected predicate name")
 	}
-	a := Atom{Pred: lx.text}
-	lx.next()
-	if lx.tok != dlLParen {
-		return Atom{}, fmt.Errorf("datalog: offset %d: expected '(' after %s", lx.pos, a.Pred)
+	a := Atom{Pred: lx.Text}
+	lx.Next()
+	if lx.Tok != '(' {
+		return Atom{}, lx.Errorf("expected '(' after %s", a.Pred)
 	}
-	lx.next()
+	lx.Next()
 	for {
 		t, err := p.parseTerm()
 		if err != nil {
 			return Atom{}, err
 		}
 		a.Args = append(a.Args, t)
-		if lx.tok == dlComma {
-			lx.next()
-			continue
+		if lx.Tok != ',' {
+			break
 		}
-		break
+		lx.Next()
 	}
-	if lx.tok != dlRParen {
-		return Atom{}, fmt.Errorf("datalog: offset %d: expected ')'", lx.pos)
+	if lx.Tok != ')' {
+		return Atom{}, lx.Errorf("expected ')'")
 	}
-	lx.next()
+	lx.Next()
 	return a, nil
 }
 
 func (p *dlParser) parseTerm() (Term, error) {
 	lx := p.lex
-	switch lx.tok {
-	case dlVar:
-		t := Term{Var: lx.text}
-		lx.next()
-		return t, nil
-	case dlUnder:
-		lx.fresh++
-		lx.next()
-		return Term{Var: fmt.Sprintf("_anon%d", lx.fresh)}, nil
-	case dlIdent:
-		text := lx.text
-		lx.next()
-		switch text {
-		case "root":
+	if lx.Tok == ssd.TokIdent {
+		text := lx.Text
+		switch {
+		case text == "_":
+			p.fresh++
+			lx.Next()
+			return Term{Var: fmt.Sprintf("_anon%d", p.fresh)}, nil
+		case isVar(text):
+			lx.Next()
+			return Term{Var: text}, nil
+		case text == "root":
+			lx.Next()
 			return Term{Const: Value{IsNode: true, Node: rootSentinel}}, nil
-		case "true":
-			return Term{Const: LabelValue(ssd.Bool(true))}, nil
-		case "false":
-			return Term{Const: LabelValue(ssd.Bool(false))}, nil
 		}
-		return Term{Const: LabelValue(ssd.Sym(text))}, nil
-	case dlString:
-		t := Term{Const: LabelValue(ssd.Str(lx.text))}
-		lx.next()
-		return t, nil
-	case dlQuoted:
-		t := Term{Const: LabelValue(ssd.Sym(lx.text))}
-		lx.next()
-		return t, nil
-	case dlInt:
-		v, err := strconv.ParseInt(lx.text, 10, 64)
-		if err != nil {
-			return Term{}, fmt.Errorf("datalog: bad integer %q: %v", lx.text, err)
-		}
-		lx.next()
-		return Term{Const: LabelValue(ssd.Int(v))}, nil
-	case dlFloat:
-		v, err := strconv.ParseFloat(lx.text, 64)
-		if err != nil {
-			return Term{}, fmt.Errorf("datalog: bad float %q: %v", lx.text, err)
-		}
-		lx.next()
-		return Term{Const: LabelValue(ssd.Float(v))}, nil
-	case dlError:
-		return Term{}, lx.err
-	default:
-		return Term{}, fmt.Errorf("datalog: offset %d: expected term", lx.pos)
 	}
+	l, err := lx.Label()
+	if err != nil {
+		return Term{}, err
+	}
+	return Term{Const: LabelValue(l)}, nil
 }
 
 // rootSentinel marks the `root` constant before the engine substitutes the

@@ -1,14 +1,14 @@
 package pathexpr
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-	"unicode"
-	"unicode/utf8"
+import "repro/internal/ssd"
 
-	"repro/internal/ssd"
-)
+// syntax is the path-expression language's share of the scanner: no
+// comments, the regex operators, comparison operators and `$` parameters.
+var syntax = &ssd.Syntax{
+	Prefix: "pathexpr",
+	Punct:  ".|*+?()!<>=$",
+	Ops:    []ssd.Tok{ssd.TokLE, ssd.TokGE, ssd.TokNE},
+}
 
 // Parse parses a regular path expression.
 //
@@ -21,15 +21,17 @@ import (
 //	         | 'isoid' | 'isdata'
 //	         | ident | string | int | float | 'true' | 'false'
 //	cmp     := '<' | '<=' | '>' | '>=' | '=' | '!='
+//
+// This package owns the grammar for every front-end: the query language
+// parses each regex step of a from-path through ParsePostfix.
 func Parse(src string) (Expr, error) {
-	p := &peParser{lex: newPeLexer(src)}
-	p.lex.next()
-	e, err := p.parseAlt()
+	lx := ssd.NewScanner(syntax, src)
+	e, err := parseAlt(lx)
 	if err != nil {
 		return nil, err
 	}
-	if p.lex.tok != peEOF {
-		return nil, fmt.Errorf("pathexpr: trailing input at offset %d: %q", p.lex.pos, p.lex.text)
+	if lx.Tok != ssd.TokEOF {
+		return nil, lx.Errorf("trailing input %q", lx.Text)
 	}
 	return e, nil
 }
@@ -43,246 +45,15 @@ func MustParse(src string) Expr {
 	return e
 }
 
-type peToken int
-
-const (
-	peEOF peToken = iota
-	peDot
-	pePipe
-	peStar
-	pePlus
-	peQuest
-	peLParen
-	peRParen
-	peUnder
-	peBang
-	peLT
-	peLE
-	peGT
-	peGE
-	peEQ
-	peNE
-	peIdent
-	peString
-	peInt
-	peFloat
-	peParam // $ident; text carries the name
-	peError
-)
-
-type peLexer struct {
-	src  string
-	pos  int
-	tok  peToken
-	text string
-	err  error
-}
-
-func newPeLexer(src string) *peLexer { return &peLexer{src: src} }
-
-func (lx *peLexer) errorf(format string, args ...interface{}) {
-	if lx.err == nil {
-		lx.err = fmt.Errorf("pathexpr: offset %d: "+format, append([]interface{}{lx.pos}, args...)...)
-	}
-	lx.tok = peError
-}
-
-func (lx *peLexer) next() {
-	for lx.pos < len(lx.src) && isSpace(lx.src[lx.pos]) {
-		lx.pos++
-	}
-	if lx.pos >= len(lx.src) {
-		lx.tok = peEOF
-		return
-	}
-	c := lx.src[lx.pos]
-	two := ""
-	if lx.pos+1 < len(lx.src) {
-		two = lx.src[lx.pos : lx.pos+2]
-	}
-	switch {
-	case two == "<=":
-		lx.pos += 2
-		lx.tok = peLE
-	case two == ">=":
-		lx.pos += 2
-		lx.tok = peGE
-	case two == "!=":
-		lx.pos += 2
-		lx.tok = peNE
-	case c == '<':
-		lx.pos++
-		lx.tok = peLT
-	case c == '>':
-		lx.pos++
-		lx.tok = peGT
-	case c == '=':
-		lx.pos++
-		lx.tok = peEQ
-	case c == '!':
-		lx.pos++
-		lx.tok = peBang
-	case c == '.':
-		lx.pos++
-		lx.tok = peDot
-	case c == '|':
-		lx.pos++
-		lx.tok = pePipe
-	case c == '*':
-		lx.pos++
-		lx.tok = peStar
-	case c == '+':
-		lx.pos++
-		lx.tok = pePlus
-	case c == '?':
-		lx.pos++
-		lx.tok = peQuest
-	case c == '(':
-		lx.pos++
-		lx.tok = peLParen
-	case c == ')':
-		lx.pos++
-		lx.tok = peRParen
-	case c == '"':
-		lx.lexString()
-	case c == '$':
-		lx.pos++
-		if lx.pos >= len(lx.src) || !isPeIdentStart(rune(lx.src[lx.pos])) {
-			lx.errorf("expected parameter name after $")
-			return
-		}
-		lx.lexIdent()
-		lx.tok = peParam
-	case c == '-' || c >= '0' && c <= '9':
-		lx.lexNumber()
-	case c == '_' && !followsIdent(lx.src, lx.pos):
-		lx.pos++
-		lx.tok = peUnder
-	case isPeIdentStart(rune(c)):
-		lx.lexIdent()
-	default:
-		lx.errorf("unexpected character %q", c)
-	}
-}
-
-// followsIdent reports whether the '_' at pos starts a longer identifier
-// (e.g. _foo), in which case it is an ident, not the wildcard.
-func followsIdent(src string, pos int) bool {
-	if pos+1 >= len(src) {
-		return false
-	}
-	r, _ := utf8.DecodeRuneInString(src[pos+1:])
-	return isPeIdentCont(r)
-}
-
-func (lx *peLexer) lexString() {
-	lx.pos++
-	var b strings.Builder
-	for lx.pos < len(lx.src) {
-		c := lx.src[lx.pos]
-		if c == '"' {
-			lx.pos++
-			lx.tok, lx.text = peString, b.String()
-			return
-		}
-		if c == '\\' && lx.pos+1 < len(lx.src) {
-			esc := lx.src[lx.pos+1]
-			lx.pos += 2
-			switch esc {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case '"':
-				b.WriteByte('"')
-			case '\\':
-				b.WriteByte('\\')
-			default:
-				lx.errorf("unknown escape \\%c", esc)
-				return
-			}
-			continue
-		}
-		b.WriteByte(c)
-		lx.pos++
-	}
-	lx.errorf("unterminated string")
-}
-
-func (lx *peLexer) lexNumber() {
-	start := lx.pos
-	if lx.src[lx.pos] == '-' {
-		lx.pos++
-	}
-	for lx.pos < len(lx.src) && lx.src[lx.pos] >= '0' && lx.src[lx.pos] <= '9' {
-		lx.pos++
-	}
-	isFloat := false
-	if lx.pos < len(lx.src) && lx.src[lx.pos] == '.' &&
-		lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] >= '0' && lx.src[lx.pos+1] <= '9' {
-		// A digit must follow: `3.Title` is int 3 then Dot then Title.
-		isFloat = true
-		lx.pos++
-		for lx.pos < len(lx.src) && lx.src[lx.pos] >= '0' && lx.src[lx.pos] <= '9' {
-			lx.pos++
-		}
-	}
-	if lx.pos < len(lx.src) && (lx.src[lx.pos] == 'e' || lx.src[lx.pos] == 'E') {
-		mark := lx.pos
-		lx.pos++
-		if lx.pos < len(lx.src) && (lx.src[lx.pos] == '+' || lx.src[lx.pos] == '-') {
-			lx.pos++
-		}
-		if lx.pos < len(lx.src) && lx.src[lx.pos] >= '0' && lx.src[lx.pos] <= '9' {
-			isFloat = true
-			for lx.pos < len(lx.src) && lx.src[lx.pos] >= '0' && lx.src[lx.pos] <= '9' {
-				lx.pos++
-			}
-		} else {
-			lx.pos = mark // `1eX` → int 1 followed by ident eX
-		}
-	}
-	lx.text = lx.src[start:lx.pos]
-	if isFloat {
-		lx.tok = peFloat
-	} else {
-		lx.tok = peInt
-	}
-}
-
-func (lx *peLexer) lexIdent() {
-	start := lx.pos
-	for lx.pos < len(lx.src) {
-		r, size := utf8.DecodeRuneInString(lx.src[lx.pos:])
-		if !isPeIdentCont(r) {
-			break
-		}
-		lx.pos += size
-	}
-	lx.tok, lx.text = peIdent, lx.src[start:lx.pos]
-}
-
-func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
-
-func isPeIdentStart(r rune) bool { return r == '_' || unicode.IsLetter(r) }
-
-func isPeIdentCont(r rune) bool {
-	return r == '_' || r == '-' || unicode.IsLetter(r) || unicode.IsDigit(r)
-}
-
-type peParser struct {
-	lex *peLexer
-}
-
-func (p *peParser) parseAlt() (Expr, error) {
-	first, err := p.parseSeq()
+func parseAlt(lx *ssd.Scanner) (Expr, error) {
+	first, err := parseSeq(lx)
 	if err != nil {
 		return nil, err
 	}
 	alts := []Expr{first}
-	for p.lex.tok == pePipe {
-		p.lex.next()
-		e, err := p.parseSeq()
+	for lx.Tok == '|' {
+		lx.Next()
+		e, err := parseSeq(lx)
 		if err != nil {
 			return nil, err
 		}
@@ -294,15 +65,15 @@ func (p *peParser) parseAlt() (Expr, error) {
 	return Alt{alts}, nil
 }
 
-func (p *peParser) parseSeq() (Expr, error) {
-	first, err := p.parsePostfix()
+func parseSeq(lx *ssd.Scanner) (Expr, error) {
+	first, err := ParsePostfix(lx)
 	if err != nil {
 		return nil, err
 	}
 	parts := []Expr{first}
-	for p.lex.tok == peDot {
-		p.lex.next()
-		e, err := p.parsePostfix()
+	for lx.Tok == '.' {
+		lx.Next()
+		e, err := ParsePostfix(lx)
 		if err != nil {
 			return nil, err
 		}
@@ -314,48 +85,42 @@ func (p *peParser) parseSeq() (Expr, error) {
 	return Seq{parts}, nil
 }
 
-func (p *peParser) parsePostfix() (Expr, error) {
-	e, err := p.parsePrimary()
-	if err != nil {
-		return nil, err
+// ParsePostfix parses one postfix production — an atom or parenthesized
+// group with its repetition operators — from the scanner's current token,
+// leaving the scanner on the token after it. It is the entry point for
+// languages that embed path steps in their own token stream; their Syntax
+// must carry this language's punctuation and operators.
+func ParsePostfix(lx *ssd.Scanner) (Expr, error) {
+	var e Expr
+	if lx.Tok == '(' {
+		lx.Next()
+		var err error
+		if e, err = parseAlt(lx); err != nil {
+			return nil, err
+		}
+		if lx.Tok != ')' {
+			return nil, lx.Errorf("expected ')' in path")
+		}
+		lx.Next()
+	} else {
+		pred, err := parsePred(lx)
+		if err != nil {
+			return nil, err
+		}
+		e = Atom{pred}
 	}
 	for {
-		switch p.lex.tok {
-		case peStar:
+		switch lx.Tok {
+		case '*':
 			e = Star{e}
-			p.lex.next()
-		case pePlus:
+		case '+':
 			e = Plus{e}
-			p.lex.next()
-		case peQuest:
+		case '?':
 			e = Opt{e}
-			p.lex.next()
 		default:
 			return e, nil
 		}
-	}
-}
-
-func (p *peParser) parsePrimary() (Expr, error) {
-	lx := p.lex
-	switch lx.tok {
-	case peLParen:
-		lx.next()
-		e, err := p.parseAlt()
-		if err != nil {
-			return nil, err
-		}
-		if lx.tok != peRParen {
-			return nil, fmt.Errorf("pathexpr: offset %d: expected ')'", lx.pos)
-		}
-		lx.next()
-		return e, nil
-	default:
-		pred, err := p.parsePred()
-		if err != nil {
-			return nil, err
-		}
-		return Atom{pred}, nil
+		lx.Next()
 	}
 }
 
@@ -369,108 +134,71 @@ var typePreds = map[string]Pred{
 	"isdata":   TypePred{IsData: true},
 }
 
-func (p *peParser) parsePred() (Pred, error) {
-	lx := p.lex
-	switch lx.tok {
-	case peUnder:
-		lx.next()
-		return AnyPred{}, nil
-	case peParam:
-		name := lx.text
-		lx.next()
-		return ParamPred{name}, nil
-	case peBang:
-		lx.next()
-		sub, err := p.parsePred()
-		if err != nil {
-			return nil, err
-		}
-		return NotPred{sub}, nil
-	case peLT, peLE, peGT, peGE, peEQ, peNE:
-		op := map[peToken]CmpOp{
-			peLT: OpLT, peLE: OpLE, peGT: OpGT, peGE: OpGE, peEQ: OpEQ, peNE: OpNE,
-		}[lx.tok]
-		lx.next()
-		rhs, err := p.parseLiteral()
+var cmpOps = map[ssd.Tok]CmpOp{
+	'<': OpLT, ssd.TokLE: OpLE, '>': OpGT, ssd.TokGE: OpGE, '=': OpEQ, ssd.TokNE: OpNE,
+}
+
+func parsePred(lx *ssd.Scanner) (Pred, error) {
+	if op, ok := cmpOps[lx.Tok]; ok {
+		lx.Next()
+		rhs, err := lx.Label()
 		if err != nil {
 			return nil, err
 		}
 		return CmpPred{Op: op, Rhs: rhs}, nil
-	case peIdent:
-		if tp, ok := typePreds[lx.text]; ok {
-			lx.next()
-			return tp, nil
+	}
+	switch lx.Tok {
+	case '$':
+		lx.Next()
+		if lx.Tok != ssd.TokIdent {
+			return nil, lx.Errorf("expected parameter name after $")
 		}
-		if lx.text == "like" {
-			lx.next()
-			if lx.tok != peString {
-				return nil, fmt.Errorf("pathexpr: offset %d: like requires a string pattern", lx.pos)
-			}
-			pat := lx.text
-			lx.next()
-			return LikePred{pat}, nil
-		}
-		fallthrough
-	case peString, peInt, peFloat:
-		l, err := p.parseLiteral()
+		name := lx.Text
+		lx.Next()
+		return ParamPred{name}, nil
+	case '!':
+		lx.Next()
+		sub, err := parsePred(lx)
 		if err != nil {
 			return nil, err
 		}
-		return ExactPred{l}, nil
-	case peError:
-		return nil, lx.err
-	default:
-		return nil, fmt.Errorf("pathexpr: offset %d: expected atom", lx.pos)
+		return NotPred{sub}, nil
+	case ssd.TokIdent:
+		if tp, ok := typePreds[lx.Text]; ok {
+			lx.Next()
+			return tp, nil
+		}
+		switch lx.Text {
+		case "_":
+			lx.Next()
+			return AnyPred{}, nil
+		case "like":
+			lx.Next()
+			if lx.Tok != ssd.TokString {
+				return nil, lx.Errorf("like requires a string pattern")
+			}
+			pat := lx.Text
+			lx.Next()
+			return LikePred{pat}, nil
+		}
 	}
-}
-
-func (p *peParser) parseLiteral() (ssd.Label, error) {
-	lx := p.lex
-	var l ssd.Label
-	switch lx.tok {
-	case peIdent:
-		switch lx.text {
-		case "true":
-			l = ssd.Bool(true)
-		case "false":
-			l = ssd.Bool(false)
-		default:
-			l = ssd.Sym(lx.text)
-		}
-	case peString:
-		l = ssd.Str(lx.text)
-	case peInt:
-		v, err := strconv.ParseInt(lx.text, 10, 64)
-		if err != nil {
-			return ssd.Label{}, fmt.Errorf("pathexpr: bad integer %q: %v", lx.text, err)
-		}
-		l = ssd.Int(v)
-	case peFloat:
-		v, err := strconv.ParseFloat(lx.text, 64)
-		if err != nil {
-			return ssd.Label{}, fmt.Errorf("pathexpr: bad float %q: %v", lx.text, err)
-		}
-		l = ssd.Float(v)
-	case peError:
-		return ssd.Label{}, lx.err
-	default:
-		return ssd.Label{}, fmt.Errorf("pathexpr: offset %d: expected literal", lx.pos)
+	l, err := lx.Label()
+	if err != nil {
+		return nil, err
 	}
-	lx.next()
-	return l, nil
+	return ExactPred{l}, nil
 }
 
 // ParsePred parses a single label predicate (the atom syntax): `_`, a
 // literal, `!p`, `like "pat"`, a comparison, or a type test.
 func ParsePred(src string) (Pred, error) {
-	p := &peParser{lex: newPeLexer(src)}
-	p.lex.next()
-	pred, err := p.parsePred()
+	lx := ssd.NewScanner(syntax, src)
+	pred, err := parsePred(lx)
 	if err != nil {
 		return nil, err
 	}
-	if p.lex.tok != peEOF {
-		return nil, fmt.Errorf("pathexpr: trailing input after predicate: %q", p.lex.text)
+	if lx.Tok != ssd.TokEOF {
+		return nil, lx.Errorf("trailing input after predicate %q", lx.Text)
 	}
 	return pred, nil
 }

@@ -37,24 +37,6 @@ func (e Env) clone() Env {
 	return ne
 }
 
-// Engine selects the evaluation strategy.
-type Engine int
-
-// Engines. The zero value (EnginePlanned) plans and runs the iterator
-// executor; EngineNaive retains the original recursive, map-cloning tree
-// walker for ablation and cross-checking.
-const (
-	EnginePlanned Engine = iota
-	EngineNaive
-)
-
-func (e Engine) String() string {
-	if e == EngineNaive {
-		return "naive"
-	}
-	return "planned"
-}
-
 // Options tunes evaluation.
 type Options struct {
 	// MaxRows caps the number of binding tuples (0 = unlimited) as a guard
@@ -63,20 +45,15 @@ type Options struct {
 	// Minimize applies bisimulation minimization to the result so that the
 	// output is a canonical set value (default true in Eval).
 	Minimize bool
-	// Engine selects naive vs planned evaluation (default: planned).
-	Engine Engine
 	// Plan supplies optional index/dataguide structures to the planner.
-	// Ignored by the naive engine.
 	Plan PlanOptions
-	// Params binds values to the query's $parameters. The planned engine
-	// resolves them to reserved plan slots; the naive engine substitutes
-	// them into the AST before evaluation — both see identical semantics.
+	// Params binds values to the query's $parameters, which the planner
+	// resolves to reserved plan slots.
 	Params map[string]ssd.Label
-	// Parallelism is the number of worker executors for the planned
-	// engine's morsel-driven parallel scan (0 or 1 = serial). Results are
-	// byte-identical to serial execution; plans with fewer than two atoms
-	// always run serially. Ignored by the naive engine. Negative values are
-	// rejected with an *OptionError.
+	// Parallelism is the number of worker executors for the morsel-driven
+	// parallel scan (0 or 1 = serial). Results are byte-identical to serial
+	// execution; plans with fewer than two atoms always run serially.
+	// Negative values are rejected with an *OptionError.
 	Parallelism int
 	// MorselSize overrides the number of leading-atom rows per parallel
 	// morsel (0 = size chosen by the plan's cost model, falling back to
@@ -117,43 +94,29 @@ func Eval(q *Query, g ssd.GraphStore) (*ssd.Graph, error) {
 	return EvalOpts(q, g, Options{Minimize: true})
 }
 
-// EvalNaive evaluates with the original recursive evaluator — the reference
-// semantics the planned engine is cross-checked against, and the baseline
-// the ssdbench engine ablation measures.
+// EvalNaive evaluates with the original recursive, map-cloning tree walker
+// — the reference semantics the planned engine is cross-checked against,
+// and the baseline the ssdbench engine ablation measures. It is not a
+// serving path. Queries with $parameters must go through SubstParams first.
 func EvalNaive(q *Query, g *ssd.Graph) (*ssd.Graph, error) {
-	return EvalOpts(q, g, Options{Minimize: true, Engine: EngineNaive})
+	rows, err := EvalRows(q, g, 0)
+	if err != nil {
+		return nil, err
+	}
+	res := ssd.New()
+	graftCache := map[ssd.NodeID]ssd.NodeID{}
+	for _, env := range rows {
+		if err := instantiate(res, res.Root(), q.Select, env, g, graftCache); err != nil {
+			return nil, err
+		}
+	}
+	return finishResult(res, Options{Minimize: true})
 }
 
-// EvalOpts evaluates with explicit options. Any GraphStore works for the
-// planned engine; the naive reference evaluator walks concrete graphs only
-// and errors on other stores.
+// EvalOpts evaluates with explicit options over any GraphStore.
 func EvalOpts(q *Query, g ssd.GraphStore, opts Options) (*ssd.Graph, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
-	}
-	if opts.Engine == EngineNaive {
-		mg, ok := g.(*ssd.Graph)
-		if !ok {
-			return nil, fmt.Errorf("query: the naive engine requires an in-memory graph, got %T", g)
-		}
-		if len(q.Params) > 0 {
-			var err error
-			if q, err = q.SubstParams(opts.Params); err != nil {
-				return nil, err
-			}
-		}
-		rows, err := EvalRows(q, mg, opts.MaxRows)
-		if err != nil {
-			return nil, err
-		}
-		res := ssd.New()
-		graftCache := map[ssd.NodeID]ssd.NodeID{}
-		for _, env := range rows {
-			if err := instantiate(res, res.Root(), q.Select, env, g, graftCache); err != nil {
-				return nil, err
-			}
-		}
-		return finishResult(res, opts)
 	}
 	p, err := NewPlan(q, g, opts.Plan)
 	if err != nil {

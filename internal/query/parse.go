@@ -2,19 +2,41 @@ package query
 
 import (
 	"fmt"
-	"strconv"
+	"strings"
 
 	"repro/internal/pathexpr"
 	"repro/internal/ssd"
 )
+
+// qSyntax is the query language's share of the scanner: `--` comments and
+// the punctuation of templates, conditions and — because from-paths embed
+// them — path expressions.
+var qSyntax = &ssd.Syntax{
+	Prefix:  "query",
+	Comment: "--",
+	Punct:   "{}():,.%@$|*+?!<>=",
+	Ops:     []ssd.Tok{ssd.TokLE, ssd.TokGE, ssd.TokNE},
+}
+
+// Keywords are recognized case-insensitively so `SELECT` and `select` both
+// work; they are reserved and cannot be variable names. Neither can `_`,
+// the path wildcard.
+var qReserved = map[string]bool{
+	"select": true, "from": true, "where": true,
+	"and": true, "or": true, "not": true, "exists": true, "like": true, "_": true,
+}
+
+var qCmpOps = map[ssd.Tok]pathexpr.CmpOp{
+	'<': pathexpr.OpLT, ssd.TokLE: pathexpr.OpLE, '>': pathexpr.OpGT,
+	ssd.TokGE: pathexpr.OpGE, '=': pathexpr.OpEQ, ssd.TokNE: pathexpr.OpNE,
+}
 
 // Parse parses a select-from-where query and statically validates variable
 // scoping: binding sources must be DB or an earlier variable, variable names
 // must be unique and non-reserved, and variables used in select/where must
 // be bound in from.
 func Parse(src string) (*Query, error) {
-	p := &qParser{lex: newQLexer(src)}
-	p.lex.next()
+	p := &qParser{lex: ssd.NewScanner(qSyntax, src)}
 	q, err := p.parseQuery()
 	if err != nil {
 		return nil, err
@@ -35,23 +57,50 @@ func MustParse(src string) *Query {
 }
 
 type qParser struct {
-	lex *qLexer
+	lex *ssd.Scanner
+}
+
+// keyword reports whether the current token is the given keyword.
+func (p *qParser) keyword(kw string) bool {
+	return p.lex.Tok == ssd.TokIdent && strings.EqualFold(p.lex.Text, kw)
+}
+
+// sigilName consumes a %, @ or $ sigil and the identifier after it.
+func (p *qParser) sigilName(what string) (string, error) {
+	lx := p.lex
+	sigil := lx.Text
+	lx.Next()
+	if lx.Tok != ssd.TokIdent {
+		return "", lx.Errorf("expected %s name after %s", what, sigil)
+	}
+	name := lx.Text
+	lx.Next()
+	return name, nil
+}
+
+// expect consumes the punctuation token tok.
+func (p *qParser) expect(tok ssd.Tok, where string) error {
+	if p.lex.Tok != tok {
+		return p.lex.Errorf("expected '%c' %s", rune(tok), where)
+	}
+	p.lex.Next()
+	return nil
 }
 
 func (p *qParser) parseQuery() (*Query, error) {
 	lx := p.lex
-	if !lx.keyword("select") {
-		return nil, fmt.Errorf("query: expected 'select', got %q", lx.text)
+	if !p.keyword("select") {
+		return nil, lx.Errorf("expected 'select', got %q", lx.Text)
 	}
-	lx.next()
+	lx.Next()
 	sel, err := p.parseTemplate()
 	if err != nil {
 		return nil, err
 	}
-	if !lx.keyword("from") {
-		return nil, fmt.Errorf("query: expected 'from' at offset %d", lx.pos)
+	if !p.keyword("from") {
+		return nil, lx.Errorf("expected 'from'")
 	}
-	lx.next()
+	lx.Next()
 	var from []Binding
 	for {
 		b, err := p.parseBinding()
@@ -59,26 +108,20 @@ func (p *qParser) parseQuery() (*Query, error) {
 			return nil, err
 		}
 		from = append(from, b)
-		if lx.tok == qComma {
-			lx.next()
-			continue
+		if lx.Tok != ',' {
+			break
 		}
-		break
+		lx.Next()
 	}
 	q := &Query{Select: sel, From: from}
-	if lx.keyword("where") {
-		lx.next()
-		cond, err := p.parseOr()
-		if err != nil {
+	if p.keyword("where") {
+		lx.Next()
+		if q.Where, err = p.parseOr(); err != nil {
 			return nil, err
 		}
-		q.Where = cond
 	}
-	if lx.tok == qError {
-		return nil, lx.err
-	}
-	if lx.tok != qEOF {
-		return nil, fmt.Errorf("query: trailing input at offset %d: %q", lx.pos, lx.text)
+	if lx.Tok != ssd.TokEOF {
+		return nil, lx.Errorf("trailing input %q", lx.Text)
 	}
 	return q, nil
 }
@@ -94,28 +137,18 @@ func (identTemplate) isTemplate() {}
 
 func (p *qParser) parseTemplate() (Template, error) {
 	lx := p.lex
-	switch lx.tok {
-	case qPercent:
-		lx.next()
-		if lx.tok != qIdent {
-			return nil, fmt.Errorf("query: offset %d: expected label variable name after %%", lx.pos)
-		}
-		name := lx.text
-		lx.next()
-		return LabelTree{name}, nil
-	case qAt:
-		lx.next()
-		if lx.tok != qIdent {
-			return nil, fmt.Errorf("query: offset %d: expected path variable name after @", lx.pos)
-		}
-		name := lx.text
-		lx.next()
-		return PathTree{name}, nil
-	case qLBrace:
-		lx.next()
+	switch lx.Tok {
+	case '%':
+		name, err := p.sigilName("label variable")
+		return LabelTree{name}, err
+	case '@':
+		name, err := p.sigilName("path variable")
+		return PathTree{name}, err
+	case '{':
+		lx.Next()
 		var fields []Field
-		if lx.tok == qRBrace {
-			lx.next()
+		if lx.Tok == '}' {
+			lx.Next()
 			return Struct{}, nil
 		}
 		for {
@@ -124,108 +157,51 @@ func (p *qParser) parseTemplate() (Template, error) {
 				return nil, err
 			}
 			var val Template = Struct{}
-			if lx.tok == qColon {
-				lx.next()
+			if lx.Tok == ':' {
+				lx.Next()
 				val, err = p.parseTemplate()
 				if err != nil {
 					return nil, err
 				}
 			}
 			fields = append(fields, Field{Label: le, Value: val})
-			if lx.tok == qComma {
-				lx.next()
+			if lx.Tok == ',' {
+				lx.Next()
 				continue
 			}
-			if lx.tok != qRBrace {
-				return nil, fmt.Errorf("query: offset %d: expected ',' or '}' in template", lx.pos)
+			if lx.Tok != '}' {
+				return nil, lx.Errorf("expected ',' or '}' in template")
 			}
-			lx.next()
+			lx.Next()
 			return Struct{Fields: fields}, nil
 		}
-	case qIdent:
-		if qKeywords[lx.text] {
-			return nil, fmt.Errorf("query: offset %d: unexpected keyword %q in template", lx.pos, lx.text)
+	case ssd.TokIdent:
+		if qReserved[lx.Text] {
+			return nil, lx.Errorf("unexpected reserved word %q in template", lx.Text)
 		}
-		name := lx.text
-		lx.next()
-		switch name {
-		case "true":
-			return LitTree{ssd.Bool(true)}, nil
-		case "false":
-			return LitTree{ssd.Bool(false)}, nil
+		if name := lx.Text; name != "true" && name != "false" {
+			lx.Next()
+			return identTemplate{name}, nil
 		}
-		return identTemplate{name}, nil
-	case qString:
-		l := ssd.Str(lx.text)
-		lx.next()
-		return LitTree{l}, nil
-	case qInt, qFloat:
-		l, err := p.numberLabel()
-		if err != nil {
-			return nil, err
-		}
-		return LitTree{l}, nil
-	case qError:
-		return nil, lx.err
-	default:
-		return nil, fmt.Errorf("query: offset %d: expected select template", lx.pos)
 	}
+	// Everything else, true and false included, is a literal or an error.
+	l, err := lx.Label()
+	if err != nil {
+		return nil, err
+	}
+	return LitTree{l}, nil
 }
 
 func (p *qParser) parseLabelExpr() (LabelExpr, error) {
-	lx := p.lex
-	switch lx.tok {
-	case qPercent:
-		lx.next()
-		if lx.tok != qIdent {
-			return nil, fmt.Errorf("query: offset %d: expected label variable name after %%", lx.pos)
-		}
-		name := lx.text
-		lx.next()
-		return LabelVarRef{name}, nil
-	case qIdent:
-		var l ssd.Label
-		switch lx.text {
-		case "true":
-			l = ssd.Bool(true)
-		case "false":
-			l = ssd.Bool(false)
-		default:
-			l = ssd.Sym(lx.text)
-		}
-		lx.next()
-		return LitLabel{l}, nil
-	case qString:
-		l := ssd.Str(lx.text)
-		lx.next()
-		return LitLabel{l}, nil
-	case qInt, qFloat:
-		l, err := p.numberLabel()
-		if err != nil {
-			return nil, err
-		}
-		return LitLabel{l}, nil
-	default:
-		return nil, fmt.Errorf("query: offset %d: expected output label", lx.pos)
+	if p.lex.Tok == '%' {
+		name, err := p.sigilName("label variable")
+		return LabelVarRef{name}, err
 	}
-}
-
-func (p *qParser) numberLabel() (ssd.Label, error) {
-	lx := p.lex
-	if lx.tok == qInt {
-		v, err := strconv.ParseInt(lx.text, 10, 64)
-		if err != nil {
-			return ssd.Label{}, fmt.Errorf("query: bad integer %q: %v", lx.text, err)
-		}
-		lx.next()
-		return ssd.Int(v), nil
-	}
-	v, err := strconv.ParseFloat(lx.text, 64)
+	l, err := p.lex.Label()
 	if err != nil {
-		return ssd.Label{}, fmt.Errorf("query: bad float %q: %v", lx.text, err)
+		return nil, err
 	}
-	lx.next()
-	return ssd.Float(v), nil
+	return LitLabel{l}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -233,241 +209,62 @@ func (p *qParser) numberLabel() (ssd.Label, error) {
 
 func (p *qParser) parseBinding() (Binding, error) {
 	lx := p.lex
-	if lx.tok != qIdent {
-		return Binding{}, fmt.Errorf("query: offset %d: expected binding source", lx.pos)
+	if lx.Tok != ssd.TokIdent {
+		return Binding{}, lx.Errorf("expected binding source")
 	}
-	source := lx.text
-	lx.next()
+	source := lx.Text
+	lx.Next()
 	steps, err := p.parsePathSteps()
 	if err != nil {
 		return Binding{}, err
 	}
-	if lx.tok != qIdent || qKeywords[lx.text] {
-		return Binding{}, fmt.Errorf("query: offset %d: expected variable name after path", lx.pos)
+	if lx.Tok != ssd.TokIdent || qReserved[lx.Text] {
+		return Binding{}, lx.Errorf("expected variable name after path")
 	}
-	v := lx.text
-	lx.next()
+	v := lx.Text
+	lx.Next()
 	return Binding{Source: source, Path: steps, Var: v}, nil
 }
 
-// parsePathSteps parses zero or more '.'-prefixed path steps.
+// parsePathSteps parses zero or more '.'-prefixed path steps. A step is a
+// label variable, a path variable, a $parameter, or one postfix production
+// of the path-expression grammar, which pathexpr parses off this scanner.
 func (p *qParser) parsePathSteps() ([]PathStep, error) {
 	lx := p.lex
 	var steps []PathStep
-	for lx.tok == qDot {
-		lx.next()
-		if lx.tok == qPercent {
-			lx.next()
-			if lx.tok != qIdent {
-				return nil, fmt.Errorf("query: offset %d: expected label variable name after %%", lx.pos)
+	for lx.Tok == '.' {
+		lx.Next()
+		var step PathStep
+		var err error
+		switch lx.Tok {
+		case '%':
+			var name string
+			name, err = p.sigilName("label variable")
+			step = LabelVarStep{name}
+		case '@':
+			var name string
+			name, err = p.sigilName("path variable")
+			step = PathVarStep{name}
+		case '$':
+			var name string
+			name, err = p.sigilName("parameter")
+			step = ParamStep{name}
+		default:
+			var e pathexpr.Expr
+			if e, err = pathexpr.ParsePostfix(lx); err == nil {
+				// The planner binds parameters to whole steps only.
+				if ps := pathexpr.Params(e); len(ps) > 0 {
+					err = fmt.Errorf("query: parameter $%s inside a path expression; a parameter must be a whole path step", ps[0])
+				}
 			}
-			steps = append(steps, LabelVarStep{lx.text})
-			lx.next()
-			continue
+			step = &RegexStep{Expr: e}
 		}
-		if lx.tok == qAt {
-			lx.next()
-			if lx.tok != qIdent {
-				return nil, fmt.Errorf("query: offset %d: expected path variable name after @", lx.pos)
-			}
-			steps = append(steps, PathVarStep{lx.text})
-			lx.next()
-			continue
-		}
-		if lx.tok == qDollar {
-			lx.next()
-			if lx.tok != qIdent {
-				return nil, fmt.Errorf("query: offset %d: expected parameter name after $", lx.pos)
-			}
-			steps = append(steps, ParamStep{lx.text})
-			lx.next()
-			continue
-		}
-		e, err := p.parsePathPostfix()
 		if err != nil {
 			return nil, err
 		}
-		steps = append(steps, &RegexStep{Expr: e})
+		steps = append(steps, step)
 	}
 	return steps, nil
-}
-
-// parsePathPostfix parses one top-level path element: a primary with
-// optional postfix operators. Parenthesized groups may contain full
-// alternation/concatenation.
-func (p *qParser) parsePathPostfix() (pathexpr.Expr, error) {
-	e, err := p.parsePathPrimary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch p.lex.tok {
-		case qStar:
-			e = pathexpr.Star{Sub: e}
-			p.lex.next()
-		case qPlus:
-			e = pathexpr.Plus{Sub: e}
-			p.lex.next()
-		case qQuest:
-			e = pathexpr.Opt{Sub: e}
-			p.lex.next()
-		default:
-			return e, nil
-		}
-	}
-}
-
-func (p *qParser) parsePathAlt() (pathexpr.Expr, error) {
-	first, err := p.parsePathSeq()
-	if err != nil {
-		return nil, err
-	}
-	alts := []pathexpr.Expr{first}
-	for p.lex.tok == qPipe {
-		p.lex.next()
-		e, err := p.parsePathSeq()
-		if err != nil {
-			return nil, err
-		}
-		alts = append(alts, e)
-	}
-	if len(alts) == 1 {
-		return first, nil
-	}
-	return pathexpr.Alt{Alts: alts}, nil
-}
-
-func (p *qParser) parsePathSeq() (pathexpr.Expr, error) {
-	first, err := p.parsePathPostfix()
-	if err != nil {
-		return nil, err
-	}
-	parts := []pathexpr.Expr{first}
-	for p.lex.tok == qDot {
-		p.lex.next()
-		e, err := p.parsePathPostfix()
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, e)
-	}
-	if len(parts) == 1 {
-		return first, nil
-	}
-	return pathexpr.Seq{Parts: parts}, nil
-}
-
-var qTypePreds = map[string]pathexpr.Pred{
-	"isint":    pathexpr.TypePred{Kind: ssd.KindInt},
-	"isfloat":  pathexpr.TypePred{Kind: ssd.KindFloat},
-	"isstring": pathexpr.TypePred{Kind: ssd.KindString},
-	"issymbol": pathexpr.TypePred{Kind: ssd.KindSymbol},
-	"isbool":   pathexpr.TypePred{Kind: ssd.KindBool},
-	"isoid":    pathexpr.TypePred{Kind: ssd.KindOID},
-	"isdata":   pathexpr.TypePred{IsData: true},
-}
-
-func (p *qParser) parsePathPrimary() (pathexpr.Expr, error) {
-	lx := p.lex
-	switch lx.tok {
-	case qLParen:
-		lx.next()
-		e, err := p.parsePathAlt()
-		if err != nil {
-			return nil, err
-		}
-		if lx.tok != qRParen {
-			return nil, fmt.Errorf("query: offset %d: expected ')' in path", lx.pos)
-		}
-		lx.next()
-		return e, nil
-	default:
-		pred, err := p.parsePathPred()
-		if err != nil {
-			return nil, err
-		}
-		return pathexpr.Atom{Pred: pred}, nil
-	}
-}
-
-func (p *qParser) parsePathPred() (pathexpr.Pred, error) {
-	lx := p.lex
-	switch lx.tok {
-	case qUnder:
-		lx.next()
-		return pathexpr.AnyPred{}, nil
-	case qBang:
-		lx.next()
-		sub, err := p.parsePathPred()
-		if err != nil {
-			return nil, err
-		}
-		return pathexpr.NotPred{Sub: sub}, nil
-	case qLT, qLE, qGT, qGE, qEQ, qNE:
-		op := map[qToken]pathexpr.CmpOp{
-			qLT: pathexpr.OpLT, qLE: pathexpr.OpLE, qGT: pathexpr.OpGT,
-			qGE: pathexpr.OpGE, qEQ: pathexpr.OpEQ, qNE: pathexpr.OpNE,
-		}[lx.tok]
-		lx.next()
-		rhs, err := p.parsePathLiteral()
-		if err != nil {
-			return nil, err
-		}
-		return pathexpr.CmpPred{Op: op, Rhs: rhs}, nil
-	case qIdent:
-		if tp, ok := qTypePreds[lx.text]; ok {
-			lx.next()
-			return tp, nil
-		}
-		if lx.keyword("like") {
-			lx.next()
-			if lx.tok != qString {
-				return nil, fmt.Errorf("query: offset %d: like requires a string pattern", lx.pos)
-			}
-			pat := lx.text
-			lx.next()
-			return pathexpr.LikePred{Pattern: pat}, nil
-		}
-		fallthrough
-	case qString, qInt, qFloat:
-		l, err := p.parsePathLiteral()
-		if err != nil {
-			return nil, err
-		}
-		return pathexpr.ExactPred{L: l}, nil
-	case qError:
-		return nil, lx.err
-	default:
-		return nil, fmt.Errorf("query: offset %d: expected path atom", lx.pos)
-	}
-}
-
-func (p *qParser) parsePathLiteral() (ssd.Label, error) {
-	lx := p.lex
-	switch lx.tok {
-	case qIdent:
-		var l ssd.Label
-		switch lx.text {
-		case "true":
-			l = ssd.Bool(true)
-		case "false":
-			l = ssd.Bool(false)
-		default:
-			l = ssd.Sym(lx.text)
-		}
-		lx.next()
-		return l, nil
-	case qString:
-		l := ssd.Str(lx.text)
-		lx.next()
-		return l, nil
-	case qInt, qFloat:
-		return p.numberLabel()
-	case qError:
-		return ssd.Label{}, lx.err
-	default:
-		return ssd.Label{}, fmt.Errorf("query: offset %d: expected literal in path", lx.pos)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -478,8 +275,8 @@ func (p *qParser) parseOr() (Cond, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.lex.keyword("or") {
-		p.lex.next()
+	for p.keyword("or") {
+		p.lex.Next()
 		r, err := p.parseAnd()
 		if err != nil {
 			return nil, err
@@ -494,8 +291,8 @@ func (p *qParser) parseAnd() (Cond, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.lex.keyword("and") {
-		p.lex.next()
+	for p.keyword("and") {
+		p.lex.Next()
 		r, err := p.parseUnaryCond()
 		if err != nil {
 			return nil, err
@@ -508,31 +305,27 @@ func (p *qParser) parseAnd() (Cond, error) {
 func (p *qParser) parseUnaryCond() (Cond, error) {
 	lx := p.lex
 	switch {
-	case lx.keyword("not"):
-		lx.next()
+	case p.keyword("not"):
+		lx.Next()
 		sub, err := p.parseUnaryCond()
 		if err != nil {
 			return nil, err
 		}
 		return Not{sub}, nil
-	case lx.tok == qLParen:
-		lx.next()
+	case lx.Tok == '(':
+		lx.Next()
 		c, err := p.parseOr()
 		if err != nil {
 			return nil, err
 		}
-		if lx.tok != qRParen {
-			return nil, fmt.Errorf("query: offset %d: expected ')' in condition", lx.pos)
+		return c, p.expect(')', "in condition")
+	case p.keyword("exists"):
+		lx.Next()
+		if lx.Tok != ssd.TokIdent || qReserved[lx.Text] {
+			return nil, lx.Errorf("exists requires a variable")
 		}
-		lx.next()
-		return c, nil
-	case lx.keyword("exists"):
-		lx.next()
-		if lx.tok != qIdent || qKeywords[lx.text] {
-			return nil, fmt.Errorf("query: offset %d: exists requires a variable", lx.pos)
-		}
-		source := lx.text
-		lx.next()
+		source := lx.Text
+		lx.Next()
 		steps, err := p.parsePathSteps()
 		if err != nil {
 			return nil, err
@@ -543,58 +336,51 @@ func (p *qParser) parseUnaryCond() (Cond, error) {
 	}
 }
 
+// typeTest returns the type predicate an identifier names (isint, ...).
+// The names belong to the path grammar, so pathexpr is asked.
+func typeTest(name string) (pathexpr.Pred, bool) {
+	if !strings.HasPrefix(name, "is") {
+		return nil, false
+	}
+	pred, err := pathexpr.ParsePred(name)
+	tp, ok := pred.(pathexpr.TypePred)
+	return tp, err == nil && ok
+}
+
 func (p *qParser) parsePrimaryCond() (Cond, error) {
 	lx := p.lex
 	// Type tests look like isstring(T).
-	if lx.tok == qIdent {
-		if tp, ok := qTypePreds[lx.text]; ok {
-			lx.next()
-			if lx.tok != qLParen {
-				return nil, fmt.Errorf("query: offset %d: expected '(' after type test", lx.pos)
+	if lx.Tok == ssd.TokIdent {
+		if tp, ok := typeTest(lx.Text); ok {
+			lx.Next()
+			if err := p.expect('(', "after type test"); err != nil {
+				return nil, err
 			}
-			lx.next()
 			term, err := p.parseTerm()
 			if err != nil {
 				return nil, err
 			}
-			if lx.tok != qRParen {
-				return nil, fmt.Errorf("query: offset %d: expected ')' after type test", lx.pos)
-			}
-			lx.next()
-			return TypeTest{Pred: tp, T: term}, nil
+			return TypeTest{Pred: tp, T: term}, p.expect(')', "after type test")
 		}
 	}
 	l, err := p.parseTerm()
 	if err != nil {
 		return nil, err
 	}
-	if lx.keyword("like") {
-		lx.next()
-		if lx.tok != qString {
-			return nil, fmt.Errorf("query: offset %d: like requires a string pattern", lx.pos)
+	if p.keyword("like") {
+		lx.Next()
+		if lx.Tok != ssd.TokString {
+			return nil, lx.Errorf("like requires a string pattern")
 		}
-		pat := lx.text
-		lx.next()
+		pat := lx.Text
+		lx.Next()
 		return LikeCond{T: l, Pattern: pat}, nil
 	}
-	var op pathexpr.CmpOp
-	switch lx.tok {
-	case qLT:
-		op = pathexpr.OpLT
-	case qLE:
-		op = pathexpr.OpLE
-	case qGT:
-		op = pathexpr.OpGT
-	case qGE:
-		op = pathexpr.OpGE
-	case qEQ:
-		op = pathexpr.OpEQ
-	case qNE:
-		op = pathexpr.OpNE
-	default:
-		return nil, fmt.Errorf("query: offset %d: expected comparison operator", lx.pos)
+	op, ok := qCmpOps[lx.Tok]
+	if !ok {
+		return nil, lx.Errorf("expected comparison operator")
 	}
-	lx.next()
+	lx.Next()
 	r, err := p.parseTerm()
 	if err != nil {
 		return nil, err
@@ -604,73 +390,44 @@ func (p *qParser) parsePrimaryCond() (Cond, error) {
 
 func (p *qParser) parseTerm() (Term, error) {
 	lx := p.lex
-	if lx.tok == qIdent && lx.text == "pathlen" {
-		lx.next()
-		if lx.tok != qLParen {
-			return nil, fmt.Errorf("query: offset %d: expected '(' after pathlen", lx.pos)
+	switch lx.Tok {
+	case '%':
+		name, err := p.sigilName("label variable")
+		return LabelTerm{name}, err
+	case '$':
+		name, err := p.sigilName("parameter")
+		return ParamTerm{name}, err
+	case ssd.TokIdent:
+		if qReserved[lx.Text] {
+			return nil, lx.Errorf("unexpected reserved word %q in term", lx.Text)
 		}
-		lx.next()
-		if lx.tok != qAt {
-			return nil, fmt.Errorf("query: offset %d: pathlen takes a @path variable", lx.pos)
-		}
-		lx.next()
-		if lx.tok != qIdent {
-			return nil, fmt.Errorf("query: offset %d: expected path variable name after @", lx.pos)
-		}
-		name := lx.text
-		lx.next()
-		if lx.tok != qRParen {
-			return nil, fmt.Errorf("query: offset %d: expected ')' after pathlen", lx.pos)
-		}
-		lx.next()
-		return PathLenTerm{name}, nil
-	}
-	switch lx.tok {
-	case qPercent:
-		lx.next()
-		if lx.tok != qIdent {
-			return nil, fmt.Errorf("query: offset %d: expected label variable name after %%", lx.pos)
-		}
-		name := lx.text
-		lx.next()
-		return LabelTerm{name}, nil
-	case qDollar:
-		lx.next()
-		if lx.tok != qIdent {
-			return nil, fmt.Errorf("query: offset %d: expected parameter name after $", lx.pos)
-		}
-		name := lx.text
-		lx.next()
-		return ParamTerm{name}, nil
-	case qIdent:
-		if qKeywords[lx.text] {
-			return nil, fmt.Errorf("query: offset %d: unexpected keyword %q in term", lx.pos, lx.text)
-		}
-		name := lx.text
-		lx.next()
+		name := lx.Text
 		switch name {
-		case "true":
-			return LitTerm{ssd.Bool(true)}, nil
-		case "false":
-			return LitTerm{ssd.Bool(false)}, nil
+		case "true", "false":
+		case "pathlen":
+			lx.Next()
+			if err := p.expect('(', "after pathlen"); err != nil {
+				return nil, err
+			}
+			if lx.Tok != '@' {
+				return nil, lx.Errorf("pathlen takes a @path variable")
+			}
+			pv, err := p.sigilName("path variable")
+			if err != nil {
+				return nil, err
+			}
+			return PathLenTerm{pv}, p.expect(')', "after pathlen")
+		default:
+			// Resolution to VarTerm vs symbol literal happens in resolve().
+			lx.Next()
+			return VarTerm{name}, nil
 		}
-		// Resolution to VarTerm vs symbol literal happens in resolve().
-		return VarTerm{name}, nil
-	case qString:
-		l := ssd.Str(lx.text)
-		lx.next()
-		return LitTerm{l}, nil
-	case qInt, qFloat:
-		l, err := p.numberLabel()
-		if err != nil {
-			return nil, err
-		}
-		return LitTerm{l}, nil
-	case qError:
-		return nil, lx.err
-	default:
-		return nil, fmt.Errorf("query: offset %d: expected term", lx.pos)
 	}
+	l, err := lx.Label()
+	if err != nil {
+		return nil, err
+	}
+	return LitTerm{l}, nil
 }
 
 // ---------------------------------------------------------------------------

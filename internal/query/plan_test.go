@@ -237,7 +237,7 @@ func TestCostBasedPlanOnSkewedFixture(t *testing.T) {
 
 	// Both orders must agree with each other and with the naive engine.
 	q := MustParse(skewQuery)
-	naive, err := EvalOpts(q, g, Options{Minimize: true, Engine: EngineNaive})
+	naive, err := EvalNaive(q, g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -230,11 +230,30 @@ func TestParseErrors(t *testing.T) {
 		`select X from DB.(a X`,                 // bad path
 		`select X from DB.a X where isint()`,    // missing term
 		`select X from DB.a X where select = 1`, // keyword as term
+		`select X from DB.(a|$k) X`,             // $parameter nested in a regex
+		`select X from DB.($k) X`,
+		`select X from DB.a.!$k X`,
+		`select X from DB.$k* X`, // a parameter step takes no operators
+		`select _ from DB.a X`,   // the wildcard is not a name
+		`select X from DB.a _`,
 	}
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) should fail", src)
 		}
+	}
+}
+
+// TestParamIsAWholeStep: `.$name` directly under a dot stays a ParamStep;
+// the shared path grammar's own `$name` atom never leaks into a select
+// query (the cases in TestParseErrors), where the planner could not bind it.
+func TestParamIsAWholeStep(t *testing.T) {
+	q := MustParse(`select X from DB.Entry.$kind.(Title|Name) X where exists X.$attr`)
+	if _, ok := q.From[0].Path[1].(ParamStep); !ok {
+		t.Errorf("step 2 is %T, want ParamStep", q.From[0].Path[1])
+	}
+	if got := strings.Join(q.Params, ","); got != "kind,attr" {
+		t.Errorf("params = %s, want kind,attr", got)
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"unicode"
-	"unicode/utf8"
 )
 
 // This file implements a concrete text syntax for the model, in the style of
@@ -30,24 +28,19 @@ import (
 // cycle. `&o7{...}` additionally records "o7" as the node's OEM oid.
 // Line comments start with //.
 
+// textSyntax is the ssd text syntax's share of the scanner; labelSyntax is
+// what ParseLabel reads: literals only, no punctuation, no comments.
+var (
+	textSyntax  = &Syntax{Prefix: "ssd", Comment: "//", Punct: "{}:,#&"}
+	labelSyntax = &Syntax{Prefix: "ssd"}
+)
+
 // Parse parses a complete database in text syntax and returns a fresh graph
 // whose root is the parsed tree.
 func Parse(src string) (*Graph, error) {
 	g := New()
-	p := &parser{lex: newLexer(src), g: g, tags: map[string]NodeID{}}
-	p.lex.next()
-	n, err := p.parseTreeAt(g.Root())
+	n, err := parseInto(g, g.Root(), src)
 	if err != nil {
-		return nil, err
-	}
-	p.lex.next()
-	if p.lex.tok == tokError {
-		return nil, p.lex.err
-	}
-	if p.lex.tok != tokEOF {
-		return nil, fmt.Errorf("ssd: trailing input at offset %d: %q", p.lex.pos, p.lex.text)
-	}
-	if err := p.resolve(); err != nil {
 		return nil, err
 	}
 	if n != g.Root() {
@@ -68,18 +61,18 @@ func MustParse(src string) *Graph {
 // ParseTree parses one tree term into an existing graph and returns its node.
 // Tags are scoped to the single call.
 func ParseTree(g *Graph, src string) (NodeID, error) {
-	p := &parser{lex: newLexer(src), g: g, tags: map[string]NodeID{}}
-	p.lex.next()
-	n, err := p.parseTreeAt(g.AddNode())
+	return parseInto(g, g.AddNode(), src)
+}
+
+// parseInto parses src as exactly one tree term built at node into.
+func parseInto(g *Graph, into NodeID, src string) (NodeID, error) {
+	p := &parser{lex: NewScanner(textSyntax, src), g: g, tags: map[string]NodeID{}}
+	n, err := p.parseTreeAt(into)
 	if err != nil {
 		return InvalidNode, err
 	}
-	p.lex.next()
-	if p.lex.tok == tokError {
-		return InvalidNode, p.lex.err
-	}
-	if p.lex.tok != tokEOF {
-		return InvalidNode, fmt.Errorf("ssd: trailing input at offset %d: %q", p.lex.pos, p.lex.text)
+	if p.lex.Tok != TokEOF {
+		return InvalidNode, p.lex.Errorf("trailing input %q", p.lex.Text)
 	}
 	if err := p.resolve(); err != nil {
 		return InvalidNode, err
@@ -87,17 +80,17 @@ func ParseTree(g *Graph, src string) (NodeID, error) {
 	return n, nil
 }
 
-// ParseLabel parses a single label literal (symbol, string, number, bool).
+// ParseLabel parses a single label literal (symbol, string, number, bool):
+// the scanner's literal rule and nothing else, so a parameter value like
+// `a // b` is an error, not the symbol a.
 func ParseLabel(src string) (Label, error) {
-	lx := newLexer(src)
-	lx.next()
-	l, err := labelOf(lx)
+	lx := NewScanner(labelSyntax, src)
+	l, err := lx.Label()
 	if err != nil {
 		return Label{}, err
 	}
-	lx.next()
-	if lx.tok != tokEOF {
-		return Label{}, fmt.Errorf("ssd: trailing input after label: %q", lx.text)
+	if lx.Tok != TokEOF {
+		return Label{}, lx.Errorf("trailing input after label %q", lx.Text)
 	}
 	return l, nil
 }
@@ -210,234 +203,10 @@ func (f *formatter) plainLeaf(n NodeID) bool {
 }
 
 // ---------------------------------------------------------------------------
-// Lexer
-
-type token int
-
-const (
-	tokEOF token = iota
-	tokLBrace
-	tokRBrace
-	tokColon
-	tokComma
-	tokHash   // #
-	tokAmp    // &
-	tokIdent  // symbol, true, false
-	tokString // "..."
-	tokInt
-	tokFloat
-	tokError
-)
-
-type lexer struct {
-	src  string
-	pos  int
-	tok  token
-	text string // token payload (unquoted for strings)
-	err  error
-
-	// One-token pushback: when pending is set, the next call to next()
-	// re-delivers the current token instead of scanning.
-	pending bool
-}
-
-func newLexer(src string) *lexer { return &lexer{src: src} }
-
-// push arranges for the current token to be delivered again by the next
-// call to next(). Used after one-token lookahead past a tag name.
-func (lx *lexer) push() { lx.pending = true }
-
-func (lx *lexer) errorf(format string, args ...interface{}) {
-	if lx.err == nil {
-		lx.err = fmt.Errorf("ssd: offset %d: "+format, append([]interface{}{lx.pos}, args...)...)
-	}
-	lx.tok = tokError
-}
-
-func (lx *lexer) next() {
-	if lx.pending {
-		lx.pending = false
-		return
-	}
-	lx.skipSpace()
-	if lx.err != nil {
-		lx.tok = tokError
-		return
-	}
-	if lx.pos >= len(lx.src) {
-		lx.tok, lx.text = tokEOF, ""
-		return
-	}
-	c := lx.src[lx.pos]
-	switch {
-	case c == '{':
-		lx.pos++
-		lx.tok = tokLBrace
-	case c == '}':
-		lx.pos++
-		lx.tok = tokRBrace
-	case c == ':':
-		lx.pos++
-		lx.tok = tokColon
-	case c == ',':
-		lx.pos++
-		lx.tok = tokComma
-	case c == '#':
-		lx.pos++
-		lx.tok = tokHash
-	case c == '&':
-		lx.pos++
-		lx.tok = tokAmp
-	case c == '"':
-		lx.lexString()
-	case c == '-' || c >= '0' && c <= '9':
-		lx.lexNumber()
-	case isIdentStart(rune(c)):
-		lx.lexIdent()
-	default:
-		lx.errorf("unexpected character %q", c)
-	}
-}
-
-func (lx *lexer) skipSpace() {
-	for lx.pos < len(lx.src) {
-		c := lx.src[lx.pos]
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
-			lx.pos++
-			continue
-		}
-		if c == '/' && lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '/' {
-			for lx.pos < len(lx.src) && lx.src[lx.pos] != '\n' {
-				lx.pos++
-			}
-			continue
-		}
-		break
-	}
-}
-
-func (lx *lexer) lexString() {
-	start := lx.pos
-	lx.pos++ // opening quote
-	var b strings.Builder
-	for lx.pos < len(lx.src) {
-		c := lx.src[lx.pos]
-		if c == '"' {
-			lx.pos++
-			lx.tok, lx.text = tokString, b.String()
-			return
-		}
-		if c == '\\' {
-			if lx.pos+1 >= len(lx.src) {
-				break
-			}
-			esc := lx.src[lx.pos+1]
-			lx.pos += 2
-			switch esc {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case 'r':
-				b.WriteByte('\r')
-			case '"':
-				b.WriteByte('"')
-			case '\\':
-				b.WriteByte('\\')
-			case 'u':
-				if lx.pos+4 > len(lx.src) {
-					lx.errorf("truncated \\u escape")
-					return
-				}
-				v, err := strconv.ParseUint(lx.src[lx.pos:lx.pos+4], 16, 32)
-				if err != nil {
-					lx.errorf("bad \\u escape: %v", err)
-					return
-				}
-				b.WriteRune(rune(v))
-				lx.pos += 4
-			default:
-				lx.errorf("unknown escape \\%c", esc)
-				return
-			}
-			continue
-		}
-		b.WriteByte(c)
-		lx.pos++
-	}
-	lx.pos = start
-	lx.errorf("unterminated string")
-}
-
-func (lx *lexer) lexNumber() {
-	start := lx.pos
-	if lx.src[lx.pos] == '-' {
-		lx.pos++
-	}
-	digits := 0
-	for lx.pos < len(lx.src) && lx.src[lx.pos] >= '0' && lx.src[lx.pos] <= '9' {
-		lx.pos++
-		digits++
-	}
-	if digits == 0 {
-		lx.errorf("malformed number")
-		return
-	}
-	isFloat := false
-	if lx.pos < len(lx.src) && lx.src[lx.pos] == '.' {
-		isFloat = true
-		lx.pos++
-		for lx.pos < len(lx.src) && lx.src[lx.pos] >= '0' && lx.src[lx.pos] <= '9' {
-			lx.pos++
-		}
-	}
-	if lx.pos < len(lx.src) && (lx.src[lx.pos] == 'e' || lx.src[lx.pos] == 'E') {
-		isFloat = true
-		lx.pos++
-		if lx.pos < len(lx.src) && (lx.src[lx.pos] == '+' || lx.src[lx.pos] == '-') {
-			lx.pos++
-		}
-		for lx.pos < len(lx.src) && lx.src[lx.pos] >= '0' && lx.src[lx.pos] <= '9' {
-			lx.pos++
-		}
-	}
-	lx.text = lx.src[start:lx.pos]
-	if isFloat {
-		lx.tok = tokFloat
-	} else {
-		lx.tok = tokInt
-	}
-}
-
-func (lx *lexer) lexIdent() {
-	start := lx.pos
-	for lx.pos < len(lx.src) {
-		r, size := utf8.DecodeRuneInString(lx.src[lx.pos:])
-		if !isIdentCont(r) {
-			break
-		}
-		lx.pos += size
-	}
-	lx.tok, lx.text = tokIdent, lx.src[start:lx.pos]
-}
-
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
-}
-
-func isIdentCont(r rune) bool {
-	return r == '_' || r == '-' || unicode.IsLetter(r) || unicode.IsDigit(r)
-}
-
-// ---------------------------------------------------------------------------
 // Parser
-//
-// Convention: every parse method is entered with the current token being the
-// FIRST token of its production and returns with the current token being the
-// LAST token of its production. The caller advances.
 
 type parser struct {
-	lex  *lexer
+	lex  *Scanner
 	g    *Graph
 	tags map[string]NodeID   // defined tag → node
 	fwd  map[string][]NodeID // forward-referenced tag → placeholder nodes
@@ -448,16 +217,16 @@ type parser struct {
 // instead (leaving `into` unused).
 func (p *parser) parseTreeAt(into NodeID) (NodeID, error) {
 	lx := p.lex
-	switch lx.tok {
-	case tokHash, tokAmp:
-		isOID := lx.tok == tokAmp
-		lx.next()
-		if lx.tok != tokIdent && lx.tok != tokInt {
-			return InvalidNode, fmt.Errorf("ssd: offset %d: expected tag name after # or &", lx.pos)
+	switch lx.Tok {
+	case '#', '&':
+		isOID := lx.Tok == '&'
+		lx.Next()
+		if lx.Tok != TokIdent && lx.Tok != TokInt {
+			return InvalidNode, lx.Errorf("expected tag name after # or &")
 		}
-		name := lx.text
-		lx.next() // lookahead: definition or reference?
-		if lx.tok == tokLBrace {
+		name := lx.Text
+		lx.Next()
+		if lx.Tok == '{' { // definition
 			if _, dup := p.tags[name]; dup {
 				return InvalidNode, fmt.Errorf("ssd: duplicate tag %q", name)
 			}
@@ -465,13 +234,8 @@ func (p *parser) parseTreeAt(into NodeID) (NodeID, error) {
 			if isOID {
 				p.g.SetOID(into, name)
 			}
-			if err := p.parseBraces(into); err != nil {
-				return InvalidNode, err
-			}
-			return into, nil
+			return into, p.parseBraces(into)
 		}
-		// Reference: un-consume the lookahead token.
-		lx.push()
 		if n, ok := p.tags[name]; ok {
 			return n, nil
 		}
@@ -484,58 +248,51 @@ func (p *parser) parseTreeAt(into NodeID) (NodeID, error) {
 			p.g.SetOID(ph, name) // keep oid even if definition never appears
 		}
 		return ph, nil
-	case tokLBrace:
-		if err := p.parseBraces(into); err != nil {
-			return InvalidNode, err
-		}
-		return into, nil
-	case tokIdent, tokString, tokInt, tokFloat:
-		l, err := labelOf(lx)
+	case '{':
+		return into, p.parseBraces(into)
+	case TokIdent, TokString, TokInt, TokFloat:
+		l, err := lx.Label()
 		if err != nil {
 			return InvalidNode, err
 		}
 		p.g.AddLeaf(into, l) // literal tree: {lit: {}}
 		return into, nil
-	case tokError:
-		return InvalidNode, lx.err
 	default:
-		return InvalidNode, fmt.Errorf("ssd: offset %d: expected tree term", lx.pos)
+		return InvalidNode, lx.Errorf("expected tree term")
 	}
 }
 
-// parseBraces parses '{ pairs }'; current token is '{' on entry, '}' on exit.
+// parseBraces parses '{ pairs }' with the current token on the '{'.
 func (p *parser) parseBraces(into NodeID) error {
 	lx := p.lex
-	lx.next()
-	if lx.tok == tokRBrace {
+	lx.Next()
+	if lx.Tok == '}' {
+		lx.Next()
 		return nil
 	}
 	for {
-		l, err := labelOf(lx)
+		l, err := lx.Label()
 		if err != nil {
 			return err
 		}
-		lx.next()
-		if lx.tok == tokColon {
-			lx.next()
+		if lx.Tok == ':' {
+			lx.Next()
 			child, err := p.parseTreeAt(p.g.AddNode())
 			if err != nil {
 				return err
 			}
 			p.g.AddEdge(into, l, child)
-			lx.next()
 		} else {
 			p.g.AddLeaf(into, l) // bare label: edge to empty tree
 		}
-		switch lx.tok {
-		case tokComma:
-			lx.next()
-		case tokRBrace:
+		switch lx.Tok {
+		case ',':
+			lx.Next()
+		case '}':
+			lx.Next()
 			return nil
-		case tokError:
-			return lx.err
 		default:
-			return fmt.Errorf("ssd: offset %d: expected ',' or '}'", lx.pos)
+			return lx.Errorf("expected ',' or '}'")
 		}
 	}
 }
@@ -568,35 +325,4 @@ func (p *parser) resolve() error {
 		p.g.root = t
 	}
 	return nil
-}
-
-func labelOf(lx *lexer) (Label, error) {
-	switch lx.tok {
-	case tokIdent:
-		switch lx.text {
-		case "true":
-			return Bool(true), nil
-		case "false":
-			return Bool(false), nil
-		}
-		return Sym(lx.text), nil
-	case tokString:
-		return Str(lx.text), nil
-	case tokInt:
-		v, err := strconv.ParseInt(lx.text, 10, 64)
-		if err != nil {
-			return Label{}, fmt.Errorf("ssd: bad integer %q: %v", lx.text, err)
-		}
-		return Int(v), nil
-	case tokFloat:
-		v, err := strconv.ParseFloat(lx.text, 64)
-		if err != nil {
-			return Label{}, fmt.Errorf("ssd: bad float %q: %v", lx.text, err)
-		}
-		return Float(v), nil
-	case tokError:
-		return Label{}, lx.err
-	default:
-		return Label{}, fmt.Errorf("ssd: offset %d: expected label", lx.pos)
-	}
 }

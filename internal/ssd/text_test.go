@@ -145,6 +145,7 @@ func TestFormatRoundTrip(t *testing.T) {
 		`#r{next: #r}`,
 		`{x: #s{v: 1}, y: #s}`,
 		`{n: -5, f: 2.5, t: true, f2: false}`,
+		`{s: "a\rb\x00c\u200bd\a\U000e0001", big: 1e+21}`, // every escape Format writes
 	}
 	for _, src := range srcs {
 		g := MustParse(src)
