@@ -5,9 +5,13 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/bisim"
@@ -21,6 +25,7 @@ import (
 	"repro/internal/query"
 	"repro/internal/relstore"
 	"repro/internal/schema"
+	"repro/internal/server"
 	"repro/internal/ssd"
 	"repro/internal/stats"
 	"repro/internal/storage"
@@ -877,4 +882,44 @@ func BenchmarkStatsMaintenance(b *testing.B) {
 			st.Apply(d)
 		}
 	})
+}
+
+// BenchmarkServeQuery prices one POST /query per read class of bench/ssdload
+// (same statements, same Movies(20000) data) end to end through an httptest
+// server: B/op and allocs/op cover the handler, the engine underneath and the
+// HTTP client that drains the NDJSON body; rows/op turns allocs/op into
+// allocations per result row.
+func BenchmarkServeQuery(b *testing.B) {
+	srv := httptest.NewServer(server.New(core.FromGraph(movieDB(20000)), server.Config{}).Handler())
+	defer srv.Close()
+	for _, c := range []struct{ name, body string }{
+		{"sel", `{"query":"select {T: T} from DB.Entry.TV-Show S, S.Title T, S.Episode E where E > $lo","params":{"lo":1972500}}`},
+		{"path", `{"query":"path: Entry.Movie.References.Movie.Director._"}`},
+		{"wide", `{"query":"select {Title: T} from DB.Entry.Movie M, M.Title T, M.Cast._* A where A = $who","params":{"who":"\"Allen\""}}`},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var buf bytes.Buffer // reused, so the client side adds no per-row garbage
+			post := func() int {
+				resp, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(c.body))
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer resp.Body.Close()
+				buf.Reset()
+				_, err = buf.ReadFrom(resp.Body)
+				body := buf.Bytes()
+				if err != nil || !bytes.HasSuffix(body, []byte("}\n")) || !bytes.Contains(body, []byte(`{"done":true`)) {
+					b.Fatalf("bad response (err %v): %.200s", err, body)
+				}
+				return bytes.Count(body, []byte("\n")) - 1
+			}
+			rows := post() // warm the statement cache and the plan pool
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				post()
+			}
+			b.ReportMetric(float64(rows), "rows/op")
+		})
+	}
 }

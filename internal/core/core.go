@@ -277,8 +277,18 @@ func (db *Database) Graph() *ssd.Graph { return db.snapshot().g }
 // Format renders the database in the text syntax.
 func (db *Database) Format() string { return ssd.FormatRoot(db.snapshot().g) }
 
-// Stats summarizes the graph.
+// Stats summarizes the graph. It walks every node and edge; callers that
+// only need the two totals use Size.
 func (db *Database) Stats() ssd.Stats { return db.snapshot().g.ComputeStats() }
+
+// Size returns the node and edge totals Stats reports, in O(1): the node
+// count is the graph's, the edge count is carried by the cardinality
+// statistics every commit maintains incrementally (built by one scan on the
+// first call over a snapshot that never had them).
+func (db *Database) Size() (nodes, edges int) {
+	snap := db.snapshot()
+	return snap.g.NumNodes(), snap.statistics().Edges()
+}
 
 // ---------------------------------------------------------------------------
 // Mutation: the write path (internal/mutate)

@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -168,7 +169,7 @@ type Stmt struct {
 	mu       sync.Mutex
 	snap     *snapshot             // snapshot the pooled plans were compiled for
 	pool     []*query.Plan         // LangQuery: idle plans for snap
-	pathPool []*pathexpr.Automaton // LangPath, param-free: idle automata
+	pathPool []*pathexpr.Traversal // LangPath, param-free: idle, detached traversals
 }
 
 // maxPooledPlans bounds how many idle compiled plans a statement keeps.
@@ -450,33 +451,43 @@ func (s *Stmt) invalidate() {
 	s.mu.Unlock()
 }
 
-// checkoutAutomaton returns a compiled automaton for a param-free path
-// statement (automata are graph-independent, so the pool has no snapshot
-// key). Parameterized paths compile fresh per execution: the bound labels
-// become part of the DFA's alphabet.
-func (s *Stmt) checkoutAutomaton(vals map[string]ssd.Label) (*pathexpr.Automaton, bool, error) {
+// checkoutTraversal returns a traversal of g for a path statement. Param-free
+// statements reuse a pooled one — automaton, lazy-DFA cache and visit scratch
+// are graph-independent, so the pool has no snapshot key and survives commits.
+// Parameterized paths compile fresh per execution: the bound labels become
+// part of the DFA's alphabet.
+func (s *Stmt) checkoutTraversal(g ssd.GraphStore, vals map[string]ssd.Label) (*pathexpr.Traversal, error) {
 	if len(s.params) > 0 {
 		bound, err := pathexpr.BindParams(s.pe, vals)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		return pathexpr.Compile(bound), false, nil
+		return pathexpr.Compile(bound).NewTraversal(g), nil
 	}
 	s.mu.Lock()
 	if n := len(s.pathPool); n > 0 {
-		au := s.pathPool[n-1]
+		t := s.pathPool[n-1]
 		s.pathPool = s.pathPool[:n-1]
 		s.mu.Unlock()
-		return au, true, nil
+		t.Retarget(g)
+		return t, nil
 	}
 	s.mu.Unlock()
-	return pathexpr.Compile(s.pe), true, nil
+	return pathexpr.Compile(s.pe).NewTraversal(g), nil
 }
 
-func (s *Stmt) checkinAutomaton(au *pathexpr.Automaton) {
+// checkinTraversal pools a param-free statement's traversal, detached from
+// its store and context: an idle traversal must not pin a superseded
+// snapshot until the statement happens to run again.
+func (s *Stmt) checkinTraversal(t *pathexpr.Traversal) {
+	if len(s.params) > 0 {
+		return
+	}
+	t.Retarget(nil)
+	t.SetContext(nil)
 	s.mu.Lock()
 	if len(s.pathPool) < maxPooledPlans {
-		s.pathPool = append(s.pathPool, au)
+		s.pathPool = append(s.pathPool, t)
 	}
 	s.mu.Unlock()
 }
@@ -574,16 +585,15 @@ func (s *Stmt) queryTrace(ctx context.Context, tr *QueryTrace, args []Param) (*R
 		}
 		return &Rows{stmt: s, cols: s.cols, g: snap.g, start: start, trace: tr, et: et, pool: pool, poolStart: poolStart, qb: &queryBackend{cur: cur, plan: p, workers: workers, snap: snap}}, nil
 	case LangPath:
-		au, pooled, err := s.checkoutAutomaton(vals)
+		trav, err := s.checkoutTraversal(snap.store(), vals)
 		if err != nil {
 			return nil, err
 		}
-		trav := au.NewTraversal(snap.store())
 		if ctx != nil {
 			trav.SetContext(ctx)
 		}
 		trav.Reset(snap.store().Root())
-		return &Rows{stmt: s, cols: s.cols, g: snap.g, start: start, trace: tr, pool: pool, poolStart: poolStart, pb: &pathBackend{trav: trav, au: au, pooled: pooled}}, nil
+		return &Rows{stmt: s, cols: s.cols, g: snap.g, start: start, trace: tr, pool: pool, poolStart: poolStart, pb: &pathBackend{trav: trav}}, nil
 	case LangDatalog:
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
@@ -693,10 +703,9 @@ type queryBackend struct {
 }
 
 type pathBackend struct {
-	trav   *pathexpr.Traversal
-	au     *pathexpr.Automaton
-	pooled bool
-	node   ssd.NodeID
+	trav *pathexpr.Traversal // nil once Close has pooled it
+	node ssd.NodeID
+	err  error // what stopped the traversal early, kept past Close
 }
 
 type datalogBackend struct {
@@ -736,6 +745,8 @@ func (r *Rows) Next() bool {
 		r.pb.node = n
 		if ok {
 			r.n++
+		} else {
+			r.pb.err = r.pb.trav.Err()
 		}
 		return ok
 	default:
@@ -763,7 +774,7 @@ func (r *Rows) Err() error {
 	case r.qb != nil:
 		return r.qb.cur.Err()
 	case r.pb != nil:
-		return r.pb.trav.Err()
+		return r.pb.err
 	default:
 		return nil
 	}
@@ -805,7 +816,7 @@ func (r *Rows) scanCol(c col, dest any) error {
 		case *ssd.NodeID:
 			*d = n
 		case *string:
-			*d = fmt.Sprintf("%d", n)
+			*d = strconv.Itoa(int(n))
 		default:
 			return fmt.Errorf("want *ssd.NodeID or *string, got %T", dest)
 		}
@@ -881,7 +892,7 @@ func (r *Rows) Env() query.Env {
 // only.
 func (r *Rows) envFresh() query.Env { return r.qb.cur.Env() }
 
-// Close releases the cursor, returning the compiled plan(s) (or automaton)
+// Close releases the cursor, returning the compiled plan(s) (or traversal)
 // to the statement's pool for reuse. For a parallel cursor this first stops
 // the worker pool and waits for it to quiesce, so no returned plan is still
 // being mutated. Close is idempotent and always nil; the error return
@@ -897,9 +908,8 @@ func (r *Rows) Close() error {
 		r.stmt.checkinPlan(r.qb.snap, r.qb.plan)
 		r.stmt.checkinPlans(r.qb.snap, r.qb.workers)
 	case r.pb != nil:
-		if r.pb.pooled {
-			r.stmt.checkinAutomaton(r.pb.au)
-		}
+		r.stmt.checkinTraversal(r.pb.trav)
+		r.pb.trav = nil
 	}
 	r.finish()
 	return nil

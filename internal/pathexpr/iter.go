@@ -12,7 +12,9 @@ import (
 // memoized subset construction across runs. A Traversal is reset-able: after
 // Reset it can be reused for a new start node with no allocation beyond what
 // new DFA states require, which is what makes it cheap to seed once per
-// outer binding row inside a query executor's nested-loop join.
+// outer binding row inside a query executor's nested-loop join. Retarget
+// points it at another store, so one traversal (and its scratch) can serve a
+// statement across snapshots.
 //
 // A Traversal (like the Automaton's other evaluation entry points) mutates
 // the automaton's lazy-DFA cache and is therefore not safe for concurrent
@@ -22,12 +24,14 @@ type Traversal struct {
 	g  ssd.GraphStore
 
 	stack []prodItem
-	// visited[d] is a generation-stamped bitmap per dstate: visited[d][n] ==
-	// gen means (n, d) was pushed during the current run. Generation stamps
-	// make Reset O(1) instead of O(nodes × dstates).
-	visited [][]uint32
-	emitted []uint32 // generation stamps for already-yielded result nodes
-	gen     uint32
+	// planes[0] holds one bit per node already yielded; planes[d+1] one bit
+	// per node pushed in dstate d. A plane is allocated when its dstate is
+	// first reached and grown when the store has more nodes than it covers.
+	// dirty lists every word a run turned non-zero, so Reset clears what the
+	// run touched rather than what the graph holds; it never outgrows the
+	// planes themselves (a word is logged once per run).
+	planes [][]uint64
+	dirty  []dirtyWord
 
 	// Cancellation: when ctx is non-nil, Next polls it (strided, so the
 	// common case stays one atomic-free comparison) and stops the run by
@@ -36,6 +40,9 @@ type Traversal struct {
 	ctxErr error
 	polls  uint32
 }
+
+// dirtyWord names planes[plane][word].
+type dirtyWord struct{ plane, word uint32 }
 
 // SetContext attaches a cancellation context to the traversal. A cancelled
 // context makes Next return ok=false within one pull; Err then reports the
@@ -72,46 +79,60 @@ func (t *Traversal) cancelled() bool {
 // in-memory graph or a paged store (typically its pinning accessor).
 // Call Reset before the first Next.
 func (au *Automaton) NewTraversal(g ssd.GraphStore) *Traversal {
-	return &Traversal{
-		au:      au,
-		g:       g,
-		emitted: make([]uint32, g.NumNodes()),
-	}
+	return &Traversal{au: au, g: g}
 }
 
-// Reset rewinds the traversal to begin from start. Buffers are retained.
+// Retarget points the traversal at another store, keeping its scratch; call
+// Reset before the next Next. A nil store detaches it, so an idle pooled
+// traversal does not keep a superseded graph version alive.
+func (t *Traversal) Retarget(g ssd.GraphStore) { t.g = g }
+
+// Reset rewinds the traversal to begin from start. Buffers are retained;
+// the cost is proportional to what the previous run visited.
 func (t *Traversal) Reset(start ssd.NodeID) {
-	if t.gen == ^uint32(0) { // generation wraparound: clear stamps the slow way
-		for i := range t.emitted {
-			t.emitted[i] = 0
-		}
-		for _, vs := range t.visited {
-			for i := range vs {
-				vs[i] = 0
-			}
-		}
-		t.gen = 0
+	for _, w := range t.dirty {
+		t.planes[w.plane][w.word] = 0
 	}
-	t.gen++
+	t.dirty = t.dirty[:0]
 	t.stack = t.stack[:0]
 	t.ctxErr = nil
-	d0 := t.au.dstateOf(t.au.closure[t.au.start])
-	t.push(start, d0)
+	t.push(start, t.au.dstart)
 }
 
-func (t *Traversal) push(n ssd.NodeID, d int) bool {
-	for d >= len(t.visited) {
-		t.visited = append(t.visited, nil)
+// mark sets node n's bit in a plane, reporting whether it was clear.
+func (t *Traversal) mark(plane int, n ssd.NodeID) bool {
+	w := int(n >> 6)
+	if plane >= len(t.planes) || w >= len(t.planes[plane]) {
+		t.grow(plane)
 	}
-	if t.visited[d] == nil {
-		t.visited[d] = make([]uint32, t.g.NumNodes())
-	}
-	if t.visited[d][n] == t.gen {
+	bits := t.planes[plane]
+	m := uint64(1) << (n & 63)
+	if bits[w]&m != 0 {
 		return false
 	}
-	t.visited[d][n] = t.gen
-	t.stack = append(t.stack, prodItem{n, d})
+	if bits[w] == 0 {
+		t.dirty = append(t.dirty, dirtyWord{uint32(plane), uint32(w)})
+	}
+	bits[w] |= m
 	return true
+}
+
+// grow extends a plane to cover every node of the current store. Set bits
+// and their dirty entries stay valid: words only ever gain zeroed successors.
+func (t *Traversal) grow(plane int) {
+	for plane >= len(t.planes) {
+		t.planes = append(t.planes, nil)
+	}
+	bits := t.planes[plane]
+	if words := (t.g.NumNodes() + 63) >> 6; words > len(bits) {
+		t.planes[plane] = append(bits, make([]uint64, words-len(bits))...)
+	}
+}
+
+func (t *Traversal) push(n ssd.NodeID, d int) {
+	if t.mark(d+1, n) {
+		t.stack = append(t.stack, prodItem{n, d})
+	}
 }
 
 // Next yields the next accepting node, or ok=false when the product graph is
@@ -144,8 +165,7 @@ func (t *Traversal) Next() (ssd.NodeID, bool) {
 			}
 			t.push(e.To, nd)
 		}
-		if t.au.daccept[it.dstate] && t.emitted[it.node] != t.gen {
-			t.emitted[it.node] = t.gen
+		if t.au.daccept[it.dstate] && t.mark(0, it.node) {
 			return it.node, true
 		}
 	}

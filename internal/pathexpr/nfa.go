@@ -30,6 +30,7 @@ type Automaton struct {
 	dsets   [][]int        // dstate id → sorted NFA state set
 	daccept []bool         // dstate id → contains accept state
 	dtrans  []map[ssd.Label]int
+	dstart  int // dstate of the epsilon-closed start set, interned up front
 }
 
 // Compile translates a path expression into an Automaton.
@@ -153,6 +154,7 @@ func (au *Automaton) resetDFA() {
 	au.dsets = nil
 	au.daccept = nil
 	au.dtrans = nil
+	au.dstart = au.dstateOf(au.closure[au.start])
 }
 
 // NumStates returns the number of NFA states.
@@ -258,7 +260,7 @@ func (au *Automaton) EvalNFA(g ssd.GraphStore, start ssd.NodeID) []ssd.NodeID {
 // graphs with repeated labels this does each (subset, label) predicate
 // evaluation once instead of once per edge.
 func (au *Automaton) Eval(g ssd.GraphStore, start ssd.NodeID) []ssd.NodeID {
-	d0 := au.dstateOf(au.closure[au.start])
+	d0 := au.dstart
 	type item struct {
 		node   ssd.NodeID
 		dstate int
@@ -355,7 +357,7 @@ func sortedNodes(set map[ssd.NodeID]bool) []ssd.NodeID {
 // Matches reports whether any path from start matches the expression (i.e.
 // Eval is non-empty), short-circuiting on the first accepting pair.
 func (au *Automaton) Matches(g ssd.GraphStore, start ssd.NodeID) bool {
-	d0 := au.dstateOf(au.closure[au.start])
+	d0 := au.dstart
 	type item struct {
 		node   ssd.NodeID
 		dstate int
@@ -398,7 +400,7 @@ type prodCrumb struct {
 // EvalWithPaths returns, for every result node, one witness path of labels
 // (a shortest one in edge count). It uses BFS so the witness is minimal.
 func (au *Automaton) EvalWithPaths(g ssd.GraphStore, start ssd.NodeID) map[ssd.NodeID][]ssd.Label {
-	d0 := au.dstateOf(au.closure[au.start])
+	d0 := au.dstart
 	trail := map[prodItem]prodCrumb{}
 	first := prodItem{start, d0}
 	trail[first] = prodCrumb{}

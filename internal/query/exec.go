@@ -109,9 +109,10 @@ func (p *Plan) exec(ctx context.Context, params []ssd.Label) *executor {
 }
 
 // reset rewinds a recycled executor for a fresh execution. Scratch state
-// that is either generation-stamped (dedup marks, traversal bitmaps) or
-// invariant for the plan's graph (materialized root-anchored scans) is
-// deliberately kept; everything run-scoped is cleared.
+// that clears itself on reuse (generation-stamped dedup marks, traversal
+// bitmaps with their undo logs) or is invariant for the plan's graph
+// (materialized root-anchored scans) is deliberately kept; everything
+// run-scoped is cleared.
 func (ex *executor) reset(ctx context.Context, params []ssd.Label) {
 	ex.ctx = ctx
 	ex.params = params

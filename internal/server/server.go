@@ -35,6 +35,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -280,16 +281,12 @@ type queryRequest struct {
 	Render string `json:"render"`
 }
 
-// rowLine and statusLine are the two NDJSON line shapes: every result row
-// streams as {"row": {col: value}}, and exactly one terminal line reports
-// how the stream ended — {"done": true, "rows": n} on success (with
-// "truncated" when a limit cut it short), or {"error": "..."} when the
-// cursor failed mid-stream. Clients must treat a stream without a terminal
-// line as failed (the connection died).
-type rowLine struct {
-	Row map[string]string `json:"row"`
-}
-
+// There are two NDJSON line shapes: every result row streams as
+// {"row": {col: value}} (written by rowEncoder), and exactly one terminal
+// statusLine reports how the stream ended — {"done": true, "rows": n} on
+// success (with "truncated" when a limit cut it short), or {"error": "..."}
+// when the cursor failed mid-stream. Clients must treat a stream without a
+// terminal line as failed (the connection died).
 type statusLine struct {
 	Done      bool             `json:"done,omitempty"`
 	Rows      int              `json:"rows"`
@@ -304,6 +301,20 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	json.NewEncoder(w).Encode(statusLine{Error: err.Error()})
 }
 
+// maxBody bounds a /query or /mutate request body. A longer body is refused
+// whole with 413 — never cut to a prefix that still parses (and commits).
+const maxBody = 1 << 20
+
+// bodyError answers a failed body read: 413 when it ran past maxBody, else 400.
+func bodyError(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, code, fmt.Errorf("server: bad request body: %w", err))
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w) {
 		return
@@ -311,8 +322,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer s.inflight.Done()
 
 	var req queryRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("server: bad request body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
+		bodyError(w, err)
 		return
 	}
 	if req.Query == "" {
@@ -410,11 +421,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(seqHeader, fmt.Sprint(pos))
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	enc := json.NewEncoder(w) // the terminal status line only
 	cols := rows.Columns()
+	renc := newRowEncoder(cols)
 
-	// Scan destinations: strings throughout, except that render=tree reads
-	// node-valued columns as NodeIDs and formats their subtrees.
+	// Scan destinations: node-valued columns are read as NodeIDs — printed
+	// as decimal ids, or with render=tree formatted as their subtrees —
+	// everything else as strings.
 	renderTree := req.Render == "tree"
 	dests := make([]any, len(cols))
 	vals := make([]string, len(cols))
@@ -427,7 +440,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		case core.LangPath:
 			isNode[i] = c == "node"
 		}
-		if renderTree && isNode[i] {
+		if isNode[i] {
 			dests[i] = &nodes[i]
 		} else {
 			dests[i] = &vals[i]
@@ -467,15 +480,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeStatus(statusLine{Error: err.Error()})
 			return
 		}
-		line := rowLine{Row: make(map[string]string, len(cols))}
-		for i, c := range cols {
-			if renderTree && isNode[i] {
-				line.Row[c] = ssd.Format(rows.Graph(), nodes[i])
-			} else {
-				line.Row[c] = vals[i]
+		renc.begin()
+		for k, i := range renc.cols {
+			switch {
+			case !isNode[i]:
+				renc.str(k, vals[i])
+			case renderTree:
+				renc.str(k, ssd.Format(rows.Graph(), nodes[i]))
+			default:
+				renc.id(k, nodes[i])
 			}
 		}
-		if err := enc.Encode(line); err != nil {
+		if _, err := w.Write(renc.end()); err != nil {
 			return // client went away; ctx cancellation reaps the cursor
 		}
 		n++
@@ -561,9 +577,9 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		s.rejectReadOnly(w, "mutations")
 		return
 	}
-	src, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	src, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		bodyError(w, err)
 		return
 	}
 	seq, err := s.db.MutateScriptSeq(string(src))
@@ -571,10 +587,10 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, err)
 		return
 	}
-	st := s.db.Stats()
+	nodes, edges := s.db.Size()
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(seqHeader, fmt.Sprint(seq))
-	json.NewEncoder(w).Encode(mutateResponse{Applied: true, Nodes: st.Nodes, Edges: st.Edges, Seq: seq})
+	json.NewEncoder(w).Encode(mutateResponse{Applied: true, Nodes: nodes, Edges: edges, Seq: seq})
 }
 
 // rejectReadOnly answers 403 for write-shaped requests on a follower,
@@ -631,7 +647,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	st := s.db.Stats()
+	nodes, edges := s.db.Size()
 	s.gateMu.Lock()
 	draining := s.draining
 	s.gateMu.Unlock()
@@ -642,8 +658,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	body := map[string]any{
 		"status":          "ok",
-		"nodes":           st.Nodes,
-		"edges":           st.Edges,
+		"nodes":           nodes,
+		"edges":           edges,
 		"parallelism":     s.db.Parallelism(),
 		"draining":        draining,
 		"durable":         s.db.Durable(),

@@ -214,8 +214,8 @@ func TestMutateAndHealthz(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if !mr.Applied || mr.Nodes != before.Nodes+2 {
-		t.Fatalf("mutate response %+v (before %d nodes)", mr, before.Nodes)
+	if !mr.Applied || mr.Nodes != before.Nodes+2 || mr.Edges != before.Edges+2 {
+		t.Fatalf("mutate response %+v (before %+v)", mr, before)
 	}
 	rows, status := postQuery(t, ts.URL, `{"query": "select X from DB.ServedTag X"}`)
 	if status.Error != "" || len(rows) != 1 {
@@ -231,8 +231,38 @@ func TestMutateAndHealthz(t *testing.T) {
 	if err := json.NewDecoder(hr.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
-	if health["status"] != "ok" || int(health["nodes"].(float64)) != before.Nodes+2 {
+	if health["status"] != "ok" || int(health["nodes"].(float64)) != before.Nodes+2 ||
+		int(health["edges"].(float64)) != before.Edges+2 {
 		t.Fatalf("healthz %+v", health)
+	}
+}
+
+// TestOversizedBodyRefused: a body past the 1 MiB bound is refused whole with
+// 413. The script here is valid line by line, so a prefix cut at the bound
+// would parse — and commit — if the handler truncated instead of refusing.
+func TestOversizedBodyRefused(t *testing.T) {
+	_, ts, db := newTestServer(t, 20, 0)
+	seq, nodes := db.CommitSeq(), db.Graph().NumNodes()
+	script := strings.Repeat("addnode\n", maxBody/len("addnode\n")+1)
+	for path, body := range map[string]string{
+		"/mutate": script,
+		"/query":  `{"query":"select X from DB.Entry X","pad":"` + strings.Repeat("x", maxBody) + `"}`,
+	} {
+		resp, err := http.Post(ts.URL+path, "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: status %d, want 413", path, len(body), resp.StatusCode)
+		}
+	}
+	if db.CommitSeq() != seq || db.Graph().NumNodes() != nodes {
+		t.Errorf("oversized script committed: seq %d → %d, nodes %d → %d", seq, db.CommitSeq(), nodes, db.Graph().NumNodes())
+	}
+	postMutate(t, ts.URL, script[:maxBody/2]) // under the bound the same script is fine
+	if db.CommitSeq() != seq+1 {
+		t.Errorf("in-bound script: seq %d, want %d", db.CommitSeq(), seq+1)
 	}
 }
 
