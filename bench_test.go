@@ -562,12 +562,11 @@ func chainGraph(n int) *ssd.Graph {
 }
 
 // ---------------------------------------------------------------------------
-// E13: incremental vs full-rebuild maintenance of derived structures. Each
+// Incremental vs full-rebuild maintenance of derived structures. Each
 // iteration applies one single-edge batch (plus its fresh leaf) through the
 // write path, then brings the label index, value index and DataGuide up to
 // date — either by Apply/ApplyDelta from the batch's delta or by rebuilding
-// from the new graph. `ssdbench -exp e13` prints the same comparison across
-// update:query mixes.
+// from the new graph.
 
 func BenchmarkIncrementalVsRebuild(b *testing.B) {
 	setup := func(b *testing.B) (*ssd.Graph, *index.LabelIndex, *index.ValueIndex, *dataguide.Guide, []ssd.NodeID) {
@@ -629,7 +628,7 @@ func BenchmarkIncrementalVsRebuild(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// E15: intra-query parallelism. The morsel-driven parallel scan fans the
+// Intra-query parallelism. The morsel-driven parallel scan fans the
 // join work of the leading atom's rows across worker executors; on the
 // E1-style path-heavy scan it must show ≥2x at 4 workers over the serial
 // executor (the merge is order-preserving, so the output is identical).
@@ -691,9 +690,9 @@ func BenchmarkParallelVsSerial(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// E14: the statement lifecycle. Prepared re-execution must beat one-shot
-// (no re-lex/re-parse/re-plan), and streaming Rows must allocate less per
-// row than the materializing QueryRows wrapper.
+// The statement lifecycle. Prepared re-execution must beat one-shot
+// parse+plan+run (no re-lex/re-parse/re-plan); rows-streaming is the
+// per-row cost of the Rows cursor.
 
 func BenchmarkPreparedVsOneShot(b *testing.B) {
 	g := movieDB(2000)
@@ -753,20 +752,6 @@ func BenchmarkPreparedVsOneShot(b *testing.B) {
 			}
 			rows.Close()
 			if n == 0 {
-				b.Fatal("no rows")
-			}
-		}
-	})
-	b.Run("rows-materialized", func(b *testing.B) {
-		db := core.FromGraph(g)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			envs, err := db.QueryRows(rowsSrc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(envs) == 0 {
 				b.Fatal("no rows")
 			}
 		}

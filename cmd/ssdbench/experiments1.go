@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -47,7 +48,11 @@ func runFig1(int) {
 
 	t := newTable("query (paper §)", "surface syntax", "answer")
 	ask := func(section, q string) {
-		res, err := db.Query(q)
+		s, err := db.Prepare(q)
+		if err != nil {
+			panic(err)
+		}
+		res, err := s.Exec(context.Background())
 		if err != nil {
 			panic(err)
 		}

@@ -36,10 +36,6 @@ var experiments = []experiment{
 	{"e9", "E9 (§5): DataGuide construction — regular vs irregular data", runE9DataGuide},
 	{"e10", "E10 (§4): page I/O — DFS clustering vs random placement", runE10Storage},
 	{"e11", "E11 (§2): bisimulation — naive vs incremental refinement", runE11Bisim},
-	{"e12", "E12: query engines — naive tree-walker vs slot planner + iterators", runE12Engines},
-	{"e13", "E13: derived-structure maintenance — incremental vs full rebuild", runE13Maintenance},
-	{"e14", "E14: statement lifecycle — prepared execute-many vs one-shot parse+plan", runE14Prepared},
-	{"e15", "E15: intra-query parallelism — morsel-driven parallel scan vs serial, 1/2/4 workers", runE15Parallel},
 }
 
 func main() {

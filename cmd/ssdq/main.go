@@ -12,7 +12,7 @@
 //	ssdq -db file.ssd -param who='"Allen"' run 'select {T: T} from DB.Entry.Movie M, M.Title T, M.Cast._* A where A = $who'
 //	ssdq -db file.ssd run 'path: Entry.Movie.Title'
 //	ssdq -db file.ssd run 'unql: relabel Title to TITLE'
-//	ssdq -db file.ssd path   'Entry.Movie.(!Movie)*."Allen"'
+//	ssdq -db file.ssd path   'Entry.Movie.(!Movie)*."Allen"'       # = run 'path: ...'
 //	ssdq -db file.ssd datalog 'reach(X) :- root(X). reach(Y) :- reach(X), edge(X,_,Y).'
 //	ssdq -db file.ssd browse -depth 3
 //	ssdq -db file.ssd guide
@@ -31,9 +31,11 @@
 // prepare parses a statement once and reports its sniffed language,
 // declared $parameters, result columns and plan. run executes a prepared
 // statement: -param name=value (repeatable) binds parameters — values
-// parse as label literals (symbol, "string", number, true/false). Query
-// and path statements stream their rows; transform statements print the
-// restructured database.
+// parse as label literals (symbol, "string", number, true/false). Select
+// queries and transforms print the result database; path and datalog
+// statements stream their rows. query, path and datalog are run with the
+// language fixed (`query X` = `run 'query: X'`), and explain prints the
+// plan of any statement (with -analyze: executed, with actual row counts).
 //
 // The mutate command applies a mutation script (see internal/mutate's
 // ParseScript for the statement forms) as one atomic batch. -wal attaches a
@@ -60,12 +62,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/mutate"
-	"repro/internal/ssd"
+	"repro/internal/oem"
+	"repro/internal/schema"
 	"repro/internal/workload"
 )
 
@@ -97,13 +99,13 @@ func main() {
 		limit   = flag.Int("limit", 40, "browse: maximum paths listed")
 		out     = flag.String("o", "", "convert/mutate: output file (.ssd or .ssdg)")
 		wal     = flag.String("wal", "", "mutate: write-ahead log file (replayed on open, appended on commit)")
-		explain = flag.Bool("explain", false, "query: print the chosen plan before the result")
+		explain = flag.Bool("explain", false, "query/path/datalog/run: print the chosen plan before the result")
 		analyze = flag.Bool("analyze", false, "explain: execute the query and annotate the plan with actual row counts")
 		trace   = flag.Bool("trace", false, "run: stream the rows, then print the per-operator execution trace as JSON on stderr")
 		pool    = flag.Int64("pool-bytes", 0, "with -data: read through an on-disk page file with a buffer pool of this many bytes (0 = all in memory)")
 		params  paramFlags
 	)
-	flag.Var(&params, "param", "run: bind a $parameter as name=value (repeatable)")
+	flag.Var(&params, "param", "run/query/path/datalog, -analyze explain: bind a $parameter as name=value (repeatable)")
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: ssdq [flags] <stats|query|explain|prepare|run|path|datalog|browse|guide|schema|fmt|convert|mutate|save|open|checkpoint|demo> [arg]")
 		flag.PrintDefaults()
@@ -160,27 +162,20 @@ func main() {
 		fmt.Println(db.Describe())
 	case "fmt":
 		fmt.Println(db.Format())
-	case "query":
-		src := arg(rest, "query")
-		if *explain {
-			plan, err := db.Explain(src)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Print(plan)
+	case "query", "path", "datalog":
+		if err := runStmt(db, cmd+": "+arg(rest, cmd), params, *limit, *trace, *explain); err != nil {
+			fatal(err)
 		}
-		res, err := db.Query(src)
+	case "explain":
+		s, err := db.Prepare(arg(rest, "explain"))
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Println(res.Format())
-	case "explain":
-		src := arg(rest, "explain")
 		var plan string
 		if *analyze {
-			plan, err = db.ExplainAnalyze(context.Background(), src)
+			plan, err = s.ExplainAnalyze(context.Background(), params...)
 		} else {
-			plan, err = db.Explain(src)
+			plan, err = s.Explain()
 		}
 		if err != nil {
 			fatal(err)
@@ -204,44 +199,11 @@ func main() {
 		}
 		fmt.Print(plan)
 	case "run":
-		if err := runStmt(db, arg(rest, "run"), params, *limit, *trace); err != nil {
+		if err := runStmt(db, arg(rest, "run"), params, *limit, *trace, *explain); err != nil {
 			fatal(err)
-		}
-	case "path":
-		nodes, err := db.PathQuery(arg(rest, "path"))
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%d matching nodes\n", len(nodes))
-		for i, n := range nodes {
-			if i >= *limit {
-				fmt.Printf("... (%d more)\n", len(nodes)-i)
-				break
-			}
-			fmt.Printf("node %d: %s\n", n, clip(ssd.Format(db.Graph(), n), 100))
-		}
-	case "datalog":
-		rels, err := db.Datalog(arg(rest, "datalog"))
-		if err != nil {
-			fatal(err)
-		}
-		names := make([]string, 0, len(rels))
-		for name := range rels {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Printf("%s: %d tuples\n", name, rels[name].Len())
-			for i, t := range rels[name].Tuples() {
-				if i >= *limit {
-					fmt.Printf("  ... (%d more)\n", rels[name].Len()-i)
-					break
-				}
-				fmt.Printf("  %s\n", t)
-			}
 		}
 	case "browse":
-		for _, a := range db.Browse(*depth, *limit) {
+		for _, a := range db.DataGuide().Summary(*depth, *limit) {
 			parts := make([]string, len(a.Path))
 			for i, l := range a.Path {
 				parts[i] = l.String()
@@ -253,7 +215,7 @@ func main() {
 		fmt.Printf("dataguide: %d nodes, %d edges (data: %s)\n",
 			g.NumNodes(), g.G.NumEdges(), db.Describe())
 	case "schema":
-		s := db.InferSchema()
+		s := schema.Infer(db.Graph())
 		nodes, edges := s.Size()
 		fmt.Printf("inferred schema (%d nodes, %d edges):\n%s\n", nodes, edges, s)
 	case "convert":
@@ -311,7 +273,11 @@ func load(path string) (*core.Database, error) {
 	case strings.HasSuffix(path, ".ssdg"):
 		return core.Open(path)
 	case strings.HasSuffix(path, ".oem"):
-		return core.ParseOEM(string(data))
+		d, err := oem.Parse(string(data))
+		if err != nil {
+			return nil, err
+		}
+		return core.FromGraph(oem.ToGraph(d)), nil
 	default:
 		return core.ParseText(string(data))
 	}
@@ -322,7 +288,7 @@ func save(db *core.Database, path string) error {
 	case strings.HasSuffix(path, ".ssdg"):
 		return db.Save(path)
 	case strings.HasSuffix(path, ".oem"):
-		return os.WriteFile(path, []byte(db.FormatOEM()), 0o644)
+		return os.WriteFile(path, []byte(oem.FromGraph(db.Graph()).Format()), 0o644)
 	default:
 		return os.WriteFile(path, []byte(db.Format()+"\n"), 0o644)
 	}
@@ -353,14 +319,22 @@ func runMutate(db *core.Database, script, outPath string) error {
 	return nil
 }
 
-// runStmt prepares and executes one statement with bound parameters.
-// Query statements print the result database (streaming the rows would
-// lose the select template). Path and datalog statements stream their
-// rows; transforms print the restructured database.
-func runStmt(db *core.Database, src string, params []core.Param, limit int, trace bool) error {
+// runStmt prepares and executes one statement with bound parameters,
+// printing its plan first when explain is set. Query statements print the
+// result database (streaming the rows would lose the select template).
+// Path and datalog statements stream their rows; transforms print the
+// restructured database.
+func runStmt(db *core.Database, src string, params []core.Param, limit int, trace, explain bool) error {
 	s, err := db.Prepare(src)
 	if err != nil {
 		return err
+	}
+	if explain {
+		plan, err := s.Explain()
+		if err != nil {
+			return err
+		}
+		fmt.Print(plan)
 	}
 	ctx := context.Background()
 	if trace && s.Lang() != core.LangTransform {
@@ -451,13 +425,6 @@ func runOpen(dir string) {
 	fmt.Println(db.Describe())
 }
 
-func clip(s string, n int) string {
-	if len(s) <= n {
-		return s
-	}
-	return s[:n-3] + "..."
-}
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "ssdq:", err)
 	os.Exit(1)
@@ -477,14 +444,18 @@ func demo(db *core.Database) {
 	}
 	for _, s := range steps {
 		fmt.Printf("\n-- %s\n   %s\n", s.title, s.q)
-		res, err := db.Query(s.q)
+		stmt, err := db.Prepare(s.q)
+		if err != nil {
+			fatal(err)
+		}
+		res, err := stmt.Exec(context.Background())
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Println("  ", res.Format())
 	}
 	fmt.Println("\n-- browse (dataguide paths, depth ≤ 2)")
-	for _, a := range db.Browse(2, 12) {
+	for _, a := range db.DataGuide().Summary(2, 12) {
 		parts := make([]string, len(a.Path))
 		for i, l := range a.Path {
 			parts[i] = l.String()

@@ -31,7 +31,7 @@
 // The original recursive tree-walking evaluator is retained as
 // query.EvalNaive — a reference implementation, not a selectable engine —
 // cross-checked against the planned engine on the whole query test suite
-// and ablated by BenchmarkPlannedVsNaive and `ssdbench -exp e12`.
+// and ablated by BenchmarkPlannedVsNaive.
 //
 // All four text front-ends (ssd text, queries, path expressions, datalog)
 // share one scanner, ssd.Scanner, and one path grammar, owned by
@@ -42,15 +42,16 @@
 // Updates flow through internal/mutate: typed mutation records are gathered
 // into a Batch and applied copy-on-write (only touched adjacency slices are
 // copied), yielding a new graph version plus the edge delta that drives
-// incremental maintenance — index.LabelIndex/ValueIndex.Apply patch posting
-// lists and the ordered entry array, dataguide.Guide.ApplyDelta extends the
-// strong DataGuide for added edges and falls back to a rebuild only when a
-// delete touches the accessible region. internal/core publishes each version
+// incremental maintenance of what the planner reads — index.LabelIndex.Apply
+// patches posting lists, stats.Stats.Apply the cardinality counts, and
+// dataguide.Guide.ApplyDelta extends the strong DataGuide for added edges,
+// falling back to a rebuild only when a delete touches the accessible
+// region. internal/core publishes each version
 // as an MVCC snapshot behind an atomic pointer: readers keep querying the
 // snapshot they started with while Begin/Apply/Commit installs the next one
 // under a single-writer lock, and an optional write-ahead log
 // (core.Database.OpenWAL) makes commits durable and replayable. Ablated by
-// BenchmarkIncrementalVsRebuild and `ssdbench -exp e13`.
+// BenchmarkIncrementalVsRebuild.
 //
 // # Parallel execution and serving
 //
@@ -63,11 +64,13 @@
 // plan pool hands out one plan per worker. cmd/ssdserve serves it all over
 // HTTP/JSON (streamed NDJSON rows, $name parameters, per-request
 // timeouts, WAL-backed writes via /mutate, graceful drain), backed by the
-// database's LRU statement cache. Ablated by BenchmarkParallelVsSerial and
-// `ssdbench -exp e15`.
+// database's LRU statement cache. Ablated by BenchmarkParallelVsSerial.
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for the reproduced results. The root package holds only
 // the benchmark harness (bench_test.go); the library lives under
-// internal/, with internal/core as the public facade.
+// internal/, with internal/core as the serving facade: statements run only
+// through Prepare/PrepareCached and Stmt, and the paper's other tools
+// (value indexes, schemas, bisimulation, relational and OEM exchange) are
+// leaf packages called on db.Graph().
 package repro

@@ -8,11 +8,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/schema"
+	"repro/internal/ssd"
 	"repro/internal/workload"
 )
 
@@ -23,7 +26,7 @@ func main() {
 
 	// --- Browsing: what does this thing even look like? (§1.3)
 	fmt.Println("\ntop label paths (DataGuide):")
-	for _, a := range db.Browse(2, 12) {
+	for _, a := range db.DataGuide().Summary(2, 12) {
 		parts := make([]string, len(a.Path))
 		for i, l := range a.Path {
 			parts[i] = l.String()
@@ -33,20 +36,11 @@ func main() {
 
 	// --- Values at arbitrary depth: conventional techniques cannot query
 	// trees of unknown depth; a regular path expression can.
-	deepInts, err := db.PathQuery("Object._*.(> 90000)")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nint values > 90000 at any depth: %d\n", len(deepInts))
+	fmt.Printf("\nint values > 90000 at any depth: %d\n", countPath(db, "Object._*.(> 90000)"))
 
 	// How deep do Gene chains nest?
 	for depth := 1; ; depth++ {
-		q := "Object." + strings.Repeat("_.", depth-1) + "Gene"
-		hits, err := db.PathQuery(q)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if len(hits) == 0 {
+		if countPath(db, "Object."+strings.Repeat("_.", depth-1)+"Gene") == 0 {
 			fmt.Printf("deepest Gene edge: depth %d\n", depth-1)
 			break
 		}
@@ -55,14 +49,35 @@ func main() {
 	// --- Structure discovery (§5): extract a schema, then demonstrate the
 	// ACeDB property — data with *missing* fields still conforms (loose),
 	// data with *wrong types* does not.
-	s := db.InferSchema()
+	s := schema.Infer(g)
 	nodes, edges := s.Size()
 	fmt.Printf("\ninferred schema: %d nodes, %d edges\n", nodes, edges)
-	fmt.Println("data conforms to inferred schema:", db.Conforms(s))
+	fmt.Println("data conforms to inferred schema:", s.Conforms(g))
 
-	partial, _ := core.ParseText(`{Object: {Name: "obj-x"}}`)
-	fmt.Println("object with fields missing conforms:", partial.Conforms(s))
+	partial := ssd.MustParse(`{Object: {Name: "obj-x"}}`)
+	fmt.Println("object with fields missing conforms:", s.Conforms(partial))
 
-	wrong, _ := core.ParseText(`{Object: {Name: 42}}`)
-	fmt.Println("object with wrongly-typed Name conforms:", wrong.Conforms(s))
+	wrong := ssd.MustParse(`{Object: {Name: 42}}`)
+	fmt.Println("object with wrongly-typed Name conforms:", s.Conforms(wrong))
+}
+
+// countPath runs a path statement and returns how many nodes it matches.
+func countPath(db *core.Database, src string) int {
+	s, err := db.Prepare("path: " + src)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rows, err := s.Query(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer rows.Close()
+	n := 0
+	for rows.Next() {
+		n++
+	}
+	if err := rows.Err(); err != nil {
+		log.Fatal(err)
+	}
+	return n
 }

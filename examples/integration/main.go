@@ -8,10 +8,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
+	"repro/internal/bisim"
 	"repro/internal/core"
+	"repro/internal/relstore"
 	"repro/internal/ssd"
 	"repro/internal/workload"
 )
@@ -19,7 +22,7 @@ import (
 func main() {
 	// Source A: a relational database (tables with a fixed schema).
 	rdb := workload.Relational(200, 12, 9)
-	relDB := core.ImportRelational(rdb)
+	relDB := core.FromGraph(relstore.EncodeRelational(rdb))
 	fmt.Println("relational source as a graph:", relDB.Describe())
 
 	// Source B: semistructured movie entries (Figure 1 style, no schema).
@@ -38,7 +41,7 @@ func main() {
 
 	// One query spanning both sources: directors known to the relational
 	// warehouse who also directed something in the web data.
-	rows, err := db.QueryRows(`
+	join, err := db.Prepare(`
 		select D
 		from DB.warehouse.directors.tuple T, T.director D,
 		     DB.web.Entry.Movie M, M.Director W
@@ -46,7 +49,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("cross-source director joins: %d binding tuples\n", len(rows))
+	rows, err := join.Query(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	n := 0
+	for rows.Next() {
+		n++
+	}
+	if err := rows.Err(); err != nil {
+		log.Fatal(err)
+	}
+	rows.Close()
+	fmt.Printf("cross-source director joins: %d binding tuples\n", n)
 
 	// Everything survives a round trip through the wire format.
 	tmp := "/tmp/integration.ssdg"
@@ -57,22 +72,26 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("binary round trip preserves value:", db.Equal(back))
+	fmt.Println("binary round trip preserves value:", bisim.Equal(db.Graph(), back.Graph()))
 
 	// The structured part can go back to tables; the semistructured part
 	// cannot — the §5 boundary.
-	warehouse, err := back.Query(`select {movies: M, directors: D} from DB.warehouse.movies M, DB.warehouse.directors D`)
+	split, err := back.Prepare(`select {movies: M, directors: D} from DB.warehouse.movies M, DB.warehouse.directors D`)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tables, err := warehouse.ExportRelational()
+	warehouse, err := split.Exec(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	tables, err := relstore.DecodeRelational(warehouse.Graph())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("re-exported tables: movies=%d rows, directors=%d rows\n",
 		tables["movies"].Len(), tables["directors"].Len())
 
-	if _, err := back.ExportRelational(); err != nil {
+	if _, err := relstore.DecodeRelational(back.Graph()); err != nil {
 		fmt.Println("whole merged graph does not export (expected):", err)
 	}
 }

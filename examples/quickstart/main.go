@@ -1,6 +1,7 @@
 // Quickstart: build a small semistructured database from text, prepare a
 // statement once, execute it with different parameters, stream the rows,
-// look at the data without a schema, and make the whole thing durable.
+// look at the data without a schema (the leaf packages work on
+// db.Graph()), and make the whole thing durable.
 //
 //	go run ./examples/quickstart
 package main
@@ -13,6 +14,10 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/index"
+	"repro/internal/pathexpr"
+	"repro/internal/schema"
+	"repro/internal/ssd"
 )
 
 func main() {
@@ -98,12 +103,14 @@ func main() {
 	}
 	fmt.Println("after relabel:", hobbies.Describe())
 
-	// 5. The §1.3 browsing queries: ask the data what it looks like.
-	fmt.Println("\nintegers > 1900 anywhere:", len(db.IntsGreaterThan(1900)), "hits")
-	fmt.Println(`where is "compilers"?   `, db.FindString("compilers"))
+	// 5. The §1.3 browsing queries: ask the data what it looks like. The
+	// value index is a library over the graph, built when a browser wants it.
+	values := index.BuildValueIndex(db.Graph())
+	fmt.Println("\nintegers > 1900 anywhere:", len(values.Compare(pathexpr.OpGT, ssd.Int(1900))), "hits")
+	fmt.Println(`where is "compilers"?   `, values.Exact(ssd.Str("compilers")))
 
 	fmt.Println("\nlabel paths from the root (DataGuide):")
-	for _, a := range db.Browse(3, 15) {
+	for _, a := range db.DataGuide().Summary(3, 15) {
 		parts := make([]string, len(a.Path))
 		for i, l := range a.Path {
 			parts[i] = l.String()
@@ -112,9 +119,9 @@ func main() {
 	}
 
 	// 6. Infer a schema after the fact (§5) and check conformance.
-	s := db.InferSchema()
+	s := schema.Infer(db.Graph())
 	fmt.Println("\ninferred schema:", s)
-	fmt.Println("data conforms:", db.Conforms(s))
+	fmt.Println("data conforms:", s.Conforms(db.Graph()))
 
 	// 7. Make it durable: export as a directory of checkpointed snapshots
 	// plus a WAL, reopen it, commit through the log, and checkpoint so the

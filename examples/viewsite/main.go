@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -60,11 +61,23 @@ func main() {
 		log.Fatal(err)
 	}
 	remote := core.FromGraph(oem.ToGraph(back))
-	rows, err := remote.QueryRows(`select T from DB.root.movies.m.Title T`)
+	titles, err := remote.Prepare(`select T from DB.root.movies.m.Title T`)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("titles visible on the receiving side: %d\n", len(rows))
+	rows, err := titles.Query(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	n := 0
+	for rows.Next() {
+		n++
+	}
+	if err := rows.Err(); err != nil {
+		log.Fatal(err)
+	}
+	rows.Close()
+	fmt.Printf("titles visible on the receiving side: %d\n", n)
 }
 
 func oneLine(s string) string {

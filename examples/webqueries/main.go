@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,39 +25,30 @@ func main() {
 
 	// --- Recursive reachability: what is transitively linked from the
 	// root's first pages? Pure "graph datalog".
-	rels, err := db.Datalog(`
+	rels := relationSizes(db, `
 		page(P)  :- edge(root, 'Page', P).
 		reach(P) :- page(P).
 		reach(Q) :- reach(P), edge(P, 'link', Q).
 		% pages that mention Casablanca in their title, reachable by links
 		hit(P)   :- reach(P), edge(P, 'title', T), edge(T, S, _),
 		            isstring(S), like(S, "%Casablanca%").`)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("pages: %d, link-reachable: %d, reachable mentioning Casablanca: %d\n",
-		rels["page"].Len(), rels["reach"].Len(), rels["hit"].Len())
+		rels["page"], rels["reach"], rels["hit"])
 
 	// --- Hubs: pages linked from at least two distinct reachable pages
 	// (negation-free join).
-	rels2, err := db.Datalog(`
+	rels = relationSizes(db, `
 		linked(P, Q) :- edge(P, 'link', Q).
 		hub(Q) :- linked(P1, Q), linked(P2, Q), neq(P1, P2).`)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("hub pages (≥2 in-links): %d\n", rels2["hub"].Len())
+	fmt.Printf("hub pages (≥2 in-links): %d\n", rels["hub"])
 
 	// --- Dead ends: reachable pages with no outgoing links (stratified
 	// negation).
-	rels3, err := db.Datalog(`
+	rels = relationSizes(db, `
 		page(P) :- edge(_, 'Page', P).
 		haslink(P) :- page(P), edge(P, 'link', _).
 		deadend(P) :- page(P), not haslink(P).`)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("dead-end pages: %d\n", rels3["deadend"].Len())
+	fmt.Printf("dead-end pages: %d\n", rels["deadend"])
 
 	// --- Distributed evaluation (§4): segment the web graph into "sites"
 	// and run a path query in parallel.
@@ -69,4 +61,30 @@ func main() {
 		fmt.Printf("decomposed over %d sites (%d cross edges): %d hits (centralized: %d)\n",
 			sites, p.CrossEdges(g), len(distributed), len(centralized))
 	}
+}
+
+// relationSizes runs a datalog program as a prepared statement and counts
+// the streamed tuples of each IDB relation.
+func relationSizes(db *core.Database, prog string) map[string]int {
+	s, err := db.Prepare("datalog: " + prog)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rows, err := s.Query(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer rows.Close()
+	sizes := map[string]int{}
+	var rel, tuple string
+	for rows.Next() {
+		if err := rows.Scan(&rel, &tuple); err != nil {
+			log.Fatal(err)
+		}
+		sizes[rel]++
+	}
+	if err := rows.Err(); err != nil {
+		log.Fatal(err)
+	}
+	return sizes
 }

@@ -1,51 +1,47 @@
-// Package core is the public face of the library: a Database handle over
-// one semistructured graph, exposing the paper's capabilities behind a
-// small API —
+// Package core is the serving facade of the library: a Database handle over
+// one semistructured graph with a small API —
 //
-//   - loading/saving (text syntax and binary files) and OEM-style exchange
-//     via the relational codecs (§1.2),
-//   - the select-from-where query language with path expressions (§3),
-//   - graph datalog (§3),
-//   - structural-recursion restructuring (§3),
-//   - the §1.3 browsing queries backed by value indexes,
-//   - DataGuides, graph schemas, conformance and schema inference (§5),
-//   - value equality by bisimulation (§2),
+//   - loading and saving (text syntax, binary files, durable directories of
+//     snapshot generations plus a write-ahead log),
+//   - prepared statements in four front-ends — select-from-where queries
+//     with path expressions, bare path expressions, graph datalog and the
+//     UnQL restructuring commands (§3) — through Prepare/PrepareCached and
+//     Stmt.Query/Exec/Explain/ExplainAnalyze,
 //   - versioned updates through the internal/mutate write path: batched
-//     mutations, an optional write-ahead log, and MVCC snapshots.
+//     mutations, a write-ahead log, MVCC snapshots and WAL-shipping
+//     replication,
+//   - the DataGuide of the current snapshot (§5).
+//
+// The paper's other tools — value indexes for the §1.3 browsing questions,
+// schemas and conformance (§5), bisimulation equality (§2), relational and
+// OEM exchange (§1.2), custom structural recursion — are leaf packages
+// called on Graph(): index.BuildValueIndex, schema.Infer, bisim.Equal,
+// relstore.EncodeRelational, oem.FromGraph, unql.GExt.
 //
 // A Database is a multi-version handle: readers always see one immutable
-// published snapshot (graph plus its lazily built indexes and DataGuide),
-// while Begin/Apply/Commit install new snapshots atomically under a
-// single-writer lock. The legacy wholesale transformations (Transform,
-// RelabelWhere, …) still return fresh handles with fresh caches, so no
-// entry point can ever serve derived structures computed for a different
-// graph version.
+// published snapshot (graph plus the derived structures the serving path
+// reads — label index, statistics, and a DataGuide once built), while
+// Begin/Apply/Commit install new snapshots atomically under a single-writer
+// lock, maintaining those structures incrementally. Transform statements
+// (Stmt.Exec) return fresh handles with fresh caches, so no entry point can
+// ever serve derived structures computed for a different graph version.
 package core
 
 import (
 	"container/list"
-	"context"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bisim"
 	"repro/internal/dataguide"
-	"repro/internal/datalog"
 	"repro/internal/index"
 	"repro/internal/mutate"
-	"repro/internal/oem"
-	"repro/internal/pathexpr"
 	"repro/internal/query"
-	"repro/internal/relstore"
-	"repro/internal/schema"
 	"repro/internal/ssd"
 	"repro/internal/stats"
 	"repro/internal/storage"
-	"repro/internal/unql"
 )
 
 // Database is a handle over one semistructured graph. Handles are safe for
@@ -58,13 +54,12 @@ type Database struct {
 	writeMu sync.Mutex // serializes Begin-to-Commit writers and WAL state
 	wal     *mutate.WAL
 
-	// Statement cache: the legacy one-shot methods and the serving layer
-	// route through PrepareCached, and this keeps their repeat executions
-	// on the prepare-once path. Entries hold parsed ASTs and per-snapshot
-	// plan pools; a commit does not evict them — each Stmt re-plans lazily
-	// when it notices the snapshot changed. Eviction is LRU (stmtLRU front
-	// = most recently used), so a hot query survives any number of
-	// distinct cold ones passing through.
+	// Statement cache: the serving layer routes through PrepareCached, and
+	// this keeps its repeat executions on the prepare-once path. Entries
+	// hold parsed ASTs and per-snapshot plan pools; a commit does not evict
+	// them — each Stmt re-plans lazily when it notices the snapshot changed.
+	// Eviction is LRU (stmtLRU front = most recently used), so a hot query
+	// survives any number of distinct cold ones passing through.
 	stmtMu  sync.Mutex
 	stmts   map[string]*list.Element // value: *stmtEntry
 	stmtLRU list.List
@@ -122,16 +117,14 @@ type stmtEntry struct {
 // PrepareCached returns a shared prepared statement for src, preparing and
 // caching it on first use in the database's bounded LRU statement cache.
 // It is the entry point for serving layers (ssdserve keys its request
-// statements by query text through it) and for the legacy one-shot
-// wrappers. Shared Stmts are safe for concurrent use; unlike Prepare, the
-// returned statement may be shared with other callers.
-func (db *Database) PrepareCached(src string) (*Stmt, error) { return db.prepared(src) }
-
-// prepared implements PrepareCached. The parse/plan happens outside the
-// cache lock; when two goroutines race to prepare the same text, the first
-// insert wins and the loser adopts it, so the cache never holds two Stmts
-// for one key.
-func (db *Database) prepared(src string) (*Stmt, error) {
+// statements by query text through it). Shared Stmts are safe for
+// concurrent use; unlike Prepare, the returned statement may be shared with
+// other callers.
+//
+// The parse/plan happens outside the cache lock; when two goroutines race
+// to prepare the same text, the first insert wins and the loser adopts it,
+// so the cache never holds two Stmts for one key.
+func (db *Database) PrepareCached(src string) (*Stmt, error) {
 	db.stmtMu.Lock()
 	if e, ok := db.stmts[src]; ok {
 		db.stmtLRU.MoveToFront(e)
@@ -222,7 +215,6 @@ type snapshot struct {
 
 	mu      sync.Mutex
 	labelIx *index.LabelIndex
-	valueIx *index.ValueIndex
 	guide   *dataguide.Guide
 	stats   *stats.Stats
 }
@@ -277,14 +269,10 @@ func (db *Database) Graph() *ssd.Graph { return db.snapshot().g }
 // Format renders the database in the text syntax.
 func (db *Database) Format() string { return ssd.FormatRoot(db.snapshot().g) }
 
-// Stats summarizes the graph. It walks every node and edge; callers that
-// only need the two totals use Size.
-func (db *Database) Stats() ssd.Stats { return db.snapshot().g.ComputeStats() }
-
-// Size returns the node and edge totals Stats reports, in O(1): the node
-// count is the graph's, the edge count is carried by the cardinality
-// statistics every commit maintains incrementally (built by one scan on the
-// first call over a snapshot that never had them).
+// Size returns the node and edge totals of the current snapshot in O(1):
+// the node count is the graph's, the edge count is carried by the
+// cardinality statistics every commit maintains incrementally (built by one
+// scan on the first call over a snapshot that never had them).
 func (db *Database) Size() (nodes, edges int) {
 	snap := db.snapshot()
 	return snap.g.NumNodes(), snap.statistics().Edges()
@@ -364,13 +352,10 @@ func (db *Database) commitLocked(b *mutate.Batch, logIt bool) error {
 	// whatever the old one had already built. Structures it never built
 	// stay nil and are rebuilt lazily on first use.
 	old.mu.Lock()
-	labelIx, valueIx, guide, st := old.labelIx, old.valueIx, old.guide, old.stats
+	labelIx, guide, st := old.labelIx, old.guide, old.stats
 	old.mu.Unlock()
 	if labelIx != nil {
 		ns.labelIx = labelIx.Apply(res.Delta)
-	}
-	if valueIx != nil {
-		ns.valueIx = valueIx.Apply(res.Delta)
 	}
 	if st != nil {
 		ns.stats = st.Apply(res.Delta)
@@ -489,55 +474,6 @@ func (db *Database) PagePoolStats() (storage.PoolStats, bool) {
 	return storage.PoolStats{}, false
 }
 
-// ---------------------------------------------------------------------------
-// Queries
-//
-// The one-shot methods below predate the statement lifecycle and are kept
-// as thin wrappers: each routes through the statement cache, so repeated
-// calls with the same text hit the prepare-once path automatically.
-
-// Query runs a select-from-where query and returns the result database.
-// Evaluation uses the planned iterator engine, feeding the planner whatever
-// auxiliary structures the database has already built (the label index is
-// built on first query; a DataGuide is used only if previously built, since
-// guide construction can be exponential on irregular data).
-//
-// Deprecated: use Prepare and Stmt.Exec, which add parameter binding and
-// context cancellation. This wrapper remains for convenience.
-func (db *Database) Query(src string) (*Database, error) {
-	s, err := db.prepared(src)
-	if err != nil {
-		return nil, err
-	}
-	// This wrapper is documented as select-from-where; without the guard a
-	// mistyped text that sniffs as a transform would silently execute it.
-	if s.lang != LangQuery {
-		return nil, fmt.Errorf("core: %q is a %s statement, not a query; use Prepare", src, s.lang)
-	}
-	return s.Exec(context.Background())
-}
-
-// Explain parses and plans a statement without running it, returning the
-// planner's human-readable plan: atom order, access paths, estimates.
-func (db *Database) Explain(src string) (string, error) {
-	s, err := db.prepared(src)
-	if err != nil {
-		return "", err
-	}
-	return s.Explain()
-}
-
-// ExplainAnalyze plans a query statement, runs it serially to exhaustion,
-// and returns the plan annotated with estimated and actual per-atom row
-// counts. See Stmt.ExplainAnalyze.
-func (db *Database) ExplainAnalyze(ctx context.Context, src string) (string, error) {
-	s, err := db.prepared(src)
-	if err != nil {
-		return "", err
-	}
-	return s.ExplainAnalyze(ctx)
-}
-
 // planOptions assembles the planner inputs from one snapshot, so the plan's
 // cached structures always describe the same graph version it will run on.
 func (s *snapshot) planOptions() query.PlanOptions {
@@ -562,143 +498,6 @@ func (s *snapshot) statistics() *stats.Stats {
 	return s.stats
 }
 
-// QueryRows runs the from/where part of a query and returns the binding
-// tuples — programmatic access without building a result tree. It wraps
-// the streaming Rows cursor, copying each row once into an independent
-// Env (the cursor itself reuses one Env across rows; this wrapper exists
-// for callers who want the materialized slice). Path-variable label
-// slices inside the returned Envs are shared with the engine and must be
-// treated as read-only.
-//
-// Deprecated: use Prepare and Stmt.Query to stream rows without
-// materializing the whole set.
-func (db *Database) QueryRows(src string) ([]query.Env, error) {
-	s, err := db.prepared(src)
-	if err != nil {
-		return nil, err
-	}
-	if s.lang != LangQuery {
-		return nil, fmt.Errorf("core: %q is a %s statement, not a query", src, s.lang)
-	}
-	rows, err := s.Query(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	defer rows.Close()
-	var out []query.Env
-	for rows.Next() {
-		out = append(out, rows.envFresh())
-	}
-	if err := rows.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PathQuery evaluates a regular path expression from the root and returns
-// the matching nodes, sorted.
-//
-// Deprecated: use Prepare with a `path:` statement and Stmt.Query to
-// stream matches instead of materializing them.
-func (db *Database) PathQuery(src string) ([]ssd.NodeID, error) {
-	s, err := db.prepared("path: " + src)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := s.Query(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	defer rows.Close()
-	var out []ssd.NodeID
-	for rows.Next() {
-		var n ssd.NodeID
-		if err := rows.Scan(&n); err != nil {
-			return nil, err
-		}
-		out = append(out, n)
-	}
-	if err := rows.Err(); err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
-}
-
-// PathQueryIndexed evaluates a path expression through the DataGuide path
-// index (building the guide on first use). Results equal PathQuery.
-func (db *Database) PathQueryIndexed(src string) ([]ssd.NodeID, error) {
-	au, err := compilePath(src)
-	if err != nil {
-		return nil, err
-	}
-	return db.DataGuide().Eval(au), nil
-}
-
-func compilePath(src string) (*pathexpr.Automaton, error) {
-	e, err := pathexpr.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	// An unbound $parameter would compile to a match-nothing predicate —
-	// a silent empty result. Only the statement layer can bind values.
-	if ps := pathexpr.Params(e); len(ps) > 0 {
-		return nil, fmt.Errorf("core: path has parameters ($%s); use Prepare and bind them", ps[0])
-	}
-	return pathexpr.Compile(e), nil
-}
-
-// Datalog runs a datalog program (semi-naive) and returns its IDB
-// relations. The parse is cached via the statement layer.
-//
-// Deprecated: use Prepare with a `datalog:` statement and Stmt.Query to
-// iterate the tuples.
-func (db *Database) Datalog(src string) (map[string]*datalog.Relation, error) {
-	s, err := db.prepared("datalog: " + src)
-	if err != nil {
-		return nil, err
-	}
-	if s.lang != LangDatalog {
-		return nil, fmt.Errorf("core: %q is a %s statement, not datalog", src, s.lang)
-	}
-	return datalog.NewEngine(db.snapshot().store()).Run(s.dl, datalog.SemiNaive)
-}
-
-// ---------------------------------------------------------------------------
-// Browsing (§1.3): the three questions a user can ask without a schema.
-
-// FindString returns the locations of a string anywhere in the database —
-// "Where in the database is the string "Casablanca" to be found?"
-func (db *Database) FindString(s string) []index.EdgeRef {
-	return db.snapshot().values().Exact(ssd.Str(s))
-}
-
-// IntsGreaterThan returns locations of integers above v — "Are there
-// integers in the database greater than 2^16?"
-func (db *Database) IntsGreaterThan(v int64) []index.EdgeRef {
-	return db.snapshot().values().Compare(pathexpr.OpGT, ssd.Int(v))
-}
-
-// AttrsLike returns the distinct attribute (symbol) labels matching a
-// %-pattern — "What objects have an attribute name that starts with act?"
-func (db *Database) AttrsLike(pattern string) []ssd.Label {
-	pred := pathexpr.LikePred{Pattern: pattern}
-	var out []ssd.Label
-	for _, l := range db.snapshot().labels().Labels() {
-		if l.IsSymbol() && pred.Match(l) {
-			out = append(out, l)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
-// Browse lists label paths from the root with extent sizes, DataGuide-
-// style — browsing without a schema (§1.3, §5).
-func (db *Database) Browse(maxDepth, limit int) []dataguide.Annotation {
-	return db.DataGuide().Summary(maxDepth, limit)
-}
-
 func (s *snapshot) labels() *index.LabelIndex {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -707,18 +506,6 @@ func (s *snapshot) labels() *index.LabelIndex {
 	}
 	return s.labelIx
 }
-
-func (s *snapshot) values() *index.ValueIndex {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.valueIx == nil {
-		s.valueIx = index.BuildValueIndex(s.g)
-	}
-	return s.valueIx
-}
-
-// ---------------------------------------------------------------------------
-// Structure (§5)
 
 // DataGuide returns the strong DataGuide of the current snapshot, building
 // it on first use. Commits extend an already-built guide incrementally.
@@ -732,85 +519,10 @@ func (db *Database) DataGuide() *dataguide.Guide {
 	return s.guide
 }
 
-// InferSchema extracts a schema the database conforms to.
-func (db *Database) InferSchema() *schema.Schema { return schema.Infer(db.snapshot().g) }
-
-// Conforms checks conformance to a schema by simulation.
-func (db *Database) Conforms(s *schema.Schema) bool { return s.Conforms(db.snapshot().g) }
-
-// ---------------------------------------------------------------------------
-// Restructuring (§3)
-//
-// The wholesale transformations predate the mutation subsystem. Each clones
-// the world and returns a NEW handle whose caches start empty, so stale
-// derived structures are impossible — but nothing is logged: a WAL open on
-// the receiver does not describe the returned database.
-
-// Transform applies a structural-recursion rewriter and returns the new
-// database.
-func (db *Database) Transform(f unql.Rewriter) *Database {
-	return FromGraph(unql.GExt(db.snapshot().g, f))
-}
-
-// RelabelWhere renames matching edge labels.
-func (db *Database) RelabelWhere(pred pathexpr.Pred, to ssd.Label) *Database {
-	return FromGraph(unql.RelabelWhere(db.snapshot().g, pred, to))
-}
-
-// DeleteEdges removes matching edges.
-func (db *Database) DeleteEdges(pred pathexpr.Pred) *Database {
-	return FromGraph(unql.DeleteEdges(db.snapshot().g, pred))
-}
-
-// CollapseEdges short-circuits matching edges.
-func (db *Database) CollapseEdges(pred pathexpr.Pred) *Database {
-	return FromGraph(unql.CollapseEdges(db.snapshot().g, pred))
-}
-
-// ---------------------------------------------------------------------------
-// Exchange (§1.2) and equality (§2)
-
-// ImportRelational encodes a relational database.
-func ImportRelational(rdb relstore.Database) *Database {
-	return FromGraph(relstore.EncodeRelational(rdb))
-}
-
-// ExportRelational decodes the database back into tables; it errors when
-// the data is not relationally shaped (§5's structured/semistructured
-// boundary).
-func (db *Database) ExportRelational() (relstore.Database, error) {
-	return relstore.DecodeRelational(db.snapshot().g)
-}
-
-// Equal reports value equality (bisimulation, ignoring object identity).
-func (db *Database) Equal(other *Database) bool {
-	return bisim.Equal(db.snapshot().g, other.snapshot().g)
-}
-
-// Minimize returns the canonical bisimulation quotient.
-func (db *Database) Minimize() *Database { return FromGraph(bisim.Minimize(db.snapshot().g)) }
-
-// Describe returns a one-line summary for CLI output.
+// Describe returns a one-line summary for CLI output. It walks every node
+// and edge; callers that only need the two totals use Size.
 func (db *Database) Describe() string {
-	s := db.Stats()
+	s := db.snapshot().g.ComputeStats()
 	return fmt.Sprintf("%d nodes, %d edges, %d distinct labels, %d leaves",
 		s.Nodes, s.Edges, s.DistinctLabel, s.Leaves)
-}
-
-// ---------------------------------------------------------------------------
-// OEM exchange (§1.2, [33])
-
-// ParseOEM loads a database from the Tsimmis OEM wire format.
-func ParseOEM(src string) (*Database, error) {
-	d, err := oem.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return FromGraph(oem.ToGraph(d)), nil
-}
-
-// FormatOEM renders the database in the OEM wire format (see the oem
-// package for the conversion's fidelity notes).
-func (db *Database) FormatOEM() string {
-	return oem.FromGraph(db.snapshot().g).Format()
 }

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"path/filepath"
 	"sync"
 	"testing"
 
+	"repro/internal/bisim"
+	"repro/internal/oem"
 	"repro/internal/pathexpr"
-	"repro/internal/schema"
 	"repro/internal/ssd"
 	"repro/internal/unql"
 	"repro/internal/workload"
@@ -16,6 +18,59 @@ func fig1DB(t *testing.T) *Database {
 	t.Helper()
 	return FromGraph(workload.Fig1(false))
 }
+
+// execStmt prepares src and runs it to its result database (select
+// queries and transforms).
+func execStmt(t *testing.T, db *Database, src string, args ...Param) *Database {
+	t.Helper()
+	s, err := db.Prepare(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Exec(context.Background(), args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// pathNodes runs `path: src` and returns the sorted matching nodes.
+func pathNodes(t *testing.T, db *Database, src string) []ssd.NodeID {
+	t.Helper()
+	s, err := db.Prepare("path: " + src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, _, err := drainPath(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nodes
+}
+
+// countRows drains a statement's rows and returns how many there were.
+func countRows(t *testing.T, db *Database, src string) int {
+	t.Helper()
+	s, err := db.Prepare(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := s.Query(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	n := 0
+	for rows.Next() {
+		n++
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+func equalDB(a, b *Database) bool { return bisim.Equal(a.Graph(), b.Graph()) }
 
 func TestParseTextAndFormat(t *testing.T) {
 	db, err := ParseText(`{a: 1, b: "x"}`)
@@ -40,37 +95,30 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !db.Equal(back) {
+	if !equalDB(db, back) {
 		t.Error("save/open changed the value")
 	}
 }
 
 func TestQueryEndToEnd(t *testing.T) {
 	db := fig1DB(t)
-	res, err := db.Query(`
+	res := execStmt(t, db, `
 		select {Title: T}
 		from DB.Entry.Movie M, M.Title T, M.Cast._* A
 		where A = "Allen"`)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, _ := ParseText(`{Title: {"Play it again, Sam"}}`)
-	if !res.Equal(want) {
+	if !equalDB(res, want) {
 		t.Errorf("got %s", res.Format())
 	}
-	if _, err := db.Query(`select`); err == nil {
+	if _, err := db.Prepare(`select`); err == nil {
 		t.Error("bad query should error")
 	}
 }
 
 func TestQueryRows(t *testing.T) {
 	db := fig1DB(t)
-	rows, err := db.QueryRows(`select T from DB.Entry.Movie.Title T`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Errorf("rows = %d", len(rows))
+	if n := countRows(t, db, `select T from DB.Entry.Movie.Title T`); n != 2 {
+		t.Errorf("rows = %d", n)
 	}
 }
 
@@ -81,114 +129,64 @@ func TestPathQueryAndIndexedAgree(t *testing.T) {
 		`_*."Bogart"`,
 		"Entry._.Cast.(isint|Credit.Actors)._",
 	} {
-		direct, err := db.PathQuery(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		indexed, err := db.PathQueryIndexed(src)
-		if err != nil {
-			t.Fatal(err)
-		}
+		direct := pathNodes(t, db, src)
+		indexed := db.DataGuide().Eval(pathexpr.MustCompile(src))
 		if len(direct) != len(indexed) {
 			t.Errorf("%s: direct %d, indexed %d", src, len(direct), len(indexed))
 		}
 	}
-	if _, err := db.PathQuery("(("); err == nil {
+	if _, err := db.Prepare("path: (("); err == nil {
 		t.Error("bad path should error")
 	}
 }
 
 func TestDatalogEndToEnd(t *testing.T) {
 	db := fig1DB(t)
-	res, err := db.Datalog(`
+	n := countRows(t, db, `datalog:
 		reach(X) :- root(X).
 		reach(Y) :- reach(X), edge(X, _, Y).`)
-	if err != nil {
-		t.Fatal(err)
-	}
 	acc, _ := db.Graph().Accessible()
-	if res["reach"].Len() != acc.NumNodes() {
-		t.Errorf("reach = %d, want %d", res["reach"].Len(), acc.NumNodes())
+	if n != acc.NumNodes() {
+		t.Errorf("reach = %d, want %d", n, acc.NumNodes())
 	}
-	if _, err := db.Datalog(`broken`); err == nil {
+	if _, err := db.Prepare(`datalog: broken`); err == nil {
 		t.Error("bad program should error")
 	}
 }
 
+// TestBrowsingQueries asks the three §1.3 questions as statements, and
+// browses the DataGuide.
 func TestBrowsingQueries(t *testing.T) {
 	db := fig1DB(t)
-	// The three §1.3 bullets.
-	if hits := db.FindString("Casablanca"); len(hits) != 1 {
-		t.Errorf("FindString = %d hits", len(hits))
+	if hits := pathNodes(t, db, `_*."Casablanca"`); len(hits) != 1 {
+		t.Errorf("string Casablanca: %d hits", len(hits))
 	}
-	if hits := db.IntsGreaterThan(65536); len(hits) != 1 { // Episode
-		t.Errorf("IntsGreaterThan = %d hits", len(hits))
+	if hits := pathNodes(t, db, `_*.>65536`); len(hits) != 1 { // Episode
+		t.Errorf("ints > 2^16: %d hits", len(hits))
 	}
-	attrs := db.AttrsLike("Cast%")
-	if len(attrs) != 1 || attrs[0] != ssd.Sym("Cast") {
-		t.Errorf("AttrsLike = %v", attrs)
+	attrs := execStmt(t, db, `select {%L} from DB._* X, X.%L Y where issymbol(%L) and %L like "Cast%"`)
+	if want, _ := ParseText(`{Cast: {}}`); !equalDB(attrs, want) {
+		t.Errorf("attributes like Cast%%: %s", attrs.Format())
 	}
-	paths := db.Browse(2, 50)
-	if len(paths) == 0 {
-		t.Error("Browse returned nothing")
-	}
-}
-
-func TestSchemaFlow(t *testing.T) {
-	db := fig1DB(t)
-	s := db.InferSchema()
-	if !db.Conforms(s) {
-		t.Error("database must conform to inferred schema")
-	}
-	other := schema.MustParse(`{Nope: {}}`)
-	if db.Conforms(other) {
-		t.Error("must not conform to unrelated schema")
+	if paths := db.DataGuide().Summary(2, 50); len(paths) == 0 {
+		t.Error("DataGuide summary is empty")
 	}
 }
 
 func TestRestructuringFlow(t *testing.T) {
 	bad := FromGraph(workload.Fig1(true))
 	good := fig1DB(t)
-	fixed := bad.RelabelWhere(pathexpr.ExactPred{L: ssd.Str("Bacal")}, ssd.Str("Bacall"))
-	if !fixed.Equal(good) {
+	fixed := execStmt(t, bad, `relabel "Bacal" to "Bacall"`)
+	if !equalDB(fixed, good) {
 		t.Error("Bacall fix failed")
 	}
-	noRefs := good.DeleteEdges(pathexpr.ExactPred{L: ssd.Sym("References")})
-	refs, _ := noRefs.PathQuery("_*.References")
-	if len(refs) != 0 {
+	noRefs := execStmt(t, good, `delete References`)
+	if refs := pathNodes(t, noRefs, "_*.References"); len(refs) != 0 {
 		t.Error("References survived deletion")
 	}
-	collapsed := good.CollapseEdges(pathexpr.ExactPred{L: ssd.Sym("Credit")})
-	hits, _ := collapsed.PathQuery("Entry.Movie.Cast.Actors")
-	if len(hits) != 1 {
+	collapsed := execStmt(t, good, `collapse Credit`)
+	if hits := pathNodes(t, collapsed, "Entry.Movie.Cast.Actors"); len(hits) != 1 {
 		t.Errorf("collapsed Actors hits = %d, want 1", len(hits))
-	}
-}
-
-func TestRelationalExchange(t *testing.T) {
-	rdb := workload.Relational(20, 5, 3)
-	db := ImportRelational(rdb)
-	back, err := db.ExportRelational()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back["movies"].Len() != 20 || back["directors"].Len() != 5 {
-		t.Errorf("exchange sizes: %d movies, %d directors", back["movies"].Len(), back["directors"].Len())
-	}
-	// Non-relational data does not export.
-	if _, err := fig1DB(t).ExportRelational(); err == nil {
-		t.Error("figure 1 is not relational; export must fail")
-	}
-}
-
-func TestMinimizeAndEqual(t *testing.T) {
-	db, _ := ParseText(`{a: {v: 1}, b: {v: 1}}`)
-	m := db.Minimize()
-	if !db.Equal(m) {
-		t.Error("minimize changed value")
-	}
-	if m.Stats().Nodes >= db.Stats().Nodes {
-		t.Error("minimize should shrink duplicated structure")
 	}
 }
 
@@ -198,40 +196,39 @@ func TestDescribe(t *testing.T) {
 	}
 }
 
+// TestTransformCustom: a structural-recursion rewriter with no statement
+// form runs as unql.GExt on Graph(), and the result is queryable as a fresh
+// handle.
 func TestTransformCustom(t *testing.T) {
 	db := fig1DB(t)
-	// Rename all Title edges to TITLE via the raw Transform hook.
-	out := db.Transform(func(l ssd.Label, _, _ ssd.NodeID, _ *ssd.Graph) unql.Action {
+	out := FromGraph(unql.GExt(db.Graph(), func(l ssd.Label, _, _ ssd.NodeID, _ *ssd.Graph) unql.Action {
 		if s, ok := l.Symbol(); ok && s == "Title" {
 			return unql.RelabelTo(ssd.Sym("TITLE"))
 		}
 		return unql.Keep(l)
-	})
-	hits, _ := out.PathQuery("_*.TITLE")
-	if len(hits) != 3 {
+	}))
+	if hits := pathNodes(t, out, "_*.TITLE"); len(hits) != 3 {
 		t.Errorf("TITLE edges = %d, want 3", len(hits))
 	}
-	gone, _ := out.PathQuery("_*.Title")
-	if len(gone) != 0 {
+	if gone := pathNodes(t, out, "_*.Title"); len(gone) != 0 {
 		t.Error("Title edges survived")
 	}
 }
 
+// TestOEMExchange: a database imported from the OEM wire format answers
+// symbol-path statements as the original does (under the synthetic root
+// label).
 func TestOEMExchange(t *testing.T) {
 	db := fig1DB(t)
-	text := db.FormatOEM()
-	back, err := ParseOEM(text)
+	d, err := oem.Parse(oem.FromGraph(db.Graph()).Format())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Symbol-path behaviour survives (under the synthetic root label).
-	orig, _ := db.PathQuery("Entry.Movie.Title")
-	via, _ := back.PathQuery("root.Entry.Movie.Title")
+	back := FromGraph(oem.ToGraph(d))
+	orig := pathNodes(t, db, "Entry.Movie.Title")
+	via := pathNodes(t, back, "root.Entry.Movie.Title")
 	if len(orig) != len(via) {
 		t.Errorf("OEM round trip: %d vs %d title nodes", len(orig), len(via))
-	}
-	if _, err := ParseOEM("not oem"); err == nil {
-		t.Error("bad OEM should error")
 	}
 }
 
@@ -253,7 +250,11 @@ func TestConcurrentQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, src := range queries {
-				if _, err := db.Query(src); err != nil {
+				s, err := db.PrepareCached(src)
+				if err == nil {
+					_, err = s.Exec(context.Background())
+				}
+				if err != nil {
 					t.Errorf("query %q: %v", src, err)
 				}
 			}

@@ -232,9 +232,11 @@ func OpenPathOptions(dir string, opts Options) (*Database, error) {
 	}
 
 	// Replay the tail in place, maintaining the restored derived structures
-	// incrementally so recovery hands back a query-ready snapshot.
+	// incrementally so recovery hands back a query-ready snapshot. A value
+	// index section (written by older generations) is decoded but ignored:
+	// nothing on the serving path reads one.
 	g := snap.Graph
-	labelIx, valueIx, guide, st := snap.Labels, snap.Values, snap.Guide, snap.Stats
+	labelIx, guide, st := snap.Labels, snap.Guide, snap.Stats
 	replayed := 0
 	if w.Batches() > 0 {
 		if err := w.Replay(func(b *mutate.Batch) error {
@@ -245,9 +247,6 @@ func OpenPathOptions(dir string, opts Options) (*Database, error) {
 			replayed++
 			if labelIx != nil {
 				labelIx = labelIx.Apply(res.Delta)
-			}
-			if valueIx != nil {
-				valueIx = valueIx.Apply(res.Delta)
 			}
 			if st != nil {
 				st = st.Apply(res.Delta)
@@ -275,7 +274,7 @@ func OpenPathOptions(dir string, opts Options) (*Database, error) {
 	db.replSeq.Store(snap.CommitSeq + uint64(replayed))
 	obsCommitSeq.Set(int64(snap.CommitSeq + uint64(replayed)))
 	db.snapSeq.Store(loaded.seq)
-	db.snap.Store(&snapshot{g: g, labelIx: labelIx, valueIx: valueIx, guide: guide, stats: st})
+	db.snap.Store(&snapshot{g: g, labelIx: labelIx, guide: guide, stats: st})
 	db.wal = w
 	db.walRO.Store(w)
 	opened = true
@@ -411,11 +410,10 @@ func (db *Database) Checkpoint() (CheckpointInfo, error) {
 	}
 	start := time.Now()
 
-	// Force-build the linear-cost indexes and statistics so the generation
-	// restores a query-ready database; the DataGuide (potentially
+	// Force-build the label index and statistics the planner reads so the
+	// generation restores a query-ready database; the DataGuide (potentially
 	// exponential) is included only if this snapshot already built it.
 	labels := snap.labels()
-	values := snap.values()
 	st := snap.statistics()
 	snap.mu.Lock()
 	guide := snap.guide
@@ -426,7 +424,6 @@ func (db *Database) Checkpoint() (CheckpointInfo, error) {
 	s := &storage.Snapshot{
 		Graph:     snap.g,
 		Labels:    labels,
-		Values:    values,
 		Guide:     guide,
 		Stats:     st,
 		WALBaseFP: baseFP,
@@ -494,7 +491,7 @@ func (db *Database) republishPaged(snap *snapshot, seq uint64) error {
 	}
 	ns := &snapshot{g: snap.g, paged: ps}
 	snap.mu.Lock()
-	ns.labelIx, ns.valueIx, ns.guide, ns.stats = snap.labelIx, snap.valueIx, snap.guide, snap.stats
+	ns.labelIx, ns.guide, ns.stats = snap.labelIx, snap.guide, snap.stats
 	snap.mu.Unlock()
 	db.pageStores = append(db.pageStores, ps)
 	db.snap.Store(ns)
@@ -556,7 +553,6 @@ func (db *Database) SavePath(dir string) error {
 	}
 	snap := db.snapshot()
 	labels := snap.labels()
-	values := snap.values()
 	st := snap.statistics()
 	snap.mu.Lock()
 	guide := snap.guide
@@ -565,7 +561,6 @@ func (db *Database) SavePath(dir string) error {
 	s := &storage.Snapshot{
 		Graph:     snap.g,
 		Labels:    labels,
-		Values:    values,
 		Guide:     guide,
 		Stats:     st,
 		WALBaseFP: fp, // fresh directory: the log will start at this state

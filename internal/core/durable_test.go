@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/bisim"
+	"repro/internal/index"
 	"repro/internal/mutate"
 	"repro/internal/ssd"
 	"repro/internal/stats"
@@ -94,9 +95,14 @@ func TestCheckpointReplaysOnlyTail(t *testing.T) {
 	if got := canonDB(re); got != want {
 		t.Fatalf("restart after checkpoint differs:\nwant %s\ngot  %s", want, got)
 	}
-	// The restored snapshot carries live derived structures.
-	if len(re.FindString("never-there")) != 0 {
-		t.Fatal("value index answered nonsense")
+	// The restored snapshot carries live derived structures: the label index
+	// came back from the generation and absorbed the replayed tail.
+	snap := re.snapshot()
+	snap.mu.Lock()
+	labels := snap.labelIx
+	snap.mu.Unlock()
+	if labels == nil || labels.Count(ssd.Int(7)) != 1 || labels.Count(ssd.Int(99)) != 0 {
+		t.Fatal("recovered label index missing or stale")
 	}
 }
 
@@ -363,11 +369,7 @@ func TestSavePathThenOpenPath(t *testing.T) {
 	if _, err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query(`select T from DB.movie.title T`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Graph().NumEdges() == 0 {
+	if res := execStmt(t, db, `select T from DB.movie.title T`); res.Graph().NumEdges() == 0 {
 		t.Fatal("query over restored database returned nothing")
 	}
 }
@@ -525,5 +527,73 @@ func TestRecoveredStatsMatchRebuild(t *testing.T) {
 	want := stats.Build(snap.g)
 	if !reflect.DeepEqual(restored.Dump(), want.Dump()) {
 		t.Fatalf("recovered stats differ from rebuild:\ngot  %+v\nwant %+v", restored.Dump(), want.Dump())
+	}
+}
+
+// TestOpensGenerationWithValueSection: a generation written with a value
+// index section — as every checkpoint was before the section stopped being
+// written — still opens, replays its WAL tail and checkpoints. The next
+// generation carries no value section, and the recovered state is the
+// frame-by-frame application of every commit, at the same CommitSeq.
+func TestOpensGenerationWithValueSection(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenPath(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitN(t, db, 0, 5)
+	gen, err := db.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitN(t, db, 5, 3) // the WAL tail
+	must(t, db.CloseWAL())
+
+	// Rewrite generation 1 the way older builds wrote it.
+	old, err := storage.ReadSnapshotFile(gen.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.Values = index.BuildValueIndex(old.Graph)
+	if _, err := storage.WriteSnapshotFile(gen.Path, old); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := storage.ReadSnapshotFile(gen.Path); err != nil || s.Values == nil {
+		t.Fatalf("fixture generation has no value section (err %v)", err)
+	}
+
+	re, err := OpenPath(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.CloseWAL()
+	if ri := re.LastRecovery(); ri.SnapshotSeq != 1 || ri.Replayed != 3 {
+		t.Fatalf("recovery %+v, want generation 1 + a 3-batch tail", ri)
+	}
+	frames := FromGraph(ssd.New())
+	commitN(t, frames, 0, 8)
+	if got, want := canonDB(re), canonDB(frames); got != want {
+		t.Fatalf("recovered state differs from frame-by-frame:\nwant %s\ngot  %s", want, got)
+	}
+	if got, want := re.CommitSeq(), frames.CommitSeq(); got != want {
+		t.Fatalf("CommitSeq = %d, frame-by-frame %d", got, want)
+	}
+
+	next, err := re.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := storage.ReadSnapshotFile(next.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Values != nil {
+		t.Fatal("new generation still carries a value index section")
+	}
+	if s.CommitSeq != frames.CommitSeq() {
+		t.Fatalf("new generation CommitSeq = %d, want %d", s.CommitSeq, frames.CommitSeq())
+	}
+	if got, want := ssd.FormatRoot(bisim.Canonicalize(s.Graph)), canonDB(frames); got != want {
+		t.Fatal("new generation's graph differs from frame-by-frame")
 	}
 }

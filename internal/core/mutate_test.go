@@ -1,12 +1,12 @@
 package core
 
 import (
+	"context"
 	"path/filepath"
 	"sync"
 	"testing"
 
 	"repro/internal/bisim"
-	"repro/internal/pathexpr"
 	"repro/internal/query"
 	"repro/internal/ssd"
 	"repro/internal/workload"
@@ -16,26 +16,22 @@ import (
 // its result value.
 func canonQuery(t *testing.T, db *Database, src string) string {
 	t.Helper()
-	res, err := db.Query(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ssd.FormatRoot(bisim.Canonicalize(res.Graph()))
+	return canonDB(execStmt(t, db, src))
 }
 
 // TestMutationInvalidatesCaches is the stale-cache regression test: build
-// every derived structure, mutate, and verify that queries, browsing
-// lookups, the DataGuide, and the planner all reflect the new version.
+// every derived structure, mutate, and verify that queries, path
+// statements, the DataGuide, and the planner all reflect the new version.
 func TestMutationInvalidatesCaches(t *testing.T) {
 	db := FromGraph(workload.Fig1(false))
 
 	const titles = `select T from DB.Entry.Movie.Title T`
 	before := canonQuery(t, db, titles)
 	// Force every lazy structure on the current snapshot.
-	if hits := db.FindString("Casablanca"); len(hits) == 0 {
-		t.Fatal("value index found nothing")
+	if hits := pathNodes(t, db, `_*."Casablanca"`); len(hits) == 0 {
+		t.Fatal("path statement found nothing")
 	}
-	if len(db.Browse(2, 10)) == 0 {
+	if len(db.DataGuide().Summary(2, 10)) == 0 {
 		t.Fatal("guide found nothing")
 	}
 	guideBefore := db.DataGuide()
@@ -63,41 +59,41 @@ func TestMutationInvalidatesCaches(t *testing.T) {
 	if after == before {
 		t.Fatal("query result unchanged after mutation: stale cache")
 	}
-	res, err := db.Query(titles)
-	if err != nil {
-		t.Fatal(err)
-	}
 	naive, err := query.EvalNaive(query.MustParse(titles), db.Graph())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Equal(FromGraph(naive)) {
+	if !bisim.Equal(execStmt(t, db, titles).Graph(), naive) {
 		t.Fatal("planned and naive engines disagree after mutation")
 	}
-	// Value index: the new string is findable.
-	if hits := db.FindString("Play It Again"); len(hits) != 1 {
-		t.Fatalf("FindString after mutation = %v", hits)
+	// The incrementally maintained label index holds the new string, and
+	// the delta didn't clobber the shared postings of old ones.
+	labels := db.snapshot().labels()
+	if hits := labels.Lookup(ssd.Str("Play It Again")); len(hits) != 1 {
+		t.Fatalf("label index after mutation = %v", hits)
 	}
-	// Old strings still findable (delta didn't clobber shared postings).
-	if hits := db.FindString("Casablanca"); len(hits) == 0 {
+	if hits := labels.Lookup(ssd.Str("Casablanca")); len(hits) == 0 {
 		t.Fatal("old string lost after mutation")
+	}
+	if hits := pathNodes(t, db, `_*."Play It Again"`); len(hits) != 1 {
+		t.Fatalf("path statement after mutation = %v", hits)
 	}
 	// DataGuide: incrementally extended, not the stale pointer.
 	if db.DataGuide() == guideBefore {
 		t.Fatal("DataGuide not refreshed after mutation")
 	}
 
-	// Legacy wholesale edits return fresh handles whose caches restart.
-	db2 := db.DeleteEdges(pathexpr.ExactPred{L: ssd.Sym("Title")})
+	// Transform statements return fresh handles whose caches restart.
+	db2 := execStmt(t, db, `delete Title`)
 	if got := canonQuery(t, db2, titles); got != "{}" {
-		t.Fatalf("DeleteEdges result still has titles: %s", got)
+		t.Fatalf("delete result still has titles: %s", got)
 	}
-	if hits := db2.FindString("Casablanca"); len(hits) != 0 {
-		t.Fatalf("fresh handle served stale value index: %v", hits)
+	if hits := pathNodes(t, db2, `_*."Casablanca"`); len(hits) != 0 {
+		t.Fatalf("fresh handle served a stale label index: %v", hits)
 	}
 	// And the receiver is untouched.
 	if got := canonQuery(t, db, titles); got != after {
-		t.Fatal("legacy transformation mutated the receiver")
+		t.Fatal("transform statement mutated the receiver")
 	}
 }
 
@@ -181,15 +177,22 @@ func TestCommitWALReplay(t *testing.T) {
 	}
 }
 
-// TestConcurrentReadersDuringCommit drives queries, browsing lookups and
+// TestConcurrentReadersDuringCommit drives queries, path statements and
 // guide reads while a writer commits batches — the snapshot-swap
 // concurrency this must survive under -race (see ci.yml).
 func TestConcurrentReadersDuringCommit(t *testing.T) {
 	db := FromGraph(workload.Movies(workload.DefaultMovieConfig(80)))
 	// Pre-build structures so commits exercise incremental maintenance.
-	db.FindString("nothing")
+	db.snapshot().labels()
 	db.DataGuide()
-	db.Browse(2, 5)
+	sel, err := db.PrepareCached(`select T from DB.Entry.Movie.Title T`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tags, err := db.PrepareCached(`path: Entry.Tag."tag-value"`)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const readers = 4
 	const commits = 60
@@ -205,18 +208,20 @@ func TestConcurrentReadersDuringCommit(t *testing.T) {
 					return
 				default:
 				}
-				res, err := db.Query(`select T from DB.Entry.Movie.Title T`)
+				res, err := sel.Exec(context.Background())
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if res.Stats().Nodes == 0 {
+				if res.Graph().NumEdges() == 0 {
 					t.Error("empty result graph")
 					return
 				}
-				db.FindString("tag-value")
-				db.Browse(2, 5)
-				db.IntsGreaterThan(1 << 30)
+				if _, _, err := drainPath(tags); err != nil {
+					t.Error(err)
+					return
+				}
+				db.DataGuide().Summary(2, 5)
 			}
 		}(r)
 	}
@@ -234,8 +239,8 @@ func TestConcurrentReadersDuringCommit(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if hits := db.FindString("tag-value"); len(hits) != commits {
-		t.Fatalf("FindString = %d hits, want %d", len(hits), commits)
+	if hits, _, err := drainPath(tags); err != nil || len(hits) != commits {
+		t.Fatalf("tag values = %d (%v), want %d", len(hits), err, commits)
 	}
 }
 

@@ -41,46 +41,39 @@ func observeFrontEnds(t *testing.T, db *Database) frontEndObs {
 	var o frontEndObs
 
 	db.SetParallelism(1)
-	res, err := db.Query(sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.selSerial = canonDB(res)
-
+	o.selSerial = canonDB(execStmt(t, db, sel))
 	db.SetParallelism(4)
-	res, err = db.Query(sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.selParallel = canonDB(res)
+	o.selParallel = canonDB(execStmt(t, db, sel))
 	db.SetParallelism(1)
 
-	o.pathIDs, err = db.PathQuery(`Entry._.Title._`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Slice(o.pathIDs, func(i, j int) bool { return o.pathIDs[i] < o.pathIDs[j] })
+	o.pathIDs = pathNodes(t, db, `Entry._.Title._`)
 
-	rels, err := db.Datalog(`
+	s, err := db.Prepare(`datalog:
 		reach(X) :- root(X).
 		reach(Y) :- reach(X), edge(X, _, Y).`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tu := range rels["reach"].Tuples() {
-		o.datalog = append(o.datalog, fmt.Sprint(tu))
+	rows, err := s.Query(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	var rel, tuple string
+	for rows.Next() {
+		if err := rows.Scan(&rel, &tuple); err != nil {
+			t.Fatal(err)
+		}
+		if rel == "reach" {
+			o.datalog = append(o.datalog, tuple)
+		}
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
 	}
 	sort.Strings(o.datalog)
 
-	s, err := db.PrepareCached(`unql: relabel Title to Name`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := s.Exec(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.unql = canonDB(out)
+	o.unql = canonDB(execStmt(t, db, `unql: relabel Title to Name`))
 	return o
 }
 
@@ -275,9 +268,7 @@ func TestPagedRecovery(t *testing.T) {
 	if got := canonDB(re3); got != want {
 		t.Fatalf("state after torn-image rebuild differs:\nwant %s\ngot  %s", want, got)
 	}
-	if _, err := re3.Query(`select {N: X} from DB._ X`); err != nil {
-		t.Fatalf("query after rebuild: %v", err)
-	}
+	execStmt(t, re3, `select {N: X} from DB._ X`)
 }
 
 // TestPagedCommitThenCheckpoint pins down the freshness contract: commits
@@ -301,11 +292,7 @@ func TestPagedCommitThenCheckpoint(t *testing.T) {
 	if _, ok := db.PagePoolStats(); ok {
 		t.Fatal("post-commit snapshot should fall back to memory until the next checkpoint")
 	}
-	ids, err := db.PathQuery(`999`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 1 {
+	if ids := pathNodes(t, db, `999`); len(ids) != 1 {
 		t.Fatalf("fresh commit invisible to path query: got %d hits", len(ids))
 	}
 
@@ -315,11 +302,7 @@ func TestPagedCommitThenCheckpoint(t *testing.T) {
 	if _, ok := db.PagePoolStats(); !ok {
 		t.Fatal("checkpoint did not re-bind the paged read path")
 	}
-	ids, err = db.PathQuery(`999`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 1 {
+	if ids := pathNodes(t, db, `999`); len(ids) != 1 {
 		t.Fatalf("committed edge missing from paged store: got %d hits", len(ids))
 	}
 }

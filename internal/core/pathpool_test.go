@@ -198,7 +198,7 @@ func TestSizeMatchesStats(t *testing.T) {
 	db := FromGraph(g)
 	check := func(when string) {
 		t.Helper()
-		st := db.Stats()
+		st := db.Graph().ComputeStats()
 		if n, e := db.Size(); n != st.Nodes || e != st.Edges {
 			t.Fatalf("%s: Size = (%d, %d), Stats = (%d, %d)", when, n, e, st.Nodes, st.Edges)
 		}

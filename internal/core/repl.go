@@ -248,10 +248,12 @@ func (db *Database) ReplaceFromSnapshot(s *storage.Snapshot) error {
 	seq := db.snapSeq.Load() + 1
 	// Persist under this directory's own log coordinates: the local log's
 	// every batch is superseded by the incoming state, which is precisely
-	// what WALBaseFP+Applied express to recovery.
+	// what WALBaseFP+Applied express to recovery. A leader image from an
+	// older build may carry a value index section; it is not re-persisted.
 	persisted := *s
 	persisted.WALBaseFP = db.wal.BaseFingerprint()
 	persisted.Applied = uint64(folded)
+	persisted.Values = nil
 	path := filepath.Join(db.dir, snapName(seq))
 	if _, err := storage.WriteSnapshotFile(path, &persisted); err != nil {
 		return err
@@ -262,7 +264,7 @@ func (db *Database) ReplaceFromSnapshot(s *storage.Snapshot) error {
 	db.snapSeq.Store(seq)
 	db.pruneSnapshots(seq)
 	db.snap.Store(&snapshot{
-		g: s.Graph, labelIx: s.Labels, valueIx: s.Values, guide: s.Guide, stats: s.Stats,
+		g: s.Graph, labelIx: s.Labels, guide: s.Guide, stats: s.Stats,
 	})
 	db.invalidateStmtPlans()
 	db.setSeq(s.CommitSeq)

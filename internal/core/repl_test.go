@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/index"
 	"repro/internal/mutate"
 	"repro/internal/ssd"
 	"repro/internal/storage"
@@ -276,6 +277,8 @@ func TestReplaceFromSnapshot(t *testing.T) {
 	if snap.CommitSeq != 7 {
 		t.Fatalf("leader snapshot CommitSeq = %d, want 7", snap.CommitSeq)
 	}
+	// A leader from an older build ships a value index section too.
+	snap.Values = index.BuildValueIndex(snap.Graph)
 
 	folDir := t.TempDir()
 	fol, err := OpenPath(folDir)
@@ -292,9 +295,18 @@ func TestReplaceFromSnapshot(t *testing.T) {
 	if got := fol.CommitSeq(); got != 7 {
 		t.Fatalf("adopted CommitSeq = %d, want 7", got)
 	}
-	// Queries run against the adopted derived structures.
-	if len(fol.FindString("never-there")) != 0 {
-		t.Fatal("value index answered nonsense after adoption")
+	// Statements run against the adopted state: the leader's edges are
+	// there, the superseded local ones are not.
+	if n := countRows(t, fol, `select X from DB.6 X`); n != 1 {
+		t.Fatalf("leader edge 6: %d rows after adoption, want 1", n)
+	}
+	if n := countRows(t, fol, `select X from DB.100 X`); n != 0 {
+		t.Fatalf("superseded local edge 100: %d rows after adoption, want 0", n)
+	}
+	// The adopted generation is persisted without the leader's value index.
+	adopted, _, _ := fol.SnapshotFile()
+	if s, err := storage.ReadSnapshotFile(adopted); err != nil || s.Values != nil {
+		t.Fatalf("adopted generation re-persisted the value index section (err %v)", err)
 	}
 	if err := fol.CloseWAL(); err != nil {
 		t.Fatal(err)

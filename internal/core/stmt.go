@@ -1,7 +1,7 @@
 package core
 
 // This file is the statement lifecycle: the prepare-once / execute-many
-// read path the one-shot Database methods now wrap. A Stmt is the product
+// read path, and the only way to run a statement. A Stmt is the product
 // of parsing (and, lazily, planning) a source text exactly once; executing
 // it binds $parameters into reserved plan slots and streams results
 // through a Rows cursor that pulls straight from the Volcano executor.
@@ -612,9 +612,9 @@ func (s *Stmt) queryTrace(ctx context.Context, tr *QueryTrace, args []Param) (*R
 
 // Exec executes the statement to a whole result database: the instantiated
 // select template for queries, the restructured graph for transforms.
-// Path and datalog statements have no graph result; use Query. Like the
-// legacy Transform family, the result is a fresh handle with fresh caches
-// and nothing is logged to any WAL open on the receiver.
+// Path and datalog statements have no graph result; use Query. The result
+// is a fresh handle with fresh caches, and nothing is logged to any WAL
+// open on the receiver.
 func (s *Stmt) Exec(ctx context.Context, args ...Param) (*Database, error) {
 	start := time.Now()
 	res, err := s.execInner(ctx, args)
@@ -865,7 +865,7 @@ func (r *Rows) scanCol(c col, dest any) error {
 
 // Env returns the current row as a query.Env. The Env and its maps are
 // REUSED across Next calls — they are valid only until the next Next or
-// Close. Copy what must outlive the row (QueryRows does exactly that).
+// Close. Copy what must outlive the row.
 // Path statements expose their node under the variable "node"; datalog
 // rows have an empty Env.
 func (r *Rows) Env() query.Env {
@@ -885,12 +885,6 @@ func (r *Rows) Env() query.Env {
 	}
 	return r.shared
 }
-
-// envFresh materializes the current row into an independently allocated
-// Env, one map build per row — the materializing QueryRows wrapper uses
-// it instead of copying the shared Env a second time. Query statements
-// only.
-func (r *Rows) envFresh() query.Env { return r.qb.cur.Env() }
 
 // Close releases the cursor, returning the compiled plan(s) (or traversal)
 // to the statement's pool for reuse. For a parallel cursor this first stops

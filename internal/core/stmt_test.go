@@ -3,11 +3,16 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
+	"repro/internal/bisim"
+	"repro/internal/datalog"
 	"repro/internal/pathexpr"
 	"repro/internal/ssd"
+	"repro/internal/unql"
 	"repro/internal/workload"
 )
 
@@ -53,11 +58,8 @@ func TestStmtQueryParams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lit, err := db.Query(fmt.Sprintf(`select {Title: T} from DB.Entry.Movie M, M.Title T, M.Cast._* A where A = "%s"`, who))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Equal(lit) {
+		lit := execStmt(t, db, fmt.Sprintf(`select {Title: T} from DB.Entry.Movie M, M.Title T, M.Cast._* A where A = "%s"`, who))
+		if !equalDB(res, lit) {
 			t.Errorf("who=%s: prepared result differs from literal query", who)
 		}
 	}
@@ -73,8 +75,8 @@ func TestStmtQueryParams(t *testing.T) {
 	}
 }
 
-// TestStmtRowsStreaming: the Rows cursor yields the same tuples as the
-// materializing QueryRows wrapper, and Scan reads typed columns.
+// TestStmtRowsStreaming: the Rows cursor yields the nodes the equivalent
+// path statement matches, and Scan reads typed columns.
 func TestStmtRowsStreaming(t *testing.T) {
 	db := fig1DB(t)
 	const src = `select T from DB.Entry.Movie M, M.Title T`
@@ -105,17 +107,9 @@ func TestStmtRowsStreaming(t *testing.T) {
 	if err := rows.Err(); err != nil {
 		t.Fatal(err)
 	}
-	envs, err := db.QueryRows(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(envs) != len(streamed) {
-		t.Fatalf("QueryRows %d rows, streamed %d", len(envs), len(streamed))
-	}
-	for i, e := range envs {
-		if e.Trees["T"] != streamed[i] {
-			t.Errorf("row %d: QueryRows T=%d, streamed %d", i, e.Trees["T"], streamed[i])
-		}
+	sort.Slice(streamed, func(i, j int) bool { return streamed[i] < streamed[j] })
+	if want := pathNodes(t, db, "Entry.Movie.Title"); !reflect.DeepEqual(streamed, want) {
+		t.Fatalf("streamed T = %v, path statement %v", streamed, want)
 	}
 
 	// Label and path columns: Scan's positional slot reads must agree with
@@ -180,11 +174,7 @@ func TestStmtPath(t *testing.T) {
 		return out
 	}
 	movies := drain(P("kind", ssd.Sym("Movie")))
-	want, err := db.PathQuery("Entry.Movie.Title")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(movies) != len(want) {
+	if want := pathNodes(t, db, "Entry.Movie.Title"); len(movies) != len(want) {
 		t.Fatalf("param path %d nodes, literal %d", len(movies), len(want))
 	}
 	if shows := drain(P("kind", ssd.Sym("TV-Show"))); len(shows) != 1 {
@@ -194,13 +184,9 @@ func TestStmtPath(t *testing.T) {
 	if _, err := s.Exec(context.Background(), P("kind", ssd.Sym("Movie"))); err == nil {
 		t.Error("Exec on path statement should error")
 	}
-	// The legacy entry points cannot bind parameters, so they must reject
-	// them rather than compile a match-nothing predicate.
-	if _, err := db.PathQueryIndexed("Entry.$kind.Title"); err == nil {
-		t.Error("PathQueryIndexed with $param should error")
-	}
-	if _, err := db.PathQuery("Entry.$kind.Title"); err == nil {
-		t.Error("PathQuery with $param should error")
+	// An unbound parameter is an error, not a match-nothing predicate.
+	if _, err := s.Query(context.Background()); err == nil {
+		t.Error("path statement with an unbound $param should error")
 	}
 }
 
@@ -228,7 +214,7 @@ func TestStmtDatalog(t *testing.T) {
 		}
 		n++
 	}
-	rels, err := db.Datalog(prog)
+	rels, err := datalog.NewEngine(db.Graph()).Run(datalog.MustParseProgram(prog), datalog.SemiNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +223,8 @@ func TestStmtDatalog(t *testing.T) {
 	}
 }
 
-// TestStmtTransform: the unql mini-language restructures like the legacy
-// Transform family, including a parameterized target label.
+// TestStmtTransform: the unql mini-language restructures like the unql
+// package's functions, including a parameterized target label.
 func TestStmtTransform(t *testing.T) {
 	db := fig1DB(t)
 	s, err := db.Prepare(`unql: relabel Title to $new`)
@@ -249,8 +235,8 @@ func TestStmtTransform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := db.RelabelWhere(pathexpr.ExactPred{L: ssd.Sym("Title")}, ssd.Sym("TITLE"))
-	if !got.Equal(want) {
+	want := unql.RelabelWhere(db.Graph(), pathexpr.ExactPred{L: ssd.Sym("Title")}, ssd.Sym("TITLE"))
+	if !bisim.Equal(got.Graph(), want) {
 		t.Fatal("transform statement differs from RelabelWhere")
 	}
 	if _, err := s.Query(context.Background(), P("new", ssd.Sym("TITLE"))); err == nil {
@@ -265,14 +251,8 @@ func TestStmtTransform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if refs, _ := trimmed.PathQuery("_*.References"); len(refs) != 0 {
+	if refs := pathNodes(t, trimmed, "_*.References"); len(refs) != 0 {
 		t.Fatalf("References survived delete: %d", len(refs))
-	}
-
-	// The deprecated Query wrapper must not silently execute a transform
-	// that its caller meant as (mistyped) query text.
-	if _, err := db.Query("delete Title"); err == nil {
-		t.Error("db.Query on transform text should error")
 	}
 }
 

@@ -158,6 +158,12 @@ func TestDecodeRejectsRagged(t *testing.T) {
 	if _, err := DecodeRelational(g3); err == nil {
 		t.Error("multi-valued column should not decode")
 	}
+	// Figure 1 is semistructured, not relational (§5's boundary).
+	fig1 := ssd.MustParse(`{Entry: {Movie: {Title: "Casablanca", Cast: {1: "Bogart", 2: "Bacall"}}},
+	                        Entry: {TV-Show: {Title: "Bogart retrospective", Episode: 1200000}}}`)
+	if _, err := DecodeRelational(fig1); err == nil {
+		t.Error("figure-1 data should not decode as tables")
+	}
 }
 
 func TestTriplesRoundTrip(t *testing.T) {

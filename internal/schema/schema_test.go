@@ -216,6 +216,9 @@ func TestInferConformance(t *testing.T) {
 	if !hasIsString {
 		t.Error("inferred schema should contain isstring edges")
 	}
+	if MustParse(`{Nope: {}}`).Conforms(data) {
+		t.Error("data must not conform to an unrelated schema")
+	}
 }
 
 func TestInferConformanceProperty(t *testing.T) {

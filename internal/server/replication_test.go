@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -451,5 +452,38 @@ func TestRouterRoutingAndFailover(t *testing.T) {
 	}
 	if h.Status != "ok" {
 		t.Fatalf("router healthz status %q with leader and one replica alive", h.Status)
+	}
+}
+
+// TestRouterRefusesOversizedBodies: the router reads request bodies through
+// the same 1 MiB bound as the backends — an oversized /query or /mutate is
+// answered 413 by the router itself, and no backend sees a request.
+func TestRouterRefusesOversizedBodies(t *testing.T) {
+	var forwarded atomic.Int32
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/healthz" {
+			forwarded.Add(1)
+		}
+		w.Write([]byte(`{"status":"ok"}`))
+	}))
+	defer backend.Close()
+	rt := NewRouter(RouterConfig{Leader: backend.URL, Replicas: []string{backend.URL}})
+	defer rt.Stop()
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	body := strings.Repeat("x", maxBody+1)
+	for _, path := range []string{"/query", "/mutate"} {
+		resp, err := http.Post(front.URL+path, "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: %s, want 413", path, len(body), resp.Status)
+		}
+	}
+	if n := forwarded.Load(); n != 0 {
+		t.Fatalf("backend received %d requests for oversized bodies", n)
 	}
 }

@@ -213,9 +213,9 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		bodyError(w, err)
 		return
 	}
 	obsRouterQueries.Inc()
@@ -237,9 +237,9 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) forwardToLeader(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		bodyError(w, err)
 		return
 	}
 	obsRouterMutations.Inc()

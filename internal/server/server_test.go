@@ -203,7 +203,7 @@ func TestQueryTimeout(t *testing.T) {
 // visible to subsequent queries; healthz reflects the new snapshot.
 func TestMutateAndHealthz(t *testing.T) {
 	_, ts, db := newTestServer(t, 50, 0)
-	before := db.Stats()
+	before := db.Graph().ComputeStats()
 	resp, err := http.Post(ts.URL+"/mutate", "text/plain",
 		strings.NewReader("addnode\naddnode\naddedge 0 ServedTag $0\naddedge $0 \"hello\" $1\n"))
 	if err != nil {
