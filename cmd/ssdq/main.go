@@ -19,12 +19,12 @@
 //	ssdq -db file.ssd schema
 //	ssdq -db file.ssd fmt
 //	ssdq -db in.ssd convert -o out.ssdg   (formats: .ssd text, .ssdg binary, .oem)
-//	ssdq -db file.ssdg -wal file.wal mutate 'addnode; addedge 0 Tag $0'
-//	ssdq -db file.ssdg -wal file.wal mutate script.mut   (load statements from a file)
 //	ssdq -db file.ssd save dbdir          # export as a durable directory
 //	ssdq open dbdir                       # recover it and report what that took
 //	ssdq -data dbdir query '...'          # any command against a durable directory
 //	ssdq -data dbdir mutate 'addnode; addedge 0 Tag $0'   # WAL-logged commit
+//	ssdq -data dbdir mutate script.mut    # statements from a file
+//	ssdq -db file.ssdg -o out.ssdg mutate script.mut     # volatile: edit a copy
 //	ssdq -data dbdir checkpoint           # fold the WAL into a new generation
 //	ssdq demo            # run the Figure 1 tour without a database file
 //
@@ -38,12 +38,11 @@
 // plan of any statement (with -analyze: executed, with actual row counts).
 //
 // The mutate command applies a mutation script (see internal/mutate's
-// ParseScript for the statement forms) as one atomic batch. -wal attaches a
-// write-ahead log for ANY command: batches already in the log are replayed
-// before the command runs (so `-db base.ssdg -wal base.wal` always names
-// the current state, for queries as much as for mutations), and mutate
-// appends its batch to the log before applying it. With -o the mutated
-// database is also saved.
+// ParseScript for the statement forms) as one atomic batch. To make
+// mutations durable, seed a directory once (`ssdq -db f save dir`) and
+// mutate through it (`ssdq -data dir mutate ...`): the batch is logged to
+// the directory's write-ahead log before it is applied. With -o the
+// mutated database is also saved.
 //
 // Durable directories: `save <dir>` exports the loaded database as the
 // first snapshot generation of a durable directory; -data <dir> runs any
@@ -98,7 +97,6 @@ func main() {
 		depth   = flag.Int("depth", 3, "browse: maximum path depth")
 		limit   = flag.Int("limit", 40, "browse: maximum paths listed")
 		out     = flag.String("o", "", "convert/mutate: output file (.ssd or .ssdg)")
-		wal     = flag.String("wal", "", "mutate: write-ahead log file (replayed on open, appended on commit)")
 		explain = flag.Bool("explain", false, "query/path/datalog/run: print the chosen plan before the result")
 		analyze = flag.Bool("analyze", false, "explain: execute the query and annotate the plan with actual row counts")
 		trace   = flag.Bool("trace", false, "run: stream the rows, then print the per-operator execution trace as JSON on stderr")
@@ -129,9 +127,6 @@ func main() {
 	var err error
 	switch {
 	case *dataDir != "":
-		if *wal != "" {
-			fatal(fmt.Errorf("-wal conflicts with -data: the directory has its own log"))
-		}
 		if *dbPath != "" {
 			fatal(fmt.Errorf("-db conflicts with -data: the directory is the database (use `ssdq -db file save <dir>` to seed one)"))
 		}
@@ -145,15 +140,6 @@ func main() {
 		}
 		if db, err = load(*dbPath); err != nil {
 			fatal(err)
-		}
-		if *wal != "" {
-			// Replay the log for every command, not just mutate: with a WAL
-			// the current state is snapshot + log, and querying the bare
-			// snapshot would silently serve stale data.
-			if err := db.OpenWAL(*wal); err != nil {
-				fatal(err)
-			}
-			defer db.CloseWAL()
 		}
 	}
 
@@ -294,9 +280,9 @@ func save(db *core.Database, path string) error {
 	}
 }
 
-// runMutate applies one mutation script as an atomic batch — through the
-// WAL when -wal is given (main opened it) — and optionally saves the
-// result.
+// runMutate applies one mutation script as an atomic batch — logged first
+// when the database is a durable directory (-data) — and optionally saves
+// the result.
 func runMutate(db *core.Database, script, outPath string) error {
 	// The argument is either inline statements or a script file.
 	if data, err := os.ReadFile(script); err == nil {

@@ -5,7 +5,7 @@
 //
 //	ssdserve -data dbdir                      # durable: snapshots + WAL in dbdir
 //	ssdserve -data dbdir -demo 5000           # seed a fresh dbdir, then serve it
-//	ssdserve -db movie.ssdg [-wal movie.wal] [-addr :8080] [-parallelism 4]
+//	ssdserve -db movie.ssdg [-addr :8080] [-parallelism 4]   # volatile
 //	ssdserve -demo 5000                       # serve a generated movie DB (volatile)
 //	ssdserve -data repdir -follow http://leader:8080   # read-only follower replica
 //
@@ -115,7 +115,6 @@ func main() {
 		dataDir      = flag.String("data", "", "durable database directory (snapshots + WAL); seeds from -db/-text/-demo when empty")
 		dbPath       = flag.String("db", "", "database file (storage binary format)")
 		text         = flag.String("text", "", "database file in the text syntax (alternative to -db)")
-		walPath      = flag.String("wal", "", "write-ahead log to attach (replays, then logs commits)")
 		demo         = flag.Int("demo", 0, "serve a generated movie database with this many entries instead of a file")
 		parallelism  = flag.Int("parallelism", 0, "intra-query parallel workers (0/1 = serial)")
 		timeout      = flag.Duration("timeout", 30*time.Second, "default per-request timeout (0 = none)")
@@ -153,7 +152,7 @@ func main() {
 		}
 	}
 
-	db, err := openServeDatabase(*dataDir, *dbPath, *text, *walPath, *demo, *poolBytes)
+	db, err := openServeDatabase(*dataDir, *dbPath, *text, *demo, *poolBytes)
 	if err != nil {
 		log.Fatalf("ssdserve: %v", err)
 	}
@@ -237,24 +236,12 @@ func main() {
 // -data, the directory is authoritative: a fresh one may be seeded from
 // -db/-text/-demo, an initialized one rejects them (serving a file over an
 // existing durable history would silently fork it).
-func openServeDatabase(dataDir, dbPath, text, walPath string, demo int, poolBytes int64) (*core.Database, error) {
+func openServeDatabase(dataDir, dbPath, text string, demo int, poolBytes int64) (*core.Database, error) {
 	if dataDir == "" {
 		if poolBytes > 0 {
 			return nil, fmt.Errorf("-pool-bytes requires -data: the page file lives in the durable directory")
 		}
-		db, err := openDatabase(dbPath, text, demo)
-		if err != nil {
-			return nil, err
-		}
-		if walPath != "" {
-			if err := db.OpenWAL(walPath); err != nil {
-				return nil, fmt.Errorf("open WAL: %w", err)
-			}
-		}
-		return db, nil
-	}
-	if walPath != "" {
-		return nil, fmt.Errorf("-wal conflicts with -data: the directory has its own log")
+		return openDatabase(dbPath, text, demo)
 	}
 	initialized, err := core.PathInitialized(dataDir)
 	if err != nil {

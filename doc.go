@@ -48,9 +48,10 @@
 // falling back to a rebuild only when a delete touches the accessible
 // region. internal/core publishes each version
 // as an MVCC snapshot behind an atomic pointer: readers keep querying the
-// snapshot they started with while Begin/Apply/Commit installs the next one
-// under a single-writer lock, and an optional write-ahead log
-// (core.Database.OpenWAL) makes commits durable and replayable. Ablated by
+// snapshot they started with while Begin/Commit installs the next one under
+// a single-writer lock. A durable directory (core.OpenPath: snapshot
+// generations plus a write-ahead log) logs every commit before publishing
+// it and replays the log tail at open. Ablated by
 // BenchmarkIncrementalVsRebuild.
 //
 // # Parallel execution and serving

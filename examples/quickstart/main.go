@@ -140,7 +140,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer durable.CloseWAL()
-	if err := durable.MutateScript(`addnode; addedge 0 person $0; addnode; addedge $0 name $1`); err != nil {
+	if _, err := durable.MutateScriptSeq(`addnode; addedge 0 person $0; addnode; addedge $0 name $1`); err != nil {
 		log.Fatal(err)
 	}
 	info, err := durable.Checkpoint()

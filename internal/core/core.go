@@ -21,7 +21,7 @@
 // A Database is a multi-version handle: readers always see one immutable
 // published snapshot (graph plus the derived structures the serving path
 // reads — label index, statistics, and a DataGuide once built), while
-// Begin/Apply/Commit install new snapshots atomically under a single-writer
+// Begin/Commit install new snapshots atomically under a single-writer
 // lock, maintaining those structures incrementally. Transform statements
 // (Stmt.Exec) return fresh handles with fresh caches, so no entry point can
 // ever serve derived structures computed for a different graph version.
@@ -214,9 +214,56 @@ type snapshot struct {
 	paged *storage.PageStore
 
 	mu      sync.Mutex
+	derived // guarded by mu
+}
+
+// derived holds the structures the serving path reads beside a graph
+// version. A nil member has not been built; it is built lazily on first
+// use, or never (the DataGuide is only ever built on demand).
+type derived struct {
 	labelIx *index.LabelIndex
 	guide   *dataguide.Guide
 	stats   *stats.Stats
+}
+
+// built returns the structures s has built so far.
+func (s *snapshot) built() derived {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.derived
+}
+
+// apply carries d across one batch that turned the previous graph into g
+// with result res — the one rule commits and recovery replay share. Each
+// member is maintained from the batch's delta; a member never built stays
+// nil, and a DataGuide the delta cannot repair (a moved root, or deletes in
+// the accessible region) is dropped for a lazy rebuild.
+func (d derived) apply(g *ssd.Graph, res mutate.Result) derived {
+	if d.labelIx != nil {
+		d.labelIx = d.labelIx.Apply(res.Delta)
+	}
+	if d.stats != nil {
+		d.stats = d.stats.Apply(res.Delta)
+	}
+	if d.guide != nil {
+		ok := false
+		if !res.RootChanged {
+			d.guide, ok = d.guide.ApplyDelta(g, res.Delta, 0)
+		}
+		if !ok {
+			d.guide = nil
+		}
+	}
+	return d
+}
+
+// image builds the storage image of s for a snapshot file: the label index
+// and statistics the planner reads are force-built so the generation
+// restores a query-ready database; the DataGuide (potentially exponential)
+// is included only if s already built it.
+func (s *snapshot) image() *storage.Snapshot {
+	labels, st := s.labels(), s.statistics()
+	return &storage.Snapshot{Graph: s.g, Labels: labels, Stats: st, Guide: s.built().guide}
 }
 
 // store returns the snapshot's read store: the paged store when this
@@ -230,7 +277,7 @@ func (s *snapshot) store() ssd.GraphStore {
 }
 
 // FromGraph wraps an existing graph. The graph must not be mutated directly
-// afterwards; use Begin/Apply/Commit.
+// afterwards; use Begin/Commit.
 func FromGraph(g *ssd.Graph) *Database {
 	db := &Database{}
 	db.snap.Store(&snapshot{g: g})
@@ -259,7 +306,8 @@ func Open(path string) (*Database, error) {
 	return FromGraph(g), nil
 }
 
-// Save writes the database to a binary file.
+// Save writes the database to a binary file, atomically: a crash leaves
+// either the previous file or the complete new one.
 func (db *Database) Save(path string) error { return storage.WriteFile(path, db.snapshot().g) }
 
 // Graph exposes the underlying graph of the current snapshot (read-only by
@@ -282,44 +330,21 @@ func (db *Database) Size() (nodes, edges int) {
 // Mutation: the write path (internal/mutate)
 
 // Begin starts a mutation batch against the current snapshot. Build it up
-// with the Batch methods, then hand it to Apply or Commit. Batches from
+// with the Batch methods, then hand it to Commit. Batches from
 // other handles (or from before an intervening commit) that allocate nodes
 // are rejected at apply time.
 func (db *Database) Begin() *mutate.Batch { return mutate.NewBatch(db.snapshot().g) }
 
-// Apply applies a batch and publishes the resulting snapshot without
-// logging it. With a WAL open, prefer Commit: an applied-but-unlogged batch
-// will be missing from a later replay.
-func (db *Database) Apply(b *mutate.Batch) error { return db.commit(b, false) }
-
-// Commit logs the batch to the open WAL (if any) and then applies it. The
-// batch is durable once Commit returns. Readers keep querying the previous
-// snapshot until the new one is published atomically; they never observe a
-// half-applied batch.
-func (db *Database) Commit(b *mutate.Batch) error { return db.commit(b, true) }
-
-// MutateScript parses src in the ssdq mutation script format (see
-// mutate.ParseScript) against the current snapshot and commits it as one
-// batch, logging to the WAL if one is open. The writer lock is held across
-// parse and commit, so the script's node references can never be
-// invalidated by an interleaving writer.
+// Commit logs the batch to the WAL of a durable database (OpenPath) and
+// then publishes it; once Commit returns, the batch survives a crash.
+// Readers keep querying the previous snapshot until the new one is
+// published atomically; they never observe a half-applied batch.
 //
 //ssd:locks writeMu
-func (db *Database) MutateScript(src string) error {
+func (db *Database) Commit(b *mutate.Batch) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	b, err := mutate.ParseScript(src, db.snapshot().g)
-	if err != nil {
-		return err
-	}
-	return db.commitLocked(b, true)
-}
-
-//ssd:locks writeMu
-func (db *Database) commit(b *mutate.Batch, logIt bool) error {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	return db.commitLocked(b, logIt)
+	return db.commitLocked(b)
 }
 
 // commitLocked applies, logs, and publishes one batch. The caller holds
@@ -327,7 +352,7 @@ func (db *Database) commit(b *mutate.Batch, logIt bool) error {
 // another writer.
 //
 //ssd:requires writeMu
-func (db *Database) commitLocked(b *mutate.Batch, logIt bool) error {
+func (db *Database) commitLocked(b *mutate.Batch) error {
 	start := time.Now()
 	if db.dir != "" && db.wal == nil {
 		// A directory-backed database without its log is closed: accepting
@@ -342,100 +367,23 @@ func (db *Database) commitLocked(b *mutate.Batch, logIt bool) error {
 	}
 	// Log before publishing: a crash after Append replays to a superset of
 	// what readers saw, never a subset.
-	if logIt && db.wal != nil {
+	if db.wal != nil {
 		if err := db.wal.Append(b); err != nil {
 			return err
 		}
 	}
-	ns := &snapshot{g: g2}
-	// Incremental maintenance: derive the new snapshot's structures from
-	// whatever the old one had already built. Structures it never built
-	// stay nil and are rebuilt lazily on first use.
-	old.mu.Lock()
-	labelIx, guide, st := old.labelIx, old.guide, old.stats
-	old.mu.Unlock()
-	if labelIx != nil {
-		ns.labelIx = labelIx.Apply(res.Delta)
-	}
-	if st != nil {
-		ns.stats = st.Apply(res.Delta)
-	}
-	if guide != nil && !res.RootChanged {
-		// Deletes touching the accessible region fall back to a lazy rebuild.
-		if ng, ok := guide.ApplyDelta(g2, res.Delta, 0); ok {
-			ns.guide = ng
-		}
-	}
-	db.snap.Store(ns)
-	db.invalidateStmtPlans()
-	if logIt || db.wal == nil {
-		// The replication sequence counts exactly the batches a follower can
-		// obtain: logged commits. An unlogged Apply on a WAL-backed database
-		// is invisible to the log, so advancing the sequence for it would
-		// break the seq↔frame correspondence replication cursors rely on.
-		db.advanceSeq(1)
-	}
+	db.publish(&snapshot{g: g2, derived: old.built().apply(g2, res)})
+	db.advanceSeq(1)
 	obsCommitDur.Observe(time.Since(start))
 	obsCommits.Inc()
 	return nil
 }
 
-// OpenWAL attaches the write-ahead log at path (creating it if absent).
-// The log is bound to the current snapshot by fingerprint: batches already
-// in it are replayed — so Open(base) followed by OpenWAL(log) reconstructs
-// exactly the state whose commits the log records — while a log recorded
-// against a different snapshot (e.g. left behind by a compaction that
-// crashed after renaming the new snapshot in) is set aside as <path>.stale
-// and a fresh log is started. Subsequent Commits append to the log.
-//
-//ssd:locks writeMu
-func (db *Database) OpenWAL(path string) error {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	if db.dir != "" {
-		return fmt.Errorf("core: database is directory-backed; its log lives in %s", db.dir)
-	}
-	if db.wal != nil {
-		return fmt.Errorf("core: WAL already open")
-	}
-	w, err := mutate.OpenWAL(path, mutate.Fingerprint(db.snapshot().g))
-	if err != nil {
-		return err
-	}
-	if w.Batches() > 0 {
-		// Replay against a private clone, then publish once.
-		g := db.snapshot().g.Clone()
-		if err := w.Replay(func(b *mutate.Batch) error {
-			_, err := mutate.ApplyInPlace(g, b)
-			return err
-		}); err != nil {
-			w.Close()
-			return err
-		}
-		db.snap.Store(&snapshot{g: g})
-		db.invalidateStmtPlans()
-	}
-	db.wal = w
-	db.walRO.Store(w)
-	return nil
-}
-
-// CompactWAL rewrites the snapshot file at path from the current graph and
-// truncates the open WAL: snapshot + empty log replays to the same state as
-// the old snapshot + full log. On a durable database (OpenPath) use
-// Checkpoint instead — it owns the directory's generation bookkeeping.
-//
-//ssd:locks writeMu
-func (db *Database) CompactWAL(path string) error {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	if db.dir != "" {
-		return fmt.Errorf("core: database is directory-backed; use Checkpoint")
-	}
-	if db.wal == nil {
-		return fmt.Errorf("core: no WAL open")
-	}
-	return db.wal.Compact(path, db.snapshot().g)
+// publish installs ns as the snapshot readers see and drops every cached
+// statement's plans compiled against its predecessor.
+func (db *Database) publish(ns *snapshot) {
+	db.snap.Store(ns)
+	db.invalidateStmtPlans()
 }
 
 // CloseWAL detaches and closes the write-ahead log, if one is open. On a
@@ -479,15 +427,13 @@ func (db *Database) PagePoolStats() (storage.PoolStats, bool) {
 func (s *snapshot) planOptions() query.PlanOptions {
 	label := s.labels()
 	st := s.statistics()
-	s.mu.Lock()
-	guide := s.guide // nil unless already built; never forced
-	s.mu.Unlock()
-	return query.PlanOptions{Label: label, Guide: guide, Stats: st}
+	// The guide only if already built; never forced.
+	return query.PlanOptions{Label: label, Guide: s.built().guide, Stats: st}
 }
 
 // statistics returns the snapshot's cardinality statistics, building them on
 // first use. Commits maintain an already-built Stats incrementally (see
-// commitLocked), and durable recovery restores them from the snapshot file's
+// derived.apply), and durable recovery restores them from the snapshot file's
 // stats section, so in steady state this never rescans the graph.
 func (s *snapshot) statistics() *stats.Stats {
 	s.mu.Lock()

@@ -236,7 +236,7 @@ func OpenPathOptions(dir string, opts Options) (*Database, error) {
 	// index section (written by older generations) is decoded but ignored:
 	// nothing on the serving path reads one.
 	g := snap.Graph
-	labelIx, guide, st := snap.Labels, snap.Guide, snap.Stats
+	d := derived{labelIx: snap.Labels, guide: snap.Guide, stats: snap.Stats}
 	replayed := 0
 	if w.Batches() > 0 {
 		if err := w.Replay(func(b *mutate.Batch) error {
@@ -245,21 +245,7 @@ func OpenPathOptions(dir string, opts Options) (*Database, error) {
 				return err
 			}
 			replayed++
-			if labelIx != nil {
-				labelIx = labelIx.Apply(res.Delta)
-			}
-			if st != nil {
-				st = st.Apply(res.Delta)
-			}
-			if guide != nil {
-				if res.RootChanged {
-					guide = nil
-				} else if ng, ok := guide.ApplyDelta(g, res.Delta, 0); ok {
-					guide = ng
-				} else {
-					guide = nil // deletes in the accessible region: rebuild lazily
-				}
-			}
+			d = d.apply(g, res)
 			return nil
 		}); err != nil {
 			w.Close()
@@ -274,7 +260,7 @@ func OpenPathOptions(dir string, opts Options) (*Database, error) {
 	db.replSeq.Store(snap.CommitSeq + uint64(replayed))
 	obsCommitSeq.Set(int64(snap.CommitSeq + uint64(replayed)))
 	db.snapSeq.Store(loaded.seq)
-	db.snap.Store(&snapshot{g: g, labelIx: labelIx, guide: guide, stats: st})
+	db.snap.Store(&snapshot{g: g, derived: d})
 	db.wal = w
 	db.walRO.Store(w)
 	opened = true
@@ -410,26 +396,10 @@ func (db *Database) Checkpoint() (CheckpointInfo, error) {
 	}
 	start := time.Now()
 
-	// Force-build the label index and statistics the planner reads so the
-	// generation restores a query-ready database; the DataGuide (potentially
-	// exponential) is included only if this snapshot already built it.
-	labels := snap.labels()
-	st := snap.statistics()
-	snap.mu.Lock()
-	guide := snap.guide
-	snap.mu.Unlock()
-
 	seq := db.snapSeq.Load() + 1
 	path := filepath.Join(db.dir, snapName(seq))
-	s := &storage.Snapshot{
-		Graph:     snap.g,
-		Labels:    labels,
-		Guide:     guide,
-		Stats:     st,
-		WALBaseFP: baseFP,
-		Applied:   uint64(folded),
-		CommitSeq: commitSeq,
-	}
+	s := snap.image()
+	s.WALBaseFP, s.Applied, s.CommitSeq = baseFP, uint64(folded), commitSeq
 	n, err := storage.WriteSnapshotFile(path, s)
 	if err != nil {
 		return CheckpointInfo{}, err
@@ -489,14 +459,9 @@ func (db *Database) republishPaged(snap *snapshot, seq uint64) error {
 		ps.Close() // a commit won the race; its state is ahead of this image
 		return nil
 	}
-	ns := &snapshot{g: snap.g, paged: ps}
-	snap.mu.Lock()
-	ns.labelIx, ns.guide, ns.stats = snap.labelIx, snap.guide, snap.stats
-	snap.mu.Unlock()
 	db.pageStores = append(db.pageStores, ps)
-	db.snap.Store(ns)
+	db.publish(&snapshot{g: snap.g, paged: ps, derived: snap.built()})
 	db.writeMu.Unlock()
-	db.invalidateStmtPlans()
 	return nil
 }
 
@@ -552,19 +517,8 @@ func (db *Database) SavePath(dir string) error {
 		return fmt.Errorf("core: %s already holds a write-ahead log", dir)
 	}
 	snap := db.snapshot()
-	labels := snap.labels()
-	st := snap.statistics()
-	snap.mu.Lock()
-	guide := snap.guide
-	snap.mu.Unlock()
-	fp := mutate.Fingerprint(snap.g)
-	s := &storage.Snapshot{
-		Graph:     snap.g,
-		Labels:    labels,
-		Guide:     guide,
-		Stats:     st,
-		WALBaseFP: fp, // fresh directory: the log will start at this state
-	}
+	s := snap.image()
+	s.WALBaseFP = mutate.Fingerprint(snap.g) // fresh directory: the log will start at this state
 	_, err = storage.WriteSnapshotFile(filepath.Join(dir, snapName(1)), s)
 	return err
 }

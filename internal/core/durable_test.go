@@ -24,7 +24,7 @@ func canonDB(db *Database) string { return ssd.FormatRoot(bisim.Canonicalize(db.
 func commitN(t *testing.T, db *Database, start, n int) {
 	t.Helper()
 	for i := start; i < start+n; i++ {
-		if err := db.MutateScript(fmt.Sprintf("addnode; addedge 0 %d $0", i)); err != nil {
+		if _, err := db.MutateScriptSeq(fmt.Sprintf("addnode; addedge 0 %d $0", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,6 +277,62 @@ func TestInterruptedTruncationSkipsFoldedPrefix(t *testing.T) {
 	}
 }
 
+// TestOpenPathTornWALHeader: OpenPath writes wal.log's header frame before
+// any commit can be acknowledged, so a crash mid-header leaves a prefix of
+// it. Every such prefix — on a fresh directory and on a SavePath-seeded
+// one — must reopen as the directory's snapshot with an empty log that
+// takes commits; a complete but corrupt header must still be refused.
+func TestOpenPathTornWALHeader(t *testing.T) {
+	seed, err := ParseText(`{a: 1, b: {c: "x"}}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seeded := range []bool{false, true} {
+		dir := t.TempDir()
+		if seeded {
+			must(t, seed.SavePath(dir))
+		}
+		db, err := OpenPath(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := canonDB(db)
+		must(t, db.CloseWAL())
+		walPath := filepath.Join(dir, walFile)
+		header, err := os.ReadFile(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := 0; cut < len(header); cut++ {
+			must(t, os.WriteFile(walPath, header[:cut], 0o644))
+			re, err := OpenPath(dir)
+			if err != nil {
+				t.Fatalf("seeded=%v, header cut to %d bytes: %v", seeded, cut, err)
+			}
+			if ri := re.LastRecovery(); ri.Replayed != 0 || canonDB(re) != want {
+				t.Fatalf("seeded=%v, cut %d: recovery %+v or state differs", seeded, cut, ri)
+			}
+			commitN(t, re, 0, 1)
+			must(t, re.CloseWAL())
+			re2, err := OpenPath(dir)
+			if err != nil {
+				t.Fatalf("seeded=%v, cut %d: reopen after commit: %v", seeded, cut, err)
+			}
+			if ri := re2.LastRecovery(); ri.Replayed != 1 {
+				t.Fatalf("seeded=%v, cut %d: recovery %+v, want the commit replayed", seeded, cut, ri)
+			}
+			must(t, re2.CloseWAL())
+		}
+		bad := append([]byte(nil), header...)
+		bad[len(bad)-1] ^= 0xff
+		must(t, os.WriteFile(walPath, bad, 0o644))
+		if re, err := OpenPath(dir); err == nil {
+			re.CloseWAL()
+			t.Fatalf("seeded=%v: a complete but corrupt header opened", seeded)
+		}
+	}
+}
+
 // TestCheckpointTruncateRace is the -race regression for the checkpoint/
 // commit interleaving: commits land continuously while checkpoints run,
 // and no batch may fall between a generation and the truncated log. The
@@ -295,7 +351,7 @@ func TestCheckpointTruncateRace(t *testing.T) {
 		defer wg.Done()
 		defer close(done)
 		for i := 0; i < commits; i++ {
-			if err := db.MutateScript(fmt.Sprintf("addnode; addedge 0 %d $0", i)); err != nil {
+			if _, err := db.MutateScriptSeq(fmt.Sprintf("addnode; addedge 0 %d $0", i)); err != nil {
 				t.Errorf("commit %d: %v", i, err)
 				return
 			}
@@ -409,7 +465,7 @@ func TestClosedDurableRefusesCommits(t *testing.T) {
 	if err := db.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.MutateScript("addnode; addedge 0 Lost $0"); err == nil {
+	if _, err := db.MutateScriptSeq("addnode; addedge 0 Lost $0"); err == nil {
 		t.Fatal("commit on a closed durable database succeeded")
 	}
 	b := db.Begin()
@@ -417,8 +473,8 @@ func TestClosedDurableRefusesCommits(t *testing.T) {
 	if err := b.AddEdge(db.Graph().Root(), ssd.Sym("Lost"), n); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Apply(b); err == nil {
-		t.Fatal("Apply on a closed durable database succeeded")
+	if err := db.Commit(b); err == nil {
+		t.Fatal("Commit on a closed durable database succeeded")
 	}
 	if _, err := db.Checkpoint(); err == nil {
 		t.Fatal("Checkpoint on a closed durable database succeeded")
@@ -480,14 +536,6 @@ func TestCheckpointRequiresOpenPath(t *testing.T) {
 	}
 	if _, err := db.Checkpoint(); err == nil {
 		t.Fatal("Checkpoint on a non-durable database succeeded")
-	}
-	dir := t.TempDir()
-	if err := db.OpenWAL(filepath.Join(dir, "x.wal")); err != nil {
-		t.Fatal(err)
-	}
-	defer db.CloseWAL()
-	if err := db.CompactWAL(filepath.Join(dir, "x.ssdg")); err != nil {
-		t.Fatal(err) // legacy path still works on non-durable databases
 	}
 }
 

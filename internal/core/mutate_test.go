@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -49,7 +48,7 @@ func TestMutationInvalidatesCaches(t *testing.T) {
 	if err := b.AddEdge(titleNode, ssd.Str("Play It Again"), leaf); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Apply(b); err != nil {
+	if err := db.Commit(b); err != nil {
 		t.Fatal(err)
 	}
 
@@ -97,13 +96,13 @@ func TestMutationInvalidatesCaches(t *testing.T) {
 	}
 }
 
-// TestCommitWALReplay is the acceptance test: a WAL written by one process,
-// replayed by core.Open + OpenWAL in a fresh process, yields a database
-// whose query results are byte-identical via bisim.Canonicalize.
+// TestCommitWALReplay is the acceptance test: commits logged by one
+// process to a durable directory, recovered by OpenPath in a fresh one,
+// yield a database whose query results are byte-identical via
+// bisim.Canonicalize — and so does the directory after a checkpoint folds
+// the log into a new generation.
 func TestCommitWALReplay(t *testing.T) {
 	dir := t.TempDir()
-	base := filepath.Join(dir, "base.ssdg")
-	logPath := filepath.Join(dir, "wal")
 
 	queries := []string{
 		`select T from DB.Entry.Movie.Title T`,
@@ -111,12 +110,10 @@ func TestCommitWALReplay(t *testing.T) {
 		`select X from DB._*.Year X`,
 	}
 
-	// "Process 1": persist the base, open a WAL, commit batches.
-	db := FromGraph(workload.Fig1(false))
-	if err := db.Save(base); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.OpenWAL(logPath); err != nil {
+	// "Process 1": seed the directory, open it, commit batches.
+	must(t, FromGraph(workload.Fig1(false)).SavePath(dir))
+	db, err := OpenPath(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
 	g := db.Graph()
@@ -141,15 +138,14 @@ func TestCommitWALReplay(t *testing.T) {
 	must(t, db.Commit(b))
 	must(t, db.CloseWAL())
 
-	// "Process 2": fresh handle from the files alone.
-	db2, err := Open(base)
+	// "Process 2": a fresh handle from the directory alone.
+	db2, err := OpenPath(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db2.OpenWAL(logPath); err != nil {
-		t.Fatal(err)
+	if ri := db2.LastRecovery(); ri.Replayed != 3 {
+		t.Fatalf("recovery %+v, want the 3 logged batches replayed", ri)
 	}
-
 	if want, got := ssd.FormatRoot(bisim.Canonicalize(db.Graph())), ssd.FormatRoot(bisim.Canonicalize(db2.Graph())); got != want {
 		t.Fatalf("replayed database differs:\n got %s\nwant %s", got, want)
 	}
@@ -162,18 +158,21 @@ func TestCommitWALReplay(t *testing.T) {
 		t.Fatalf("oid lost in replay: %q, %v", id, ok)
 	}
 
-	// Compaction: snapshot + truncated log still reopens identically.
-	must(t, db2.CompactWAL(base))
+	// Checkpoint: the new generation + truncated log still reopens identically.
+	if _, err := db2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	must(t, db2.CloseWAL())
-	db3, err := Open(base)
+	db3, err := OpenPath(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db3.OpenWAL(logPath); err != nil {
-		t.Fatal(err)
+	defer db3.CloseWAL()
+	if ri := db3.LastRecovery(); ri.Replayed != 0 {
+		t.Fatalf("recovery %+v, want nothing left to replay after the checkpoint", ri)
 	}
 	if want, got := canonQuery(t, db, queries[0]), canonQuery(t, db3, queries[0]); got != want {
-		t.Fatal("compacted database diverged")
+		t.Fatal("checkpointed database diverged")
 	}
 }
 
@@ -234,7 +233,7 @@ func TestConcurrentReadersDuringCommit(t *testing.T) {
 		leaf := b.AddNode()
 		must(t, b.AddEdge(entry, ssd.Sym("Tag"), tag))
 		must(t, b.AddEdge(tag, ssd.Str("tag-value"), leaf))
-		must(t, db.Apply(b))
+		must(t, db.Commit(b))
 	}
 	close(stop)
 	wg.Wait()

@@ -286,7 +286,7 @@ func TestPagedCommitThenCheckpoint(t *testing.T) {
 	if _, ok := db.PagePoolStats(); !ok {
 		t.Fatal("paged open did not bind a page store")
 	}
-	if err := db.MutateScript("addnode; addedge 0 999 $0"); err != nil {
+	if _, err := db.MutateScriptSeq("addnode; addedge 0 999 $0"); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := db.PagePoolStats(); ok {

@@ -172,7 +172,7 @@ func TestConcurrentParallelStmtQueryDuringCommits(t *testing.T) {
 				errs <- err
 				return
 			}
-			if err := db.Apply(b); err != nil {
+			if err := db.Commit(b); err != nil {
 				errs <- err
 				return
 			}

@@ -53,7 +53,7 @@ func insertMovie(db *Database, title string) error {
 			return err
 		}
 	}
-	return db.Apply(b)
+	return db.Commit(b)
 }
 
 // TestConcurrentPathStmtDuringCommits: one cached path statement executed
@@ -215,7 +215,7 @@ func TestSizeMatchesStats(t *testing.T) {
 		fmt.Sprintf("relabel %d lost found", orphan),
 		fmt.Sprintf("addnode\naddedge %d again $0\ndeledge %d again $0", root, root),
 	} {
-		if err := db.MutateScript(script); err != nil {
+		if _, err := db.MutateScriptSeq(script); err != nil {
 			t.Fatalf("%q: %v", script, err)
 		}
 		check("after " + script)

@@ -105,9 +105,13 @@ func (db *Database) WaitForSeq(ctx context.Context, seq uint64) error {
 	}
 }
 
-// MutateScriptSeq is MutateScript returning the replication position after
-// the commit — the X-SSD-Seq token a serving layer hands back so the
-// client's next read can demand its own write.
+// MutateScriptSeq parses src in the ssdq mutation script format (see
+// mutate.ParseScript) against the current snapshot, commits it as one batch,
+// and returns the replication position after the commit — the X-SSD-Seq
+// token a serving layer hands back so the client's next read can demand its
+// own write. The writer lock is held across parse and commit, so the
+// script's node references can never be invalidated by an interleaving
+// writer.
 //
 //ssd:locks writeMu
 func (db *Database) MutateScriptSeq(src string) (uint64, error) {
@@ -117,7 +121,7 @@ func (db *Database) MutateScriptSeq(src string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := db.commitLocked(b, true); err != nil {
+	if err := db.commitLocked(b); err != nil {
 		return 0, err
 	}
 	return db.replSeq.Load(), nil
@@ -171,7 +175,7 @@ func (db *Database) ApplyReplicated(frame []byte) (uint64, error) {
 	}
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	if err := db.commitLocked(b, true); err != nil {
+	if err := db.commitLocked(b); err != nil {
 		return 0, err
 	}
 	return db.replSeq.Load(), nil
@@ -211,15 +215,10 @@ func SeedPathSnapshot(dir string, data []byte) error {
 	if initialized {
 		return fmt.Errorf("core: %s already holds a durable database", dir)
 	}
-	tmp := filepath.Join(dir, "bootstrap.tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, snapName(1))); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	// Atomically: a torn snap-1 would make OpenPath refuse the directory
+	// while PathInitialized reports it seeded, so it could never reseed.
+	_, err = storage.WriteFileAtomic(filepath.Join(dir, snapName(1)), data)
+	return err
 }
 
 // ReplaceFromSnapshot rebinds the database to a decoded leader snapshot —
@@ -263,10 +262,7 @@ func (db *Database) ReplaceFromSnapshot(s *storage.Snapshot) error {
 	}
 	db.snapSeq.Store(seq)
 	db.pruneSnapshots(seq)
-	db.snap.Store(&snapshot{
-		g: s.Graph, labelIx: s.Labels, guide: s.Guide, stats: s.Stats,
-	})
-	db.invalidateStmtPlans()
+	db.publish(&snapshot{g: s.Graph, derived: derived{labelIx: s.Labels, guide: s.Guide, stats: s.Stats}})
 	db.setSeq(s.CommitSeq)
 	obsCkptGen.Set(int64(seq))
 	return nil

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/mutate"
-	"repro/internal/ssd"
 	"repro/internal/storage"
 )
 
@@ -322,32 +321,5 @@ func TestReplaceFromSnapshot(t *testing.T) {
 	}
 	if got := re.CommitSeq(); got != 7 {
 		t.Fatalf("restarted CommitSeq = %d, want 7", got)
-	}
-}
-
-// TestUnloggedApplyDoesNotAdvanceSeq: on a WAL-backed database only logged
-// commits advance the replication position — an unlogged apply would break
-// the position↔frame mapping replication depends on.
-func TestUnloggedApplyDoesNotAdvanceSeq(t *testing.T) {
-	db, err := OpenPath(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.CloseWAL()
-	commitN(t, db, 0, 2)
-	b := db.Begin()
-	n := b.AddNode()
-	if err := b.AddEdge(db.Graph().Root(), ssd.Sym("side"), n); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Apply(b); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.CommitSeq(); got != 2 {
-		t.Fatalf("unlogged apply moved CommitSeq to %d, want 2", got)
-	}
-	commitN(t, db, 2, 1)
-	if got := db.CommitSeq(); got != 3 {
-		t.Fatalf("logged commit after unlogged apply: CommitSeq = %d, want 3", got)
 	}
 }

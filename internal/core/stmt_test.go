@@ -301,7 +301,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	if err := b.AddEdge(titleNode, ssd.Str("Play It Again"), leaf); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Apply(b); err != nil {
+	if err := db.Commit(b); err != nil {
 		t.Fatal(err)
 	}
 	if got := countRows(pinned); got != 2 {
@@ -404,7 +404,7 @@ func TestConcurrentStmtQueryDuringCommits(t *testing.T) {
 				errs <- err
 				return
 			}
-			if err := db.Apply(b); err != nil {
+			if err := db.Commit(b); err != nil {
 				errs <- err
 				return
 			}

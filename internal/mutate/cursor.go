@@ -23,11 +23,11 @@ import (
 //     in-flight write, or a torn tail after a crash) is indistinguishable
 //     from "no frame yet" and is never surfaced to the consumer.
 //
-// Log truncation (TruncatePrefix) replaces the file via rename, and
-// compaction (Compact) shrinks it in place; both invalidate the cursor's
-// offset-to-frame mapping. The cursor detects either — a changed inode, or
-// a file now shorter than its read offset — and reports ErrCursorRebound so
-// the caller can re-derive its position and open a fresh cursor.
+// Log truncation (TruncatePrefix) replaces the file via rename, which
+// invalidates the cursor's offset-to-frame mapping. The cursor detects that
+// — a changed inode — and, defensively, a file shrunk in place below its
+// read offset, and reports ErrCursorRebound so the caller can re-derive its
+// position and open a fresh cursor.
 
 // ErrNoFrame reports that no complete frame exists at the cursor's offset
 // yet: the tail is either clean end-of-log or a partial in-flight frame.
@@ -35,7 +35,7 @@ import (
 var ErrNoFrame = errors.New("mutate: no complete frame at the log tail yet")
 
 // ErrCursorRebound reports that the log file was replaced or truncated under
-// the cursor (checkpoint truncation or compaction): the cursor's frame
+// the cursor (a checkpoint's prefix truncation): the cursor's frame
 // indexing no longer describes the file at its path. Re-derive the position
 // and open a new cursor.
 var ErrCursorRebound = errors.New("mutate: log truncated or replaced under cursor")
@@ -163,7 +163,7 @@ func (c *Cursor) frameAt(off int64) ([]byte, error) {
 // rebound reports whether the file at the cursor's path is no longer the one
 // (or the prefix) the cursor has been reading: a rename swapped the inode
 // (TruncatePrefix), or an in-place truncation shrank it below the cursor's
-// offset (Compact). Called only when no complete frame is available, so a
+// offset. Called only when no complete frame is available, so a
 // false negative just means one more poll.
 func (c *Cursor) rebound() bool {
 	cur, err := c.f.Stat()

@@ -276,46 +276,28 @@ func TestCursorReboundOnTruncatePrefix(t *testing.T) {
 	}
 }
 
-// TestCursorReboundOnCompact: compaction truncates the log in place (same
-// inode), so rebind detection must catch the size shrinking below the
-// cursor's offset even though the inode is unchanged.
+// TestCursorReboundOnCompact: a log shrunk in place (same inode) below the
+// cursor's offset must be caught by the size check even though the inode
+// is unchanged: no writer path shrinks a live log in place, but the cursor
+// must never misread a shorter file through stale offsets.
 func TestCursorReboundOnCompact(t *testing.T) {
-	dir := t.TempDir()
-	g := fig1Fragment()
-	path := filepath.Join(dir, "wal")
-	w, err := OpenWAL(path, Fingerprint(fig1Fragment()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	path, w, payloads := cursorTestLog(t, t.TempDir(), 3)
 	defer w.Close()
-	for i := 0; i < 3; i++ {
-		b := NewBatch(g)
-		n := b.AddNode()
-		if err := b.AddEdge(g.Root(), ssd.Sym("r"), n); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ApplyInPlace(g, b); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Append(b); err != nil {
-			t.Fatal(err)
-		}
-	}
 	c, err := OpenCursor(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for i := 0; i < 3; i++ {
+	for range payloads {
 		if _, err := c.Next(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Compact(filepath.Join(dir, "snap"), g); err != nil {
+	if err := os.Truncate(path, int64(len(appendFrame(nil, headerPayload(0))))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Next(); !errors.Is(err, ErrCursorRebound) {
-		t.Fatalf("after Compact: err = %v, want ErrCursorRebound", err)
+		t.Fatalf("after an in-place shrink: err = %v, want ErrCursorRebound", err)
 	}
 }
 

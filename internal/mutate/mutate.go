@@ -13,8 +13,12 @@
 //     (ApplyCOW), producing the edge Delta that drives incremental
 //     maintenance of indexes and DataGuides;
 //   - an append-only write-ahead log (wal.go) with Open/Replay/Append/
-//     Compact, so a database file plus its WAL replays to exactly the
-//     in-memory graph.
+//     TruncatePrefix, so a snapshot plus its WAL replays to exactly the
+//     in-memory graph, and a checkpoint drops exactly the prefix the next
+//     snapshot folded in.
+//
+// Batches are built with Begin and published with Commit through
+// core.Database, which logs every batch before publishing it.
 //
 // A small text script format (script.go) exposes the record types to the
 // ssdq CLI.
@@ -202,8 +206,8 @@ func ApplyCOW(g *ssd.Graph, b *Batch) (*ssd.Graph, Result, error) {
 }
 
 // ApplyInPlace applies the batch directly to g, which must not be visible to
-// concurrent readers. It is the replay path: WAL batches are applied to a
-// private clone before the result is published.
+// concurrent readers. It is the recovery path: WAL batches are replayed
+// onto the freshly decoded snapshot graph before anything is published.
 func ApplyInPlace(g *ssd.Graph, b *Batch) (Result, error) {
 	return applyRecs(g, b, false)
 }

@@ -134,8 +134,8 @@ func TestTruncatePrefixThenAppend(t *testing.T) {
 
 // TestOpenWALMatching covers the recovery-side open: the matched
 // fingerprint is reported, and a log bound to no accepted fingerprint is a
-// hard error (never set aside — that would silently drop commits in a
-// durable directory).
+// hard error through both OpenWALMatching and OpenWAL (never set aside —
+// that would silently drop acknowledged commits).
 func TestOpenWALMatching(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	base, w, _ := truncBase(t, path, 2)
@@ -157,9 +157,16 @@ func TestOpenWALMatching(t *testing.T) {
 	if _, _, err := OpenWALMatching(path, 0x12345678); err == nil {
 		t.Fatal("unknown binding accepted")
 	}
-	if _, statErr := os.Stat(path + ".stale"); !os.IsNotExist(statErr) {
-		t.Fatal("OpenWALMatching set the log aside on mismatch")
+	if _, err := OpenWAL(path, 0x12345678); err == nil {
+		t.Fatal("OpenWAL accepted a log bound to another snapshot")
 	}
+	if _, statErr := os.Stat(path + ".stale"); !os.IsNotExist(statErr) {
+		t.Fatal("a mismatched log was set aside")
+	}
+	if rw, err = OpenWAL(path, fp); err != nil || rw.Batches() != 2 {
+		t.Fatalf("refused opens changed the log: %v", err)
+	}
+	rw.Close()
 
 	// A fresh file is created bound to the first fingerprint.
 	fresh := filepath.Join(t.TempDir(), "fresh.log")

@@ -22,13 +22,11 @@ import (
 //
 // Open scans existing frames and truncates a torn tail (a partial final
 // frame from a crashed writer), so replay is exactly the committed prefix.
-// A log whose header names a different snapshot is set aside as
-// <path>.stale and a fresh log is started: its batches were built against
-// a base that no longer exists, so replaying them would corrupt rather
-// than recover — this is exactly the state a crash between Compact's
-// snapshot rename and log truncation leaves behind, and setting the log
-// aside completes that interrupted compaction. Append syncs after every
-// frame: once Append returns, the batch survives a crash.
+// A log whose header names a different snapshot is an error: its batches
+// were built against a base the caller does not hold, so replaying them
+// would corrupt rather than recover, and dropping them would lose
+// acknowledged commits. Append syncs after every frame: once Append
+// returns, the batch survives a crash.
 type WAL struct {
 	path string
 	f    *os.File
@@ -41,10 +39,10 @@ type WAL struct {
 	pending  [][]byte // batch payloads read at Open, consumed by Replay
 	batches  int      // batch frames appended + replayable
 	replayed bool
-	// broken latches the error of a truncation or compaction that failed
-	// after its point of no return (the on-disk log no longer matches this
-	// handle's state). Every subsequent write refuses with it: acking a
-	// commit that the on-disk log does not hold would be silent data loss.
+	// broken latches the error of a truncation that failed after its point
+	// of no return (the on-disk log no longer matches this handle's state).
+	// Every subsequent write refuses with it: acking a commit that the
+	// on-disk log does not hold would be silent data loss.
 	broken error
 }
 
@@ -64,24 +62,20 @@ func headerPayload(fp uint32) []byte {
 
 // OpenWAL opens (creating if necessary) the log at path, binding it to the
 // base snapshot with the given fingerprint (Fingerprint of the graph the
-// log's batches extend). Call Replay to apply the logged batches, then
-// Append to extend the log.
+// log's batches extend). A log bound to a different snapshot is an error.
+// Call Replay to apply the logged batches, then Append to extend the log.
 func OpenWAL(path string, fp uint32) (*WAL, error) {
-	w, _, err := openWAL(path, []uint32{fp}, true)
+	w, _, err := OpenWALMatching(path, fp)
 	return w, err
 }
 
 // OpenWALMatching opens the log at path accepting any of the given binding
-// fingerprints, and reports which one the header carried. Unlike OpenWAL it
-// never sets a mismatched log aside: in a durable directory (core.OpenPath)
-// a log bound to no known snapshot means lost commits, so the mismatch is
-// surfaced as an error instead of silently starting fresh. A missing or
-// empty log is created bound to fps[0].
+// fingerprints, and reports which one the header carried. A log bound to no
+// accepted fingerprint means commits the caller cannot account for, so it
+// is an error, never silently restarted. A missing or empty log — or one
+// whose header frame was torn mid-write, which no acknowledged batch can
+// follow — is (re)started bound to fps[0].
 func OpenWALMatching(path string, fps ...uint32) (*WAL, uint32, error) {
-	return openWAL(path, fps, false)
-}
-
-func openWAL(path string, fps []uint32, sideline bool) (*WAL, uint32, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, 0, err
@@ -91,7 +85,6 @@ func openWAL(path string, fps []uint32, sideline bool) (*WAL, uint32, error) {
 		f.Close()
 		return nil, 0, err
 	}
-	w := &WAL{path: path, f: f}
 	frames, end := scanFrames(data)
 	matched, headerOK := fps[0], false
 	if len(frames) > 0 {
@@ -102,28 +95,19 @@ func openWAL(path string, fps []uint32, sideline bool) (*WAL, uint32, error) {
 			}
 		}
 	}
-	if len(data) > 0 && !headerOK {
-		if !sideline {
+	w := &WAL{path: path, f: f, fp: matched}
+	if !headerOK {
+		// A complete frame, or as many bytes as a header frame, that is not
+		// an accepted header: a log bound elsewhere, or a corrupt one.
+		if len(frames) > 0 || len(data) >= len(appendFrame(nil, headerPayload(0))) {
 			f.Close()
 			return nil, 0, fmt.Errorf("mutate: WAL %s is bound to an unknown snapshot", path)
 		}
-		// Unreadable header, or a log bound to a different snapshot. Set the
-		// file aside rather than truncate — its batches may matter to someone
-		// (see the type comment) — and start fresh.
-		f.Close()
-		if err := os.Rename(path, path+".stale"); err != nil {
+		// Fresh log, or a header torn before its sync: write the header.
+		if err := f.Truncate(0); err != nil {
+			f.Close()
 			return nil, 0, err
 		}
-		if f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644); err != nil {
-			return nil, 0, err
-		}
-		w.f = f
-		frames, end = nil, 0
-		data = nil
-	}
-	w.fp = matched
-	if len(frames) == 0 {
-		// Fresh (or reset) log: write the binding header.
 		if err := w.writeFrame(headerPayload(matched)); err != nil {
 			f.Close()
 			return nil, 0, err
@@ -282,7 +266,9 @@ func (w *WAL) TruncatePrefix(k int, newFP uint32) error {
 	}
 	// Write the replacement through a handle we keep: after the rename the
 	// same handle refers to the live log, so there is no reopen that could
-	// fail and leave the WAL appending to an unlinked inode.
+	// fail and leave the WAL appending to an unlinked inode. That is why this
+	// is a copy of storage.WriteFileAtomic's protocol rather than a call to
+	// it: the helper closes its file before the rename.
 	tmp := w.path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -325,76 +311,8 @@ func (w *WAL) TruncatePrefix(k int, newFP uint32) error {
 	return nil
 }
 
-// Compact persists g — the graph every logged batch has been applied to —
-// as the new snapshot at snapshotPath (storage's binary format) and resets
-// the log to an empty one bound to the new snapshot: snapshot + empty log
-// is equivalent to the old snapshot + the full log. The snapshot is
-// written to a temporary file, synced, and atomically renamed over the old
-// one, so a crash at any point leaves a replayable state: before the
-// rename, the old snapshot plus the full log; after it, the new snapshot
-// plus a log that OpenWAL will recognize (by its header fingerprint) as
-// belonging to the old snapshot and set aside.
-//
-// Like TruncatePrefix, Compact must run under the writer lock that
-// serializes Append: a commit landing between the snapshot rename and the
-// log reset would be truncated away and lost.
-//
-//ssd:requires writeMu
-func (w *WAL) Compact(snapshotPath string, g *ssd.Graph) error {
-	if w.broken != nil {
-		return w.broken
-	}
-	tmp := snapshotPath + ".compact"
-	if err := storage.WriteFile(tmp, g); err != nil {
-		return err
-	}
-	if err := syncFile(tmp); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, snapshotPath); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Point of no return: the new snapshot is in place, so the log on disk
-	// now describes a superseded base. A failure before the reset header is
-	// durable must poison the handle — an append to the stale-bound log
-	// would be set aside (and lost) at the next open.
-	poison := func(err error) error {
-		w.broken = fmt.Errorf("mutate: WAL %s: compaction failed after snapshot rename: %w", w.path, err)
-		return w.broken
-	}
-	if err := syncDir(snapshotPath); err != nil {
-		return poison(err)
-	}
-	if err := w.f.Truncate(0); err != nil {
-		return poison(err)
-	}
-	if _, err := w.f.Seek(0, 0); err != nil {
-		return poison(err)
-	}
-	w.end.Store(0)
-	obsWALBytes.Set(0)
-	w.batches = 0
-	w.pending = nil
-	w.fp = Fingerprint(g)
-	if err := w.writeFrame(headerPayload(w.fp)); err != nil {
-		return poison(err)
-	}
-	return nil
-}
-
 // Close releases the log's file handle.
 func (w *WAL) Close() error { return w.f.Close() }
-
-func syncFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Sync()
-}
 
 func syncDir(path string) error {
 	d, err := os.Open(filepath.Dir(path))

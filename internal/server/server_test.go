@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -271,13 +270,19 @@ func TestOversizedBodyRefused(t *testing.T) {
 // batches through /mutate. Every response must be internally consistent
 // (terminal line matches row count, no mid-stream errors).
 func TestConcurrentQueriesDuringCommits(t *testing.T) {
-	_, ts, db := newTestServer(t, 300, 3)
-	// Commits go through an attached WAL, as in production: durability on
-	// the write path must not perturb the readers' pinned snapshots.
-	if err := db.OpenWAL(filepath.Join(t.TempDir(), "wal")); err != nil {
+	// A durable directory, as in production: logging on the write path must
+	// not perturb the readers' pinned snapshots.
+	dir := t.TempDir()
+	if err := core.FromGraph(workload.Movies(workload.DefaultMovieConfig(300))).SavePath(dir); err != nil {
+		t.Fatal(err)
+	}
+	db, err := core.OpenPath(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.CloseWAL()
+	ts := httptest.NewServer(New(db, Config{Parallelism: 3}).Handler())
+	defer ts.Close()
 	const (
 		readers = 6
 		rounds  = 8

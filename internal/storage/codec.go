@@ -15,6 +15,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 
 	"repro/internal/ssd"
 )
@@ -142,9 +143,52 @@ func Decode(data []byte) (*ssd.Graph, error) {
 	return g, nil
 }
 
-// WriteFile encodes g to path.
+// WriteFile encodes g to path, atomically (see WriteFileAtomic).
 func WriteFile(path string, g *ssd.Graph) error {
-	return os.WriteFile(path, Encode(g), 0o644)
+	_, err := WriteFileAtomic(path, Encode(g))
+	return err
+}
+
+// WriteFileAtomic replaces path with the concatenation of parts and reports
+// the bytes written. It is the one crash-safe file-replace protocol of the
+// on-disk formats: write <path>.tmp, fsync it, rename it over path, fsync
+// the directory. A crash at any point leaves either the old file or the
+// complete new one at path, never a partial write; a leftover .tmp is never
+// read by anyone.
+func WriteFileAtomic(path string, parts ...[]byte) (int64, error) {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return 0, err
+	}
+	var n int64
+	for _, p := range parts {
+		var m int
+		m, err = f.Write(p)
+		n += int64(m)
+		if err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return 0, err
+	}
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
+		// Directory fsync is advisory on some platforms; best-effort.
+		d.Sync()
+		d.Close()
+	}
+	return n, nil
 }
 
 // ReadFile decodes a graph from path.
@@ -246,7 +290,9 @@ func (r *reader) str() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if r.pos+int(n) > len(r.data) {
+	// Compare in uint64: a corrupt length can exceed int range, and
+	// converting first would wrap negative and pass the check.
+	if n > uint64(len(r.data)-r.pos) {
 		return "", io.ErrUnexpectedEOF
 	}
 	s := string(r.data[r.pos : r.pos+int(n)])

@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
@@ -111,9 +110,9 @@ type PoolStats struct {
 
 // WritePageFile lays g out as a page file at path: records in clustering
 // order c, pages of pageSize bytes (0 means DefaultPageSize). The write is
-// atomic (temp file + rename), so a crash leaves either the old complete
-// file or none — the torn-write recovery story is "rebuild from the
-// snapshot", not page-level repair.
+// atomic (WriteFileAtomic), so a crash leaves either the old complete file
+// or none — the torn-write recovery story is "rebuild from the snapshot",
+// not page-level repair.
 func WritePageFile(path string, g *ssd.Graph, c Clustering, pageSize int) error {
 	if pageSize == 0 {
 		pageSize = DefaultPageSize
@@ -182,28 +181,8 @@ func WritePageFile(path string, g *ssd.Graph, c Clustering, pageSize int) error 
 		head = binary.LittleEndian.AppendUint32(head, p)
 	}
 	head = binary.LittleEndian.AppendUint32(head, crc32.ChecksumIEEE(head))
-
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(head); err != nil {
-		tmp.Close()
-		return err
-	}
-	if _, err := tmp.Write(pages); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	_, err := WriteFileAtomic(path, head, pages)
+	return err
 }
 
 // appendNodeRecord encodes one node's adjacency record — the snapshot

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 
 	"repro/internal/dataguide"
 	"repro/internal/index"
@@ -500,41 +499,10 @@ func decodeGuide(data []byte, source *ssd.Graph) (*dataguide.Guide, error) {
 	return dataguide.Restore(gg, extents, source)
 }
 
-// WriteSnapshotFile writes s to path atomically — encode to <path>.tmp,
-// fsync, rename over path, fsync the directory — and reports the file size.
-// A crash at any point leaves either the old file or the new one, never a
-// partial write at the final name.
+// WriteSnapshotFile encodes s and writes it to path atomically (see
+// WriteFileAtomic), reporting the file size.
 func WriteSnapshotFile(path string, s *Snapshot) (int64, error) {
-	data := EncodeSnapshot(s)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		// Directory fsync is advisory on some platforms; best-effort.
-		d.Sync()
-		d.Close()
-	}
-	return int64(len(data)), nil
+	return WriteFileAtomic(path, EncodeSnapshot(s))
 }
 
 // ReadSnapshotFile reads and decodes one snapshot file.
