@@ -211,10 +211,10 @@ func (db *Database) Prepare(src string) (*Stmt, error) {
 		}
 		s.q = q
 		s.params = q.Params
-		for i, name := range treeVarNames(q) {
+		tv, lv, pv := q.SlotVars()
+		for i, name := range tv {
 			s.cols = append(s.cols, col{kind: colTree, slot: i, name: name})
 		}
-		lv, pv := labelPathVarNames(q)
 		for i, name := range lv {
 			s.cols = append(s.cols, col{kind: colLabel, slot: i, name: "%" + name})
 		}
@@ -251,41 +251,6 @@ func (db *Database) Prepare(src string) (*Stmt, error) {
 		}
 	}
 	return s, nil
-}
-
-// treeVarNames returns the from-clause variables in binding order — the
-// planner assigns tree slots in exactly this order (the slot-assignment
-// loop in query/plan.go is the peer of this walk; TestStmtRowsStreaming
-// cross-checks Scan's slot reads against Env's name lookups).
-func treeVarNames(q *query.Query) []string {
-	names := make([]string, len(q.From))
-	for i, b := range q.From {
-		names[i] = b.Var
-	}
-	return names
-}
-
-// labelPathVarNames returns label and path variables in first-occurrence
-// order over the from clause, mirroring the planner's slot assignment.
-func labelPathVarNames(q *query.Query) (labels, paths []string) {
-	seenL, seenP := map[string]bool{}, map[string]bool{}
-	for _, b := range q.From {
-		for _, st := range b.Path {
-			switch t := st.(type) {
-			case query.LabelVarStep:
-				if !seenL[t.Name] {
-					seenL[t.Name] = true
-					labels = append(labels, t.Name)
-				}
-			case query.PathVarStep:
-				if !seenP[t.Name] {
-					seenP[t.Name] = true
-					paths = append(paths, t.Name)
-				}
-			}
-		}
-	}
-	return labels, paths
 }
 
 // Lang returns the statement's sniffed language.
@@ -566,18 +531,13 @@ func (s *Stmt) queryTrace(ctx context.Context, tr *QueryTrace, args []Param) (*R
 		var et *query.ExecTrace
 		if tr != nil {
 			tr.PlanPooled = pooled
+			tr.Parallel = len(workers) > 0
 			et = new(query.ExecTrace)
 		}
-		var cur *query.Cursor
 		if len(workers) > 0 {
 			obsParallelQueries.Inc()
-			if tr != nil {
-				tr.Parallel = true
-			}
-			cur, err = p.CursorParallelTrace(ctx, vals, workers, morselSize, et)
-		} else {
-			cur, err = p.CursorTrace(ctx, vals, et)
 		}
+		cur, err := p.CursorParallel(ctx, vals, workers, morselSize, et)
 		if err != nil {
 			s.checkinPlan(snap, p)
 			s.checkinPlans(snap, workers)
@@ -638,7 +598,7 @@ func (s *Stmt) execInner(ctx context.Context, args []Param) (*Database, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := p.EvalGraphCtx(ctx, query.Options{Minimize: true, Params: vals})
+		res, err := p.EvalGraphCtx(ctx, vals)
 		s.checkinPlan(snap, p)
 		if err != nil {
 			return nil, err

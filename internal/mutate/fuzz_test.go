@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/ssd"
 	"repro/internal/storage"
 )
 
@@ -22,21 +23,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		f.Add(EncodeBatch(randBatch(g, rng, 1+rng.Intn(12))))
 	}
 	// The insert, relabel and delete shapes of the benchmark's write mix.
-	for _, script := range []string{
-		`addnode; addnode; addnode; addnode; addnode; addnode; addnode; addnode; addnode
-addedge 0 Entry $0
-addedge $0 Movie $1
-addedge $1 Title $2
-addedge $2 "Title 7" $3
-addedge $1 Cast $4
-addedge $4 1 $5
-addedge $5 "Actor 7" $6
-addedge $1 Director $7
-addedge $7 "Director 7" $8
-`,
-		`relabel 3 "Casablanca" "Casablanca r"`,
-		`deledge 0 Entry 1`,
-	} {
+	for _, script := range writeMixScripts[:3] {
 		b, err := ParseScript(script, g)
 		if err != nil {
 			f.Fatal(err)
@@ -50,18 +37,80 @@ addedge $7 "Director 7" $8
 		if err != nil {
 			return
 		}
-		back, err := DecodeBatch(EncodeBatch(b))
-		if err != nil {
-			t.Fatalf("re-encoded batch does not decode: %v", err)
-		}
-		if back.BaseNodes() != b.BaseNodes() || !sameRecs(back.Recs(), b.Recs()) {
-			t.Fatal("encode/decode round trip changed the batch")
-		}
-		ApplyCOW(g, b) // either outcome is fine; a panic fails the fuzzer
-		if canon(g) != want {
-			t.Fatal("ApplyCOW changed its input graph")
-		}
+		checkBatch(t, g, want, b)
 	})
+}
+
+// writeMixScripts are mutation scripts against fig1Fragment: first the
+// insert, relabel and delete shapes of the benchmark's /mutate write mix,
+// then the same shapes as a client may send them (trailing newlines,
+// comments, the statements the mix never uses).
+var writeMixScripts = []string{
+	`addnode; addnode; addnode; addnode; addnode; addnode; addnode; addnode; addnode
+addedge 0 Entry $0
+addedge $0 Movie $1
+addedge $1 Title $2
+addedge $2 "Title 7" $3
+addedge $1 Cast $4
+addedge $4 1 $5
+addedge $5 "Actor 7" $6
+addedge $1 Director $7
+addedge $7 "Director 7" $8
+`,
+	`relabel 3 "Casablanca" "Casablanca r"`,
+	`deledge 0 Entry 1`,
+	"relabel 3 \"Casablanca\" \"Casablanca \\\"r\\\"\"\n",
+	"deledge 0 Entry 1\n",
+	`// attach a year subtree and rename the director edge
+addnode ; addnode
+addedge 2 Year $0
+addedge $0 1942 $1
+relabel 2 Director "Directed By"
+setoid $0 &y1
+setroot 1`,
+	`addnode; addedge 0 n $0; addedge $0 2.5 $0; addedge $0 true 0`,
+}
+
+// FuzzParseScript feeds arbitrary text to the mutation script parser — the
+// body of a /mutate request. ParseScript must never panic; a script it
+// accepts must apply copy-on-write without panicking and without touching
+// the base graph, and its batch must survive an encode/decode round trip
+// unchanged.
+//
+//	go test -run=NONE -fuzz=FuzzParseScript -fuzztime=20s ./internal/mutate
+func FuzzParseScript(f *testing.F) {
+	g := fig1Fragment()
+	for _, script := range writeMixScripts {
+		f.Add(script)
+	}
+	want := canon(g)
+
+	f.Fuzz(func(t *testing.T, script string) {
+		b, err := ParseScript(script, g)
+		if err != nil {
+			return
+		}
+		checkBatch(t, g, want, b)
+	})
+}
+
+// checkBatch is the fuzzers' shared oracle for an accepted batch against g
+// (whose canonical form is want): the encode/decode round trip preserves
+// it, and ApplyCOW returns either outcome without panicking and without
+// changing g.
+func checkBatch(t *testing.T, g *ssd.Graph, want string, b *Batch) {
+	t.Helper()
+	back, err := DecodeBatch(EncodeBatch(b))
+	if err != nil {
+		t.Fatalf("re-encoded batch does not decode: %v", err)
+	}
+	if back.BaseNodes() != b.BaseNodes() || !sameRecs(back.Recs(), b.Recs()) {
+		t.Fatal("encode/decode round trip changed the batch")
+	}
+	ApplyCOW(g, b) // either outcome is fine; a panic fails the fuzzer
+	if canon(g) != want {
+		t.Fatal("ApplyCOW changed its input graph")
+	}
 }
 
 // sameRecs compares records field by field, labels by their wire encoding:

@@ -6,8 +6,8 @@ import (
 	"repro/internal/ssd"
 )
 
-// Traversal is a resumable, pull-based product-graph traversal: the iterator
-// form of Automaton.Eval. It explores (node, lazy-DFA state) pairs and yields
+// Traversal is a resumable, pull-based product-graph traversal — the one
+// lazy-DFA product search; Automaton.Eval drains it. It explores (node, lazy-DFA state) pairs and yields
 // each accepting node exactly once, on demand, sharing the automaton's
 // memoized subset construction across runs. A Traversal is reset-able: after
 // Reset it can be reused for a new start node with no allocation beyond what

@@ -1,6 +1,7 @@
 package pathexpr
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -255,54 +256,20 @@ func (au *Automaton) EvalNFA(g ssd.GraphStore, start ssd.NodeID) []ssd.NodeID {
 	return sortedNodes(resultSet)
 }
 
-// Eval runs the lazy-subset (on-the-fly DFA) product BFS: node × subset
-// pairs, with per-subset transition results memoized by concrete label. On
-// graphs with repeated labels this does each (subset, label) predicate
-// evaluation once instead of once per edge.
+// Eval runs the lazy-subset (on-the-fly DFA) product search — node × subset
+// pairs, with per-subset transition results memoized by concrete label — and
+// returns the sorted, never-nil set of accepting nodes. It is a Traversal
+// drained to exhaustion: one product search serves both the materialized
+// and the streaming face.
 func (au *Automaton) Eval(g ssd.GraphStore, start ssd.NodeID) []ssd.NodeID {
-	d0 := au.dstart
-	type item struct {
-		node   ssd.NodeID
-		dstate int
+	t := au.NewTraversal(g)
+	t.Reset(start)
+	out := []ssd.NodeID{}
+	for n, ok := t.Next(); ok; n, ok = t.Next() {
+		out = append(out, n)
 	}
-	n := g.NumNodes()
-	// visited[dstate] is a lazily allocated per-node bitmap: the number of
-	// reachable dstates is tiny in practice, so this beats hashing
-	// (node, dstate) pairs by a wide margin.
-	visited := make([][]bool, 0, 8)
-	see := func(node ssd.NodeID, d int) bool {
-		for d >= len(visited) {
-			visited = append(visited, nil)
-		}
-		if visited[d] == nil {
-			visited[d] = make([]bool, n)
-		}
-		if visited[d][node] {
-			return false
-		}
-		visited[d][node] = true
-		return true
-	}
-	see(start, d0)
-	queue := []item{{start, d0}}
-	resultSet := make(map[ssd.NodeID]bool)
-	for len(queue) > 0 {
-		it := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if au.daccept[it.dstate] {
-			resultSet[it.node] = true
-		}
-		for _, e := range g.Out(it.node) {
-			nd := au.dstep(it.dstate, e.Label)
-			if nd < 0 {
-				continue // dead subset
-			}
-			if see(e.To, nd) {
-				queue = append(queue, item{e.To, nd})
-			}
-		}
-	}
-	return sortedNodes(resultSet)
+	slices.Sort(out)
+	return out
 }
 
 // dstateOf interns a sorted NFA state set as a dstate id.
@@ -352,38 +319,6 @@ func sortedNodes(set map[ssd.NodeID]bool) []ssd.NodeID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Matches reports whether any path from start matches the expression (i.e.
-// Eval is non-empty), short-circuiting on the first accepting pair.
-func (au *Automaton) Matches(g ssd.GraphStore, start ssd.NodeID) bool {
-	d0 := au.dstart
-	type item struct {
-		node   ssd.NodeID
-		dstate int
-	}
-	visited := map[item]bool{}
-	queue := []item{{start, d0}}
-	visited[queue[0]] = true
-	for len(queue) > 0 {
-		it := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if au.daccept[it.dstate] {
-			return true
-		}
-		for _, e := range g.Out(it.node) {
-			nd := au.dstep(it.dstate, e.Label)
-			if nd < 0 {
-				continue
-			}
-			ni := item{e.To, nd}
-			if !visited[ni] {
-				visited[ni] = true
-				queue = append(queue, ni)
-			}
-		}
-	}
-	return false
 }
 
 type prodItem struct {

@@ -191,10 +191,16 @@ func TestPlusRequiresOne(t *testing.T) {
 
 func TestMatches(t *testing.T) {
 	g := figure1(t)
-	if !MustCompile(`_*."Bogart"`).Matches(g, g.Root()) {
+	matches := func(src string) bool {
+		tr := MustCompile(src).NewTraversal(g)
+		tr.Reset(g.Root())
+		_, ok := tr.Next()
+		return ok
+	}
+	if !matches(`_*."Bogart"`) {
 		t.Error("Bogart should match")
 	}
-	if MustCompile(`_*."Welles"`).Matches(g, g.Root()) {
+	if matches(`_*."Welles"`) {
 		t.Error("Welles should not match")
 	}
 }

@@ -26,6 +26,7 @@
 package query
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/pathexpr"
@@ -41,8 +42,34 @@ type Query struct {
 	// Params lists the $parameter names occurring in the query, in first-
 	// occurrence order (from-paths before where). Populated by Parse; a
 	// query with parameters must be executed through a parameter-aware
-	// entry point (Plan.Cursor, Options.Params, or SubstParams).
+	// entry point (Plan.Cursor, Plan.EvalGraphCtx, or SubstParams).
 	Params []string
+}
+
+// SlotVars returns the query's variable names in plan slot order: tree
+// variables in from-clause binding order, label and path variables by first
+// occurrence over the from clause. The planner assigns slots from exactly
+// this list, and Cursor's slot accessors (and the statement layer's result
+// columns) follow it. Tree names are returned as written, duplicates
+// included; NewPlan rejects those.
+func (q *Query) SlotVars() (trees, labels, paths []string) {
+	trees = make([]string, len(q.From))
+	for i, b := range q.From {
+		trees[i] = b.Var
+		for _, st := range b.Path {
+			switch t := st.(type) {
+			case LabelVarStep:
+				if !slices.Contains(labels, t.Name) {
+					labels = append(labels, t.Name)
+				}
+			case PathVarStep:
+				if !slices.Contains(paths, t.Name) {
+					paths = append(paths, t.Name)
+				}
+			}
+		}
+	}
+	return trees, labels, paths
 }
 
 // Binding is one comma-separated element of the from clause: it walks Path

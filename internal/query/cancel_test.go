@@ -54,7 +54,7 @@ func TestEvalGraphCtxCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.EvalGraphCtx(ctx, Options{Minimize: true}); err != context.Canceled {
+	if _, err := p.EvalGraphCtx(ctx, nil); err != context.Canceled {
 		t.Fatalf("EvalGraphCtx = %v, want context.Canceled", err)
 	}
 }
@@ -125,7 +125,7 @@ func TestParamStepDedupAndSubst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := EvalOpts(q, g, Options{Minimize: true, Params: vals})
+	got, err := evalPlanned(q, g, PlanOptions{}, vals)
 	if err != nil {
 		t.Fatal(err)
 	}

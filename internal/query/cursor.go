@@ -51,19 +51,15 @@ func (p *Plan) paramVals(params map[string]ssd.Label) ([]ssd.Label, error) {
 	return vals, nil
 }
 
-// Cursor opens a streaming execution of the plan. params supplies a value
-// for every $parameter the plan declares (Params); missing or unknown
-// names are an error. ctx cancellation stops iteration within one pull:
-// Next returns false and Err reports the context error.
+// Cursor opens a serial, untraced streaming execution of the plan: the
+// common case of CursorParallel. params supplies a value for every
+// $parameter the plan declares (Params); missing or unknown names are an
+// error. ctx cancellation stops iteration within one pull: Next returns
+// false and Err reports the context error.
 //
 //ssd:mustclose
 func (p *Plan) Cursor(ctx context.Context, params map[string]ssd.Label) (*Cursor, error) {
-	vals, err := p.paramVals(params)
-	if err != nil {
-		return nil, err
-	}
-	ex := p.exec(ctx, vals)
-	return &Cursor{p: p, regs: &ex.regs, ex: ex}, nil
+	return p.CursorParallel(ctx, params, nil, 0, nil)
 }
 
 // Next advances to the next binding row, returning false when the space is
@@ -168,6 +164,3 @@ func (c *Cursor) Label(i int) ssd.Label { return c.regs.labels[i] }
 // occurrence order). The slice is shared with the engine; treat it as
 // read-only and copy it if it must outlive the current row.
 func (c *Cursor) Path(i int) []ssd.Label { return c.regs.paths[i] }
-
-// Plan returns the plan this cursor executes.
-func (c *Cursor) Plan() *Plan { return c.p }

@@ -81,6 +81,16 @@ func caseGraph(t *testing.T, c engineCase) *ssd.Graph {
 	return ssd.MustParse(c.graph)
 }
 
+// evalPlanned plans q against g with the given planner inputs and runs it
+// to its canonical result: the planned side of every engine cross-check.
+func evalPlanned(q *Query, g ssd.GraphStore, po PlanOptions, params map[string]ssd.Label) (*ssd.Graph, error) {
+	p, err := NewPlan(q, g, po)
+	if err != nil {
+		return nil, err
+	}
+	return p.EvalGraphCtx(nil, params)
+}
+
 func TestEnginesAgree(t *testing.T) {
 	for _, c := range engineCases {
 		t.Run(c.name, func(t *testing.T) {
@@ -105,7 +115,7 @@ func TestEnginesAgree(t *testing.T) {
 				"index+guide": {Label: ix, Guide: guide},
 			}
 			for vn, po := range variants {
-				got, err := EvalOpts(q, g, Options{Minimize: true, Plan: po, Params: c.params})
+				got, err := evalPlanned(q, g, po, c.params)
 				if err != nil {
 					t.Fatalf("planned/%s: %v", vn, err)
 				}
@@ -142,7 +152,7 @@ func TestEnginesAgreeOnGenerated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("naive %q: %v", src, err)
 		}
-		got, err := EvalOpts(q, g, Options{Minimize: true, Plan: PlanOptions{Label: ix}})
+		got, err := evalPlanned(q, g, PlanOptions{Label: ix}, nil)
 		if err != nil {
 			t.Fatalf("planned %q: %v", src, err)
 		}

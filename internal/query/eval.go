@@ -37,61 +37,16 @@ func (e Env) clone() Env {
 	return ne
 }
 
-// Options tunes evaluation.
-type Options struct {
-	// MaxRows caps the number of binding tuples (0 = unlimited) as a guard
-	// against runaway cross products.
-	MaxRows int
-	// Minimize applies bisimulation minimization to the result so that the
-	// output is a canonical set value (default true in Eval).
-	Minimize bool
-	// Plan supplies optional index/dataguide structures to the planner.
-	Plan PlanOptions
-	// Params binds values to the query's $parameters, which the planner
-	// resolves to reserved plan slots.
-	Params map[string]ssd.Label
-	// Parallelism is the number of worker executors for the morsel-driven
-	// parallel scan (0 or 1 = serial). Results are byte-identical to serial
-	// execution; plans with fewer than two atoms always run serially.
-	// Negative values are rejected with an *OptionError.
-	Parallelism int
-	// MorselSize overrides the number of leading-atom rows per parallel
-	// morsel (0 = size chosen by the plan's cost model, falling back to
-	// DefaultMorselSize). Exposed mainly so tests can force many small
-	// morsels. Negative values are rejected with an *OptionError.
-	MorselSize int
-}
-
-// OptionError reports an Options field set to a value outside its domain.
-// Callers distinguish it from evaluation failures with errors.As.
-type OptionError struct {
-	Field string // the Options field name, e.g. "Parallelism"
-	Value int
-}
-
-func (e *OptionError) Error() string {
-	return fmt.Sprintf("query: invalid Options.%s %d (must be >= 0)", e.Field, e.Value)
-}
-
-// validate rejects option values outside their documented domain. Negative
-// Parallelism or MorselSize used to fall through the > comparisons and
-// silently run serially with the default morsel size; now they are errors.
-func (o Options) validate() error {
-	if o.Parallelism < 0 {
-		return &OptionError{Field: "Parallelism", Value: o.Parallelism}
-	}
-	if o.MorselSize < 0 {
-		return &OptionError{Field: "MorselSize", Value: o.MorselSize}
-	}
-	return nil
-}
-
 // Eval evaluates the query over g and returns the result tree (a fresh
 // graph). The result follows UnQL union semantics and is minimized to its
 // canonical form. Evaluation plans the query and runs the iterator executor;
 // see EvalNaive for the reference tree-walking evaluator.
 func Eval(q *Query, g ssd.GraphStore) (*ssd.Graph, error) {
-	return EvalOpts(q, g, Options{Minimize: true})
+	p, err := NewPlan(q, g, PlanOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return p.EvalGraphCtx(nil, nil)
 }
 
 // EvalNaive evaluates with the original recursive, map-cloning tree walker
@@ -110,76 +65,34 @@ func EvalNaive(q *Query, g *ssd.Graph) (*ssd.Graph, error) {
 			return nil, err
 		}
 	}
-	return finishResult(res, Options{Minimize: true})
+	return canonical(res), nil
 }
 
-// EvalOpts evaluates with explicit options over any GraphStore.
-func EvalOpts(q *Query, g ssd.GraphStore, opts Options) (*ssd.Graph, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	p, err := NewPlan(q, g, opts.Plan)
-	if err != nil {
-		return nil, err
-	}
-	return p.EvalGraph(opts)
-}
-
-// EvalGraph runs the plan's executor and instantiates the select template
-// for every surviving row. The plan can be reused across calls (compile
+// EvalGraphCtx runs the plan's serial executor and instantiates the select
+// template for every surviving row, returning the canonical result. params
+// binds the plan's $parameters, exactly as for Cursor. A cancelled context
+// aborts the pull loop within one row and returns the context's error; a
+// nil ctx disables the checks. The plan can be reused across calls (compile
 // once, run many).
-func (p *Plan) EvalGraph(opts Options) (*ssd.Graph, error) {
-	return p.EvalGraphCtx(nil, opts)
-}
-
-// EvalGraphCtx is EvalGraph with cancellation: a cancelled context aborts
-// the pull loop within one row and returns the context's error. Parameter
-// values come from opts.Params. A nil ctx disables the checks. When
-// opts.Parallelism > 1, sibling plans are compiled and the rows stream
-// through the morsel-driven parallel cursor; the result is byte-identical
-// to serial evaluation. (The statement layer avoids the sibling compiles
-// by drawing worker plans from its pool instead.)
-func (p *Plan) EvalGraphCtx(ctx context.Context, opts Options) (*ssd.Graph, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	var cur *Cursor
-	var err error
-	if opts.Parallelism > 1 && len(p.atoms) >= 2 {
-		workers := make([]*Plan, 0, opts.Parallelism)
-		for i := 0; i < opts.Parallelism; i++ {
-			wp, werr := NewPlan(p.q, p.g, p.opts)
-			if werr != nil {
-				return nil, werr
-			}
-			workers = append(workers, wp)
-		}
-		cur, err = p.CursorParallel(ctx, opts.Params, workers, opts.MorselSize)
-	} else {
-		cur, err = p.Cursor(ctx, opts.Params)
-	}
+func (p *Plan) EvalGraphCtx(ctx context.Context, params map[string]ssd.Label) (*ssd.Graph, error) {
+	cur, err := p.Cursor(ctx, params)
 	if err != nil {
 		return nil, err
 	}
 	defer cur.Close()
 	res := ssd.New()
 	graftCache := map[ssd.NodeID]ssd.NodeID{}
-	rows := 0
 	var env Env
 	for cur.Next() {
 		cur.EnvInto(&env)
 		if err := instantiate(res, res.Root(), p.q.Select, env, p.g, graftCache); err != nil {
 			return nil, err
 		}
-		rows++
-		if opts.MaxRows > 0 && rows >= opts.MaxRows {
-			break
-		}
 	}
 	if err := cur.Err(); err != nil {
 		return nil, err
 	}
-	return finishResult(res, opts)
+	return canonical(res), nil
 }
 
 // Rows drives the executor and materializes the surviving binding tuples —
@@ -206,15 +119,13 @@ func (p *Plan) Rows(maxRows int) []Env {
 	return rows
 }
 
-func finishResult(res *ssd.Graph, opts Options) (*ssd.Graph, error) {
+// canonical dedups and canonicalizes a result — Canonicalize, not just
+// Minimize: node numbering and edge order become value-determined, so
+// engines that enumerate bindings in different orders still produce
+// byte-identical output.
+func canonical(res *ssd.Graph) *ssd.Graph {
 	res.Dedup()
-	if opts.Minimize {
-		// Canonicalize, not just Minimize: node numbering and edge order
-		// become value-determined, so engines that enumerate bindings in
-		// different orders still produce byte-identical output.
-		res = bisim.Canonicalize(res)
-	}
-	return res, nil
+	return bisim.Canonicalize(res)
 }
 
 // EvalRows evaluates the from/where clauses and returns the surviving

@@ -30,7 +30,7 @@ type regs struct {
 }
 
 // executor evaluates a Plan. Obtain one through Plan.Cursor; drive it with
-// Next and read bindings through Env or the slot accessors.
+// Next and read bindings from regs (the Cursor's slot accessors).
 type executor struct {
 	p *Plan
 	// g is the executor's read view of the plan's store: the store's
@@ -307,10 +307,6 @@ func (ex *executor) evalConds(conds []cCond) bool {
 	}
 	return true
 }
-
-// Env materializes the current row as a naive-engine Env — used to feed the
-// select-template instantiation, which only runs for surviving rows.
-func (ex *executor) Env() Env { return ex.p.envFrom(&ex.regs) }
 
 // envFrom materializes a register row as a fresh Env under the plan's slot
 // naming — shared by the serial executor and the parallel merge cursor.

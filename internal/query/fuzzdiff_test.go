@@ -66,7 +66,7 @@ func TestFuzzDiff(t *testing.T) {
 				variants["both"] = PlanOptions{Label: ix, Guide: guide}
 			}
 			for vn, po := range variants {
-				got, err := EvalOpts(q, g, Options{Minimize: true, Plan: po})
+				got, err := evalPlanned(q, g, po, nil)
 				if err != nil {
 					t.Fatalf("planned/%s seed=%d q=%q: %v", vn, seed, src, err)
 				}

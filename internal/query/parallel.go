@@ -36,8 +36,8 @@ import (
 // occurred in, so the consumer observes it at the same point in the row
 // stream where the serial engine would have — never as a silent truncation.
 //
-// Adaptive splitting: morsel size is fixed up front (from the cost model's
-// seed estimate via Plan.ParallelHint, or Options.MorselSize), but per-seed
+// Adaptive splitting: morsel size is fixed up front (the caller's morselSize,
+// or the cost model's seed estimate via Plan.ParallelHint), but per-seed
 // fan-out is only an estimate. When a worker observes a morsel producing far
 // more rows per seed than the plan predicted, it hands off the unprocessed
 // seed suffix as a new morsel to an IDLE worker — a rendezvous on an
@@ -52,8 +52,9 @@ import (
 
 const (
 	// DefaultMorselSize is the number of leading-atom seed rows per morsel
-	// when Options.MorselSize is zero. Small enough to load-balance skewed
-	// per-seed work, large enough to amortize channel traffic.
+	// when neither the caller nor the cost model sizes them. Small enough to
+	// load-balance skewed per-seed work, large enough to amortize channel
+	// traffic.
 	DefaultMorselSize = 128
 
 	// parBatchRows caps the rows buffered into one merge batch.
@@ -208,33 +209,27 @@ func (sh *parShared) finishSeeding() {
 	}
 }
 
-// CursorParallel opens a parallel streaming execution of the plan across
+// CursorParallel opens a streaming execution of the plan across
 // len(workers) worker executors, one per supplied plan. Every worker plan
 // must be compiled from the same query, graph and PlanOptions as p (the
 // statement layer's plan pool hands out exactly such siblings; NewPlan with
 // identical arguments is deterministic). p itself is used only to seed the
 // leading atom, so p plus workers may all come from one pool checkout.
 //
-// Plans with fewer than two atoms, or an empty worker set, fall back to the
-// serial cursor: there is no join work to fan out. morselSize <= 0 asks the
-// plan's cost model for a size (Plan.ParallelHint), falling back to
-// DefaultMorselSize when the model has no estimate. Row order, and therefore
-// the materialized result, is identical to the serial engine's.
+// Plans with fewer than two atoms, or an empty worker set, run on the
+// serial executor: there is no join work to fan out. morselSize <= 0 asks
+// the plan's cost model for a size (Plan.ParallelHint), falling back to
+// DefaultMorselSize when the model has no estimate. Row order, and
+// therefore the materialized result, is identical to the serial engine's.
+//
+// A non-nil tr (reinitialized for this plan) records operator-level
+// statistics: per-atom rows and wall time, summed across workers, plus the
+// pool shape — workers, morsel size, morsels executed, adaptive splits and
+// misses, and consumer merge stalls. The trace is complete only after the
+// cursor is closed (Close waits for a pool to quiesce).
 //
 //ssd:mustclose
-func (p *Plan) CursorParallel(ctx context.Context, params map[string]ssd.Label, workers []*Plan, morselSize int) (*Cursor, error) {
-	return p.CursorParallelTrace(ctx, params, workers, morselSize, nil)
-}
-
-// CursorParallelTrace is CursorParallel with operator-level statistics
-// recorded into tr (reinitialized for this plan): per-atom rows and wall
-// time summed across workers, plus the pool shape — workers, morsel size,
-// morsels executed, adaptive splits and misses, and consumer merge stalls.
-// The trace is complete only after the cursor is closed (Close waits for
-// the pool to quiesce). A nil tr degrades to CursorParallel exactly.
-//
-//ssd:mustclose
-func (p *Plan) CursorParallelTrace(ctx context.Context, params map[string]ssd.Label, workers []*Plan, morselSize int, tr *ExecTrace) (*Cursor, error) {
+func (p *Plan) CursorParallel(ctx context.Context, params map[string]ssd.Label, workers []*Plan, morselSize int, tr *ExecTrace) (*Cursor, error) {
 	vals, err := p.paramVals(params)
 	if err != nil {
 		return nil, err

@@ -2,8 +2,9 @@ package query
 
 import (
 	"context"
-	"errors"
+	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,10 +14,11 @@ import (
 )
 
 // TestParallelMatchesSerialByteIdentical is the determinism acceptance
-// property: the morsel-driven parallel engine must produce byte-identical
-// canonicalized output to the serial engine on the whole engine cross-check
-// suite, at several worker counts and with deliberately tiny morsels (so
-// every query actually exercises the partition/merge machinery).
+// property: the morsel-driven parallel engine must yield the serial
+// engine's exact row stream — and therefore a byte-identical result — on
+// the whole engine cross-check suite, at several worker counts and with
+// deliberately tiny morsels (so every query actually exercises the
+// partition/merge machinery).
 func TestParallelMatchesSerialByteIdentical(t *testing.T) {
 	for _, c := range engineCases {
 		t.Run(c.name, func(t *testing.T) {
@@ -24,25 +26,74 @@ func TestParallelMatchesSerialByteIdentical(t *testing.T) {
 			q := MustParse(c.query)
 			ix := index.BuildLabelIndex(g)
 			for _, po := range []PlanOptions{{}, {Label: ix}} {
-				serial, err := EvalOpts(q, g, Options{Minimize: true, Plan: po, Params: c.params})
-				if err != nil {
-					t.Fatalf("serial: %v", err)
-				}
 				for _, workers := range []int{2, 4} {
-					par, err := EvalOpts(q, g, Options{
-						Minimize: true, Plan: po, Params: c.params,
-						Parallelism: workers, MorselSize: 2,
-					})
-					if err != nil {
-						t.Fatalf("parallel/%d: %v", workers, err)
-					}
-					if gs, ws := ssd.FormatRoot(par), ssd.FormatRoot(serial); gs != ws {
-						t.Errorf("parallel/%d differs:\n got: %s\nwant: %s", workers, gs, ws)
-					}
+					compareParallel(t, fmt.Sprintf("index=%t/workers=%d", po.Label != nil, workers), q, g, po, c.params, workers, 2)
 				}
 			}
 		})
 	}
+}
+
+// compareParallel runs q serially and through a parallel cursor over
+// sibling plans, and requires identical row streams. It returns the number
+// of rows compared.
+func compareParallel(t *testing.T, what string, q *Query, g ssd.GraphStore, po PlanOptions, params map[string]ssd.Label, workers, morsel int) int {
+	t.Helper()
+	// The serial cursor gets its own compiled plan: a plan (and its DFA
+	// caches) has one owner at a time, and p is busy seeding the pool.
+	sp, err := NewPlan(q, g, po)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ser, err := sp.Cursor(nil, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ser.Close()
+	p, err := NewPlan(q, g, po)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par := openParallel(t, p, nil, params, workers, morsel)
+	defer par.Close()
+	return sameRowStream(t, what, p, ser, par)
+}
+
+// sameRowStream drains a serial and a parallel cursor in lockstep and fails
+// on the first row whose tree, label or path slots differ, on a stream that
+// ends early or runs long, and on either cursor's error. It returns the
+// number of rows compared.
+func sameRowStream(t *testing.T, what string, p *Plan, ser, par *Cursor) int {
+	t.Helper()
+	row := 0
+	for ser.Next() {
+		if !par.Next() {
+			t.Fatalf("%s: parallel ended at row %d, serial has more (err %v)", what, row, par.Err())
+		}
+		for i := range p.treeName {
+			if ser.Tree(i) != par.Tree(i) {
+				t.Fatalf("%s row %d: tree slot %d: %d != %d", what, row, i, par.Tree(i), ser.Tree(i))
+			}
+		}
+		for i := range p.labelName {
+			if ser.Label(i) != par.Label(i) {
+				t.Fatalf("%s row %d: label slot %d differs", what, row, i)
+			}
+		}
+		for i := range p.pathName {
+			if !slices.Equal(ser.Path(i), par.Path(i)) {
+				t.Fatalf("%s row %d: path slot %d differs", what, row, i)
+			}
+		}
+		row++
+	}
+	if par.Next() {
+		t.Fatalf("%s: parallel has extra rows after %d", what, row)
+	}
+	if ser.Err() != nil || par.Err() != nil {
+		t.Fatalf("%s: errs %v / %v", what, ser.Err(), par.Err())
+	}
+	return row
 }
 
 // forceSplits lowers the adaptive-split thresholds so that every morsel
@@ -59,28 +110,13 @@ func forceSplits() (restore func()) {
 // TestParallelAdaptiveSplitByteIdentical is the acceptance property for
 // runtime morsel splitting: with the split thresholds floored so workers
 // split after every seed (maximally chained continuations), the merged
-// stream must still be byte-identical to the serial engine across the whole
+// stream must still be the serial engine's row stream across the whole
 // engine cross-check corpus.
 func TestParallelAdaptiveSplitByteIdentical(t *testing.T) {
 	defer forceSplits()()
 	for _, c := range engineCases {
 		t.Run(c.name, func(t *testing.T) {
-			g := caseGraph(t, c)
-			q := MustParse(c.query)
-			serial, err := EvalOpts(q, g, Options{Minimize: true, Params: c.params})
-			if err != nil {
-				t.Fatalf("serial: %v", err)
-			}
-			par, err := EvalOpts(q, g, Options{
-				Minimize: true, Params: c.params,
-				Parallelism: 3, MorselSize: 4,
-			})
-			if err != nil {
-				t.Fatalf("parallel: %v", err)
-			}
-			if gs, ws := ssd.FormatRoot(par), ssd.FormatRoot(serial); gs != ws {
-				t.Errorf("split parallel differs:\n got: %s\nwant: %s", gs, ws)
-			}
+			compareParallel(t, "split", MustParse(c.query), caseGraph(t, c), PlanOptions{}, c.params, 3, 4)
 		})
 	}
 }
@@ -122,33 +158,11 @@ func TestParallelAdaptiveSplitRowOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		par := openParallel(t, p, nil, nil, 3, 5000)
-		row := 0
-		for ser.Next() {
-			if !par.Next() {
-				t.Fatalf("parallel ended at row %d, serial has more (err %v)", row, par.Err())
-			}
-			for i := range p.treeName {
-				if ser.Tree(i) != par.Tree(i) {
-					t.Fatalf("row %d: tree slot %d: %d != %d", row, i, par.Tree(i), ser.Tree(i))
-				}
-			}
-			for i := range p.labelName {
-				if ser.Label(i) != par.Label(i) {
-					t.Fatalf("row %d: label slot %d differs", row, i)
-				}
-			}
-			row++
-		}
-		if par.Next() {
-			t.Fatalf("parallel has extra rows after %d", row)
-		}
-		if ser.Err() != nil || par.Err() != nil {
-			t.Fatalf("errs %v / %v", ser.Err(), par.Err())
-		}
-		if row == 0 {
+		if sameRowStream(t, fmt.Sprintf("attempt %d", attempt), p, ser, par) == 0 {
 			t.Fatal("no rows compared")
 		}
 		nsplits := par.par.sh.nsplits.Load()
+		ser.Close()
 		par.Close()
 		if nsplits > 0 {
 			return
@@ -198,7 +212,7 @@ func openParallel(t *testing.T, p *Plan, ctx context.Context, params map[string]
 		}
 		ws[i] = wp
 	}
-	cur, err := p.CursorParallel(ctx, params, ws, morsel)
+	cur, err := p.CursorParallel(ctx, params, ws, morsel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,59 +232,7 @@ func TestParallelRowOrderIdentity(t *testing.T) {
 		`select T from DB.Entry.Movie M, M.@P X, M.Title T`, // worker-side path witnesses
 	}
 	for _, src := range queries {
-		q := MustParse(src)
-		p, err := NewPlan(q, g, PlanOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The serial cursor gets its own compiled plan: a plan (and its
-		// DFA caches) has one owner at a time, and p is busy seeding the
-		// parallel pool.
-		sp, err := NewPlan(q, g, PlanOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ser, err := sp.Cursor(nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par := openParallel(t, p, nil, nil, 3, 8)
-		defer par.Close()
-		row := 0
-		for ser.Next() {
-			if !par.Next() {
-				t.Fatalf("%s: parallel ended at row %d, serial has more", src, row)
-			}
-			for i := range p.treeName {
-				if ser.Tree(i) != par.Tree(i) {
-					t.Fatalf("%s row %d: tree slot %d: %d != %d", src, row, i, par.Tree(i), ser.Tree(i))
-				}
-			}
-			for i := range p.labelName {
-				if ser.Label(i) != par.Label(i) {
-					t.Fatalf("%s row %d: label slot %d differs", src, row, i)
-				}
-			}
-			for i := range p.pathName {
-				sp, pp := ser.Path(i), par.Path(i)
-				if len(sp) != len(pp) {
-					t.Fatalf("%s row %d: path slot %d length differs", src, row, i)
-				}
-				for j := range sp {
-					if sp[j] != pp[j] {
-						t.Fatalf("%s row %d: path slot %d element %d differs", src, row, i, j)
-					}
-				}
-			}
-			row++
-		}
-		if par.Next() {
-			t.Fatalf("%s: parallel has extra rows after %d", src, row)
-		}
-		if ser.Err() != nil || par.Err() != nil {
-			t.Fatalf("%s: errs %v / %v", src, ser.Err(), par.Err())
-		}
-		if row == 0 {
+		if compareParallel(t, src, MustParse(src), g, PlanOptions{}, nil, 3, 8) == 0 {
 			t.Fatalf("%s: no rows compared", src)
 		}
 	}
@@ -360,7 +322,7 @@ func TestParallelWorkerFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	wp.atoms[1].steps[0].au = nil // worker's first pull will panic
-	cur, err := p.CursorParallel(nil, nil, []*Plan{wp}, 1)
+	cur, err := p.CursorParallel(nil, nil, []*Plan{wp}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +528,7 @@ func TestParallelFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur, err := p.CursorParallel(nil, nil, nil, 0)
+	cur, err := p.CursorParallel(nil, nil, nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,49 +538,6 @@ func TestParallelFallbacks(t *testing.T) {
 	}
 	if n == 0 || cur.Err() != nil {
 		t.Fatalf("fallback cursor: %d rows, err %v", n, cur.Err())
-	}
-}
-
-// TestOptionsRejectNegatives is the regression test for negative
-// Options.Parallelism / Options.MorselSize silently falling through the
-// "> 1" / "> 0" comparisons and running serially with default morsels: both
-// are now typed *OptionError failures, at both evaluation entry points.
-func TestOptionsRejectNegatives(t *testing.T) {
-	g := workload.Fig1(false)
-	q := MustParse(`select T from DB.Entry.Movie M, M.Title T`)
-	cases := []struct {
-		opts  Options
-		field string
-		value int
-	}{
-		{Options{Parallelism: -1}, "Parallelism", -1},
-		{Options{MorselSize: -8}, "MorselSize", -8},
-		{Options{Parallelism: -3, MorselSize: -8}, "Parallelism", -3}, // first failure wins
-	}
-	for _, c := range cases {
-		for name, eval := range map[string]func() (*ssd.Graph, error){
-			"EvalOpts": func() (*ssd.Graph, error) { return EvalOpts(q, g, c.opts) },
-			"EvalGraphCtx": func() (*ssd.Graph, error) {
-				p, err := NewPlan(q, g, PlanOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return p.EvalGraphCtx(context.Background(), c.opts)
-			},
-		} {
-			_, err := eval()
-			var oe *OptionError
-			if !errors.As(err, &oe) {
-				t.Fatalf("%s %+v: err = %v, want *OptionError", name, c.opts, err)
-			}
-			if oe.Field != c.field || oe.Value != c.value {
-				t.Errorf("%s %+v: got {%s %d}, want {%s %d}", name, c.opts, oe.Field, oe.Value, c.field, c.value)
-			}
-		}
-	}
-	// Zero stays valid: it means "pick defaults", not an error.
-	if _, err := EvalOpts(q, g, Options{Minimize: true}); err != nil {
-		t.Fatalf("zero options rejected: %v", err)
 	}
 }
 
@@ -635,7 +554,7 @@ func TestParallelIncompatibleWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.CursorParallel(nil, nil, []*Plan{other}, 0); err == nil {
+	if _, err := p.CursorParallel(nil, nil, []*Plan{other}, 0, nil); err == nil {
 		t.Fatal("incompatible worker plan accepted")
 	}
 	g2 := workload.Fig1(false)
@@ -643,7 +562,7 @@ func TestParallelIncompatibleWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.CursorParallel(nil, nil, []*Plan{wrongGraph}, 0); err == nil {
+	if _, err := p.CursorParallel(nil, nil, []*Plan{wrongGraph}, 0, nil); err == nil {
 		t.Fatal("worker plan for a different graph accepted")
 	}
 }

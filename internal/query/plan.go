@@ -69,10 +69,6 @@ type PlanOptions struct {
 	// model prefers them over the label index for estimation: distinct
 	// counts sharpen join fanout and the histogram prices range predicates.
 	Stats *stats.Stats
-	// Heuristic disables the statistics-fed cost model and falls back to
-	// the original per-label occurrence heuristic — the ablation switch
-	// BenchmarkCostBasedVsHeuristic compares against.
-	Heuristic bool
 }
 
 // stepKind discriminates planStep.
@@ -295,30 +291,21 @@ func NewPlan(q *Query, g ssd.GraphStore, opts PlanOptions) (*Plan, error) {
 	}
 
 	// Slot assignment: every variable named anywhere in the query gets a
-	// fixed slot up front, independent of atom order. The order — tree
-	// slots in from-clause order, label/path slots by first occurrence —
-	// is a contract: Cursor's slot accessors expose it, and the statement
-	// layer (core/stmt.go) derives its result columns from the same walk.
-	for _, b := range q.From {
-		if _, dup := p.treeSlot[b.Var]; dup {
-			return nil, fmt.Errorf("query: duplicate variable %q", b.Var)
+	// fixed slot up front, independent of atom order, in Query.SlotVars
+	// order — the contract Cursor's slot accessors and the statement
+	// layer's result columns share.
+	p.treeName, p.labelName, p.pathName = q.SlotVars()
+	for i, name := range p.treeName {
+		if _, dup := p.treeSlot[name]; dup {
+			return nil, fmt.Errorf("query: duplicate variable %q", name)
 		}
-		p.treeSlot[b.Var] = len(p.treeName)
-		p.treeName = append(p.treeName, b.Var)
-		for _, st := range b.Path {
-			switch t := st.(type) {
-			case LabelVarStep:
-				if _, ok := p.labelSlot[t.Name]; !ok {
-					p.labelSlot[t.Name] = len(p.labelName)
-					p.labelName = append(p.labelName, t.Name)
-				}
-			case PathVarStep:
-				if _, ok := p.pathSlot[t.Name]; !ok {
-					p.pathSlot[t.Name] = len(p.pathName)
-					p.pathName = append(p.pathName, t.Name)
-				}
-			}
-		}
+		p.treeSlot[name] = i
+	}
+	for i, name := range p.labelName {
+		p.labelSlot[name] = i
+	}
+	for i, name := range p.pathName {
+		p.pathSlot[name] = i
 	}
 
 	// Atom ordering: greedily take the cheapest binding whose source is
@@ -328,9 +315,7 @@ func NewPlan(q *Query, g ssd.GraphStore, opts PlanOptions) (*Plan, error) {
 	// The cost model scores a candidate by its estimated join fanout times
 	// the selectivity of every where-conjunct that becomes checkable once
 	// the candidate is bound — an atom that unlocks a selective filter is
-	// worth running early even if its raw fanout is unremarkable. The
-	// heuristic path (opts.Heuristic) scores by raw fanout alone, as the
-	// planner did before statistics existed.
+	// worth running early even if its raw fanout is unremarkable.
 	type cand struct {
 		idx int
 		b   Binding
@@ -345,15 +330,13 @@ func NewPlan(q *Query, g ssd.GraphStore, opts PlanOptions) (*Plan, error) {
 		used bool
 	}
 	var ordConds []*ordCond
-	if !p.opts.Heuristic {
-		for _, c := range splitConjuncts(q.Where) {
-			deps := newCondDeps()
-			pl.depsOf(c, &deps)
-			if deps.empty() {
-				continue // constant condition: no bearing on atom order
-			}
-			ordConds = append(ordConds, &ordCond{deps: deps, sel: pl.selOf(c)})
+	for _, c := range splitConjuncts(q.Where) {
+		deps := newCondDeps()
+		pl.depsOf(c, &deps)
+		if deps.empty() {
+			continue // constant condition: no bearing on atom order
 		}
+		ordConds = append(ordConds, &ordCond{deps: deps, sel: pl.selOf(c)})
 	}
 	boundTrees := map[string]bool{}
 	boundLabels := map[string]bool{}
@@ -365,17 +348,11 @@ func NewPlan(q *Query, g ssd.GraphStore, opts PlanOptions) (*Plan, error) {
 			if c.b.Source != "DB" && !boundTrees[c.b.Source] {
 				continue
 			}
-			var score, fanout float64
-			if p.opts.Heuristic {
-				score = pl.estimate(c.b, boundLabels)
-				fanout = score
-			} else {
-				score = pl.atomFanout(c.b, boundLabels)
-				fanout = score
-				for _, oc := range ordConds {
-					if !oc.used && oc.deps.satisfiedWith(boundTrees, boundLabels, boundPaths, c.b) {
-						score *= oc.sel
-					}
+			fanout := pl.atomFanout(c.b, boundLabels)
+			score := fanout
+			for _, oc := range ordConds {
+				if !oc.used && oc.deps.satisfiedWith(boundTrees, boundLabels, boundPaths, c.b) {
+					score *= oc.sel
 				}
 			}
 			if best < 0 || score < bestScore {
@@ -392,13 +369,9 @@ func NewPlan(q *Query, g ssd.GraphStore, opts PlanOptions) (*Plan, error) {
 			p.seedEst = bestScore
 			p.seedFanout = bestFanout
 		}
-		est := bestScore
-		if !p.opts.Heuristic {
-			// Cost-model explain reports cumulative estimated rows after the
-			// atom, so estimates line up with ExplainAnalyze's actual counts.
-			est = cum
-		}
-		atom, err := pl.compileAtom(chosen.b, boundLabels, est)
+		// Explain reports cumulative estimated rows after the atom, so
+		// estimates line up with ExplainAnalyze's actual counts.
+		atom, err := pl.compileAtom(chosen.b, boundLabels, cum)
 		if err != nil {
 			return nil, err
 		}
@@ -490,74 +463,12 @@ func (pl *planner) rootCount(l ssd.Label) float64 {
 	return pl.rootCounts[l]
 }
 
-// estimate predicts the result cardinality of walking b's path from one
-// source node. The absolute value only matters relative to the other atoms.
-func (pl *planner) estimate(b Binding, boundLabels map[string]bool) float64 {
-	cost := 1.0
-	for _, st := range b.Path {
-		switch t := st.(type) {
-		case *RegexStep:
-			cost *= pl.exprWeight(t.Expr)
-		case LabelVarStep:
-			if boundLabels[t.Name] {
-				cost *= 1
-			} else {
-				cost *= pl.avgDeg()
-			}
-		case PathVarStep:
-			cost *= pl.nodes
-		case ParamStep:
-			// An exact-label filter with the label unknown at plan time:
-			// assume it is selective, like a generic predicate atom.
-			cost *= pl.avgDeg() / 2
-		}
-		if cost > 1e18 {
-			return 1e18
-		}
-	}
-	return cost
-}
-
 func (pl *planner) avgDeg() float64 {
 	d := pl.edges / pl.nodes
 	if d < 1 {
 		d = 1
 	}
 	return d
-}
-
-// exprWeight estimates the per-source-node fanout of a path expression.
-func (pl *planner) exprWeight(e pathexpr.Expr) float64 {
-	switch t := e.(type) {
-	case pathexpr.Atom:
-		switch pr := t.Pred.(type) {
-		case pathexpr.ExactPred:
-			return pl.countOf(pr.L) / pl.nodes
-		case pathexpr.AnyPred:
-			return pl.avgDeg()
-		default:
-			return pl.avgDeg() / 2
-		}
-	case pathexpr.Seq:
-		w := 1.0
-		for _, part := range t.Parts {
-			w *= pl.exprWeight(part)
-		}
-		return w
-	case pathexpr.Alt:
-		w := 0.0
-		for _, alt := range t.Alts {
-			w += pl.exprWeight(alt)
-		}
-		return w
-	case pathexpr.Star, pathexpr.Plus:
-		// A closure can reach a large fraction of the graph.
-		return pl.nodes
-	case pathexpr.Opt:
-		return 1 + pl.exprWeight(t.Sub)
-	default:
-		return pl.avgDeg()
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -878,15 +789,11 @@ func (pl *planner) chooseAccess(a *planAtom) {
 		return
 	}
 
-	heur := pl.p.opts.Heuristic
 	if pl.p.opts.Label != nil {
 		// `_*.label`: the posting list is the answer.
 		if l, ok := seekShape(parts); ok {
 			a.access = AccessIndexSeek
 			a.seekLabel = l
-			if heur {
-				a.est = pl.countOf(l)
-			}
 			return
 		}
 		// Exact chain with a rare interior label: seek the rarest posting
@@ -908,29 +815,20 @@ func (pl *planner) chooseAccess(a *planAtom) {
 			depth := float64(len(chain))
 			forward := pl.countOf(chain[0]) * depth * unitForwardEdge
 			backward := pl.countOf(chain[minIdx]) * depth * unitBackwardVerify
-			if heur {
-				// The pre-cost-model comparison, kept for the ablation path.
-				forward = pl.countOf(chain[0])
-				backward = pl.countOf(chain[minIdx]) * depth
-			}
 			if minIdx > 0 && backward < forward {
 				a.access = AccessIndexBackward
 				a.chain = chain
 				a.chainIdx = minIdx
-				if heur {
-					a.est = pl.countOf(chain[minIdx])
-				}
 				return
 			}
 		}
 	}
 	if pl.p.opts.Guide != nil {
 		// A dataguide product visits at most one state per guide node; the
-		// forward product can touch the whole graph. Price both worst
-		// cases; the heuristic path keeps the old always-prefer-guide rule.
+		// forward product can touch the whole graph. Price both worst cases.
 		guideCost := float64(pl.p.opts.Guide.G.NumNodes()) * unitGuideNode
 		forwardCost := (pl.nodes + pl.edges) * unitForwardEdge
-		if heur || guideCost < forwardCost {
+		if guideCost < forwardCost {
 			a.access = AccessGuide
 			a.guideAu = pathexpr.Compile(pathexpr.Seq{Parts: parts})
 		}
@@ -1428,24 +1326,18 @@ func (p *Plan) Explain() string { return p.explainWith(nil) }
 // judging the cost model. params binds the plan's $parameters, exactly as
 // for Cursor. The result rows themselves are discarded.
 func (p *Plan) ExplainAnalyze(ctx context.Context, params map[string]ssd.Label) (string, error) {
-	vals, err := p.paramVals(params)
-	if err != nil {
-		return "", err
-	}
-	ex := p.exec(ctx, vals)
 	var tr ExecTrace
-	tr.init(len(p.atoms))
-	ex.trace = &tr
-	for ex.Next() {
-	}
-	actual := tr.AtomRows
-	err = ex.err
-	ex.trace = nil
-	ex.release()
+	cur, err := p.CursorParallel(ctx, params, nil, 0, &tr)
 	if err != nil {
 		return "", err
 	}
-	return p.explainWith(actual), nil
+	for cur.Next() {
+	}
+	cur.Close()
+	if err := cur.Err(); err != nil {
+		return "", err
+	}
+	return p.explainWith(tr.AtomRows), nil
 }
 
 // explainWith renders the plan, annotating each atom with its observed row

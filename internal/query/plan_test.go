@@ -190,16 +190,17 @@ const skewQuery = `
 
 // TestCostBasedPlanOnSkewedFixture is the golden-plan test for the
 // statistics-fed cost model: on a distribution with skewed selectivities the
-// cost-based planner must pick a measurably different atom order from the
-// structural heuristic (needle equality before the wide Reviews subtree),
-// render honest estimates in Explain, and still produce the same result.
+// planner fed statistics must pick a measurably different atom order from
+// the same planner fed only a label scan (the cheap Title atom before the
+// wide Reviews subtree), render honest estimates in Explain, and still
+// produce the same result.
 func TestCostBasedPlanOnSkewedFixture(t *testing.T) {
 	g := workload.Skewed(workload.DefaultSkewConfig(1000))
 	st := stats.Build(g)
 
-	hp := planFor(t, g, skewQuery, PlanOptions{Heuristic: true})
-	if got, want := atomOrder(hp), []string{"M", "S", "T", "X"}; strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Errorf("heuristic atom order = %v, want %v\n%s", got, want, hp.Explain())
+	np := planFor(t, g, skewQuery, PlanOptions{})
+	if got, want := atomOrder(np), []string{"M", "X", "S", "T"}; strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("no-statistics atom order = %v, want %v\n%s", got, want, np.Explain())
 	}
 
 	cp := planFor(t, g, skewQuery, PlanOptions{Stats: st})
@@ -241,8 +242,8 @@ func TestCostBasedPlanOnSkewedFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, p := range map[string]*Plan{"heuristic": hp, "cost": cp} {
-		res, err := p.EvalGraph(Options{Minimize: true})
+	for name, p := range map[string]*Plan{"no-stats": np, "cost": cp} {
+		res, err := p.EvalGraphCtx(nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -1,11 +1,9 @@
 package query
 
 import (
-	"context"
 	"strings"
 
 	"repro/internal/obs"
-	"repro/internal/ssd"
 )
 
 // Parallel-runtime counters: process-wide totals for the adaptive morsel
@@ -21,9 +19,9 @@ var (
 
 // ExecTrace records operator-level statistics for one cursor execution: the
 // per-query face of observability, as opposed to the process-wide counters
-// in internal/obs. The caller allocates one, passes it to CursorTrace or
-// CursorParallelTrace, and reads it after the cursor is closed — a trace is
-// not synchronized for reading mid-flight.
+// in internal/obs. The caller allocates one, passes it to CursorParallel,
+// and reads it after the cursor is closed — a trace is not synchronized for
+// reading mid-flight.
 //
 // Tracing is strictly opt-in: with a nil trace the executor's hot path pays
 // one pointer nil-check per pull and allocates nothing.
@@ -69,24 +67,6 @@ func (t *ExecTrace) merge(o *ExecTrace) {
 		t.AtomRows[i] += o.AtomRows[i]
 		t.AtomNanos[i] += o.AtomNanos[i]
 	}
-}
-
-// CursorTrace opens a serial streaming execution like Cursor, recording
-// operator-level statistics into tr (which is reinitialized for this plan).
-// The trace is complete once the cursor is exhausted or closed. A nil tr
-// degrades to Cursor exactly.
-//
-//ssd:mustclose
-func (p *Plan) CursorTrace(ctx context.Context, params map[string]ssd.Label, tr *ExecTrace) (*Cursor, error) {
-	c, err := p.Cursor(ctx, params)
-	if err != nil {
-		return nil, err
-	}
-	if tr != nil {
-		tr.init(len(p.atoms))
-		c.ex.trace = tr
-	}
-	return c, nil
 }
 
 // AtomDescs renders one human-readable descriptor per planned atom, in plan

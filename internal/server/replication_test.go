@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // replNode is one in-process member of a replicated serving tier.
@@ -485,5 +486,52 @@ func TestRouterRefusesOversizedBodies(t *testing.T) {
 	}
 	if n := forwarded.Load(); n != 0 {
 		t.Fatalf("backend received %d requests for oversized bodies", n)
+	}
+}
+
+// TestRouterMetricsFormats: the router serves /metrics through the server's
+// handler — Prometheus text under obs.ContentTypePrometheus by default, the
+// JSON snapshot with ?format=json.
+func TestRouterMetricsFormats(t *testing.T) {
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"status":"ok"}`))
+	}))
+	defer backend.Close()
+	rt := NewRouter(RouterConfig{Leader: backend.URL, Replicas: []string{backend.URL}})
+	defer rt.Stop()
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	resp, err := http.Get(front.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != obs.ContentTypePrometheus {
+		t.Errorf("/metrics content type = %q, want %q", ct, obs.ContentTypePrometheus)
+	}
+
+	jresp, err := http.Get(front.URL + "/metrics?format=json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jresp.Body.Close()
+	if ct := jresp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("/metrics?format=json content type = %q, want application/json", ct)
+	}
+	var js struct {
+		Metrics []struct {
+			Name string `json:"name"`
+		} `json:"metrics"`
+	}
+	if err := json.NewDecoder(jresp.Body).Decode(&js); err != nil {
+		t.Fatalf("/metrics?format=json is not JSON: %v", err)
+	}
+	found := false
+	for _, m := range js.Metrics {
+		found = found || m.Name == "ssd_router_healthy_backends"
+	}
+	if !found {
+		t.Fatal("JSON snapshot lacks the router's own metric families")
 	}
 }

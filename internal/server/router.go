@@ -177,10 +177,7 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /mutate", instrument("router_mutate", rt.forwardToLeader))
 	mux.HandleFunc("POST /checkpoint", instrument("router_checkpoint", rt.forwardToLeader))
 	mux.HandleFunc("GET /healthz", instrument("router_healthz", rt.handleHealthz))
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		obs.Default.Snapshot().WritePrometheus(w)
-	})
+	mux.HandleFunc("GET /metrics", handleMetrics)
 	return mux
 }
 

@@ -145,7 +145,7 @@ func New(db *core.Database, cfg Config) *Server {
 	s.mux.HandleFunc("POST /mutate", instrument("mutate", s.handleMutate))
 	s.mux.HandleFunc("POST /checkpoint", instrument("checkpoint", s.handleCheckpoint))
 	s.mux.HandleFunc("GET /healthz", instrument("healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.HandleFunc("GET /metrics", handleMetrics)
 	if db.Durable() {
 		// Any durable database can lead: followers (which are durable by
 		// construction) expose the same endpoints, so replicas can chain.
@@ -690,10 +690,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the process metrics registry: Prometheus text
-// exposition by default, the JSON encoding with ?format=json. It is not
-// gated on the drain latch — scrapes should keep working while a shutdown
-// waits for in-flight cursors.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// exposition by default, the JSON encoding with ?format=json. Server and
+// Router both mount it. It is not gated on the drain latch — scrapes should
+// keep working while a shutdown waits for in-flight cursors.
+func handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := obs.Default.Snapshot()
 	if r.URL.Query().Get("format") == "json" {
 		w.Header().Set("Content-Type", "application/json")

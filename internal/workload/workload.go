@@ -164,7 +164,7 @@ func DefaultSkewConfig(entries int) SkewConfig {
 
 // Skewed generates a database whose label cardinalities are deliberately
 // lopsided, so that a statistics-fed planner orders atoms differently from
-// the structural heuristic. Every movie has one Title, a handful of Tag
+// one fed only label counts. Every movie has one Title, a handful of Tag
 // values drawn from a tiny popular set (with a rare "needle" value every
 // NeedleEvery-th movie), and a wide Reviews subtree of integer Scores:
 //
@@ -173,9 +173,9 @@ func DefaultSkewConfig(entries int) SkewConfig {
 //	m –Tag→ x → "popular"|"needle" (TagsPerMovie per movie, needle rare)
 //	m –Reviews→ r –Score→ s → int  (ReviewsPerMovie per movie)
 //
-// The heuristic planner sees Tag and Score atoms as structurally similar;
-// the statistics know `Tag = "needle"` matches almost nothing while
-// `Score > 0` matches everything.
+// Label counts alone say little about Tag and Score values; the statistics
+// know `Tag = "needle"` matches almost nothing while `Score > 0` matches
+// everything.
 func Skewed(cfg SkewConfig) *ssd.Graph {
 	if cfg.TagsPerMovie < 1 {
 		cfg.TagsPerMovie = 1
