@@ -634,11 +634,33 @@ func BenchmarkIncrementalVsRebuild(b *testing.B) {
 // join work of the leading atom's rows across worker executors; on the
 // E1-style path-heavy scan it must show ≥2x at 4 workers over the serial
 // executor (the merge is order-preserving, so the output is identical).
+// The skewed arm puts nearly all the join work behind one seed — one movie
+// in 2 000 has 20 000 cast members — so it measures how well the shared
+// morsel queue alone balances a fan-out the cost model cannot see.
+
+// skewedCastDB is the 10 000-entry movie database in which every 2 000th
+// movie has 20 000 more numbered cast members.
+func skewedCastDB() *ssd.Graph {
+	g := workload.Movies(workload.DefaultMovieConfig(10000))
+	movies := 0
+	for _, e := range g.Lookup(g.Root(), ssd.Sym("Entry")) {
+		m := g.LookupFirst(e, ssd.Sym("Movie"))
+		if m == ssd.InvalidNode {
+			continue
+		}
+		if movies++; movies%2000 != 1 {
+			continue
+		}
+		cast := g.LookupFirst(m, ssd.Sym("Cast"))
+		for j := 0; j < 20000; j++ {
+			member := g.AddLeaf(cast, ssd.Int(int64(j+1)))
+			g.AddLeaf(member, ssd.Str(fmt.Sprintf("Member %d", j)))
+		}
+	}
+	return g
+}
 
 func BenchmarkParallelVsSerial(b *testing.B) {
-	g := movieDB(50000)
-	const src = `select {Title: T} from DB.Entry.Movie M, M.Title T, M.Cast._* A where A = "Allen"`
-	q := query.MustParse(src)
 	drain := func(b *testing.B, cur *query.Cursor) {
 		b.Helper()
 		n := 0
@@ -653,41 +675,51 @@ func BenchmarkParallelVsSerial(b *testing.B) {
 			b.Fatal("no rows")
 		}
 	}
-	b.Run("serial", func(b *testing.B) {
-		p, err := query.NewPlan(q, g, query.PlanOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cur, err := p.Cursor(nil, nil)
+	for _, arm := range []struct {
+		prefix string
+		g      *ssd.Graph
+		src    string
+	}{
+		{"", movieDB(50000), `select {Title: T} from DB.Entry.Movie M, M.Title T, M.Cast._* A where A = "Allen"`},
+		{"skewed/", skewedCastDB(), `select {Title: T} from DB.Entry.Movie M, M.Title T, M.Cast._* A`},
+	} {
+		q := query.MustParse(arm.src)
+		b.Run(arm.prefix+"serial", func(b *testing.B) {
+			p, err := query.NewPlan(q, arm.g, query.PlanOptions{})
 			if err != nil {
 				b.Fatal(err)
-			}
-			drain(b, cur)
-		}
-	})
-	for _, workers := range []int{2, 4} {
-		b.Run(fmt.Sprintf("parallel/workers=%d", workers), func(b *testing.B) {
-			p, err := query.NewPlan(q, g, query.PlanOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ws := make([]*query.Plan, workers)
-			for i := range ws {
-				if ws[i], err = query.NewPlan(q, g, query.PlanOptions{}); err != nil {
-					b.Fatal(err)
-				}
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cur, err := p.CursorParallel(nil, nil, ws, 0, nil)
+				cur, err := p.Cursor(nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
 				drain(b, cur)
 			}
 		})
+		for _, workers := range []int{2, 4} {
+			b.Run(fmt.Sprintf("%sparallel/workers=%d", arm.prefix, workers), func(b *testing.B) {
+				p, err := query.NewPlan(q, arm.g, query.PlanOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				ws := make([]*query.Plan, workers)
+				for i := range ws {
+					if ws[i], err = query.NewPlan(q, arm.g, query.PlanOptions{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					cur, err := p.CursorParallel(nil, nil, ws, 0, nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					drain(b, cur)
+				}
+			})
+		}
 	}
 }
 

@@ -59,8 +59,9 @@
 // Queries can fan their join work across a pool of shared-nothing worker
 // executors (internal/query/parallel.go): the leading atom's rows are
 // materialized in serial order, partitioned into morsels, executed by
-// per-worker compiled plans, and merged in morsel order — so parallel
-// output is byte-identical to serial output. core.Database.SetParallelism
+// per-worker compiled plans pulling from one shared queue (the only load
+// balancer), and merged in morsel order — so parallel output is
+// byte-identical to serial output. core.Database.SetParallelism
 // sets the per-database default Stmt.Query picks up; the per-statement
 // plan pool hands out one plan per worker. cmd/ssdserve serves it all over
 // HTTP/JSON (streamed NDJSON rows, $name parameters, per-request

@@ -271,6 +271,51 @@ func TestPagedRecovery(t *testing.T) {
 	execStmt(t, re3, `select {N: X} from DB._ X`)
 }
 
+// TestPagedRebuildsDamagedNodeCount: a page image whose header node count
+// was overwritten with 0xffffffff must be rejected and rebuilt from the
+// snapshot at open, and the paged database must then answer exactly as an
+// in-memory open of the same directory does.
+func TestPagedRebuildsDamagedNodeCount(t *testing.T) {
+	dir := pagedSeedDir(t, 100)
+	mem, err := OpenPath(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := observeFrontEnds(t, mem)
+	if err := mem.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err := OpenPathOptions(dir, Options{PoolBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pagePath := filepath.Join(dir, pageName(db.SnapshotSeq()))
+	if err := db.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(pagePath, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0xff, 0xff, 0xff, 0xff}, 16); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	paged, err := OpenPathOptions(dir, Options{PoolBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer paged.CloseWAL()
+	if _, ok := paged.PagePoolStats(); !ok {
+		t.Fatal("reopen did not bind a page store")
+	}
+	observeFrontEnds(t, paged).assertEqual(t, want)
+}
+
 // TestPagedCommitThenCheckpoint pins down the freshness contract: commits
 // republish an un-paged snapshot (queries fall back to the in-memory graph,
 // never a stale page image), and the next checkpoint re-binds the paged

@@ -512,21 +512,19 @@ func (s *Stmt) queryTrace(ctx context.Context, tr *QueryTrace, args []Param) (*R
 		}
 		var workers []*query.Plan
 		var morselSize int
-		if n := s.db.Parallelism(); n > 1 && p.Parallelizable() {
-			// The cost model decides whether fan-out pays off at all (tiny
-			// seed sets run serial regardless of the configured ceiling),
-			// how many workers the estimated seed count supports, and the
-			// morsel size. The gate uses the leading atom's structural
-			// fan-out rather than the selectivity-discounted estimate, so a
-			// clamped-selectivity underestimate cannot force a large query
-			// serial (see Plan.ParallelHint). Best effort: a plan-compile
-			// failure here cannot happen for a plan that just compiled
-			// against the same snapshot, but fall back to serial rather
-			// than failing the query if it does.
-			if w, ms := p.ParallelHint(n); w > 1 {
-				workers, _ = s.checkoutPlans(snap, w)
-				morselSize = ms
-			}
+		// The cost model decides whether fan-out pays off at all (a
+		// single-atom plan or a tiny seed set runs serial regardless of the
+		// configured ceiling), how many workers the estimated seed count
+		// supports, and the morsel size. The gate uses the leading atom's
+		// structural fan-out rather than the selectivity-discounted
+		// estimate, so a clamped-selectivity underestimate cannot force a
+		// large query serial (see Plan.ParallelHint). Best effort: a
+		// plan-compile failure here cannot happen for a plan that just
+		// compiled against the same snapshot, but fall back to serial
+		// rather than failing the query if it does.
+		if w, ms := p.ParallelHint(s.db.Parallelism()); w > 1 {
+			workers, _ = s.checkoutPlans(snap, w)
+			morselSize = ms
 		}
 		var et *query.ExecTrace
 		if tr != nil {

@@ -35,8 +35,6 @@ type QueryTrace struct {
 	Workers     int   `json:"workers,omitempty"`
 	MorselSize  int   `json:"morsel_size,omitempty"`
 	Morsels     int64 `json:"morsels,omitempty"`
-	Splits      int64 `json:"splits,omitempty"`
-	SplitMisses int64 `json:"split_misses,omitempty"`
 	MergeStalls int64 `json:"merge_stalls,omitempty"`
 
 	// Paged-store buffer pool activity over this execution's lifetime,
@@ -61,8 +59,6 @@ func (t *QueryTrace) fillExec(p *query.Plan, et *query.ExecTrace) {
 	t.Workers = et.Workers
 	t.MorselSize = et.MorselSize
 	t.Morsels = et.Morsels
-	t.Splits = et.Splits
-	t.SplitMisses = et.SplitMisses
 	t.MergeStalls = et.MergeStalls
 
 	descs := p.AtomDescs()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/ssd"
 )
@@ -36,19 +35,9 @@ import (
 // occurred in, so the consumer observes it at the same point in the row
 // stream where the serial engine would have — never as a silent truncation.
 //
-// Adaptive splitting: morsel size is fixed up front (the caller's morselSize,
-// or the cost model's seed estimate via Plan.ParallelHint), but per-seed
-// fan-out is only an estimate. When a worker observes a morsel producing far
-// more rows per seed than the plan predicted, it hands off the unprocessed
-// seed suffix as a new morsel to an IDLE worker — a rendezvous on an
-// unbuffered channel, so the handoff happens only if another worker is
-// parked waiting for work at that instant — and hands the consumer a
-// continuation channel in its final batch. Order preservation survives
-// because a split never reorders seeds: the suffix morsel's rows are
-// delivered on the continuation channel, which the merge switches to exactly
-// where the original morsel's rows end — the concatenation is the same
-// seed-order row stream, just produced by two workers. Splits chain: a
-// suffix morsel may itself split again.
+// Load balancing is the shared queue alone: morsel size is fixed up front
+// (the caller's morselSize, or Plan.ParallelHint's, which gives every worker
+// several morsels), and an idle worker simply pulls the next one.
 
 const (
 	// DefaultMorselSize is the number of leading-atom seed rows per morsel
@@ -64,22 +53,6 @@ const (
 	// Workers run at most this far ahead of the in-order merge within one
 	// morsel before blocking — the memory bound of the merge.
 	morselResultBuf = 4
-
-	// splitMinSeedsLeft is the smallest seed suffix worth splitting off —
-	// below it the handoff costs more than finishing inline.
-	splitMinSeedsLeft = 2
-)
-
-// Split tuning. Variables rather than constants only so tests can force the
-// splitting path on small fixtures; production treats them as constants.
-var (
-	// splitFactor is how far observed per-seed fan-out must exceed the cost
-	// model's estimate before a worker splits off its remaining seeds.
-	splitFactor = 8.0
-
-	// splitMinRows is the minimum rows a morsel must have produced before a
-	// worker considers splitting it, regardless of the estimate ratio.
-	splitMinRows int64 = 512
 )
 
 // seedRow is one materialized row of the leading atom: the bound tree node
@@ -120,16 +93,13 @@ func (p *Plan) leadSlots() leadSlots {
 
 // rowBatch is a flat, struct-of-arrays block of merged result rows: row r's
 // tree slots live at trees[r*nT:(r+1)*nT], and likewise for labels/paths.
-// A batch with err != nil is terminal for the whole execution. A batch with
-// cont != nil is terminal for its channel: the morsel was split, and the
-// rows for its remaining seeds follow on cont.
+// A batch with err != nil is terminal for the whole execution.
 type rowBatch struct {
 	n      int
 	trees  []ssd.NodeID
 	labels []ssd.Label
 	paths  [][]ssd.Label
 	err    error
-	cont   chan rowBatch
 }
 
 // morsel is one unit of worker work: a contiguous run of seeds plus the
@@ -139,38 +109,12 @@ type morsel struct {
 	out   chan rowBatch
 }
 
-// parShared is the state a worker pool shares for adaptive morsel splitting:
-// the split rendezvous channel, plus the accounting that tells idle workers
-// when no more work — in flight or future — can possibly arrive.
-//
-// Liveness argument for splits: the splits channel is UNBUFFERED and the
-// splitting worker's send is non-blocking, so a split happens only when an
-// idle worker is parked on a receive at that instant — every split morsel
-// has an owner from the moment it exists, and there is never an orphaned
-// split waiting in a queue. From there the usual progress argument applies:
-// a worker only ever sends on the channel of the morsel it owns, so the
-// owner of the merge-front morsel can always make progress (the merge drains
-// exactly that channel), which in turn eventually unblocks every worker
-// parked on a bounded send for a later morsel. (A buffered split queue
-// breaks this: a queued split at the merge front can be stranded while every
-// worker is blocked sending for later-positioned morsels — a deadlock.)
-// Splitting only when a worker is idle is also exactly when splitting helps;
-// if the whole pool is busy, handing work around buys nothing.
+// parShared is what the coordinator and the workers share besides the
+// morsel queue: the query's ExecTrace, when non-nil. Each goroutine records
+// into a private trace and folds it in under traceMu at exit; the consumer
+// reads the merged result only after Close's wg.Wait, so reads never race
+// the merges.
 type parShared struct {
-	splits   chan morsel   // split handoff rendezvous; never closed
-	pending  atomic.Int64  // morsels emitted or split, not yet completed
-	seeding  atomic.Bool   // coordinator still producing primary morsels
-	done     chan struct{} // closed once seeding ended and pending hit zero
-	doneOnce sync.Once
-	nsplits  atomic.Int64 // splits performed; observability and tests
-
-	splitMisses atomic.Int64 // split attempts that found no idle worker
-	nmorsels    atomic.Int64 // morsels created (primary emits + splits)
-
-	// trace, when non-nil, is the query's ExecTrace. The coordinator and
-	// each worker record into private traces and fold them in under traceMu
-	// at exit; the consumer reads the merged result only after Close's
-	// wg.Wait, so reads never race the merges.
 	trace   *ExecTrace
 	traceMu sync.Mutex
 }
@@ -180,33 +124,6 @@ func (sh *parShared) mergeTrace(o *ExecTrace) {
 	sh.traceMu.Lock()
 	sh.trace.merge(o)
 	sh.traceMu.Unlock()
-}
-
-func newParShared() *parShared {
-	sh := &parShared{
-		splits: make(chan morsel),
-		done:   make(chan struct{}),
-	}
-	sh.seeding.Store(true)
-	return sh
-}
-
-// morselDone retires one unit of pending work.
-func (sh *parShared) morselDone() {
-	if sh.pending.Add(-1) == 0 && !sh.seeding.Load() {
-		sh.doneOnce.Do(func() { close(sh.done) })
-	}
-}
-
-// finishSeeding marks the primary morsel stream exhausted. Between it and
-// morselDone, whichever observes the final state (no seeding, no pending)
-// closes done; a split increments pending before its parent morsel retires,
-// so pending can never transiently read zero while work is still queued.
-func (sh *parShared) finishSeeding() {
-	sh.seeding.Store(false)
-	if sh.pending.Load() == 0 {
-		sh.doneOnce.Do(func() { close(sh.done) })
-	}
 }
 
 // CursorParallel opens a streaming execution of the plan across
@@ -224,8 +141,8 @@ func (sh *parShared) finishSeeding() {
 //
 // A non-nil tr (reinitialized for this plan) records operator-level
 // statistics: per-atom rows and wall time, summed across workers, plus the
-// pool shape — workers, morsel size, morsels executed, adaptive splits and
-// misses, and consumer merge stalls. The trace is complete only after the
+// pool shape — workers, morsel size, morsels executed and consumer merge
+// stalls. The trace is complete only after the
 // cursor is closed (Close waits for a pool to quiesce).
 //
 //ssd:mustclose
@@ -296,7 +213,6 @@ type parCursor struct {
 	ctx    context.Context // caller's context (nil allowed)
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-	sh     *parShared
 
 	order chan chan rowBatch // per-morsel result channels, in seed order
 	cur   chan rowBatch      // current morsel's channel, nil between morsels
@@ -329,9 +245,7 @@ func newParCursor(ctx context.Context, p *Plan, vals []ssd.Label, workers []*Pla
 	}
 	ls := p.leadSlots()
 	morsels := make(chan morsel, len(workers))
-	sh := newParShared()
-	sh.trace = tr
-	pc.sh = sh
+	sh := &parShared{trace: tr}
 	pc.trace = tr
 
 	// Workers: one executor per plan, shared-nothing. Each runs atoms[1:]
@@ -353,7 +267,6 @@ func newParCursor(ctx context.Context, p *Plan, vals []ssd.Label, workers []*Pla
 		defer pc.wg.Done()
 		defer close(pc.order)
 		defer close(morsels)
-		defer sh.finishSeeding()
 		seedEx := p.exec(workCtx, vals)
 		seedEx.relaxedPoll = true
 		seedEx.atoms = seedEx.atoms[:1] // drive only the leading atom
@@ -386,8 +299,9 @@ func newParCursor(ctx context.Context, p *Plan, vals []ssd.Label, workers []*Pla
 			case <-workCtx.Done():
 				return false
 			}
-			sh.pending.Add(1)
-			sh.nmorsels.Add(1)
+			if seedTr != nil {
+				seedTr.Morsels++
+			}
 			select {
 			case morsels <- morsel{seeds: seeds, out: out}:
 			case <-workCtx.Done():
@@ -434,14 +348,12 @@ func newParCursor(ctx context.Context, p *Plan, vals []ssd.Label, workers []*Pla
 	return pc
 }
 
-// runWorker executes morsels until both the primary queue is closed and no
-// split work remains (sh.done). A worker parked on the pull select is the
-// rendezvous receiver that makes another worker's split possible — see
-// parShared for the liveness argument. Any failure of the worker's executor —
-// cancellation or a recovered panic — is delivered as a terminal batch on
-// the failing morsel's channel; the worker then keeps draining both sources,
-// delivering the terminal error on every morsel it drains, so the
-// coordinator is never blocked on a dead consumer.
+// runWorker executes morsels until the queue is closed. Any failure of the
+// worker's executor — cancellation or a recovered panic — is delivered as a
+// terminal batch on the failing morsel's channel; the worker then keeps
+// draining the queue, delivering the terminal error on every morsel it
+// drains, so the coordinator is never blocked on a dead consumer and no
+// morsel's channel ever closes without its rows or an error.
 func runWorker(ctx context.Context, wp *Plan, vals []ssd.Label, ls leadSlots, morsels <-chan morsel, sh *parShared) {
 	ex := wp.exec(ctx, vals)
 	ex.base = 1
@@ -457,49 +369,19 @@ func runWorker(ctx context.Context, wp *Plan, vals []ssd.Label, ls leadSlots, mo
 		ex.trace = nil
 		ex.release() // visible to the next checkout via Close's wg.Wait
 	}()
-	open := true // primary morsel queue still open
-	for {
-		var m morsel
-		var ok bool
-		if open {
-			select {
-			case m, ok = <-morsels:
-				if !ok {
-					open = false
-					continue
-				}
-			case m = <-sh.splits: // never closed; a receive is a real morsel
-			case <-ctx.Done():
-				return
-			}
-		} else {
-			select {
-			case m = <-sh.splits:
-			case <-sh.done:
-				return
-			case <-ctx.Done():
-				return
-			}
-		}
+	for m := range morsels {
 		if ex.err != nil {
-			// Drain, but deliver the terminal error rather than closing the
-			// channel empty: a drained split can precede the failing morsel
-			// in merge order, and an empty close there would make the merge
-			// skip that seed range's rows and keep yielding later rows — a
-			// silent gap instead of the serial engine's prefix semantics.
 			// m.out is freshly created and this worker is its only sender,
 			// so the buffered send cannot block.
 			m.out <- rowBatch{err: ex.err}
 			close(m.out)
-			sh.morselDone()
 			continue
 		}
-		alive := workMorsel(ctx, ex, wp, ls, m, sh)
+		alive := workMorsel(ctx, ex, wp, ls, m)
 		// Morsel boundary: drop page pins accumulated on the hot path so a
 		// paged store can evict between morsels. The accessor stays usable —
 		// the next morsel simply re-pins on first touch.
 		ex.acc.Release()
-		sh.morselDone()
 		if !alive {
 			return // work context cancelled mid-send: the consumer is gone
 		}
@@ -512,12 +394,7 @@ func runWorker(ctx context.Context, wp *Plan, vals []ssd.Label, ls leadSlots, mo
 // executor recovers its own panics); a panic in the merge machinery itself
 // is additionally recovered here, so a worker can never die without
 // terminating its morsel's channel.
-//
-// When the morsel's observed fan-out far exceeds the plan's per-seed
-// estimate (see splitFactor/splitMinRows), the unprocessed seed suffix is
-// split off through sh.splits for another worker, and the final batch on
-// m.out carries the suffix's channel as its continuation.
-func workMorsel(ctx context.Context, ex *executor, wp *Plan, ls leadSlots, m morsel, sh *parShared) (alive bool) {
+func workMorsel(ctx context.Context, ex *executor, wp *Plan, ls leadSlots, m morsel) (alive bool) {
 	defer close(m.out)
 	alive = true
 	var b rowBatch
@@ -538,9 +415,7 @@ func workMorsel(ctx context.Context, ex *executor, wp *Plan, ls leadSlots, m mor
 	}()
 	nT, nL, nP := len(wp.treeName), len(wp.labelName), len(wp.pathName)
 	dstSlot := wp.atoms[0].dstSlot
-	estPerSeed := wp.perSeedEst()
-	var rowsOut int64
-	for k, s := range m.seeds {
+	for _, s := range m.seeds {
 		ex.regs.trees[dstSlot] = s.tree
 		for i, slot := range ls.labels {
 			ex.regs.labels[slot] = s.labels[i]
@@ -554,7 +429,6 @@ func workMorsel(ctx context.Context, ex *executor, wp *Plan, ls leadSlots, m mor
 			b.labels = append(b.labels, ex.regs.labels[:nL]...)
 			b.paths = append(b.paths, ex.regs.paths[:nP]...)
 			b.n++
-			rowsOut++
 			if b.n >= parBatchRows {
 				if !send(b) {
 					return
@@ -565,36 +439,6 @@ func workMorsel(ctx context.Context, ex *executor, wp *Plan, ls leadSlots, m mor
 		if ex.err != nil {
 			b.err = ex.err
 			break
-		}
-		// Adaptive split: this morsel is producing far more rows per seed
-		// than the plan estimated, so try to hand the remaining seeds to an
-		// idle worker. The non-blocking send on the unbuffered splits
-		// channel succeeds only if a worker is parked on its pull select
-		// right now — the rendezvous that guarantees every split morsel is
-		// owned the moment it exists (see parShared). The final batch's
-		// cont field tells the merge where the suffix's rows continue; seed
-		// order is untouched, so the merged stream is identical to the
-		// unsplit one.
-		if remaining := len(m.seeds) - k - 1; remaining >= splitMinSeedsLeft &&
-			rowsOut >= splitMinRows &&
-			float64(rowsOut) > splitFactor*estPerSeed*float64(k+1) {
-			cont := make(chan rowBatch, morselResultBuf)
-			sh.pending.Add(1)
-			select {
-			case sh.splits <- morsel{seeds: m.seeds[k+1:], out: cont}:
-				sh.nsplits.Add(1)
-				sh.nmorsels.Add(1)
-				obsSplits.Inc()
-				b.cont = cont
-				send(b)
-				return
-			default:
-				// No idle worker: the whole pool is saturated, so a handoff
-				// would not buy anything anyway. Keep going inline.
-				sh.pending.Add(-1)
-				sh.splitMisses.Add(1)
-				obsSplitMisses.Inc()
-			}
 		}
 	}
 	if b.n > 0 || b.err != nil {
@@ -625,13 +469,6 @@ func (pc *parCursor) Next() bool {
 			copy(pc.regs.labels, pc.batch.labels[r*nL:(r+1)*nL])
 			copy(pc.regs.paths, pc.batch.paths[r*nP:(r+1)*nP])
 			return true
-		}
-		if pc.batch.cont != nil {
-			// The producing worker split this morsel mid-way: the rows for
-			// its remaining seeds continue on cont, in the same seed order.
-			pc.cur = pc.batch.cont
-			pc.batch, pc.ri = rowBatch{}, 0
-			continue
 		}
 		if pc.cur == nil {
 			select {
@@ -701,12 +538,5 @@ func (pc *parCursor) Close() {
 	pc.closed = true
 	pc.done = true
 	pc.cancel()
-	pc.wg.Wait()
-	if pc.trace != nil {
-		// Pool has quiesced: every worker's per-atom trace is merged and the
-		// shared counters are final.
-		pc.trace.Splits = pc.sh.nsplits.Load()
-		pc.trace.SplitMisses = pc.sh.splitMisses.Load()
-		pc.trace.Morsels = pc.sh.nmorsels.Load()
-	}
+	pc.wg.Wait() // every worker's and the coordinator's trace is merged
 }

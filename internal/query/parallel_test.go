@@ -3,7 +3,6 @@ package query
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -96,87 +95,27 @@ func sameRowStream(t *testing.T, what string, p *Plan, ser, par *Cursor) int {
 	return row
 }
 
-// forceSplits lowers the adaptive-split thresholds so that every morsel
-// splits as aggressively as the machinery allows, and returns a restore
-// function. Tests that force splits must restore before returning (and must
-// not run in parallel with each other); the happens-before edges of
-// goroutine start and Cursor.Close make the writes race-free.
-func forceSplits() (restore func()) {
-	of, om := splitFactor, splitMinRows
-	splitFactor, splitMinRows = 0, 1
-	return func() { splitFactor, splitMinRows = of, om }
-}
-
-// TestParallelAdaptiveSplitByteIdentical is the acceptance property for
-// runtime morsel splitting: with the split thresholds floored so workers
-// split after every seed (maximally chained continuations), the merged
-// stream must still be the serial engine's row stream across the whole
-// engine cross-check corpus.
+// TestParallelAdaptiveSplitByteIdentical splits every engine case's scan
+// as finely as it can be split — one seed per morsel, so the merge must
+// order the most result channels it can ever be handed — and also at four
+// seeds per morsel, across three workers. The merged stream must be the
+// serial engine's row stream.
 func TestParallelAdaptiveSplitByteIdentical(t *testing.T) {
-	defer forceSplits()()
 	for _, c := range engineCases {
 		t.Run(c.name, func(t *testing.T) {
-			compareParallel(t, "split", MustParse(c.query), caseGraph(t, c), PlanOptions{}, c.params, 3, 4)
+			q, g := MustParse(c.query), caseGraph(t, c)
+			for _, morsel := range []int{1, 4} {
+				compareParallel(t, fmt.Sprintf("morsel=%d", morsel), q, g, PlanOptions{}, c.params, 3, morsel)
+			}
 		})
 	}
 }
 
-// TestParallelAdaptiveSplitRowOrder pins that splitting actually happened
-// and that the continuation-chain merge preserves exact row order, not just
-// the canonicalized result.
-//
-// A split handoff is a rendezvous — it happens only when another worker is
-// parked idle at the instant of the attempt — so no single run can demand
-// one from the scheduler. The setup makes a split all but certain: the
-// morsel size exceeds the seed count, so one worker owns the whole scan
-// while the other two park idle, and the floored thresholds attempt a
-// handoff after every one of the ~2000 seeds. GOMAXPROCS is raised because
-// on a single-P runtime the merge goroutine and the busy worker hand the
-// processor to each other through the scheduler's runnext slot, which can
-// starve the idle workers out of ever parking (that starvation is exactly
-// why splits are opportunistic in production); the retry loop turns "all
-// but certain" into a deterministic pin. Every attempt, split or not, must
-// match the serial row stream exactly.
-func TestParallelAdaptiveSplitRowOrder(t *testing.T) {
-	defer forceSplits()()
-	if runtime.GOMAXPROCS(0) < 4 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	}
-	g := workload.Movies(workload.DefaultMovieConfig(2000))
-	q := MustParse(`select {Title: T} from DB.Entry.Movie M, M.Title T, M.Cast._* A`)
-	for attempt := 0; ; attempt++ {
-		sp, err := NewPlan(q, g, PlanOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ser, err := sp.Cursor(nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := NewPlan(q, g, PlanOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par := openParallel(t, p, nil, nil, 3, 5000)
-		if sameRowStream(t, fmt.Sprintf("attempt %d", attempt), p, ser, par) == 0 {
-			t.Fatal("no rows compared")
-		}
-		nsplits := par.par.sh.nsplits.Load()
-		ser.Close()
-		par.Close()
-		if nsplits > 0 {
-			return
-		}
-		if attempt >= 9 {
-			t.Fatal("no forced-split attempt performed a split in 10 runs: the adaptive path was not exercised")
-		}
-	}
-}
-
-// TestParallelAdaptiveSplitCancellation: cancelling mid-stream while splits
-// are flying must still tear the pool down promptly.
+// TestParallelAdaptiveSplitCancellation cancels a scan split as finely as
+// it can be — one seed per morsel, so the merge holds the most per-morsel
+// result channels it can ever be handed — and checks the cursor stops
+// promptly and reports the context error.
 func TestParallelAdaptiveSplitCancellation(t *testing.T) {
-	defer forceSplits()()
 	g := workload.Movies(workload.DefaultMovieConfig(2000))
 	q := MustParse(`select {Title: T} from DB.Entry.Movie M, M.Title T, M.Cast._* A`)
 	p, err := NewPlan(q, g, PlanOptions{})
@@ -184,7 +123,7 @@ func TestParallelAdaptiveSplitCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	cur := openParallel(t, p, ctx, nil, 3, 16)
+	cur := openParallel(t, p, ctx, nil, 3, 1)
 	defer cur.Close()
 	for i := 0; i < 5; i++ {
 		if !cur.Next() {
@@ -337,97 +276,12 @@ func TestParallelWorkerFailure(t *testing.T) {
 	}
 }
 
-// TestParallelSplitRendezvous drives workMorsel against a hand-rolled idle
-// receiver, pinning the handoff mechanics without depending on pool
-// scheduling: the split must go to a parked receiver, the final batch must
-// carry the suffix's channel as its continuation, and the handed-off suffix
-// plus the rows delivered before it must exactly partition the seed range.
-// The ready-handshake guarantees the receiver is parked before workMorsel
-// starts on a single-P runtime (the receiver runs until it blocks before
-// the main goroutine resumes); on a multi-P runtime workMorsel re-attempts
-// the handoff after every seed, so the receiver only has to park sometime
-// during the scan.
-func TestParallelSplitRendezvous(t *testing.T) {
-	defer forceSplits()()
-	g := workload.Movies(workload.DefaultMovieConfig(60))
-	q := MustParse(`select T from DB.Entry.Movie M, M.Title T`)
-	sp, err := NewPlan(q, g, PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Materialize the seed rows the way the coordinator does: a serial pass
-	// over just the leading atom.
-	seedEx := sp.exec(context.Background(), nil)
-	seedEx.atoms = seedEx.atoms[:1]
-	dst := sp.atoms[0].dstSlot
-	var seeds []seedRow
-	for seedEx.Next() {
-		seeds = append(seeds, seedRow{tree: seedEx.regs.trees[dst]})
-	}
-	if seedEx.err != nil || len(seeds) < splitMinSeedsLeft+1 {
-		t.Fatalf("seeding: %d seeds, err %v", len(seeds), seedEx.err)
-	}
-
-	wp, err := NewPlan(q, g, PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := newParShared()
-	sh.pending.Add(1)
-	claimed := make(chan morsel, 1)
-	ready := make(chan struct{})
-	go func() {
-		close(ready)
-		claimed <- <-sh.splits
-	}()
-	<-ready
-
-	out := make(chan rowBatch, morselResultBuf)
-	ex := wp.exec(context.Background(), nil)
-	ex.base = 1
-	ex.relaxedPoll = true
-	if !workMorsel(context.Background(), ex, wp, leadSlots{}, morsel{seeds: seeds, out: out}, sh) {
-		t.Fatal("workMorsel reported cancellation")
-	}
-	sh.morselDone() // what runWorker does after workMorsel returns
-	var prefixRows int
-	var cont chan rowBatch
-	for b := range out {
-		if b.err != nil {
-			t.Fatalf("batch error: %v", b.err)
-		}
-		prefixRows += b.n
-		cont = b.cont
-	}
-	if cont == nil {
-		t.Fatal("no split: final batch carries no continuation despite a parked receiver")
-	}
-	m := <-claimed
-	if m.out != cont {
-		t.Fatal("handed-off suffix morsel does not deliver on the continuation channel")
-	}
-	// Every movie yields exactly one Title row, so rows delivered before the
-	// handoff plus suffix seeds must account for every seed.
-	if prefixRows+len(m.seeds) != len(seeds) {
-		t.Fatalf("prefix rows (%d) + suffix seeds (%d) != total seeds (%d)",
-			prefixRows, len(m.seeds), len(seeds))
-	}
-	if got := sh.nsplits.Load(); got < 1 {
-		t.Fatalf("nsplits = %d, want >= 1", got)
-	}
-	if got := sh.pending.Load(); got != 1 {
-		t.Fatalf("pending = %d after handoff, want 1 (suffix outstanding)", got)
-	}
-}
-
 // TestParallelWorkerDrainDeliversError is the regression test for the
 // failed-worker drain path: once a worker's executor has failed, every
 // morsel it subsequently drains must carry the terminal error, not be
-// closed empty. A drained split can precede the failing morsel in merge
-// order, and an empty close there would make the merge treat the gap as a
-// completed morsel — silently skipping that seed range's rows and then
-// yielding later rows before the error, which breaks the serial engine's
-// prefix semantics.
+// closed empty. A channel closed empty reads to the merge as a morsel that
+// produced no rows — a silent gap in the stream instead of the serial
+// engine's prefix-then-error semantics.
 func TestParallelWorkerDrainDeliversError(t *testing.T) {
 	g := workload.Fig1(false)
 	q := MustParse(`select T from DB.Entry.Movie M, M.Title T`)
@@ -436,18 +290,15 @@ func TestParallelWorkerDrainDeliversError(t *testing.T) {
 		t.Fatal(err)
 	}
 	wp.atoms[1].steps[0].au = nil // first pull panics -> executor fails
-	sh := newParShared()
 	morsels := make(chan morsel, 2)
 	seeds := []seedRow{{tree: g.Root()}}
 	outs := make([]chan rowBatch, 2)
 	for i := range outs {
 		outs[i] = make(chan rowBatch, morselResultBuf)
-		sh.pending.Add(1)
 		morsels <- morsel{seeds: seeds, out: outs[i]}
 	}
 	close(morsels)
-	sh.finishSeeding()
-	runWorker(context.Background(), wp, nil, wp.leadSlots(), morsels, sh)
+	runWorker(context.Background(), wp, nil, wp.leadSlots(), morsels, &parShared{})
 	for i, out := range outs {
 		b, ok := <-out
 		if !ok {
@@ -459,11 +310,6 @@ func TestParallelWorkerDrainDeliversError(t *testing.T) {
 		if _, ok := <-out; ok {
 			t.Fatalf("morsel %d: batch after the terminal error", i)
 		}
-	}
-	select {
-	case <-sh.done:
-	default:
-		t.Fatal("drained pool did not reach done")
 	}
 }
 

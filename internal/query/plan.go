@@ -138,18 +138,16 @@ type Plan struct {
 	opts          PlanOptions
 	reach         []bool // reachability from root; built only for index access
 
-	// seedEst and outEst are the cost model's cardinality estimates for the
-	// leading atom's result set and the final row count. ParallelHint sizes
-	// the morsel-driven scan from them, and the runtime morsel splitter
-	// compares observed fan-out against outEst/seedEst. seedFanout is the
-	// leading atom's structural fan-out BEFORE where-conjunct selectivities
-	// were multiplied in: selectivities are clamped guesses that can
-	// underestimate badly, so the parallel gate uses the structural count
-	// (which also approximates the enumeration work the coordinator pays
-	// regardless of how many seeds survive the filters).
+	// seedEst is the cost model's cardinality estimate for the leading
+	// atom's result set; ParallelHint sizes the morsel-driven scan from it.
+	// seedFanout is the leading atom's structural fan-out BEFORE
+	// where-conjunct selectivities were multiplied in: selectivities are
+	// clamped guesses that can underestimate badly, so the parallel gate
+	// uses the structural count (which also approximates the enumeration
+	// work the coordinator pays regardless of how many seeds survive the
+	// filters).
 	seedEst    float64
 	seedFanout float64
-	outEst     float64
 
 	// idleEx is the executor released by the last closed cursor, reused by
 	// the next execution. Executors carry large per-graph scratch arrays
@@ -183,12 +181,6 @@ func (p *Plan) Atoms() []AtomInfo {
 // supply a value for every name.
 func (p *Plan) Params() []string { return p.paramName }
 
-// Parallelizable reports whether the plan has join work the morsel-driven
-// parallel scan can fan out: at least two atoms, so workers get atoms[1:]
-// while the coordinator seeds the leading atom. Callers use it to avoid
-// checking out worker plans that CursorParallel would ignore anyway.
-func (p *Plan) Parallelizable() bool { return len(p.atoms) >= 2 }
-
 // Adaptive parallelism thresholds: fan-out only pays when the seed set is
 // large enough to amortize worker start-up and channel traffic, and each
 // worker should see several morsels so the order-preserving merge does not
@@ -204,16 +196,15 @@ const (
 // seed-cardinality estimate: how many workers (capped at maxWorkers) the
 // leading atom's estimated result set can keep busy, and a morsel size that
 // gives each worker several morsels. Returns (0, 0) when the plan should
-// run serially — too few atoms or an estimated seed set too small to fan
-// out.
+// run serially — fewer than two atoms (no join work for workers to take
+// over from the coordinator) or an estimated seed set too small to fan out.
 //
 // The gate deliberately uses the structural fan-out (seedFanout), not the
 // selectivity-discounted estimate: clamped conjunct selectivities can
 // underestimate the surviving seed count by orders of magnitude, and a
-// wrongly-serial decision is unrecoverable (the runtime morsel splitter
-// only rebalances inside an already-parallel scan), whereas wrongly
-// fanning out over a small seed set costs a few idle goroutines. The
-// asymmetry says: gate on the optimistic count.
+// wrongly-serial decision is unrecoverable, whereas wrongly fanning out
+// over a small seed set costs a few idle goroutines. The asymmetry says:
+// gate on the optimistic count.
 func (p *Plan) ParallelHint(maxWorkers int) (workers, morselSize int) {
 	if maxWorkers <= 1 || len(p.atoms) < 2 {
 		return 0, 0
@@ -240,15 +231,6 @@ func (p *Plan) ParallelHint(maxWorkers int) (workers, morselSize int) {
 		ms = DefaultMorselSize
 	}
 	return w, ms
-}
-
-// perSeedEst is the cost model's expected output rows per seed row — the
-// yardstick the runtime morsel splitter compares observed fan-out against.
-func (p *Plan) perSeedEst() float64 {
-	if p.seedEst < 1 {
-		return p.outEst
-	}
-	return p.outEst / p.seedEst
 }
 
 // ---------------------------------------------------------------------------
@@ -391,7 +373,6 @@ func NewPlan(q *Query, g ssd.GraphStore, opts PlanOptions) (*Plan, error) {
 			}
 		}
 	}
-	p.outEst = cum
 
 	if err := pl.placeConds(); err != nil {
 		return nil, err

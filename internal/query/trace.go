@@ -1,21 +1,6 @@
 package query
 
-import (
-	"strings"
-
-	"repro/internal/obs"
-)
-
-// Parallel-runtime counters: process-wide totals for the adaptive morsel
-// splitter, complementing the per-query numbers an ExecTrace records. A
-// split is a successful rendezvous handoff of a seed suffix to an idle
-// worker; a miss is a split attempt that found the whole pool busy.
-var (
-	obsSplits = obs.Default.Counter("ssd_parallel_splits_total",
-		"Adaptive morsel splits handed off to an idle worker.")
-	obsSplitMisses = obs.Default.Counter("ssd_parallel_split_misses_total",
-		"Morsel split attempts dropped because no worker was idle.")
-)
+import "strings"
 
 // ExecTrace records operator-level statistics for one cursor execution: the
 // per-query face of observability, as opposed to the process-wide counters
@@ -38,9 +23,7 @@ type ExecTrace struct {
 	// Parallel execution shape; zero for serial runs.
 	Workers     int   // worker executors in the pool
 	MorselSize  int   // seeds per primary morsel
-	Morsels     int64 // morsels executed (primary + split)
-	Splits      int64 // adaptive splits handed off
-	SplitMisses int64 // split attempts with no idle worker
+	Morsels     int64 // morsels executed
 	MergeStalls int64 // times the consumer blocked waiting for the next batch
 }
 
@@ -57,16 +40,18 @@ func (t *ExecTrace) init(n int) {
 		t.AtomNanos = make([]int64, n)
 	}
 	t.Workers, t.MorselSize = 0, 0
-	t.Morsels, t.Splits, t.SplitMisses, t.MergeStalls = 0, 0, 0, 0
+	t.Morsels, t.MergeStalls = 0, 0
 }
 
-// merge folds a worker-local trace into t. Callers serialize merges (the
-// parallel pool merges under a mutex at worker exit).
+// merge folds a coordinator- or worker-local trace into t. Callers
+// serialize merges (the parallel pool merges under a mutex at goroutine
+// exit).
 func (t *ExecTrace) merge(o *ExecTrace) {
 	for i := range o.AtomRows {
 		t.AtomRows[i] += o.AtomRows[i]
 		t.AtomNanos[i] += o.AtomNanos[i]
 	}
+	t.Morsels += o.Morsels
 }
 
 // AtomDescs renders one human-readable descriptor per planned atom, in plan

@@ -277,16 +277,9 @@ func OpenPageFile(path string, poolBytes int64) (*PageStore, error) {
 		return nil, fmt.Errorf("storage: page file %s: implausible header", path)
 	}
 	headLen := fileHdrLen + 4*numNodes + 4
-	head := make([]byte, headLen)
-	if _, err := f.ReadAt(head, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("storage: page file %s: directory: %w", path, err)
-	}
-	want := binary.LittleEndian.Uint32(head[headLen-4:])
-	if crc32.ChecksumIEEE(head[:headLen-4]) != want {
-		f.Close()
-		return nil, fmt.Errorf("storage: page file %s: header checksum mismatch", path)
-	}
+	// Check the size the header implies before allocating the directory
+	// from it: a damaged node count must fail here, not as a multi-GiB
+	// allocation.
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
@@ -296,6 +289,16 @@ func OpenPageFile(path string, poolBytes int64) (*PageStore, error) {
 		f.Close()
 		return nil, fmt.Errorf("storage: page file %s: truncated (%d bytes, want %d)",
 			path, st.Size(), int64(headLen)+int64(numPages)*int64(pageSize))
+	}
+	head := make([]byte, headLen)
+	if _, err := f.ReadAt(head, 0); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("storage: page file %s: directory: %w", path, err)
+	}
+	want := binary.LittleEndian.Uint32(head[headLen-4:])
+	if crc32.ChecksumIEEE(head[:headLen-4]) != want {
+		f.Close()
+		return nil, fmt.Errorf("storage: page file %s: header checksum mismatch", path)
 	}
 	dir := make([]uint32, numNodes)
 	for i := range dir {

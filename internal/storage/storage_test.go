@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -320,5 +321,34 @@ func TestOpenPageFileErrors(t *testing.T) {
 	}
 	if _, err := OpenPageFile(path, 0); err == nil {
 		t.Error("corrupted directory should fail the checksum")
+	}
+}
+
+// TestOpenPageFileDamagedNodeCount: a header whose node count was
+// overwritten with 0xffffffff implies a 16 GiB directory. Opening must
+// reject the file from its size before allocating anything that large.
+func TestOpenPageFileDamagedNodeCount(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.ssdp")
+	if err := WritePageFile(path, chainGraph(50), ClusterDFS, 128); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data[16:20], []byte{0xff, 0xff, 0xff, 0xff})
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ps, err := OpenPageFile(path, 0)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		ps.Close()
+		t.Fatal("page file with a damaged node count opened")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("rejecting the damaged header allocated %d bytes, want < 1 MiB", alloc)
 	}
 }
