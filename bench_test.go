@@ -456,6 +456,7 @@ func BenchmarkStorageScan(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer ps.Close()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ssd.ReachableFrom(ps, ps.Root())

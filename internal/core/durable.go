@@ -138,8 +138,10 @@ type Options struct {
 	// PoolBytes > 0 opens the database out-of-core: read paths go through a
 	// paged store over the generation's DFS-clustered page file
 	// (pages-<seq>.ssdp, rebuilt from the recovered graph when missing or
-	// torn), with a buffer pool holding at most about PoolBytes of decoded
-	// pages. 0 keeps the classic all-in-memory read path.
+	// torn), with a buffer pool holding about PoolBytes of page bytes: the
+	// budget charges whole pages as read from the file, not the edges
+	// decoded from them, and is exceeded only while every resident frame is
+	// pinned. 0 keeps the classic all-in-memory read path.
 	PoolBytes int64
 }
 

@@ -337,3 +337,41 @@ func (r *reader) label() (ssd.Label, error) {
 		return ssd.Label{}, fmt.Errorf("storage: unknown label kind %d", kind)
 	}
 }
+
+// skipLabel steps over one label, making every check label makes — kind,
+// string length, varint and fixed-width payload bounds — without building
+// the label, so validating a record allocates nothing.
+func (r *reader) skipLabel() error {
+	if r.pos >= len(r.data) {
+		return io.ErrUnexpectedEOF
+	}
+	kind := ssd.Kind(r.data[r.pos])
+	r.pos++
+	switch kind {
+	case ssd.KindSymbol, ssd.KindString, ssd.KindOID:
+		n, err := r.uvarint()
+		if err != nil {
+			return err
+		}
+		if n > uint64(len(r.data)-r.pos) {
+			return io.ErrUnexpectedEOF
+		}
+		r.pos += int(n)
+	case ssd.KindInt:
+		_, err := r.varint()
+		return err
+	case ssd.KindFloat:
+		if r.pos+8 > len(r.data) {
+			return io.ErrUnexpectedEOF
+		}
+		r.pos += 8
+	case ssd.KindBool:
+		if r.pos >= len(r.data) {
+			return io.ErrUnexpectedEOF
+		}
+		r.pos++
+	default:
+		return fmt.Errorf("storage: unknown label kind %d", kind)
+	}
+	return nil
+}

@@ -28,21 +28,30 @@ package storage
 // near-sequentially. The directory maps every node to its run's first
 // page; continuation pages are never entered directly.
 //
-// The buffer pool caches decoded runs ("frames") under a byte budget with
-// LRU eviction over unpinned frames. Pinning is an optimization and an
-// accounting device, not a safety requirement: decoded edge slices are
-// ordinary garbage-collected memory, so a slice that escaped a frame stays
-// valid after the frame is evicted — eviction just drops the pool's
-// reference. Iterator hot paths pin a small ring of frames through a
-// StoreAccessor (see Accessor) and release at morsel or cursor boundaries.
+// The buffer pool caches runs ("frames") under a byte budget with LRU
+// eviction over unpinned frames. Frames are lazy: loading a run checks its
+// CRC and validates every record once (node and edge targets in range, no
+// node twice, degrees and labels well formed) while recording where each
+// record starts, but decodes nothing. A record's edges are decoded on first touch and
+// published into the frame for later readers; a leaf decodes to nil.
+// Decoded edge slices are ordinary garbage-collected memory that never
+// aliases the run bytes, so a slice that escaped a frame stays valid after
+// the frame is evicted. Eviction hands a single-page frame's buffers to a
+// small free list that the next miss reuses; that is safe because only
+// unpinned frames are evicted and every decode runs on a pinned frame.
+// Iterator hot paths pin a small ring of frames through a StoreAccessor
+// (see Accessor) and release at morsel or cursor boundaries.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/ssd"
@@ -199,15 +208,93 @@ func appendNodeRecord(buf []byte, g *ssd.Graph, n ssd.NodeID) []byte {
 	return buf
 }
 
-// frame is one decoded run resident in the pool.
+// frameRec locates one validated record in its frame's data.
+type frameRec struct {
+	node ssd.NodeID
+	deg  uint32 // edge count
+	off  uint32 // offset of the record's first edge in data
+}
+
+// recReady marks a record whose decoded edges are published in
+// frame.edges; recClaimed marks one a reader is publishing.
+const (
+	recClaimed uint32 = 1 + iota
+	recReady
+)
+
+// frame is one run resident in the pool: its validated record bytes and a
+// table of where each record starts, decoded per record on first touch.
 type frame struct {
-	page  uint32 // first page of the run
-	bytes int64  // page bytes charged against the budget
-	edges map[ssd.NodeID][]ssd.Edge
+	page  uint32     // first page of the run
+	bytes int64      // page bytes charged against the budget
+	buf   []byte     // the run as read, header included
+	data  []byte     // the run's record data, inside buf
+	recs  []frameRec // sorted by node, no node twice
+	// Per record, parallel to recs: its publish state and, once recReady,
+	// its decoded edges.
+	state []atomic.Uint32
+	edges [][]ssd.Edge
 	pins  int
 	// LRU links; a frame is listed only while unpinned.
 	prev, next *frame
 }
+
+// find returns the index in recs of n's record, or -1.
+func (fr *frame) find(n ssd.NodeID) int {
+	recs := fr.recs
+	if len(recs) == 0 {
+		return -1
+	}
+	// Clustered runs mostly hold consecutive ids: try n's offset from the
+	// first id before searching.
+	if k := int(n - recs[0].node); k >= 0 && k < len(recs) && recs[k].node == n {
+		return k
+	}
+	if i, ok := slices.BinarySearchFunc(recs, n, cmpNode); ok {
+		return i
+	}
+	return -1
+}
+
+func cmpNode(r frameRec, n ssd.NodeID) int { return cmp.Compare(r.node, n) }
+
+// out returns n's edges, decoding its record on first touch. The caller
+// holds a pin on fr. Concurrent first touches each decode; one publishes.
+func (fr *frame) out(n ssd.NodeID) []ssd.Edge {
+	i := fr.find(n)
+	if i < 0 || fr.recs[i].deg == 0 {
+		return nil
+	}
+	if fr.state[i].Load() == recReady {
+		return fr.edges[i]
+	}
+	rec := fr.recs[i]
+	es := make([]ssd.Edge, rec.deg)
+	// The load pass validated this record, so decoding cannot fail.
+	r := reader{data: fr.data, pos: int(rec.off)}
+	for j := range es {
+		l, _ := r.label()
+		to, _ := r.uvarint()
+		es[j] = ssd.Edge{Label: l, To: ssd.NodeID(to)}
+	}
+	if fr.state[i].CompareAndSwap(0, recClaimed) {
+		fr.edges[i] = es
+		fr.state[i].Store(recReady)
+	}
+	return es
+}
+
+// degree returns n's out-degree without decoding its record.
+func (fr *frame) degree(n ssd.NodeID) int {
+	if i := fr.find(n); i >= 0 {
+		return int(fr.recs[i].deg)
+	}
+	return 0
+}
+
+// maxFreeFrames bounds the evicted single-page frames a store keeps for
+// reuse by later misses.
+const maxFreeFrames = 16
 
 // PageStore serves the GraphStore read surface from a page file through a
 // byte-budgeted LRU buffer pool. It is safe for concurrent readers; the
@@ -227,8 +314,9 @@ type PageStore struct {
 
 	mu       sync.Mutex
 	frames   map[uint32]*frame
-	lruHead  *frame // most recently released
-	lruTail  *frame // eviction victim
+	lruHead  *frame   // most recently released
+	lruTail  *frame   // eviction victim
+	free     []*frame // evicted single-page frames, reused by loadFrame
 	resident int64
 	pinned   int64 // pinned pages (not frames): multi-page runs count fully
 	budget   int64
@@ -335,6 +423,7 @@ func (ps *PageStore) Close() error {
 	ps.mu.Lock()
 	ps.closed = true
 	ps.frames = nil
+	ps.free = nil
 	ps.lruHead, ps.lruTail = nil, nil
 	ps.resident, ps.pinned = 0, 0
 	ps.mu.Unlock()
@@ -367,8 +456,8 @@ func (ps *PageStore) Stats() PoolStats {
 }
 
 // acquire returns the frame whose run starts at page, pinned. Misses load
-// and decode under the pool mutex: simple, and the warm path (the one that
-// matters for query latency) only takes the lock for a map hit.
+// and validate under the pool mutex: simple, and the warm path (the one
+// that matters for query latency) only takes the lock for a map hit.
 func (ps *PageStore) acquire(page uint32) *frame {
 	ps.mu.Lock()
 	if ps.closed {
@@ -431,6 +520,13 @@ func (ps *PageStore) evictLocked() {
 		ps.resident -= victim.bytes
 		ps.evicted++
 		poolEvictions.Inc()
+		if victim.bytes == int64(ps.pageSize) && len(ps.free) < maxFreeFrames {
+			// Drop the decoded slices (escaped copies stay valid: they are
+			// GC memory) and reset the publish states for the next run.
+			clear(victim.edges)
+			clear(victim.state)
+			ps.free = append(ps.free, victim)
+		}
 	}
 }
 
@@ -460,31 +556,45 @@ func (ps *PageStore) lruUnlink(fr *frame) {
 	fr.prev, fr.next = nil, nil
 }
 
-// loadFrame reads and decodes the run starting at page. Called with the
-// pool mutex held.
+// loadFrame reads the run starting at page, checks its CRC and validates
+// every record, recording where each starts; it decodes nothing. Called
+// with the pool mutex held.
 func (ps *PageStore) loadFrame(page uint32) (*frame, error) {
 	headOff := int64(fileHdrLen+4*len(ps.dir)+4) + int64(page)*int64(ps.pageSize)
-	var hdr [pageHdrLen]byte
-	if _, err := ps.f.ReadAt(hdr[:], headOff); err != nil {
-		return nil, fmt.Errorf("page %d header: %w", page, err)
+	var fr *frame
+	if k := len(ps.free); k > 0 {
+		fr = ps.free[k-1]
+		ps.free[k-1] = nil
+		ps.free = ps.free[:k-1]
+	} else {
+		fr = &frame{buf: make([]byte, ps.pageSize)}
 	}
-	dataLen := int(binary.LittleEndian.Uint32(hdr[0:]))
-	nrec := int(binary.LittleEndian.Uint16(hdr[4:]))
-	wantCRC := binary.LittleEndian.Uint32(hdr[8:])
+	buf := fr.buf[:ps.pageSize]
+	if _, err := ps.f.ReadAt(buf, headOff); err != nil {
+		return nil, fmt.Errorf("page %d: %w", page, err)
+	}
+	dataLen := int(binary.LittleEndian.Uint32(buf[0:]))
+	nrec := int(binary.LittleEndian.Uint16(buf[4:]))
+	wantCRC := binary.LittleEndian.Uint32(buf[8:])
 	runPages := (pageHdrLen + dataLen + ps.pageSize - 1) / ps.pageSize
 	if runPages < 1 || int(page)+runPages > ps.numPages {
 		return nil, fmt.Errorf("page %d: run of %d pages out of range", page, runPages)
 	}
-	data := make([]byte, pageHdrLen+dataLen)
-	if _, err := ps.f.ReadAt(data, headOff); err != nil {
-		return nil, fmt.Errorf("page %d: %w", page, err)
+	if runPages > 1 {
+		// Multi-page runs get a buffer of their own, left to the GC on
+		// eviction.
+		buf = make([]byte, pageHdrLen+dataLen)
+		if _, err := ps.f.ReadAt(buf, headOff); err != nil {
+			return nil, fmt.Errorf("page %d: %w", page, err)
+		}
+		fr = &frame{buf: buf}
 	}
-	data = data[pageHdrLen:]
+	data := buf[pageHdrLen : pageHdrLen+dataLen]
 	if crc32.ChecksumIEEE(data) != wantCRC {
 		return nil, fmt.Errorf("page %d: record checksum mismatch", page)
 	}
-	edges := make(map[ssd.NodeID][]ssd.Edge, nrec)
-	r := &reader{data: data}
+	recs := fr.recs[:0]
+	r := reader{data: data}
 	for i := 0; i < nrec; i++ {
 		node, err := r.uvarint()
 		if err != nil {
@@ -497,13 +607,11 @@ func (ps *PageStore) loadFrame(page uint32) (*frame, error) {
 		if err != nil {
 			return nil, fmt.Errorf("page %d record %d: %w", page, i, err)
 		}
-		var es []ssd.Edge
-		if deg > 0 {
-			es = make([]ssd.Edge, 0, deg)
-		}
+		off := r.pos
+		// Every edge takes at least two bytes, so a damaged degree runs
+		// out of data long before the count does.
 		for j := uint64(0); j < deg; j++ {
-			l, err := r.label()
-			if err != nil {
+			if err := r.skipLabel(); err != nil {
 				return nil, fmt.Errorf("page %d record %d edge %d: %w", page, i, j, err)
 			}
 			to, err := r.uvarint()
@@ -513,11 +621,29 @@ func (ps *PageStore) loadFrame(page uint32) (*frame, error) {
 			if to >= uint64(len(ps.dir)) {
 				return nil, fmt.Errorf("page %d record %d: edge target %d out of range", page, i, to)
 			}
-			es = append(es, ssd.Edge{Label: l, To: ssd.NodeID(to)})
 		}
-		edges[ssd.NodeID(node)] = es
+		recs = append(recs, frameRec{node: ssd.NodeID(node), deg: uint32(deg), off: uint32(off)})
 	}
-	return &frame{page: page, bytes: int64(runPages) * int64(ps.pageSize), edges: edges}, nil
+	byNode := func(a, b frameRec) int { return cmp.Compare(a.node, b.node) }
+	if !slices.IsSortedFunc(recs, byNode) {
+		slices.SortFunc(recs, byNode)
+	}
+	for i := 1; i < len(recs); i++ {
+		if recs[i].node == recs[i-1].node {
+			return nil, fmt.Errorf("page %d: node %d recorded twice", page, recs[i].node)
+		}
+	}
+	if cap(fr.state) < nrec {
+		fr.state = make([]atomic.Uint32, nrec)
+		fr.edges = make([][]ssd.Edge, nrec)
+	}
+	fr.page = page
+	fr.bytes = int64(runPages) * int64(ps.pageSize)
+	fr.data = data
+	fr.recs = recs
+	fr.state = fr.state[:nrec]
+	fr.edges = fr.edges[:nrec]
+	return fr, nil
 }
 
 func (ps *PageStore) check(n ssd.NodeID) {
@@ -539,13 +665,20 @@ func (ps *PageStore) NumNodes() int { return len(ps.dir) }
 func (ps *PageStore) Out(n ssd.NodeID) []ssd.Edge {
 	ps.check(n)
 	fr := ps.acquire(ps.dir[n])
-	es := fr.edges[n]
+	es := fr.out(n)
 	ps.release(fr)
 	return es
 }
 
-// OutDegree returns the number of outgoing edges of n.
-func (ps *PageStore) OutDegree(n ssd.NodeID) int { return len(ps.Out(n)) }
+// OutDegree returns the number of outgoing edges of n, without decoding
+// its record.
+func (ps *PageStore) OutDegree(n ssd.NodeID) int {
+	ps.check(n)
+	fr := ps.acquire(ps.dir[n])
+	d := fr.degree(n)
+	ps.release(fr)
+	return d
+}
 
 // Lookup returns the targets of edges out of n labeled l.
 func (ps *PageStore) Lookup(n ssd.NodeID, l ssd.Label) []ssd.NodeID {
@@ -631,11 +764,15 @@ func (a *pageAccessor) NumNodes() int { return len(a.ps.dir) }
 // Out returns the outgoing edges of n through the pinned ring.
 func (a *pageAccessor) Out(n ssd.NodeID) []ssd.Edge {
 	a.ps.check(n)
-	return a.frameFor(a.ps.dir[n]).edges[n]
+	return a.frameFor(a.ps.dir[n]).out(n)
 }
 
-// OutDegree returns the number of outgoing edges of n.
-func (a *pageAccessor) OutDegree(n ssd.NodeID) int { return len(a.Out(n)) }
+// OutDegree returns the number of outgoing edges of n, without decoding
+// its record.
+func (a *pageAccessor) OutDegree(n ssd.NodeID) int {
+	a.ps.check(n)
+	return a.frameFor(a.ps.dir[n]).degree(n)
+}
 
 // Lookup returns the targets of edges out of n labeled l.
 func (a *pageAccessor) Lookup(n ssd.NodeID, l ssd.Label) []ssd.NodeID {
