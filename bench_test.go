@@ -884,24 +884,65 @@ func BenchmarkCostBasedVsNoStats(b *testing.B) {
 
 // BenchmarkStatsMaintenance prices the statistics lifecycle: the full
 // one-pass build against the copy-on-write delta Apply the commit path runs.
+// apply-entry is one commit-sized delta on the served dataset: a batch that
+// copies the first Entry subtree of Movies(20000) under the root (15 edges),
+// applied through mutate.ApplyCOW.
 func BenchmarkStatsMaintenance(b *testing.B) {
-	g := workload.Movies(workload.DefaultMovieConfig(5000))
 	b.Run("build", func(b *testing.B) {
+		g := movieDB(5000)
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			stats.Build(g)
 		}
 	})
-	b.Run("apply-delta", func(b *testing.B) {
+	b.Run("apply-entry", func(b *testing.B) {
+		g := movieDB(20000)
 		st := stats.Build(g)
-		root := g.Root()
-		d := ssd.Delta{Added: []ssd.EdgeRec{{From: root, Label: ssd.Sym("Entry"), To: root}}}
+		d := copyEntryDelta(b, g)
+		if len(d.Added) != 15 {
+			b.Fatalf("entry copy added %d edges, want 15", len(d.Added))
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			st.Apply(d)
 		}
 	})
+}
+
+// copyEntryDelta commits, copy-on-write, a batch that copies the subgraph
+// under g's first root Entry edge to a fresh Entry, and returns its delta.
+func copyEntryDelta(b *testing.B, g *ssd.Graph) ssd.Delta {
+	b.Helper()
+	entries := g.Lookup(g.Root(), ssd.Sym("Entry"))
+	if len(entries) == 0 {
+		b.Fatal("no Entry under the root")
+	}
+	bt := mutate.NewBatch(g)
+	copies := map[ssd.NodeID]ssd.NodeID{}
+	var copyNode func(n ssd.NodeID) ssd.NodeID
+	copyNode = func(n ssd.NodeID) ssd.NodeID {
+		if c, ok := copies[n]; ok {
+			return c
+		}
+		c := bt.AddNode()
+		copies[n] = c
+		for _, e := range g.Out(n) {
+			if err := bt.AddEdge(c, e.Label, copyNode(e.To)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return c
+	}
+	if err := bt.AddEdge(g.Root(), ssd.Sym("Entry"), copyNode(entries[0])); err != nil {
+		b.Fatal(err)
+	}
+	_, res, err := mutate.ApplyCOW(g, bt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Delta
 }
 
 // BenchmarkServeQuery prices one POST /query per read class of bench/ssdload

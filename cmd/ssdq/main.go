@@ -67,6 +67,7 @@ import (
 	"repro/internal/mutate"
 	"repro/internal/oem"
 	"repro/internal/schema"
+	"repro/internal/ssd"
 	"repro/internal/workload"
 )
 
@@ -82,7 +83,7 @@ func (p *paramFlags) Set(s string) error {
 	}
 	// Values parse as label literals: bare word → symbol, "quoted" →
 	// string, number → int/float, true/false.
-	l, err := core.ParseLabelLiteral(val)
+	l, err := ssd.ParseLabel(val)
 	if err != nil {
 		return err
 	}

@@ -19,7 +19,6 @@ var literalReaders = []struct {
 	read func(text string) (ssd.Label, error)
 }{
 	{"ssd.ParseLabel", ssd.ParseLabel},
-	{"core.ParseLabelLiteral", ParseLabelLiteral},
 	{"ssd text edge", func(text string) (ssd.Label, error) {
 		g, err := ssd.Parse("{" + text + ": {}}")
 		if err != nil {

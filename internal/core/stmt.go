@@ -155,7 +155,6 @@ func P(name string, value any) Param {
 // Rows.Close returns it.
 type Stmt struct {
 	db       *Database
-	src      string // prefix-stripped source
 	lang     Lang
 	params   []string        // declared $parameter names
 	declared map[string]bool // the same names as a set, built once
@@ -202,7 +201,7 @@ type col struct {
 // signature and must all be bound at each execution.
 func (db *Database) Prepare(src string) (*Stmt, error) {
 	lang, body := SniffLang(src)
-	s := &Stmt{db: db, src: body, lang: lang}
+	s := &Stmt{db: db, lang: lang}
 	switch lang {
 	case LangQuery:
 		q, err := query.Parse(body)
@@ -234,6 +233,9 @@ func (db *Database) Prepare(src string) (*Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := datalog.Check(prog); err != nil {
+			return nil, err
+		}
 		s.dl = prog
 		s.cols = []col{{kind: colRel, name: "rel"}, {kind: colTup, name: "tuple"}}
 	case LangTransform:
@@ -255,9 +257,6 @@ func (db *Database) Prepare(src string) (*Stmt, error) {
 
 // Lang returns the statement's sniffed language.
 func (s *Stmt) Lang() Lang { return s.lang }
-
-// Source returns the prefix-stripped statement text.
-func (s *Stmt) Source() string { return s.src }
 
 // Params returns the statement's $parameter names in binding order.
 func (s *Stmt) Params() []string { return s.params }
@@ -741,6 +740,14 @@ func (r *Rows) Err() error {
 // Columns returns the result column names (see Stmt.Columns).
 func (r *Rows) Columns() []string { return r.stmt.Columns() }
 
+// IsNodeColumn reports whether column i holds a node (a query's tree
+// variable or a path statement's "node"), which Scan reads into an
+// *ssd.NodeID; every other column is a label, a path or datalog text.
+func (r *Rows) IsNodeColumn(i int) bool {
+	k := r.cols[i].kind
+	return k == colTree || k == colNode
+}
+
 // Scan copies the current row into dest, one pointer per column. Accepted
 // pointer types: *ssd.NodeID (tree/node columns), *ssd.Label (label
 // columns), *[]ssd.Label (path columns; the slice is shared with the
@@ -998,17 +1005,8 @@ func parseLabelOrParam(src string) (ssd.Label, string, error) {
 		}
 		return ssd.Label{}, name, nil
 	}
-	l, err := ParseLabelLiteral(src)
+	l, err := ssd.ParseLabel(src)
 	return l, "", err
-}
-
-// ParseLabelLiteral parses a label literal: bare word → symbol, "quoted" →
-// string, number → int/float, true/false → bool. It is the scanner's one
-// literal rule (ssd.Scanner.Label) behind transform target labels, ssdq's
-// -param values and /query parameters, so the accepted syntax cannot
-// diverge from what Label.String() prints or the query languages read.
-func ParseLabelLiteral(src string) (ssd.Label, error) {
-	return ssd.ParseLabel(src)
 }
 
 // apply runs the transform against g with parameters bound, returning the

@@ -223,6 +223,21 @@ func TestStmtDatalog(t *testing.T) {
 	}
 }
 
+// TestPrepareChecksDatalog: an ill-formed datalog program fails at Prepare,
+// before any execution materializes the graph's edge relation.
+func TestPrepareChecksDatalog(t *testing.T) {
+	db := fig1DB(t)
+	for name, prog := range map[string]string{
+		"unknown predicate": `p(X) :- nosuch(X).`,
+		"edge arity":        `p(X) :- edge(X, Y).`,
+		"unsafe head":       `p(X, Y) :- root(X).`,
+	} {
+		if _, err := db.Prepare("datalog: " + prog); err == nil {
+			t.Errorf("%s: Prepare(%q) succeeded", name, prog)
+		}
+	}
+}
+
 // TestStmtTransform: the unql mini-language restructures like the unql
 // package's functions, including a parameterized target label.
 func TestStmtTransform(t *testing.T) {

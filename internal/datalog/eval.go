@@ -98,14 +98,29 @@ func NewEngine(g ssd.GraphStore) *Engine {
 	return &Engine{g: g, edb: map[string]*Relation{"edge": edge, "root": root}}
 }
 
+// edbArity is the fixed EDB schema every graph provides.
+var edbArity = map[string]int{"edge": 3, "root": 1}
+
 var builtinArity = map[string]int{
 	"isint": 1, "isfloat": 1, "isstring": 1, "issymbol": 1, "isbool": 1, "isdata": 1,
 	"lt": 2, "le": 2, "gt": 2, "ge": 2, "eq": 2, "neq": 2, "like": 2,
 }
 
+// Check reports whether prog is well formed against the graph EDB (edge/3,
+// root/1) — known predicates at their arities, safe rules, stratified
+// negation — without reading any graph. Run makes the same checks.
+func Check(prog *Program) error {
+	idbArity, err := validate(prog)
+	if err != nil {
+		return err
+	}
+	_, err = stratify(prog, idbArity)
+	return err
+}
+
 // Run evaluates the program and returns every IDB relation.
 func (e *Engine) Run(prog *Program, mode Mode) (map[string]*Relation, error) {
-	idbArity, err := validate(prog, e.edb)
+	idbArity, err := validate(prog)
 	if err != nil {
 		return nil, err
 	}
@@ -399,10 +414,10 @@ func (e *Engine) evalBuiltin(a Atom, env map[string]Value) (bool, error) {
 // ---------------------------------------------------------------------------
 // Validation and stratification
 
-func validate(prog *Program, edb map[string]*Relation) (map[string]int, error) {
+func validate(prog *Program) (map[string]int, error) {
 	idbArity := map[string]int{}
 	for _, r := range prog.Rules {
-		if _, isEDB := edb[r.Head.Pred]; isEDB {
+		if _, isEDB := edbArity[r.Head.Pred]; isEDB {
 			return nil, fmt.Errorf("datalog: rule head %s redefines EDB predicate", r.Head.Pred)
 		}
 		if _, isB := builtinArity[r.Head.Pred]; isB {
@@ -420,8 +435,8 @@ func validate(prog *Program, edb map[string]*Relation) (map[string]int, error) {
 			ar := -1
 			if a, ok := builtinArity[lit.Atom.Pred]; ok {
 				ar = a
-			} else if rel, ok := edb[lit.Atom.Pred]; ok {
-				ar = rel.Arity
+			} else if a, ok := edbArity[lit.Atom.Pred]; ok {
+				ar = a
 			} else if a, ok := idbArity[lit.Atom.Pred]; ok {
 				ar = a
 			} else {

@@ -175,11 +175,6 @@ func (au *Automaton) Arcs(s int) []Arc { return au.arcs[s] }
 // the result.
 func (au *Automaton) Closure(s int) []int { return au.closure[s] }
 
-// StartSet returns the epsilon-closed start state set.
-func (au *Automaton) StartSet() []int {
-	return append([]int(nil), au.closure[au.start]...)
-}
-
 // StepSet advances a sorted, epsilon-closed state set over one edge label,
 // returning the epsilon-closed successor set (sorted, possibly empty).
 func (au *Automaton) StepSet(set []int, l ssd.Label) []int {

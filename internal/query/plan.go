@@ -65,9 +65,9 @@ type PlanOptions struct {
 	// Guide enables dataguide-pruned access for root-anchored regex atoms.
 	Guide *dataguide.Guide
 	// Stats supplies maintained cardinality statistics (per-label counts,
-	// distinct source/child counts, a numeric-value histogram). The cost
-	// model prefers them over the label index for estimation: distinct
-	// counts sharpen join fanout and the histogram prices range predicates.
+	// distinct source counts, a numeric-value histogram). The cost model
+	// prefers them over the label index for estimation: distinct counts
+	// sharpen join fanout and the histogram prices range predicates.
 	Stats *stats.Stats
 }
 

@@ -40,7 +40,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -432,15 +431,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	dests := make([]any, len(cols))
 	vals := make([]string, len(cols))
 	nodes := make([]ssd.NodeID, len(cols))
-	isNode := make([]bool, len(cols))
-	for i, c := range cols {
-		switch stmt.Lang() {
-		case core.LangQuery:
-			isNode[i] = !strings.HasPrefix(c, "%") && !strings.HasPrefix(c, "@")
-		case core.LangPath:
-			isNode[i] = c == "node"
-		}
-		if isNode[i] {
+	for i := range cols {
+		if rows.IsNodeColumn(i) {
 			dests[i] = &nodes[i]
 		} else {
 			dests[i] = &vals[i]
@@ -483,7 +475,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		renc.begin()
 		for k, i := range renc.cols {
 			switch {
-			case !isNode[i]:
+			case !rows.IsNodeColumn(i):
 				renc.str(k, vals[i])
 			case renderTree:
 				renc.str(k, ssd.Format(rows.Graph(), nodes[i]))
@@ -511,7 +503,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeParams converts the request's JSON parameter values to labels.
-// Strings go through core.ParseLabelLiteral — the same literal syntax as
+// Strings go through ssd.ParseLabel — the same literal syntax as
 // ssdq's -param flag — falling back to a plain string label when the text
 // is not a literal; numbers become int or float labels; booleans booleans.
 func decodeParams(raw map[string]json.RawMessage) ([]core.Param, error) {
@@ -528,7 +520,7 @@ func decodeParams(raw map[string]json.RawMessage) ([]core.Param, error) {
 		}
 		switch t := v.(type) {
 		case string:
-			l, err := core.ParseLabelLiteral(t)
+			l, err := ssd.ParseLabel(t)
 			if err != nil {
 				l = ssd.Str(t)
 			}

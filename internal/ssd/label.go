@@ -232,30 +232,3 @@ func formatFloat(f float64) string {
 	}
 	return s
 }
-
-// Hash returns a 64-bit hash of the label (FNV-1a over kind and payload).
-// It is stable within a process run and suitable for hash-join buckets and
-// partition-refinement signatures.
-func (l Label) Hash() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	h ^= uint64(l.kind)
-	h *= prime
-	switch l.kind {
-	case KindSymbol, KindString, KindOID:
-		for i := 0; i < len(l.s); i++ {
-			h ^= uint64(l.s[i])
-			h *= prime
-		}
-	case KindInt, KindBool:
-		h ^= uint64(l.n)
-		h *= prime
-	case KindFloat:
-		h ^= math.Float64bits(l.f)
-		h *= prime
-	}
-	return h
-}

@@ -130,38 +130,6 @@ func TestLabelSortStable(t *testing.T) {
 	}
 }
 
-func TestLabelHashDistinguishes(t *testing.T) {
-	pairs := [][2]Label{
-		{Sym("a"), Str("a")},
-		{Sym("a"), Sym("b")},
-		{Int(1), Int(2)},
-		{Int(1), Bool(true)},
-		{Float(1.5), Float(2.5)},
-		{OID("x"), Str("x")},
-	}
-	for _, p := range pairs {
-		if p[0].Hash() == p[1].Hash() {
-			t.Errorf("hash collision between %v and %v", p[0], p[1])
-		}
-	}
-}
-
-func TestLabelHashEqualImpliesSameHash(t *testing.T) {
-	f := func(s string, n int64, fl float64, b bool) bool {
-		ls := []Label{Sym(s), Str(s), Int(n), Float(fl), Bool(b), OID(s)}
-		for _, l := range ls {
-			m := l // copy
-			if l.Hash() != m.Hash() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestLabelNumeric(t *testing.T) {
 	if v, ok := Int(7).Numeric(); !ok || v != 7 {
 		t.Errorf("Numeric(Int 7) = %g, %v", v, ok)

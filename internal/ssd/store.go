@@ -25,13 +25,6 @@ type GraphStore interface {
 	NumNodes() int
 	// Out returns the outgoing edges of n. Callers must not mutate it.
 	Out(n NodeID) []Edge
-	// OutDegree returns len(Out(n)) without necessarily materializing it.
-	OutDegree(n NodeID) int
-	// Lookup returns the targets of edges out of n labeled l (Label.Equal
-	// semantics, so 2 and 2.0 match).
-	Lookup(n NodeID, l Label) []NodeID
-	// Labels returns the distinct labels on edges out of n, sorted.
-	Labels(n NodeID) []Label
 }
 
 // Compile-time check: the in-memory graph is the default GraphStore.

@@ -1,6 +1,6 @@
 // Package stats maintains the cardinality statistics the cost-based query
-// planner feeds on: per-label edge counts, distinct source/child counts, and
-// a fixed-bucket log-scale histogram over numeric data values. The
+// planner feeds on: per-label edge counts, distinct source counts, and a
+// fixed-bucket log-scale histogram over numeric data values. The
 // statistics are built in one pass over a graph (Build) and then kept
 // consistent with the derived-structure maintenance discipline of
 // index.LabelIndex.Apply / dataguide.ApplyDelta: every commit folds its
@@ -27,26 +27,18 @@ import (
 // bucket a rebuild would — the property the incremental==rebuild test pins.
 const HistBuckets = 64
 
-// labelStat is the per-label statistic record. The maps are refcounts —
-// number of edge occurrences per source/destination node — so deletions can
-// maintain exact distinct counts, not sketches.
+// labelStat is the per-label statistic record. The map is a refcount —
+// number of edge occurrences per source node — so deletions can maintain an
+// exact distinct-source count, not a sketch.
 type labelStat struct {
 	count int                // edge occurrences with this label
 	srcs  map[ssd.NodeID]int // refcount per source node
-	dsts  map[ssd.NodeID]int // refcount per destination node
 }
 
 func (ls *labelStat) clone() *labelStat {
-	nl := &labelStat{
-		count: ls.count,
-		srcs:  make(map[ssd.NodeID]int, len(ls.srcs)),
-		dsts:  make(map[ssd.NodeID]int, len(ls.dsts)),
-	}
+	nl := &labelStat{count: ls.count, srcs: make(map[ssd.NodeID]int, len(ls.srcs))}
 	for n, c := range ls.srcs {
 		nl.srcs[n] = c
-	}
-	for n, c := range ls.dsts {
-		nl.dsts[n] = c
 	}
 	return nl
 }
@@ -66,28 +58,27 @@ func Build(g *ssd.Graph) *Stats {
 	for v := 0; v < g.NumNodes(); v++ {
 		from := ssd.NodeID(v)
 		for _, e := range g.Out(from) {
-			s.addEdge(from, e.Label, e.To)
+			s.addEdge(from, e.Label)
 		}
 	}
 	return s
 }
 
-func (s *Stats) addEdge(from ssd.NodeID, l ssd.Label, to ssd.NodeID) {
+func (s *Stats) addEdge(from ssd.NodeID, l ssd.Label) {
 	ls := s.perLabel[l]
 	if ls == nil {
-		ls = &labelStat{srcs: make(map[ssd.NodeID]int), dsts: make(map[ssd.NodeID]int)}
+		ls = &labelStat{srcs: make(map[ssd.NodeID]int)}
 		s.perLabel[l] = ls
 	}
 	ls.count++
 	ls.srcs[from]++
-	ls.dsts[to]++
 	s.edges++
 	if v, ok := l.Numeric(); ok {
 		s.hist[bucketOf(v)]++
 	}
 }
 
-func (s *Stats) removeEdge(from ssd.NodeID, l ssd.Label, to ssd.NodeID) {
+func (s *Stats) removeEdge(from ssd.NodeID, l ssd.Label) {
 	ls := s.perLabel[l]
 	if ls == nil {
 		return // delta inconsistent with this version; keep counts sane
@@ -95,9 +86,6 @@ func (s *Stats) removeEdge(from ssd.NodeID, l ssd.Label, to ssd.NodeID) {
 	ls.count--
 	if ls.srcs[from]--; ls.srcs[from] <= 0 {
 		delete(ls.srcs, from)
-	}
-	if ls.dsts[to]--; ls.dsts[to] <= 0 {
-		delete(ls.dsts, to)
 	}
 	if ls.count <= 0 {
 		delete(s.perLabel, l)
@@ -140,11 +128,11 @@ func (s *Stats) Apply(d ssd.Delta) *Stats {
 	}
 	for _, r := range d.Removed {
 		privatize(r.Label)
-		ns.removeEdge(r.From, r.Label, r.To)
+		ns.removeEdge(r.From, r.Label)
 	}
 	for _, a := range d.Added {
 		privatize(a.Label)
-		ns.addEdge(a.From, a.Label, a.To)
+		ns.addEdge(a.From, a.Label)
 	}
 	return ns
 }
@@ -166,15 +154,6 @@ func (s *Stats) Count(l ssd.Label) int {
 func (s *Stats) DistinctSources(l ssd.Label) int {
 	if ls := s.perLabel[l]; ls != nil {
 		return len(ls.srcs)
-	}
-	return 0
-}
-
-// DistinctChildren returns the number of distinct destination nodes of edges
-// labeled l — the dedup'd output size of an index seek on l.
-func (s *Stats) DistinctChildren(l ssd.Label) int {
-	if ls := s.perLabel[l]; ls != nil {
-		return len(ls.dsts)
 	}
 	return 0
 }
@@ -259,12 +238,11 @@ type NodeCount struct {
 }
 
 // LabelCard is the dumped record of one label: occurrence count plus the
-// source and destination refcount maps, sorted by node.
+// source refcount map, sorted by node.
 type LabelCard struct {
 	Label ssd.Label
 	Count int
 	Srcs  []NodeCount
-	Dsts  []NodeCount
 }
 
 // Dump is the deterministic flat view of a Stats version.
@@ -298,7 +276,6 @@ func (s *Stats) Dump() Dump {
 			Label: l,
 			Count: ls.count,
 			Srcs:  sortedCounts(ls.srcs),
-			Dsts:  sortedCounts(ls.dsts),
 		})
 	}
 	return d
@@ -307,7 +284,7 @@ func (s *Stats) Dump() Dump {
 // FromDump reconstructs a Stats version from its flat form, validating the
 // invariants the codec relies on: sorted unique labels, sorted unique nodes,
 // positive refcounts, and per-label refcount sums equal to the occurrence
-// count (every edge contributes one source ref and one destination ref).
+// count (every edge contributes one source ref).
 func FromDump(d Dump) (*Stats, error) {
 	s := &Stats{edges: d.Edges, hist: d.Hist, perLabel: make(map[ssd.Label]*labelStat, len(d.Labels))}
 	total := 0
@@ -318,15 +295,8 @@ func FromDump(d Dump) (*Stats, error) {
 		if lc.Count <= 0 {
 			return nil, fmt.Errorf("stats: non-positive count for %v", lc.Label)
 		}
-		ls := &labelStat{
-			count: lc.Count,
-			srcs:  make(map[ssd.NodeID]int, len(lc.Srcs)),
-			dsts:  make(map[ssd.NodeID]int, len(lc.Dsts)),
-		}
-		if err := fillCounts(ls.srcs, lc.Srcs, lc.Count, "source"); err != nil {
-			return nil, fmt.Errorf("stats: label %v: %w", lc.Label, err)
-		}
-		if err := fillCounts(ls.dsts, lc.Dsts, lc.Count, "destination"); err != nil {
+		ls := &labelStat{count: lc.Count, srcs: make(map[ssd.NodeID]int, len(lc.Srcs))}
+		if err := fillCounts(ls.srcs, lc.Srcs, lc.Count); err != nil {
 			return nil, fmt.Errorf("stats: label %v: %w", lc.Label, err)
 		}
 		s.perLabel[lc.Label] = ls
@@ -338,20 +308,20 @@ func FromDump(d Dump) (*Stats, error) {
 	return s, nil
 }
 
-func fillCounts(m map[ssd.NodeID]int, ncs []NodeCount, want int, what string) error {
+func fillCounts(m map[ssd.NodeID]int, ncs []NodeCount, want int) error {
 	sum := 0
 	for i, nc := range ncs {
 		if i > 0 && ncs[i-1].Node >= nc.Node {
-			return fmt.Errorf("%s refs out of order at node %d", what, nc.Node)
+			return fmt.Errorf("source refs out of order at node %d", nc.Node)
 		}
 		if nc.N <= 0 {
-			return fmt.Errorf("non-positive %s refcount at node %d", what, nc.Node)
+			return fmt.Errorf("non-positive source refcount at node %d", nc.Node)
 		}
 		m[nc.Node] = nc.N
 		sum += nc.N
 	}
 	if sum != want {
-		return fmt.Errorf("%s refcount sum %d != count %d", what, sum, want)
+		return fmt.Errorf("source refcount sum %d != count %d", sum, want)
 	}
 	return nil
 }

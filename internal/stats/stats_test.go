@@ -70,8 +70,8 @@ func randStatsGraph(rng *rand.Rand) *ssd.Graph {
 
 // TestApplyMatchesRebuild is the incremental-maintenance property test: after
 // any random mutation batch, the incrementally maintained statistics must
-// equal a from-scratch rebuild, exactly — counts, distinct sets, refcounts,
-// and histogram.
+// equal a from-scratch rebuild, exactly — counts, source refcounts, and
+// histogram.
 func TestApplyMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for iter := 0; iter < 100; iter++ {
@@ -148,9 +148,6 @@ func TestAccessors(t *testing.T) {
 	if got := s.DistinctSources(ssd.Sym("t")); got != 2 {
 		t.Errorf("DistinctSources(t) = %d, want 2", got)
 	}
-	if got := s.DistinctChildren(ssd.Sym("t")); got != 2 {
-		t.Errorf("DistinctChildren(t) = %d, want 2", got)
-	}
 	if got := s.NumericCount(); got != 2 {
 		t.Errorf("NumericCount = %d, want 2", got)
 	}
@@ -206,7 +203,7 @@ func TestFromDumpRejectsCorruption(t *testing.T) {
 		"refcount sum":        func(d *Dump) { d.Labels[0].Srcs[0].N++ },
 		"non-positive count":  func(d *Dump) { d.Labels[0].Count = 0 },
 		"nodes out of order": func(d *Dump) {
-			d.Labels[0].Dsts = []NodeCount{{Node: 5, N: 1}, {Node: 3, N: 1}}
+			d.Labels[0].Srcs = []NodeCount{{Node: 5, N: 1}, {Node: 3, N: 1}}
 		},
 	}
 	for name, damage := range breakers {

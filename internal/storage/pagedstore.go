@@ -49,7 +49,6 @@ import (
 	"hash/crc32"
 	"os"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -284,14 +283,6 @@ func (fr *frame) out(n ssd.NodeID) []ssd.Edge {
 	return es
 }
 
-// degree returns n's out-degree without decoding its record.
-func (fr *frame) degree(n ssd.NodeID) int {
-	if i := fr.find(n); i >= 0 {
-		return int(fr.recs[i].deg)
-	}
-	return 0
-}
-
 // maxFreeFrames bounds the evicted single-page frames a store keeps for
 // reuse by later misses.
 const maxFreeFrames = 16
@@ -304,13 +295,12 @@ const maxFreeFrames = 16
 // turns that into a cursor error, mirroring the in-memory store's
 // out-of-range panics.
 type PageStore struct {
-	f          *os.File
-	path       string
-	pageSize   int
-	numPages   int
-	root       ssd.NodeID
-	clustering Clustering
-	dir        []uint32 // node → first page of its run
+	f        *os.File
+	path     string
+	pageSize int
+	numPages int
+	root     ssd.NodeID
+	dir      []uint32 // node → first page of its run
 
 	mu       sync.Mutex
 	frames   map[uint32]*frame
@@ -397,15 +387,14 @@ func OpenPageFile(path string, poolBytes int64) (*PageStore, error) {
 		}
 	}
 	ps := &PageStore{
-		f:          f,
-		path:       path,
-		pageSize:   pageSize,
-		numPages:   numPages,
-		root:       root,
-		clustering: Clustering(fixed[5]),
-		dir:        dir,
-		frames:     make(map[uint32]*frame),
-		budget:     poolBytes,
+		f:        f,
+		path:     path,
+		pageSize: pageSize,
+		numPages: numPages,
+		root:     root,
+		dir:      dir,
+		frames:   make(map[uint32]*frame),
+		budget:   poolBytes,
 	}
 	liveMu.Lock()
 	liveStores[ps] = struct{}{}
@@ -433,14 +422,8 @@ func (ps *PageStore) Close() error {
 // Path returns the page file's path.
 func (ps *PageStore) Path() string { return ps.path }
 
-// PageSize returns the file's page size in bytes.
-func (ps *PageStore) PageSize() int { return ps.pageSize }
-
 // NumPages returns the number of pages in the file.
 func (ps *PageStore) NumPages() int { return ps.numPages }
-
-// ClusteringPolicy returns the layout the file was written with.
-func (ps *PageStore) ClusteringPolicy() Clustering { return ps.clustering }
 
 // Stats returns a snapshot of the pool counters.
 func (ps *PageStore) Stats() PoolStats {
@@ -670,42 +653,6 @@ func (ps *PageStore) Out(n ssd.NodeID) []ssd.Edge {
 	return es
 }
 
-// OutDegree returns the number of outgoing edges of n, without decoding
-// its record.
-func (ps *PageStore) OutDegree(n ssd.NodeID) int {
-	ps.check(n)
-	fr := ps.acquire(ps.dir[n])
-	d := fr.degree(n)
-	ps.release(fr)
-	return d
-}
-
-// Lookup returns the targets of edges out of n labeled l.
-func (ps *PageStore) Lookup(n ssd.NodeID, l ssd.Label) []ssd.NodeID {
-	var out []ssd.NodeID
-	for _, e := range ps.Out(n) {
-		if e.Label.Equal(l) {
-			out = append(out, e.To)
-		}
-	}
-	return out
-}
-
-// Labels returns the distinct labels on edges out of n, sorted.
-func (ps *PageStore) Labels(n ssd.NodeID) []ssd.Label {
-	es := ps.Out(n)
-	seen := make(map[ssd.Label]bool, len(es))
-	var ls []ssd.Label
-	for _, e := range es {
-		if !seen[e.Label] {
-			seen[e.Label] = true
-			ls = append(ls, e.Label)
-		}
-	}
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Less(ls[j]) })
-	return ls
-}
-
 // accessorRing is how many frames one accessor keeps pinned. Traversals
 // alternate between a parent's page and a child's page (plus an index or
 // guide probe); four covers the common interleavings without holding a
@@ -765,37 +712,4 @@ func (a *pageAccessor) NumNodes() int { return len(a.ps.dir) }
 func (a *pageAccessor) Out(n ssd.NodeID) []ssd.Edge {
 	a.ps.check(n)
 	return a.frameFor(a.ps.dir[n]).out(n)
-}
-
-// OutDegree returns the number of outgoing edges of n, without decoding
-// its record.
-func (a *pageAccessor) OutDegree(n ssd.NodeID) int {
-	a.ps.check(n)
-	return a.frameFor(a.ps.dir[n]).degree(n)
-}
-
-// Lookup returns the targets of edges out of n labeled l.
-func (a *pageAccessor) Lookup(n ssd.NodeID, l ssd.Label) []ssd.NodeID {
-	var out []ssd.NodeID
-	for _, e := range a.Out(n) {
-		if e.Label.Equal(l) {
-			out = append(out, e.To)
-		}
-	}
-	return out
-}
-
-// Labels returns the distinct labels on edges out of n, sorted.
-func (a *pageAccessor) Labels(n ssd.NodeID) []ssd.Label {
-	es := a.Out(n)
-	seen := make(map[ssd.Label]bool, len(es))
-	var ls []ssd.Label
-	for _, e := range es {
-		if !seen[e.Label] {
-			seen[e.Label] = true
-			ls = append(ls, e.Label)
-		}
-	}
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Less(ls[j]) })
-	return ls
 }

@@ -32,8 +32,9 @@ import (
 //	values (4)  nEntries uvarint; per entry: label, from uvarint, to uvarint
 //	guide  (5)  guideLen uvarint + SSDG guide graph | per guide node: extLen uvarint, node uvarint*
 //	stats  (6)  edges uvarint | histogram bucket uvarint* | nLabels uvarint;
-//	            per label: label, count uvarint, nSrcs + (node, refs uvarint)*,
-//	            nDsts + (node, refs uvarint)*   (version ≥ 2 only)
+//	            per label: label, count uvarint, nSrcs + (node, refs uvarint)*
+//	            (version ≥ 2 only; version 2 follows each source list with
+//	            nDsts + (node, refs uvarint)*, which the reader skips)
 //
 // meta and graph are mandatory; the index, guide, and stats sections are
 // written only when the snapshot had built them. Every payload is covered by its
@@ -53,9 +54,10 @@ import (
 const (
 	snapMagic = "SSDS"
 	// snapVersion is the version written; version 1 files (no stats
-	// section) remain readable, so upgrading never invalidates an
-	// existing snapshot generation.
-	snapVersion    = 2
+	// section) and version 2 files (stats with destination refcounts)
+	// remain readable, so upgrading never invalidates an existing snapshot
+	// generation.
+	snapVersion    = 3
 	snapVersionMin = 1
 )
 
@@ -174,18 +176,14 @@ func encodeStats(st *stats.Stats) []byte {
 		buf = binary.AppendUvarint(buf, uint64(c))
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(d.Labels)))
-	appendCounts := func(ncs []stats.NodeCount) {
-		buf = binary.AppendUvarint(buf, uint64(len(ncs)))
-		for _, nc := range ncs {
-			buf = binary.AppendUvarint(buf, uint64(nc.Node))
-			buf = binary.AppendUvarint(buf, uint64(nc.N))
-		}
-	}
 	for _, lc := range d.Labels {
 		buf = AppendLabel(buf, lc.Label)
 		buf = binary.AppendUvarint(buf, uint64(lc.Count))
-		appendCounts(lc.Srcs)
-		appendCounts(lc.Dsts)
+		buf = binary.AppendUvarint(buf, uint64(len(lc.Srcs)))
+		for _, nc := range lc.Srcs {
+			buf = binary.AppendUvarint(buf, uint64(nc.Node))
+			buf = binary.AppendUvarint(buf, uint64(nc.N))
+		}
 	}
 	return buf
 }
@@ -307,14 +305,14 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		}
 	}
 	if p, ok := sections[secStats]; ok {
-		if s.Stats, err = decodeStats(p, s.Graph.NumNodes()); err != nil {
+		if s.Stats, err = decodeStats(p, s.Graph.NumNodes(), version); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
 }
 
-func decodeStats(data []byte, numNodes int) (*stats.Stats, error) {
+func decodeStats(data []byte, numNodes int, version byte) (*stats.Stats, error) {
 	var d stats.Dump
 	edges, pos, err := ReadUvarint(data, 0)
 	if err != nil {
@@ -373,8 +371,12 @@ func decodeStats(data []byte, numNodes int) (*stats.Stats, error) {
 		if lc.Srcs, err = readCounts(); err != nil {
 			return nil, err
 		}
-		if lc.Dsts, err = readCounts(); err != nil {
-			return nil, err
+		if version == 2 {
+			// Version 2 also stored destination refcounts, which nothing
+			// reads any more: check their bounds and drop them.
+			if _, err = readCounts(); err != nil {
+				return nil, err
+			}
 		}
 		d.Labels = append(d.Labels, lc)
 	}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -135,12 +136,12 @@ func TestSnapshotCorruption(t *testing.T) {
 
 // TestSnapshotUnknownKind pins the closed-section-set rule per version: a
 // correctly framed section whose kind the version does not define is
-// rejected, both above the current maximum (kind 7 in a v2 file) and for a
+// rejected, both above the current maximum (kind 7 in a v3 file) and for a
 // newer section appearing in an older file (a stats section in a v1 file).
 func TestSnapshotUnknownKind(t *testing.T) {
 	g := snapGraph(t)
 
-	// v2 image with a well-formed kind-7 section spliced in before the end
+	// v3 image with a well-formed kind-7 section spliced in before the end
 	// marker.
 	base := &Snapshot{Graph: g}
 	data := EncodeSnapshot(base)
@@ -149,7 +150,7 @@ func TestSnapshotUnknownKind(t *testing.T) {
 	body = appendSection(body, 7, []byte("future"))
 	body = appendSection(body, secEnd, nil)
 	if _, err := DecodeSnapshot(body); err == nil || !strings.Contains(err.Error(), "unknown snapshot section") {
-		t.Fatalf("kind 7 in v2 image: got %v", err)
+		t.Fatalf("kind 7 in v3 image: got %v", err)
 	}
 
 	// v1 image containing a stats section: kind 6 was not defined in
@@ -186,6 +187,88 @@ func TestSnapshotV1BackCompat(t *testing.T) {
 	}
 }
 
+// encodeStatsV2 writes g's statistics in the version-2 stats layout: each
+// label's source refcounts followed by its destination refcounts.
+func encodeStatsV2(g *ssd.Graph) []byte {
+	srcs := make(map[ssd.Label]map[ssd.NodeID]int)
+	dsts := make(map[ssd.Label]map[ssd.NodeID]int)
+	ref := func(m map[ssd.Label]map[ssd.NodeID]int, l ssd.Label, n ssd.NodeID) {
+		if m[l] == nil {
+			m[l] = make(map[ssd.NodeID]int)
+		}
+		m[l][n]++
+	}
+	for v := 0; v < g.NumNodes(); v++ {
+		for _, e := range g.Out(ssd.NodeID(v)) {
+			ref(srcs, e.Label, ssd.NodeID(v))
+			ref(dsts, e.Label, e.To)
+		}
+	}
+	appendCounts := func(buf []byte, m map[ssd.NodeID]int) []byte {
+		buf = binary.AppendUvarint(buf, uint64(len(m)))
+		for n := 0; n < g.NumNodes(); n++ {
+			if c := m[ssd.NodeID(n)]; c > 0 {
+				buf = binary.AppendUvarint(buf, uint64(n))
+				buf = binary.AppendUvarint(buf, uint64(c))
+			}
+		}
+		return buf
+	}
+	d := stats.Build(g).Dump() // edge total, histogram, label order
+	buf := binary.AppendUvarint(nil, uint64(d.Edges))
+	for _, c := range d.Hist {
+		buf = binary.AppendUvarint(buf, uint64(c))
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(d.Labels)))
+	for _, lc := range d.Labels {
+		buf = AppendLabel(buf, lc.Label)
+		buf = binary.AppendUvarint(buf, uint64(lc.Count))
+		buf = appendCounts(buf, srcs[lc.Label])
+		buf = appendCounts(buf, dsts[lc.Label])
+	}
+	return buf
+}
+
+// snapshotImage frames meta, graph and stats sections for g under the given
+// format version.
+func snapshotImage(g *ssd.Graph, version byte, statsPayload []byte) []byte {
+	img := append([]byte(snapMagic), version)
+	img = appendSection(img, secMeta, encodeMetaFor(g))
+	img = appendSection(img, secGraph, Encode(g))
+	img = appendSection(img, secStats, statsPayload)
+	return appendSection(img, secEnd, nil)
+}
+
+// TestSnapshotV2BackCompat: a version-2 image, whose stats section also
+// carries per-label destination refcounts, still decodes to the statistics
+// a rebuild of its graph gives; a destination out of range is still
+// rejected.
+func TestSnapshotV2BackCompat(t *testing.T) {
+	g := snapGraph(t)
+	v2 := encodeStatsV2(g)
+	got, err := DecodeSnapshot(snapshotImage(g, 2, v2))
+	if err != nil {
+		t.Fatalf("v2 image rejected: %v", err)
+	}
+	if got.Stats == nil || !reflect.DeepEqual(got.Stats.Dump(), stats.Build(g).Dump()) {
+		t.Fatal("v2 stats differ from a rebuild of the graph")
+	}
+	// The same payload is not a valid v3 section: the destination lists
+	// read as trailing bytes or as the next label.
+	if _, err := DecodeSnapshot(snapshotImage(g, 3, v2)); err == nil {
+		t.Fatal("v2 stats layout accepted in a v3 image")
+	}
+
+	// Point the last destination of the last label past the graph: the
+	// skipped lists keep their node-range check. Every node id here fits
+	// one uvarint byte, and the payload ends with that node's (id, refs).
+	bad := append([]byte(nil), v2...)
+	bad[len(bad)-2] = byte(g.NumNodes())
+	if _, err := DecodeSnapshot(snapshotImage(g, 2, bad)); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("out-of-range v2 destination: got %v", err)
+	}
+}
+
 // TestSnapshotStatsCorruption damages the stats payload in ways that keep
 // the CRC frame valid (recomputing the checksum) and asserts the structural
 // validation in stats.FromDump still rejects the section.
@@ -197,13 +280,7 @@ func TestSnapshotStatsCorruption(t *testing.T) {
 	// (first uvarint) without touching per-label counts.
 	bad := append([]byte(nil), payload...)
 	bad[0]++ // edge counts here are small, so byte 0 is the whole uvarint
-	img := append([]byte(snapMagic), snapVersion)
-	meta := encodeMetaFor(g)
-	img = appendSection(img, secMeta, meta)
-	img = appendSection(img, secGraph, Encode(g))
-	img = appendSection(img, secStats, bad)
-	img = appendSection(img, secEnd, nil)
-	if _, err := DecodeSnapshot(img); err == nil {
+	if _, err := DecodeSnapshot(snapshotImage(g, snapVersion, bad)); err == nil {
 		t.Fatal("inconsistent stats section accepted")
 	}
 }
