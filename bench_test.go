@@ -229,7 +229,7 @@ func BenchmarkDatalogNaive(b *testing.B) {
 		g := webDB(pages)
 		b.Run(fmt.Sprintf("web/pages=%d", pages), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := datalog.NewEngine(g).Run(reachProg, datalog.Naive); err != nil {
+				if _, err := datalog.NewEngine(g).Run(context.Background(), reachProg, datalog.Naive); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -242,7 +242,7 @@ func BenchmarkDatalogSemiNaive(b *testing.B) {
 		g := webDB(pages)
 		b.Run(fmt.Sprintf("web/pages=%d", pages), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := datalog.NewEngine(g).Run(reachProg, datalog.SemiNaive); err != nil {
+				if _, err := datalog.NewEngine(g).Run(context.Background(), reachProg, datalog.SemiNaive); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -258,12 +258,12 @@ func BenchmarkDatalogChain(b *testing.B) {
 	}
 	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_, _ = datalog.NewEngine(chain).Run(reachProg, datalog.Naive)
+			_, _ = datalog.NewEngine(chain).Run(context.Background(), reachProg, datalog.Naive)
 		}
 	})
 	b.Run("seminaive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_, _ = datalog.NewEngine(chain).Run(reachProg, datalog.SemiNaive)
+			_, _ = datalog.NewEngine(chain).Run(context.Background(), reachProg, datalog.SemiNaive)
 		}
 	})
 }

@@ -187,7 +187,7 @@ func runE4Datalog(scale int) {
 		var naiveJoins, semiJoins, tuples int
 		en := datalog.NewEngine(g)
 		naiveTime := timeIt(func() {
-			res, err := en.Run(prog, datalog.Naive)
+			res, err := en.Run(context.Background(), prog, datalog.Naive)
 			if err != nil {
 				panic(err)
 			}
@@ -196,7 +196,7 @@ func runE4Datalog(scale int) {
 		naiveJoins = en.Joins
 		es := datalog.NewEngine(g)
 		semiTime := timeIt(func() {
-			res, err := es.Run(prog, datalog.SemiNaive)
+			res, err := es.Run(context.Background(), prog, datalog.SemiNaive)
 			if err != nil {
 				panic(err)
 			}
@@ -215,9 +215,9 @@ func runE4Datalog(scale int) {
 		cur = chain.AddLeaf(cur, ssd.Sym("next"))
 	}
 	en := datalog.NewEngine(chain)
-	naiveTime := timeIt(func() { _, _ = en.Run(prog, datalog.Naive) })
+	naiveTime := timeIt(func() { _, _ = en.Run(context.Background(), prog, datalog.Naive) })
 	es := datalog.NewEngine(chain)
-	semiTime := timeIt(func() { _, _ = es.Run(prog, datalog.SemiNaive) })
+	semiTime := timeIt(func() { _, _ = es.Run(context.Background(), prog, datalog.SemiNaive) })
 	t.add(fmt.Sprintf("chain %d", 300*scale), chain.NumEdges(), chain.NumNodes(),
 		en.Joins, es.Joins, naiveTime, semiTime)
 	t.print()

@@ -324,41 +324,33 @@ func runStmt(db *core.Database, src string, params []core.Param, limit int, trac
 		fmt.Print(plan)
 	}
 	ctx := context.Background()
-	if trace && s.Lang() != core.LangTransform {
-		// Tracing needs the streaming cursor, so select queries stream
-		// their rows here instead of materializing a result database.
-		qtr := new(core.QueryTrace)
-		rows, err := s.QueryTraced(ctx, qtr, params...)
-		if err != nil {
-			return err
-		}
-		if err := streamRows(rows, limit); err != nil {
-			return err
-		}
-		// streamRows closed the cursor, which finalized the trace.
-		out, err := json.MarshalIndent(qtr, "", "  ")
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(os.Stderr, string(out))
-		return nil
-	}
-	switch s.Lang() {
-	case core.LangQuery, core.LangTransform:
+	if s.Lang() == core.LangTransform || s.Lang() == core.LangQuery && !trace {
 		res, err := s.Exec(ctx, params...)
 		if err != nil {
 			return err
 		}
 		fmt.Println(res.Format())
-	default: // path, datalog: stream rows
-		rows, err := s.Query(ctx, params...)
-		if err != nil {
-			return err
-		}
-		if err := streamRows(rows, limit); err != nil {
-			return err
-		}
+		return nil
 	}
+	// Path and datalog statements stream their rows, and so do traced
+	// select queries: tracing needs the streaming cursor.
+	var qtr *core.QueryTrace
+	if trace {
+		qtr = new(core.QueryTrace)
+	}
+	rows, err := s.QueryTraced(ctx, qtr, params...)
+	if err != nil {
+		return err
+	}
+	if err := streamRows(rows, limit); err != nil || qtr == nil {
+		return err
+	}
+	// streamRows closed the cursor, which finalized the trace.
+	out, err := json.MarshalIndent(qtr, "", "  ")
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(os.Stderr, string(out))
 	return nil
 }
 

@@ -67,7 +67,7 @@ func TestThreeEnginesAgree(t *testing.T) {
 		reach(X) :- root(X).
 		reach(Y) :- reach(X), edge(X, _, Y).
 		holder(X) :- reach(X), edge(X, "Bogart", _).`)
-	rels, err := datalog.NewEngine(g).Run(prog, datalog.SemiNaive)
+	rels, err := datalog.NewEngine(g).Run(context.Background(), prog, datalog.SemiNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestReachabilityFourWays(t *testing.T) {
 		t.Errorf("path _*: %d, want %d", got, want)
 	}
 
-	rels, err := datalog.NewEngine(g).Run(datalog.MustParseProgram(`
+	rels, err := datalog.NewEngine(g).Run(context.Background(), datalog.MustParseProgram(`
 		reach(X) :- root(X).
 		reach(Y) :- reach(X), edge(X, _, Y).`), datalog.SemiNaive)
 	if err != nil {

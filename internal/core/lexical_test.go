@@ -7,13 +7,15 @@ import (
 	"testing"
 
 	"repro/internal/datalog"
+	"repro/internal/mutate"
 	"repro/internal/pathexpr"
 	"repro/internal/query"
 	"repro/internal/ssd"
 )
 
 // literalReaders is every place a label literal can be written, each
-// reduced to "text in, label out". All of them sit on ssd.Scanner.
+// reduced to "text in, label out". All of them but the mutation script sit
+// on ssd.Scanner.
 var literalReaders = []struct {
 	name string
 	read func(text string) (ssd.Label, error)
@@ -58,6 +60,20 @@ var literalReaders = []struct {
 		}
 		return prog.Rules[0].Head.Args[0].Const.Label, nil
 	}},
+	{"transform target", func(text string) (ssd.Label, error) {
+		t, err := parseTransform("relabel a to " + text)
+		if err != nil {
+			return ssd.Label{}, err
+		}
+		return t.chain[0], nil
+	}},
+	{"mutation script", func(text string) (ssd.Label, error) {
+		b, err := mutate.ParseScript("addedge 0 "+text+" 0", ssd.MustParse("{}"))
+		if err != nil {
+			return ssd.Label{}, err
+		}
+		return b.Recs()[0].Label, nil
+	}},
 }
 
 func exactLabel(e pathexpr.Expr) (ssd.Label, error) {
@@ -100,7 +116,8 @@ func TestLabelStringReadsBackEverywhere(t *testing.T) {
 
 // TestMalformedInputSameOffsetEverywhere: a lexical error is one message at
 // one byte offset, whichever language the text was in; only the prefix
-// differs.
+// differs. The transform language counts offsets from the start of its
+// command, like the others from the start of their text.
 func TestMalformedInputSameOffsetEverywhere(t *testing.T) {
 	frontEnds := []struct {
 		prefix, before, after string
@@ -110,6 +127,7 @@ func TestMalformedInputSameOffsetEverywhere(t *testing.T) {
 		{"query", "select X from DB.a X where X = ", "", func(s string) error { _, err := query.Parse(s); return err }},
 		{"pathexpr", "a.", "", func(s string) error { _, err := pathexpr.Parse(s); return err }},
 		{"datalog", "p(X) :- q(X, ", ").", func(s string) error { _, err := datalog.ParseProgram(s); return err }},
+		{"unql", "relabel ", " to x", func(s string) error { _, err := parseTransform(s); return err }},
 	}
 	cases := []struct {
 		name, fragment string

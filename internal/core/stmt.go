@@ -3,32 +3,25 @@ package core
 // This file is the statement lifecycle: the prepare-once / execute-many
 // read path, and the only way to run a statement. A Stmt is the product
 // of parsing (and, lazily, planning) a source text exactly once; executing
-// it binds $parameters into reserved plan slots and streams results
-// through a Rows cursor that pulls straight from the Volcano executor.
+// it binds $parameters and streams results through a Rows cursor.
 //
-// Plans are compiled per MVCC snapshot and pooled per statement: a commit
-// swaps the snapshot pointer, which invalidates the pool wholesale, and
-// the next execution re-plans lazily against the new snapshot — hot
-// statements survive commits without ever serving a stale plan. Pooling
-// (rather than sharing one plan) also makes concurrent executions safe:
-// compiled automata carry mutable lazy-DFA caches, so each in-flight
-// cursor owns its plan exclusively until Close returns it.
+// Each language sits behind one seam, frontEnd, in a file of its own
+// (stmt_query.go, stmt_path.go, stmt_datalog.go, stmt_transform.go) that
+// owns its parsed form and whatever it pools between executions. This file
+// sniffs the language, binds parameters, and wraps whichever row source an
+// execution opens in one Rows cursor.
 
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"repro/internal/datalog"
-	"repro/internal/pathexpr"
 	"repro/internal/query"
 	"repro/internal/ssd"
 	"repro/internal/storage"
-	"repro/internal/unql"
 )
 
 // Lang identifies the front-end language of a prepared statement.
@@ -48,17 +41,23 @@ const (
 	LangTransform
 )
 
+// frontEnds is the one dispatch table: each language's name, its explicit
+// prefix, and the parser that fills in a statement.
+var frontEnds = [...]struct {
+	name, prefix string
+	prepare      func(s *Stmt, body string) error
+}{
+	LangQuery:     {"query", "query:", prepareQuery},
+	LangPath:      {"path", "path:", preparePath},
+	LangDatalog:   {"datalog", "datalog:", prepareDatalog},
+	LangTransform: {"transform", "unql:", prepareTransform},
+}
+
 func (l Lang) String() string {
-	switch l {
-	case LangPath:
-		return "path"
-	case LangDatalog:
-		return "datalog"
-	case LangTransform:
-		return "transform"
-	default:
-		return "query"
+	if uint(l) >= uint(len(frontEnds)) {
+		return fmt.Sprintf("Lang(%d)", int(l))
 	}
+	return frontEnds[l].name
 }
 
 // SniffLang decides which language a statement text is written in and
@@ -70,17 +69,9 @@ func (l Lang) String() string {
 // needs the `path:` prefix.
 func SniffLang(src string) (Lang, string) {
 	trim := strings.TrimSpace(src)
-	for _, p := range [...]struct {
-		prefix string
-		lang   Lang
-	}{
-		{"query:", LangQuery},
-		{"path:", LangPath},
-		{"datalog:", LangDatalog},
-		{"unql:", LangTransform},
-	} {
-		if len(trim) >= len(p.prefix) && strings.EqualFold(trim[:len(p.prefix)], p.prefix) {
-			return p.lang, strings.TrimSpace(trim[len(p.prefix):])
+	for l, fe := range frontEnds {
+		if len(trim) >= len(fe.prefix) && strings.EqualFold(trim[:len(fe.prefix)], fe.prefix) {
+			return Lang(l), strings.TrimSpace(trim[len(fe.prefix):])
 		}
 	}
 	first := trim
@@ -92,7 +83,7 @@ func SniffLang(src string) (Lang, string) {
 		return LangQuery, trim
 	case containsOutsideStrings(trim, ":-"):
 		return LangDatalog, trim
-	case transformVerbs[strings.ToLower(first)]:
+	case transformVerbs[strings.ToLower(first)] != nil:
 		return LangTransform, trim
 	default:
 		return LangPath, trim
@@ -149,6 +140,25 @@ func P(name string, value any) Param {
 	}
 }
 
+// frontEnd is one statement language behind the statement lifecycle.
+type frontEnd interface {
+	// explain describes how the statement would run against snap.
+	explain(snap *snapshot) (string, error)
+	// open starts one execution over snap; tr is nil when untraced.
+	open(ctx context.Context, snap *snapshot, vals map[string]ssd.Label, tr *QueryTrace) (rowSource, error)
+	// exec runs the statement to a whole result graph.
+	exec(ctx context.Context, snap *snapshot, vals map[string]ssd.Label) (*ssd.Graph, error)
+}
+
+// rowSource is one execution's row stream behind a Rows cursor.
+type rowSource interface {
+	next() bool
+	err() error
+	scan(i int, dest any) error // column i of the current row into dest
+	env(e *query.Env)           // the current row, into Rows' reused Env
+	close()                     // return pooled resources; runs once
+}
+
 // Stmt is a prepared statement: source text parsed once, plans compiled
 // lazily per snapshot and pooled for reuse. A Stmt is safe for concurrent
 // use; each execution checks a plan out of the pool (or compiles one) and
@@ -156,45 +166,17 @@ func P(name string, value any) Param {
 type Stmt struct {
 	db       *Database
 	lang     Lang
-	params   []string        // declared $parameter names
-	declared map[string]bool // the same names as a set, built once
-	cols     []col           // result columns (query and path statements)
-
-	q  *query.Query     // LangQuery
-	pe pathexpr.Expr    // LangPath
-	dl *datalog.Program // LangDatalog
-	tr *transformStmt   // LangTransform
-
-	mu       sync.Mutex
-	snap     *snapshot             // snapshot the pooled plans were compiled for
-	pool     []*query.Plan         // LangQuery: idle plans for snap
-	pathPool []*pathexpr.Traversal // LangPath, param-free: idle, detached traversals
+	fe       frontEnd
+	params   []string // declared $parameter names
+	cols     []string // result column names
+	nodeCols int      // how many leading columns hold nodes
 }
 
-// maxPooledPlans bounds how many idle compiled plans a statement keeps.
-// More concurrent executions than this simply re-plan on checkout. A
-// parallel execution borrows 1+N plans at once (seeder plus workers), so
-// the bound leaves room for a couple of concurrent parallel executions to
-// recycle their whole sets.
+// maxPooledPlans bounds how many idle plans (or traversals) a statement
+// keeps; more concurrent executions simply compile afresh. A parallel
+// execution borrows 1+N plans at once (seeder plus workers), so the bound
+// lets a couple of concurrent parallel executions recycle their whole sets.
 const maxPooledPlans = 16
-
-// colKind discriminates result columns.
-type colKind int
-
-const (
-	colTree colKind = iota
-	colLabel
-	colPath
-	colNode // path statements' single column
-	colRel  // datalog: relation name
-	colTup  // datalog: formatted tuple
-)
-
-type col struct {
-	kind colKind
-	slot int
-	name string
-}
 
 // Prepare parses src once and returns a reusable statement. The language
 // is sniffed (see SniffLang); $parameters become part of the statement's
@@ -202,55 +184,8 @@ type col struct {
 func (db *Database) Prepare(src string) (*Stmt, error) {
 	lang, body := SniffLang(src)
 	s := &Stmt{db: db, lang: lang}
-	switch lang {
-	case LangQuery:
-		q, err := query.Parse(body)
-		if err != nil {
-			return nil, err
-		}
-		s.q = q
-		s.params = q.Params
-		tv, lv, pv := q.SlotVars()
-		for i, name := range tv {
-			s.cols = append(s.cols, col{kind: colTree, slot: i, name: name})
-		}
-		for i, name := range lv {
-			s.cols = append(s.cols, col{kind: colLabel, slot: i, name: "%" + name})
-		}
-		for i, name := range pv {
-			s.cols = append(s.cols, col{kind: colPath, slot: i, name: "@" + name})
-		}
-	case LangPath:
-		e, err := pathexpr.Parse(body)
-		if err != nil {
-			return nil, err
-		}
-		s.pe = e
-		s.params = pathexpr.Params(e)
-		s.cols = []col{{kind: colNode, name: "node"}}
-	case LangDatalog:
-		prog, err := datalog.ParseProgram(body)
-		if err != nil {
-			return nil, err
-		}
-		if err := datalog.Check(prog); err != nil {
-			return nil, err
-		}
-		s.dl = prog
-		s.cols = []col{{kind: colRel, name: "rel"}, {kind: colTup, name: "tuple"}}
-	case LangTransform:
-		tr, err := parseTransform(body)
-		if err != nil {
-			return nil, err
-		}
-		s.tr = tr
-		s.params = tr.params
-	}
-	if len(s.params) > 0 {
-		s.declared = make(map[string]bool, len(s.params))
-		for _, n := range s.params {
-			s.declared[n] = true
-		}
+	if err := frontEnds[lang].prepare(s, body); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -264,66 +199,11 @@ func (s *Stmt) Params() []string { return s.params }
 // Columns returns the result column names of Query-able statements: the
 // query's variables (tree, then %label, then @path), a path statement's
 // single "node", or datalog's "rel"/"tuple".
-func (s *Stmt) Columns() []string {
-	names := make([]string, len(s.cols))
-	for i, c := range s.cols {
-		names[i] = c.name
-	}
-	return names
-}
+func (s *Stmt) Columns() []string { return append(make([]string, 0, len(s.cols)), s.cols...) }
 
 // Explain describes how the statement would run against the current
 // snapshot: the chosen plan for queries, a one-liner for the rest.
-func (s *Stmt) Explain() (string, error) {
-	switch s.lang {
-	case LangQuery:
-		snap := s.db.snapshot()
-		p, err := query.NewPlan(s.q, snap.store(), snap.planOptions())
-		if err != nil {
-			return "", err
-		}
-		return p.Explain(), nil
-	case LangPath:
-		return fmt.Sprintf("path: traverse %s from root\n", s.pe), nil
-	case LangDatalog:
-		return fmt.Sprintf("datalog: %d rules, semi-naive\n", len(s.dl.Rules)), nil
-	default:
-		return fmt.Sprintf("transform: %s\n", s.tr.describe()), nil
-	}
-}
-
-// ExplainAnalyze executes a query statement serially to exhaustion and
-// returns its plan annotated with both the optimizer's estimated
-// cardinality and the actual rows that survived each atom — the tool for
-// judging whether the statistics are steering the planner well. Only query
-// statements can be analyzed; args bind $parameters as in Query.
-func (s *Stmt) ExplainAnalyze(ctx context.Context, args ...Param) (string, error) {
-	if s.lang != LangQuery {
-		return "", fmt.Errorf("core: explain analyze requires a query statement")
-	}
-	vals, err := s.bindArgs(args)
-	if err != nil {
-		return "", err
-	}
-	snap := s.db.snapshot()
-	p, _, err := s.checkoutPlan(snap)
-	if err != nil {
-		return "", err
-	}
-	defer s.checkinPlan(snap, p)
-	ps := snap.paged
-	var before storage.PoolStats
-	if ps != nil {
-		before = ps.Stats()
-	}
-	out, err := p.ExplainAnalyze(ctx, vals)
-	if err != nil || ps == nil {
-		return out, err
-	}
-	after := ps.Stats()
-	return out + fmt.Sprintf("page pool: %d hits, %d misses, %d evictions\n",
-		after.Hits-before.Hits, after.Misses-before.Misses, after.Evictions-before.Evictions), nil
-}
+func (s *Stmt) Explain() (string, error) { return s.fe.explain(s.db.snapshot()) }
 
 // bindArgs validates args against the statement's declared parameters and
 // returns them as a map.
@@ -333,7 +213,7 @@ func (s *Stmt) bindArgs(args []Param) (map[string]ssd.Label, error) {
 	}
 	vals := make(map[string]ssd.Label, len(args))
 	for _, a := range args {
-		if !s.declared[a.Name] {
+		if !slices.Contains(s.params, a.Name) {
 			return nil, fmt.Errorf("core: statement has no parameter $%s", a.Name)
 		}
 		if _, dup := vals[a.Name]; dup {
@@ -349,111 +229,16 @@ func (s *Stmt) bindArgs(args []Param) (map[string]ssd.Label, error) {
 	return vals, nil
 }
 
-// checkoutPlan returns a compiled plan for the snapshot, reusing a pooled
-// one when the snapshot still matches. A snapshot swap (commit) empties
-// the pool: stale plans can never run against the new graph version.
-// pooled reports whether the plan came from the pool (vs freshly compiled).
-func (s *Stmt) checkoutPlan(snap *snapshot) (p *query.Plan, pooled bool, err error) {
-	s.mu.Lock()
-	if s.snap != snap {
-		s.snap = snap
-		s.pool = nil
-	}
-	if n := len(s.pool); n > 0 {
-		p := s.pool[n-1]
-		s.pool = s.pool[:n-1]
-		s.mu.Unlock()
-		obsPlansPooled.Inc()
-		return p, true, nil
-	}
-	s.mu.Unlock()
-	obsPlansBuilt.Inc()
-	p, err = query.NewPlan(s.q, snap.store(), snap.planOptions())
-	return p, false, err
-}
-
-func (s *Stmt) checkinPlan(snap *snapshot, p *query.Plan) {
-	s.mu.Lock()
-	if s.snap == snap && len(s.pool) < maxPooledPlans {
-		s.pool = append(s.pool, p)
-	}
-	s.mu.Unlock()
-}
-
-// checkoutPlans draws n sibling plans for one parallel execution — the
-// pool handing out N plans per execution is what gives every worker its
-// own automata and lazy-DFA caches without recompiling on the hot path.
-// On error, every plan already drawn is returned.
-func (s *Stmt) checkoutPlans(snap *snapshot, n int) ([]*query.Plan, error) {
-	plans := make([]*query.Plan, 0, n)
-	for i := 0; i < n; i++ {
-		p, _, err := s.checkoutPlan(snap)
-		if err != nil {
-			s.checkinPlans(snap, plans)
-			return nil, err
-		}
-		plans = append(plans, p)
-	}
-	return plans, nil
-}
-
-func (s *Stmt) checkinPlans(snap *snapshot, plans []*query.Plan) {
-	for _, p := range plans {
-		s.checkinPlan(snap, p)
-	}
-}
-
-// invalidate drops the pooled plans and the snapshot reference. The
-// Database calls it on every cached statement when it publishes a new
+// invalidate drops a query statement's pooled plans and their snapshot.
+// The Database calls it on every cached statement when it publishes a new
 // snapshot, so cold statements do not pin superseded graph versions until
 // they happen to run again. (Statements held privately by callers release
-// theirs lazily, on their next checkout.)
+// theirs lazily, on their next checkout.) No other language keeps anything
+// per snapshot.
 func (s *Stmt) invalidate() {
-	s.mu.Lock()
-	s.snap = nil
-	s.pool = nil
-	s.mu.Unlock()
-}
-
-// checkoutTraversal returns a traversal of g for a path statement. Param-free
-// statements reuse a pooled one — automaton, lazy-DFA cache and visit scratch
-// are graph-independent, so the pool has no snapshot key and survives commits.
-// Parameterized paths compile fresh per execution: the bound labels become
-// part of the DFA's alphabet.
-func (s *Stmt) checkoutTraversal(g ssd.GraphStore, vals map[string]ssd.Label) (*pathexpr.Traversal, error) {
-	if len(s.params) > 0 {
-		bound, err := pathexpr.BindParams(s.pe, vals)
-		if err != nil {
-			return nil, err
-		}
-		return pathexpr.Compile(bound).NewTraversal(g), nil
+	if q, ok := s.fe.(*queryStmt); ok {
+		q.invalidate()
 	}
-	s.mu.Lock()
-	if n := len(s.pathPool); n > 0 {
-		t := s.pathPool[n-1]
-		s.pathPool = s.pathPool[:n-1]
-		s.mu.Unlock()
-		t.Retarget(g)
-		return t, nil
-	}
-	s.mu.Unlock()
-	return pathexpr.Compile(s.pe).NewTraversal(g), nil
-}
-
-// checkinTraversal pools a param-free statement's traversal, detached from
-// its store and context: an idle traversal must not pin a superseded
-// snapshot until the statement happens to run again.
-func (s *Stmt) checkinTraversal(t *pathexpr.Traversal) {
-	if len(s.params) > 0 {
-		return
-	}
-	t.Retarget(nil)
-	t.SetContext(nil)
-	s.mu.Lock()
-	if len(s.pathPool) < maxPooledPlans {
-		s.pathPool = append(s.pathPool, t)
-	}
-	s.mu.Unlock()
 }
 
 // Query executes the statement and returns a streaming Rows cursor over
@@ -473,7 +258,7 @@ func (s *Stmt) checkinTraversal(t *pathexpr.Traversal) {
 //
 //ssd:mustclose
 func (s *Stmt) Query(ctx context.Context, args ...Param) (*Rows, error) {
-	return s.queryTrace(ctx, nil, args)
+	return s.QueryTraced(ctx, nil, args...)
 }
 
 // QueryTraced is Query with per-execution tracing: operator-level spans
@@ -485,86 +270,23 @@ func (s *Stmt) Query(ctx context.Context, args ...Param) (*Rows, error) {
 //
 //ssd:mustclose
 func (s *Stmt) QueryTraced(ctx context.Context, tr *QueryTrace, args ...Param) (*Rows, error) {
-	return s.queryTrace(ctx, tr, args)
-}
-
-func (s *Stmt) queryTrace(ctx context.Context, tr *QueryTrace, args []Param) (*Rows, error) {
 	start := time.Now()
 	vals, err := s.bindArgs(args)
 	if err != nil {
 		return nil, err
 	}
 	snap := s.db.snapshot()
-	var pool *storage.PageStore
-	var poolStart storage.PoolStats
+	r := &Rows{stmt: s, g: snap.g, start: start, trace: tr}
 	if tr != nil {
 		tr.Lang = s.lang.String()
 		if ps := snap.paged; ps != nil {
-			pool, poolStart = ps, ps.Stats()
+			r.pool, r.poolStart = ps, ps.Stats()
 		}
 	}
-	switch s.lang {
-	case LangQuery:
-		p, pooled, err := s.checkoutPlan(snap)
-		if err != nil {
-			return nil, err
-		}
-		var workers []*query.Plan
-		var morselSize int
-		// The cost model decides whether fan-out pays off at all (a
-		// single-atom plan or a tiny seed set runs serial regardless of the
-		// configured ceiling), how many workers the estimated seed count
-		// supports, and the morsel size. The gate uses the leading atom's
-		// structural fan-out rather than the selectivity-discounted
-		// estimate, so a clamped-selectivity underestimate cannot force a
-		// large query serial (see Plan.ParallelHint). Best effort: a
-		// plan-compile failure here cannot happen for a plan that just
-		// compiled against the same snapshot, but fall back to serial
-		// rather than failing the query if it does.
-		if w, ms := p.ParallelHint(s.db.Parallelism()); w > 1 {
-			workers, _ = s.checkoutPlans(snap, w)
-			morselSize = ms
-		}
-		var et *query.ExecTrace
-		if tr != nil {
-			tr.PlanPooled = pooled
-			tr.Parallel = len(workers) > 0
-			et = new(query.ExecTrace)
-		}
-		if len(workers) > 0 {
-			obsParallelQueries.Inc()
-		}
-		cur, err := p.CursorParallel(ctx, vals, workers, morselSize, et)
-		if err != nil {
-			s.checkinPlan(snap, p)
-			s.checkinPlans(snap, workers)
-			return nil, err
-		}
-		return &Rows{stmt: s, cols: s.cols, g: snap.g, start: start, trace: tr, et: et, pool: pool, poolStart: poolStart, qb: &queryBackend{cur: cur, plan: p, workers: workers, snap: snap}}, nil
-	case LangPath:
-		trav, err := s.checkoutTraversal(snap.store(), vals)
-		if err != nil {
-			return nil, err
-		}
-		if ctx != nil {
-			trav.SetContext(ctx)
-		}
-		trav.Reset(snap.store().Root())
-		return &Rows{stmt: s, cols: s.cols, g: snap.g, start: start, trace: tr, pool: pool, poolStart: poolStart, pb: &pathBackend{trav: trav}}, nil
-	case LangDatalog:
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		rels, err := datalog.NewEngine(snap.store()).Run(s.dl, datalog.SemiNaive)
-		if err != nil {
-			return nil, err
-		}
-		return &Rows{stmt: s, cols: s.cols, g: snap.g, start: start, trace: tr, pool: pool, poolStart: poolStart, db2: newDatalogBackend(rels)}, nil
-	default:
-		return nil, fmt.Errorf("core: transform statements produce no rows; use Exec")
+	if r.src, err = s.fe.open(ctx, snap, vals, tr); err != nil {
+		return nil, err
 	}
+	return r, nil
 }
 
 // Exec executes the statement to a whole result database: the instantiated
@@ -572,44 +294,23 @@ func (s *Stmt) queryTrace(ctx context.Context, tr *QueryTrace, args []Param) (*R
 // Path and datalog statements have no graph result; use Query. The result
 // is a fresh handle with fresh caches, and nothing is logged to any WAL
 // open on the receiver.
-func (s *Stmt) Exec(ctx context.Context, args ...Param) (*Database, error) {
-	start := time.Now()
-	res, err := s.execInner(ctx, args)
-	obsQueryDur.Observe(time.Since(start))
-	obsQueries.Inc()
-	if err != nil {
-		obsQueryErrors.Inc()
-	}
-	return res, err
-}
-
-func (s *Stmt) execInner(ctx context.Context, args []Param) (*Database, error) {
+func (s *Stmt) Exec(ctx context.Context, args ...Param) (res *Database, err error) {
+	defer func(start time.Time) {
+		obsQueryDur.Observe(time.Since(start))
+		obsQueries.Inc()
+		if err != nil {
+			obsQueryErrors.Inc()
+		}
+	}(time.Now())
 	vals, err := s.bindArgs(args)
 	if err != nil {
 		return nil, err
 	}
-	snap := s.db.snapshot()
-	switch s.lang {
-	case LangQuery:
-		p, _, err := s.checkoutPlan(snap)
-		if err != nil {
-			return nil, err
-		}
-		res, err := p.EvalGraphCtx(ctx, vals)
-		s.checkinPlan(snap, p)
-		if err != nil {
-			return nil, err
-		}
-		return FromGraph(res), nil
-	case LangTransform:
-		g, err := s.tr.apply(snap.g, vals)
-		if err != nil {
-			return nil, err
-		}
-		return FromGraph(g), nil
-	default:
-		return nil, fmt.Errorf("core: %s statements produce rows, not a database; use Query", s.lang)
+	g, err := s.fe.exec(ctx, s.db.snapshot(), vals)
+	if err != nil {
+		return nil, err
 	}
+	return FromGraph(g), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -622,22 +323,17 @@ func (s *Stmt) execInner(ctx context.Context, args []Param) (*Database, error) {
 // do not affect it.
 type Rows struct {
 	stmt   *Stmt
-	cols   []col
+	src    rowSource
 	g      *ssd.Graph // the pinned snapshot's graph; see Graph
 	closed bool
-
-	qb  *queryBackend
-	pb  *pathBackend
-	db2 *datalogBackend
 
 	// Observability: rows are counted in a plain field (one increment per
 	// Next, no atomic contention on the stream path) and flushed to the
 	// process counters once, at Close, together with the query latency
-	// observation. trace/et are non-nil only for QueryTraced executions.
+	// observation. trace is non-nil only for QueryTraced executions.
 	start time.Time
 	n     int64
 	trace *QueryTrace
-	et    *query.ExecTrace
 
 	// Buffer-pool attribution for the trace: the page store serving the
 	// snapshot (nil when in-memory or untraced) and its counters at start.
@@ -652,90 +348,20 @@ type Rows struct {
 // the life of the Rows even if commits publish newer snapshots meanwhile.
 func (r *Rows) Graph() *ssd.Graph { return r.g }
 
-type queryBackend struct {
-	cur     *query.Cursor
-	plan    *query.Plan
-	workers []*query.Plan // borrowed by the parallel cursor's worker pool
-	snap    *snapshot
-}
-
-type pathBackend struct {
-	trav *pathexpr.Traversal // nil once Close has pooled it
-	node ssd.NodeID
-	err  error // what stopped the traversal early, kept past Close
-}
-
-type datalogBackend struct {
-	names []string
-	rels  map[string]*datalog.Relation
-	ri    int // current relation
-	ti    int // next tuple within it
-	rel   string
-	tup   datalog.Tuple
-}
-
-func newDatalogBackend(rels map[string]*datalog.Relation) *datalogBackend {
-	names := make([]string, 0, len(rels))
-	for name := range rels {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return &datalogBackend{names: names, rels: rels}
-}
-
 // Next advances to the next row, returning false when the result set is
 // exhausted, the context is cancelled, or the cursor is closed. Check Err
 // after a false Next to distinguish cancellation from exhaustion.
 func (r *Rows) Next() bool {
-	if r.closed {
+	if r.closed || !r.src.next() {
 		return false
 	}
-	switch {
-	case r.qb != nil:
-		if r.qb.cur.Next() {
-			r.n++
-			return true
-		}
-		return false
-	case r.pb != nil:
-		n, ok := r.pb.trav.Next()
-		r.pb.node = n
-		if ok {
-			r.n++
-		} else {
-			r.pb.err = r.pb.trav.Err()
-		}
-		return ok
-	default:
-		b := r.db2
-		for b.ri < len(b.names) {
-			rel := b.rels[b.names[b.ri]]
-			if b.ti < rel.Len() {
-				b.rel = b.names[b.ri]
-				b.tup = rel.Tuples()[b.ti]
-				b.ti++
-				r.n++
-				return true
-			}
-			b.ri++
-			b.ti = 0
-		}
-		return false
-	}
+	r.n++
+	return true
 }
 
 // Err returns the error that stopped iteration early (context
 // cancellation), or nil after clean exhaustion.
-func (r *Rows) Err() error {
-	switch {
-	case r.qb != nil:
-		return r.qb.cur.Err()
-	case r.pb != nil:
-		return r.pb.err
-	default:
-		return nil
-	}
-}
+func (r *Rows) Err() error { return r.src.err() }
 
 // Columns returns the result column names (see Stmt.Columns).
 func (r *Rows) Columns() []string { return r.stmt.Columns() }
@@ -743,10 +369,7 @@ func (r *Rows) Columns() []string { return r.stmt.Columns() }
 // IsNodeColumn reports whether column i holds a node (a query's tree
 // variable or a path statement's "node"), which Scan reads into an
 // *ssd.NodeID; every other column is a label, a path or datalog text.
-func (r *Rows) IsNodeColumn(i int) bool {
-	k := r.cols[i].kind
-	return k == colTree || k == colNode
-}
+func (r *Rows) IsNodeColumn(i int) bool { return i < r.stmt.nodeCols }
 
 // Scan copies the current row into dest, one pointer per column. Accepted
 // pointer types: *ssd.NodeID (tree/node columns), *ssd.Label (label
@@ -757,73 +380,26 @@ func (r *Rows) Scan(dest ...any) error {
 	if r.closed {
 		return fmt.Errorf("core: Scan on closed Rows")
 	}
-	if len(dest) != len(r.cols) {
-		return fmt.Errorf("core: Scan got %d destinations for %d columns", len(dest), len(r.cols))
+	if len(dest) != len(r.stmt.cols) {
+		return fmt.Errorf("core: Scan got %d destinations for %d columns", len(dest), len(r.stmt.cols))
 	}
-	for i, c := range r.cols {
-		if err := r.scanCol(c, dest[i]); err != nil {
-			return fmt.Errorf("core: Scan column %d (%s): %w", i, c.name, err)
+	for i, name := range r.stmt.cols {
+		if err := r.src.scan(i, dest[i]); err != nil {
+			return fmt.Errorf("core: Scan column %d (%s): %w", i, name, err)
 		}
 	}
 	return nil
 }
 
-func (r *Rows) scanCol(c col, dest any) error {
-	switch c.kind {
-	case colTree, colNode:
-		var n ssd.NodeID
-		if c.kind == colNode {
-			n = r.pb.node
-		} else {
-			n = r.qb.cur.Tree(c.slot)
-		}
-		switch d := dest.(type) {
-		case *ssd.NodeID:
-			*d = n
-		case *string:
-			*d = strconv.Itoa(int(n))
-		default:
-			return fmt.Errorf("want *ssd.NodeID or *string, got %T", dest)
-		}
-	case colLabel:
-		l := r.qb.cur.Label(c.slot)
-		switch d := dest.(type) {
-		case *ssd.Label:
-			*d = l
-		case *string:
-			*d = l.String()
-		default:
-			return fmt.Errorf("want *ssd.Label or *string, got %T", dest)
-		}
-	case colPath:
-		p := r.qb.cur.Path(c.slot)
-		switch d := dest.(type) {
-		case *[]ssd.Label:
-			*d = p
-		case *string:
-			parts := make([]string, len(p))
-			for i, l := range p {
-				parts[i] = l.String()
-			}
-			*d = strings.Join(parts, ".")
-		default:
-			return fmt.Errorf("want *[]ssd.Label or *string, got %T", dest)
-		}
-	case colRel:
-		d, ok := dest.(*string)
-		if !ok {
-			return fmt.Errorf("want *string, got %T", dest)
-		}
-		*d = r.db2.rel
-	case colTup:
-		switch d := dest.(type) {
-		case *datalog.Tuple:
-			*d = r.db2.tup
-		case *string:
-			*d = r.db2.tup.String()
-		default:
-			return fmt.Errorf("want *datalog.Tuple or *string, got %T", dest)
-		}
+// scanNode stores a node column's value into dest.
+func scanNode(n ssd.NodeID, dest any) error {
+	switch d := dest.(type) {
+	case *ssd.NodeID:
+		*d = n
+	case *string:
+		*d = strconv.Itoa(int(n))
+	default:
+		return fmt.Errorf("want *ssd.NodeID or *string, got %T", dest)
 	}
 	return nil
 }
@@ -834,20 +410,7 @@ func (r *Rows) scanCol(c col, dest any) error {
 // Path statements expose their node under the variable "node"; datalog
 // rows have an empty Env.
 func (r *Rows) Env() query.Env {
-	switch {
-	case r.qb != nil:
-		r.qb.cur.EnvInto(&r.shared)
-	case r.pb != nil:
-		if r.shared.Trees == nil {
-			r.shared = query.Env{
-				Trees:  map[string]ssd.NodeID{},
-				Labels: map[string]ssd.Label{},
-				Paths:  map[string][]ssd.Label{},
-			}
-		}
-		clear(r.shared.Trees)
-		r.shared.Trees["node"] = r.pb.node
-	}
+	r.src.env(&r.shared)
 	return r.shared
 }
 
@@ -861,23 +424,15 @@ func (r *Rows) Close() error {
 		return nil
 	}
 	r.closed = true
-	switch {
-	case r.qb != nil:
-		r.qb.cur.Close()
-		r.stmt.checkinPlan(r.qb.snap, r.qb.plan)
-		r.stmt.checkinPlans(r.qb.snap, r.qb.workers)
-	case r.pb != nil:
-		r.stmt.checkinTraversal(r.pb.trav)
-		r.pb.trav = nil
-	}
+	r.src.close()
 	r.finish()
 	return nil
 }
 
 // finish flushes this execution's observability state: the process-wide
 // latency/row/error counters always, and the QueryTrace when tracing. It
-// runs after the cursor teardown above, so a parallel pool has quiesced and
-// the ExecTrace is final.
+// runs after the row source's teardown, so a parallel pool has quiesced and
+// the executor spans are already in the trace.
 func (r *Rows) finish() {
 	elapsed := time.Since(r.start)
 	obsQueryDur.Observe(elapsed)
@@ -896,150 +451,10 @@ func (r *Rows) finish() {
 	if err != nil {
 		tr.Error = err.Error()
 	}
-	if et := r.et; et != nil && r.qb != nil {
-		tr.fillExec(r.qb.plan, et)
-	}
 	if r.pool != nil {
 		st := r.pool.Stats()
 		tr.PoolHits = st.Hits - r.poolStart.Hits
 		tr.PoolMisses = st.Misses - r.poolStart.Misses
 		tr.PoolEvictions = st.Evictions - r.poolStart.Evictions
-	}
-}
-
-// ---------------------------------------------------------------------------
-// The transform mini-language (LangTransform)
-
-var transformVerbs = map[string]bool{
-	"relabel": true, "delete": true, "collapse": true, "expand": true,
-}
-
-// transformStmt is one parsed restructuring command. The predicate and the
-// target labels may contain $parameters.
-type transformStmt struct {
-	verb    string
-	pred    pathexpr.Pred
-	chain   []ssd.Label // relabel: one element; expand: the chain
-	chainP  []string    // parameter name per chain slot ("" = literal)
-	params  []string
-	predSrc string
-}
-
-func (t *transformStmt) describe() string {
-	out := t.verb + " " + t.predSrc
-	if len(t.chain) > 0 {
-		parts := make([]string, len(t.chain))
-		for i := range t.chain {
-			if t.chainP[i] != "" {
-				parts[i] = "$" + t.chainP[i]
-			} else {
-				parts[i] = t.chain[i].String()
-			}
-		}
-		out += " to " + strings.Join(parts, ".")
-	}
-	return out
-}
-
-// parseTransform parses `verb <pred> [to <label>[.<label>...]]`.
-func parseTransform(src string) (*transformStmt, error) {
-	verb, rest, _ := strings.Cut(strings.TrimSpace(src), " ")
-	verb = strings.ToLower(verb)
-	if !transformVerbs[verb] {
-		return nil, fmt.Errorf("core: unknown transform verb %q (want relabel|delete|collapse|expand)", verb)
-	}
-	rest = strings.TrimSpace(rest)
-	t := &transformStmt{verb: verb}
-	needsTo := verb == "relabel" || verb == "expand"
-	predSrc := rest
-	if needsTo {
-		i := strings.LastIndex(rest, " to ")
-		if i < 0 {
-			return nil, fmt.Errorf("core: %s requires `to <label>`", verb)
-		}
-		predSrc = strings.TrimSpace(rest[:i])
-		for _, part := range strings.Split(strings.TrimSpace(rest[i+len(" to "):]), ".") {
-			l, pname, err := parseLabelOrParam(strings.TrimSpace(part))
-			if err != nil {
-				return nil, err
-			}
-			t.chain = append(t.chain, l)
-			t.chainP = append(t.chainP, pname)
-		}
-		if verb == "relabel" && len(t.chain) != 1 {
-			return nil, fmt.Errorf("core: relabel takes exactly one target label")
-		}
-	}
-	if predSrc == "" {
-		return nil, fmt.Errorf("core: %s requires a predicate", verb)
-	}
-	pred, err := pathexpr.ParsePred(predSrc)
-	if err != nil {
-		return nil, err
-	}
-	t.pred = pred
-	t.predSrc = predSrc
-	// Parameter signature: predicate params first, then chain params.
-	seen := map[string]bool{}
-	for _, n := range pathexpr.Params(pathexpr.Atom{Pred: pred}) {
-		if !seen[n] {
-			seen[n] = true
-			t.params = append(t.params, n)
-		}
-	}
-	for _, n := range t.chainP {
-		if n != "" && !seen[n] {
-			seen[n] = true
-			t.params = append(t.params, n)
-		}
-	}
-	return t, nil
-}
-
-// parseLabelOrParam parses one target label: `$name` or a literal.
-func parseLabelOrParam(src string) (ssd.Label, string, error) {
-	if strings.HasPrefix(src, "$") {
-		name := src[1:]
-		if name == "" {
-			return ssd.Label{}, "", fmt.Errorf("core: expected parameter name after $")
-		}
-		return ssd.Label{}, name, nil
-	}
-	l, err := ssd.ParseLabel(src)
-	return l, "", err
-}
-
-// apply runs the transform against g with parameters bound, returning the
-// restructured graph.
-func (t *transformStmt) apply(g *ssd.Graph, vals map[string]ssd.Label) (*ssd.Graph, error) {
-	pred := t.pred
-	if len(t.params) > 0 {
-		bound, err := pathexpr.BindParams(pathexpr.Atom{Pred: pred}, vals)
-		if err != nil {
-			return nil, err
-		}
-		pred = bound.(pathexpr.Atom).Pred
-	}
-	chain := make([]ssd.Label, len(t.chain))
-	for i, l := range t.chain {
-		if t.chainP[i] != "" {
-			v, ok := vals[t.chainP[i]]
-			if !ok {
-				return nil, fmt.Errorf("core: parameter $%s not bound", t.chainP[i])
-			}
-			chain[i] = v
-		} else {
-			chain[i] = l
-		}
-	}
-	switch t.verb {
-	case "relabel":
-		return unql.RelabelWhere(g, pred, chain[0]), nil
-	case "delete":
-		return unql.DeleteEdges(g, pred), nil
-	case "collapse":
-		return unql.CollapseEdges(g, pred), nil
-	default: // expand
-		return unql.ExpandEdges(g, pred, chain...), nil
 	}
 }

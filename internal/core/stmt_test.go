@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -16,25 +17,29 @@ import (
 	"repro/internal/workload"
 )
 
+// sniffCases are SniffLang's table; FuzzPrepare seeds from them too.
+var sniffCases = []struct {
+	src  string
+	lang Lang
+	body string
+}{
+	{`select T from DB.Entry.Movie.Title T`, LangQuery, `select T from DB.Entry.Movie.Title T`},
+	{`SELECT T from DB.a T`, LangQuery, `SELECT T from DB.a T`},
+	{`query: select T from DB.a T`, LangQuery, `select T from DB.a T`},
+	{`Entry.Movie.Title`, LangPath, `Entry.Movie.Title`},
+	{`path: delete`, LangPath, `delete`},
+	{`reach(X) :- root(X).`, LangDatalog, `reach(X) :- root(X).`},
+	{`datalog: reach(X) :- root(X).`, LangDatalog, `reach(X) :- root(X).`},
+	{`relabel Title to TITLE`, LangTransform, `relabel Title to TITLE`},
+	{`unql: delete References`, LangTransform, `delete References`},
+	// A ":-" inside a string literal is data, not a datalog rule.
+	{`_*."x:-y"`, LangPath, `_*."x:-y"`},
+	// Any whitespace ends the verb.
+	{"delete\tTitle", LangTransform, "delete\tTitle"},
+}
+
 func TestSniffLang(t *testing.T) {
-	cases := []struct {
-		src  string
-		lang Lang
-		body string
-	}{
-		{`select T from DB.Entry.Movie.Title T`, LangQuery, `select T from DB.Entry.Movie.Title T`},
-		{`SELECT T from DB.a T`, LangQuery, `SELECT T from DB.a T`},
-		{`query: select T from DB.a T`, LangQuery, `select T from DB.a T`},
-		{`Entry.Movie.Title`, LangPath, `Entry.Movie.Title`},
-		{`path: delete`, LangPath, `delete`},
-		{`reach(X) :- root(X).`, LangDatalog, `reach(X) :- root(X).`},
-		{`datalog: reach(X) :- root(X).`, LangDatalog, `reach(X) :- root(X).`},
-		{`relabel Title to TITLE`, LangTransform, `relabel Title to TITLE`},
-		{`unql: delete References`, LangTransform, `delete References`},
-		// A ":-" inside a string literal is data, not a datalog rule.
-		{`_*."x:-y"`, LangPath, `_*."x:-y"`},
-	}
-	for _, c := range cases {
+	for _, c := range sniffCases {
 		lang, body := SniffLang(c.src)
 		if lang != c.lang || body != c.body {
 			t.Errorf("SniffLang(%q) = (%s, %q), want (%s, %q)", c.src, lang, body, c.lang, c.body)
@@ -214,7 +219,7 @@ func TestStmtDatalog(t *testing.T) {
 		}
 		n++
 	}
-	rels, err := datalog.NewEngine(db.Graph()).Run(datalog.MustParseProgram(prog), datalog.SemiNaive)
+	rels, err := datalog.NewEngine(db.Graph()).Run(nil, datalog.MustParseProgram(prog), datalog.SemiNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,6 +273,64 @@ func TestStmtTransform(t *testing.T) {
 	}
 	if refs := pathNodes(t, trimmed, "_*.References"); len(refs) != 0 {
 		t.Fatalf("References survived delete: %d", len(refs))
+	}
+}
+
+// transformRegressions are transform commands the string-cutting parser
+// rejected: whitespace other than a space, a quoted target holding " to "
+// or a dot, and a float target.
+var transformRegressions = []struct {
+	src  string
+	want func(g *ssd.Graph) *ssd.Graph
+}{
+	{"delete\tTitle", func(g *ssd.Graph) *ssd.Graph { return unql.DeleteEdges(g, title) }},
+	{"relabel Title\tto z", func(g *ssd.Graph) *ssd.Graph { return unql.RelabelWhere(g, title, ssd.Sym("z")) }},
+	{`relabel Title to "x to y"`, func(g *ssd.Graph) *ssd.Graph { return unql.RelabelWhere(g, title, ssd.Str("x to y")) }},
+	{`expand Title to "p.q".r`, func(g *ssd.Graph) *ssd.Graph {
+		return unql.ExpandEdges(g, title, ssd.Str("p.q"), ssd.Sym("r"))
+	}},
+	{`relabel Title to 2.5`, func(g *ssd.Graph) *ssd.Graph { return unql.RelabelWhere(g, title, ssd.Float(2.5)) }},
+}
+
+var title = pathexpr.ExactPred{L: ssd.Sym("Title")}
+
+// TestTransformRegressions: each command prepares as a transform and
+// restructures exactly like the unql function it names.
+func TestTransformRegressions(t *testing.T) {
+	db := fig1DB(t)
+	for _, c := range transformRegressions {
+		s, err := db.Prepare(c.src)
+		if err != nil {
+			t.Errorf("Prepare(%q): %v", c.src, err)
+			continue
+		}
+		got, err := s.Exec(context.Background())
+		if err != nil {
+			t.Errorf("Exec(%q): %v", c.src, err)
+			continue
+		}
+		if !bisim.Equal(got.Graph(), c.want(db.Graph())) {
+			t.Errorf("%q restructured differently from its unql function", c.src)
+		}
+	}
+	// The forms the issue reported, on labels fig1 lacks.
+	for _, src := range []string{"delete\tTitle", "relabel a\tto z", `relabel a to "x to y"`, `expand a to "p.q".r`, `relabel a to 2.5`} {
+		if _, err := db.Prepare(src); err != nil {
+			t.Errorf("Prepare(%q): %v", src, err)
+		}
+	}
+	for src, want := range map[string]string{
+		"unql: relabel a to b.c": "unql: offset 14: relabel takes exactly one target label",
+		"unql: delete a*":        "unql: offset 7: delete takes one label predicate",
+		"unql: expand a":         "unql: offset 8: expand requires `to <label>`",
+		"unql: collapse a to b":  `unql: offset 11: trailing input "to"`,
+		"unql: expand a to $":    "unql: offset 13: expected parameter name after $",
+		"unql: squash a":         `unql: offset 0: unknown transform verb "squash" (want relabel|delete|collapse|expand)`,
+		"unql: relabel a to \"b": "unql: offset 13: unterminated string",
+	} {
+		if _, err := db.Prepare(src); err == nil || err.Error() != want {
+			t.Errorf("Prepare(%q) = %v, want %s", src, err, want)
+		}
 	}
 }
 
@@ -382,6 +445,35 @@ func TestStmtCancellation(t *testing.T) {
 	if prows.Err() != context.Canceled {
 		t.Fatalf("path Err = %v, want context.Canceled", prows.Err())
 	}
+
+	// Datalog runs its fixpoint when the statement opens; a context
+	// cancelled meanwhile stops it there.
+	ds, err := db.Prepare(`datalog: reach(X) :- root(X). reach(Y) :- reach(X), edge(X, _, Y).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if drows, err := ds.Query(&cancelAfter{Context: context.Background(), polls: 1}); err != context.Canceled {
+		if err == nil {
+			drows.Close()
+		}
+		t.Fatalf("datalog Query err = %v, want context.Canceled", err)
+	}
+}
+
+// cancelAfter is a context that reports itself cancelled from its
+// (polls+1)-th Err call on: cancellation that arrives while work runs,
+// without a timer.
+type cancelAfter struct {
+	context.Context
+	polls int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.polls > 0 {
+		c.polls--
+		return nil
+	}
+	return context.Canceled
 }
 
 // TestConcurrentStmtQueryDuringCommits is the -race test: many goroutines
@@ -452,4 +544,41 @@ func TestConcurrentStmtQueryDuringCommits(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// FuzzPrepare feeds arbitrary statement text to Prepare. Prepare must never
+// panic, nor must Explain on what it prepares, and a transform's Explain
+// description must prepare back (under `unql:`) to the same description.
+//
+//	go test -run=NONE -fuzz=FuzzPrepare -fuzztime=20s ./internal/core
+func FuzzPrepare(f *testing.F) {
+	for _, c := range sniffCases {
+		f.Add(c.src)
+	}
+	for _, c := range transformRegressions {
+		f.Add(c.src)
+	}
+	for _, src := range []string{"relabel a\tto z", `relabel a to "x to y"`, `expand a to "p.q".r`, `relabel a to 2.5`,
+		`unql: relabel !like "T%" to $new`, `expand (_) to a.$x.3`, "unql: collapse <= 3"} {
+		f.Add(src)
+	}
+	db := FromGraph(ssd.MustParse(`{Entry: {Movie: {Title: "Casablanca", Year: 1942}}}`))
+	f.Fuzz(func(t *testing.T, src string) {
+		s, err := db.Prepare(src)
+		if err != nil {
+			return
+		}
+		out, err := s.Explain()
+		if err != nil || s.Lang() != LangTransform {
+			return
+		}
+		desc := strings.TrimSuffix(strings.TrimPrefix(out, "transform: "), "\n")
+		back, err := db.Prepare("unql: " + desc)
+		if err != nil {
+			t.Fatalf("description %q of %q does not prepare: %v", desc, src, err)
+		}
+		if again, _ := back.Explain(); again != out {
+			t.Fatalf("%q explains as %q, its description as %q", src, out, again)
+		}
+	})
 }

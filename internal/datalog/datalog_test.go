@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/ssd"
@@ -37,7 +38,7 @@ func runProg(t *testing.T, g *ssd.Graph, src string, mode Mode) map[string]*Rela
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := NewEngine(g).Run(prog, mode)
+	res, err := NewEngine(g).Run(nil, prog, mode)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -85,12 +86,12 @@ func TestSemiNaiveDoesLessWork(t *testing.T) {
 		reach(Y) :- reach(X), edge(X, _, Y).`
 	prog := MustParseProgram(src)
 	en := NewEngine(g)
-	if _, err := en.Run(prog, Naive); err != nil {
+	if _, err := en.Run(nil, prog, Naive); err != nil {
 		t.Fatal(err)
 	}
 	naiveJoins := en.Joins
 	es := NewEngine(g)
-	if _, err := es.Run(prog, SemiNaive); err != nil {
+	if _, err := es.Run(nil, prog, SemiNaive); err != nil {
 		t.Fatal(err)
 	}
 	semiJoins := es.Joins
@@ -184,7 +185,7 @@ func TestNonStratifiable(t *testing.T) {
 		p(X) :- edge(X, _, _), not q(X).
 		q(X) :- edge(X, _, _), not p(X).`
 	prog := MustParseProgram(src)
-	if _, err := NewEngine(chain(2)).Run(prog, SemiNaive); err == nil {
+	if _, err := NewEngine(chain(2)).Run(nil, prog, SemiNaive); err == nil {
 		t.Error("negation through recursion must be rejected")
 	}
 }
@@ -201,7 +202,7 @@ func TestUnsafeRules(t *testing.T) {
 			t.Errorf("parse error for %q: %v", src, err)
 			continue
 		}
-		if _, err := NewEngine(chain(2)).Run(prog, SemiNaive); err == nil {
+		if _, err := NewEngine(chain(2)).Run(nil, prog, SemiNaive); err == nil {
 			t.Errorf("unsafe program %q accepted", src)
 		}
 	}
@@ -246,7 +247,7 @@ func TestArityAndUnknownPredErrors(t *testing.T) {
 		if err != nil {
 			continue // parse-level rejection also fine
 		}
-		if _, err := NewEngine(chain(2)).Run(prog, SemiNaive); err == nil {
+		if _, err := NewEngine(chain(2)).Run(nil, prog, SemiNaive); err == nil {
 			t.Errorf("program %q accepted", src)
 		}
 	}
@@ -300,11 +301,11 @@ func TestModesAgreeOnRandomGraphsProperty(t *testing.T) {
 	prog := MustParseProgram(src)
 	for seed := int64(0); seed < 25; seed++ {
 		g := randomDlGraph(seed, 15, 35)
-		a, err := NewEngine(g).Run(prog, Naive)
+		a, err := NewEngine(g).Run(nil, prog, Naive)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := NewEngine(g).Run(prog, SemiNaive)
+		b, err := NewEngine(g).Run(nil, prog, SemiNaive)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,5 +359,27 @@ func TestRelationIndexConsistencyAfterGrowth(t *testing.T) {
 	}
 	if got := len(r.lookup(0, v(2))); got != 1 {
 		t.Errorf("new key missing: %d", got)
+	}
+}
+
+// TestRunCancelled: a done context stops Run inside a round, within about
+// one poll stride of tuple matches rather than at the fixpoint, in both
+// modes, and Run reports the context's error.
+func TestRunCancelled(t *testing.T) {
+	prog := MustParseProgram(`tc(X, Y) :- edge(X, _, Y). tc(X, Z) :- tc(X, Y), edge(Y, _, Z).`)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for mode, n := range map[Mode]int{Naive: 60, SemiNaive: 200} {
+		full := NewEngine(chain(n))
+		if _, err := full.Run(nil, prog, mode); err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(chain(n))
+		if _, err := e.Run(ctx, prog, mode); err != context.Canceled {
+			t.Fatalf("mode %d: Run err = %v, want context.Canceled", mode, err)
+		}
+		if e.Joins > 2048 || e.Joins*10 > full.Joins {
+			t.Errorf("mode %d: cancelled run made %d joins, the full run %d", mode, e.Joins, full.Joins)
+		}
 	}
 }

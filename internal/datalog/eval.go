@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/pathexpr"
@@ -81,6 +82,29 @@ type Engine struct {
 	// Joins counts tuple-match attempts during Run — the work metric
 	// experiment E4 reports alongside wall time.
 	Joins int
+
+	ctx context.Context // Run's context; nil disables cancellation checks
+	err error           // the cancellation that stopped Run, once seen
+}
+
+// cancelled reports whether Run must stop: its context is done, now or at
+// an earlier poll.
+//
+//ssd:poll
+func (e *Engine) cancelled() bool {
+	if e.err == nil && e.ctx != nil {
+		e.err = e.ctx.Err()
+	}
+	return e.err != nil
+}
+
+// join counts one tuple-match attempt and reports whether Run must stop,
+// polling the context every 1024 attempts.
+func (e *Engine) join() bool {
+	if e.Joins++; e.Joins%1024 == 0 {
+		return e.cancelled()
+	}
+	return e.err != nil
 }
 
 // NewEngine materializes the graph's EDB: edge/3 over all edges and root/1.
@@ -101,6 +125,12 @@ func NewEngine(g ssd.GraphStore) *Engine {
 // edbArity is the fixed EDB schema every graph provides.
 var edbArity = map[string]int{"edge": 3, "root": 1}
 
+// typeBuiltins are the unary type tests: the path language's predicates.
+var typeBuiltins = map[string]pathexpr.TypePred{
+	"isint": {Kind: ssd.KindInt}, "isfloat": {Kind: ssd.KindFloat}, "isstring": {Kind: ssd.KindString},
+	"issymbol": {Kind: ssd.KindSymbol}, "isbool": {Kind: ssd.KindBool}, "isdata": {IsData: true},
+}
+
 var builtinArity = map[string]int{
 	"isint": 1, "isfloat": 1, "isstring": 1, "issymbol": 1, "isbool": 1, "isdata": 1,
 	"lt": 2, "le": 2, "gt": 2, "ge": 2, "eq": 2, "neq": 2, "like": 2,
@@ -118,8 +148,11 @@ func Check(prog *Program) error {
 	return err
 }
 
-// Run evaluates the program and returns every IDB relation.
-func (e *Engine) Run(prog *Program, mode Mode) (map[string]*Relation, error) {
+// Run evaluates the program and returns every IDB relation. It polls ctx
+// after every round and every 1024 tuple matches within one; once ctx is
+// done it stops with ctx's error (and partial relations). A nil ctx
+// disables the checks.
+func (e *Engine) Run(ctx context.Context, prog *Program, mode Mode) (map[string]*Relation, error) {
 	idbArity, err := validate(prog)
 	if err != nil {
 		return nil, err
@@ -137,6 +170,7 @@ func (e *Engine) Run(prog *Program, mode Mode) (map[string]*Relation, error) {
 			strata[si][ri] = reorderBody(strata[si][ri])
 		}
 	}
+	e.ctx, e.err = ctx, nil
 	for _, rules := range strata {
 		if mode == Naive {
 			e.runNaive(rules, idb)
@@ -144,10 +178,12 @@ func (e *Engine) Run(prog *Program, mode Mode) (map[string]*Relation, error) {
 			e.runSemiNaive(rules, idb, idbArity)
 		}
 	}
-	return idb, nil
+	return idb, e.err
 }
 
 // runNaive loops full-relation rule application to fixpoint.
+//
+//ssd:ctxpoll
 func (e *Engine) runNaive(rules []Rule, idb map[string]*Relation) {
 	for {
 		added := false
@@ -160,13 +196,15 @@ func (e *Engine) runNaive(rules []Rule, idb map[string]*Relation) {
 				}
 			}
 		}
-		if !added {
+		if !added || e.cancelled() {
 			return
 		}
 	}
 }
 
 // runSemiNaive applies the standard delta iteration within one stratum.
+//
+//ssd:ctxpoll
 func (e *Engine) runSemiNaive(rules []Rule, idb map[string]*Relation, idbArity map[string]int) {
 	stratumPreds := map[string]bool{}
 	for _, r := range rules {
@@ -211,7 +249,7 @@ func (e *Engine) runSemiNaive(rules []Rule, idb map[string]*Relation, idbArity m
 				}
 			}
 		}
-		if !any {
+		if !any || e.cancelled() {
 			return
 		}
 		delta = next
@@ -254,7 +292,9 @@ func (e *Engine) applyRule(r Rule, idb map[string]*Relation, delta *Relation, de
 			for k, a := range lit.Atom.Args {
 				t[k] = resolveTerm(a, env, e.g)
 			}
-			e.Joins++
+			if e.join() {
+				return
+			}
 			if !rel.Has(t) {
 				rec(i + 1)
 			}
@@ -282,7 +322,9 @@ func (e *Engine) scanAtom(a Atom, rel *Relation, env map[string]Value, k func())
 		}
 	}
 	tryTuple := func(t Tuple) {
-		e.Joins++
+		if e.join() {
+			return
+		}
 		var bound []string
 		ok := true
 		for i, arg := range a.Args {
@@ -358,26 +400,11 @@ func (e *Engine) evalBuiltin(a Atom, env map[string]Value) (bool, error) {
 		}
 		return vals[i].Label, true
 	}
+	if tp, ok := typeBuiltins[a.Pred]; ok {
+		l, isLabel := label(0)
+		return isLabel && tp.Match(l), nil
+	}
 	switch a.Pred {
-	case "isint", "isfloat", "isstring", "issymbol", "isbool", "isdata":
-		l, ok := label(0)
-		if !ok {
-			return false, nil
-		}
-		switch a.Pred {
-		case "isint":
-			return l.Kind() == ssd.KindInt, nil
-		case "isfloat":
-			return l.Kind() == ssd.KindFloat, nil
-		case "isstring":
-			return l.Kind() == ssd.KindString, nil
-		case "issymbol":
-			return l.Kind() == ssd.KindSymbol, nil
-		case "isbool":
-			return l.Kind() == ssd.KindBool, nil
-		default:
-			return l.IsData(), nil
-		}
 	case "eq":
 		return vals[0].Equal(vals[1]), nil
 	case "neq":

@@ -69,6 +69,9 @@ relabel 2 Director "Directed By"
 setoid $0 &y1
 setroot 1`,
 	`addnode; addedge 0 n $0; addedge $0 2.5 $0; addedge $0 true 0`,
+	// Quoted labels holding the statement separator and the comment marker.
+	`addnode; addedge 0 "http://x" $0 // a link
+relabel 3 "Casablanca" "x:-y % -- //"; addedge $0 "a;b" 0`,
 }
 
 // FuzzParseScript feeds arbitrary text to the mutation script parser — the

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/ssd"
@@ -187,6 +188,30 @@ func TestParseScript(t *testing.T) {
 		if _, err := ParseScript(bad, g); err == nil {
 			t.Errorf("ParseScript(%q) succeeded", bad)
 		}
+	}
+}
+
+// TestScriptQuotedSeparators: `;` and `//` inside a quoted label are part
+// of the label; outside one they still end a statement or start a comment,
+// also right after a label that holds them.
+func TestScriptQuotedSeparators(t *testing.T) {
+	g := fig1Fragment()
+	b, err := ParseScript(`addedge 0 "http://x" 0; addedge 0 "a;b" 0 // "c;d"
+addedge 0 "e\"//" 0;addedge 0 f"g 0`, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []ssd.Label
+	for _, r := range b.Recs() {
+		got = append(got, r.Label)
+	}
+	want := []ssd.Label{ssd.Str("http://x"), ssd.Str("a;b"), ssd.Str(`e"//`), ssd.Sym(`f"g`)}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("labels = %v, want %v", got, want)
+	}
+	// A quote inside a field opens no string: the `;` after it still splits.
+	if _, err := ParseScript(`addedge 0 x"; addnode`, g); err == nil || !strings.Contains(err.Error(), "statement 1: addedge takes 3 arguments") {
+		t.Fatalf("mid-field quote: err = %v", err)
 	}
 }
 

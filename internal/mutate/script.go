@@ -10,7 +10,8 @@ import (
 
 // ParseScript parses the ssdq mutation script format into a batch against
 // base. Statements are separated by newlines or semicolons; `//` starts a
-// line comment. The statements mirror the record types:
+// line comment; inside a quoted string neither a semicolon nor `//` counts.
+// The statements mirror the record types:
 //
 //	addnode                       allocate a node, referable as $0, $1, …
 //	addedge <node> <label> <node>
@@ -25,94 +26,87 @@ import (
 func ParseScript(src string, base *ssd.Graph) (*Batch, error) {
 	b := NewBatch(base)
 	var news []ssd.NodeID
-	for i, line := range splitStatements(src) {
-		fields, err := tokenize(line)
-		if err != nil {
+	for i, stmt := range splitStatements(src) {
+		if err := parseStatement(b, stmt, &news); err != nil {
 			return nil, fmt.Errorf("mutate: statement %d: %w", i+1, err)
-		}
-		if len(fields) == 0 {
-			continue
-		}
-		node := func(tok string) (ssd.NodeID, error) { return parseNodeRef(tok, news) }
-		stmt := strings.ToLower(fields[0])
-		wrong := func(want int) error {
-			return fmt.Errorf("mutate: statement %d: %s takes %d arguments, got %d", i+1, stmt, want, len(fields)-1)
-		}
-		switch stmt {
-		case "addnode":
-			if len(fields) != 1 {
-				return nil, wrong(0)
-			}
-			news = append(news, b.AddNode())
-		case "addedge", "deledge":
-			if len(fields) != 4 {
-				return nil, wrong(3)
-			}
-			from, err := node(fields[1])
-			if err == nil {
-				var to ssd.NodeID
-				to, err = node(fields[3])
-				if err == nil {
-					l := parseLabel(fields[2])
-					if stmt == "addedge" {
-						err = b.AddEdge(from, l, to)
-					} else {
-						err = b.DeleteEdge(from, l, to)
-					}
-				}
-			}
-			if err != nil {
-				return nil, fmt.Errorf("mutate: statement %d: %w", i+1, err)
-			}
-		case "relabel":
-			if len(fields) != 4 {
-				return nil, wrong(3)
-			}
-			from, err := node(fields[1])
-			if err == nil {
-				err = b.Relabel(from, parseLabel(fields[2]), parseLabel(fields[3]))
-			}
-			if err != nil {
-				return nil, fmt.Errorf("mutate: statement %d: %w", i+1, err)
-			}
-		case "setoid":
-			if len(fields) != 3 {
-				return nil, wrong(2)
-			}
-			n, err := node(fields[1])
-			if err == nil {
-				err = b.SetOID(n, strings.TrimPrefix(fields[2], "\""))
-			}
-			if err != nil {
-				return nil, fmt.Errorf("mutate: statement %d: %w", i+1, err)
-			}
-		case "setroot":
-			if len(fields) != 2 {
-				return nil, wrong(1)
-			}
-			n, err := node(fields[1])
-			if err == nil {
-				err = b.SetRoot(n)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("mutate: statement %d: %w", i+1, err)
-			}
-		default:
-			return nil, fmt.Errorf("mutate: statement %d: unknown statement %q", i+1, stmt)
 		}
 	}
 	return b, nil
 }
 
+// scriptArity is each statement's argument count.
+var scriptArity = map[string]int{"addnode": 0, "addedge": 3, "deledge": 3, "relabel": 3, "setoid": 2, "setroot": 1}
+
+// parseStatement adds one statement to b; news holds the nodes the script
+// has allocated so far.
+func parseStatement(b *Batch, stmt string, news *[]ssd.NodeID) error {
+	fields, err := tokenize(stmt)
+	if err != nil || len(fields) == 0 {
+		return err
+	}
+	verb := strings.ToLower(fields[0])
+	arity, ok := scriptArity[verb]
+	if !ok {
+		return fmt.Errorf("unknown statement %q", verb)
+	}
+	if len(fields)-1 != arity {
+		return fmt.Errorf("%s takes %d arguments, got %d", verb, arity, len(fields)-1)
+	}
+	if verb == "addnode" {
+		*news = append(*news, b.AddNode())
+		return nil
+	}
+	from, err := parseNodeRef(fields[1], *news)
+	if err != nil {
+		return err
+	}
+	switch verb {
+	case "addedge", "deledge":
+		to, err := parseNodeRef(fields[3], *news)
+		if err != nil {
+			return err
+		}
+		if verb == "addedge" {
+			return b.AddEdge(from, parseLabel(fields[2]), to)
+		}
+		return b.DeleteEdge(from, parseLabel(fields[2]), to)
+	case "relabel":
+		return b.Relabel(from, parseLabel(fields[2]), parseLabel(fields[3]))
+	case "setoid":
+		return b.SetOID(from, strings.TrimPrefix(fields[2], "\""))
+	default:
+		return b.SetRoot(from)
+	}
+}
+
+// splitStatements cuts src at newlines and semicolons and drops `//`
+// comments, skipping over quoted strings the way tokenize reads them: a
+// quote opens a string only where a field starts, and the string runs to
+// its closing quote (backslash escapes respected) or the end of the line.
 func splitStatements(src string) []string {
 	var out []string
 	for _, line := range strings.Split(src, "\n") {
-		if i := strings.Index(line, "//"); i >= 0 {
-			line = line[:i]
+		start, inField := 0, false
+		for i := 0; i < len(line); i++ {
+			switch c := line[i]; {
+			case c == ';':
+				out = append(out, strings.TrimSpace(line[start:i]))
+				start, inField = i+1, false
+			case strings.HasPrefix(line[i:], "//"):
+				line = line[:i]
+			case c == ' ' || c == '\t' || c == '\r':
+				inField = false
+			case c == '"' && !inField:
+				for i++; i < len(line) && line[i] != '"'; i++ {
+					if line[i] == '\\' {
+						i++
+					}
+				}
+			default:
+				inField = true
+			}
 		}
-		for _, stmt := range strings.Split(line, ";") {
-			out = append(out, strings.TrimSpace(stmt))
-		}
+		out = append(out, strings.TrimSpace(line[start:]))
 	}
 	return out
 }

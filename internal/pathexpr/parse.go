@@ -188,17 +188,3 @@ func parsePred(lx *ssd.Scanner) (Pred, error) {
 	}
 	return ExactPred{l}, nil
 }
-
-// ParsePred parses a single label predicate (the atom syntax): `_`, a
-// literal, `!p`, `like "pat"`, a comparison, or a type test.
-func ParsePred(src string) (Pred, error) {
-	lx := ssd.NewScanner(syntax, src)
-	pred, err := parsePred(lx)
-	if err != nil {
-		return nil, err
-	}
-	if lx.Tok != ssd.TokEOF {
-		return nil, lx.Errorf("trailing input after predicate %q", lx.Text)
-	}
-	return pred, nil
-}

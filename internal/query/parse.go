@@ -342,9 +342,10 @@ func typeTest(name string) (pathexpr.Pred, bool) {
 	if !strings.HasPrefix(name, "is") {
 		return nil, false
 	}
-	pred, err := pathexpr.ParsePred(name)
-	tp, ok := pred.(pathexpr.TypePred)
-	return tp, err == nil && ok
+	e, _ := pathexpr.Parse(name)
+	atom, _ := e.(pathexpr.Atom)
+	tp, ok := atom.Pred.(pathexpr.TypePred)
+	return tp, ok
 }
 
 func (p *qParser) parsePrimaryCond() (Cond, error) {
