@@ -883,10 +883,13 @@ func BenchmarkCostBasedVsNoStats(b *testing.B) {
 }
 
 // BenchmarkStatsMaintenance prices the statistics lifecycle: the full
-// one-pass build against the copy-on-write delta Apply the commit path runs.
-// apply-entry is one commit-sized delta on the served dataset: a batch that
-// copies the first Entry subtree of Movies(20000) under the root (15 edges),
-// applied through mutate.ApplyCOW.
+// one-pass build against the delta Apply the commit path runs, beside the
+// other per-commit costs on the served dataset, Movies(20000). apply-entry
+// is one insert-sized delta: a batch that copies the first Entry subtree
+// under the root (15 edges), applied through mutate.ApplyCOW. apply-relabel
+// is the write mix's relabel shape, one title value renamed. label-apply
+// folds the insert delta into the label index, and clone-shared is the
+// graph copy every ApplyCOW starts with.
 func BenchmarkStatsMaintenance(b *testing.B) {
 	b.Run("build", func(b *testing.B) {
 		g := movieDB(5000)
@@ -909,6 +912,60 @@ func BenchmarkStatsMaintenance(b *testing.B) {
 			st.Apply(d)
 		}
 	})
+	b.Run("apply-relabel", func(b *testing.B) {
+		g := movieDB(20000)
+		st := stats.Build(g)
+		d := relabelTitleDelta(b, g)
+		if len(d.Added) != 1 || len(d.Removed) != 1 {
+			b.Fatalf("title relabel: %d added, %d removed, want 1 and 1", len(d.Added), len(d.Removed))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			st.Apply(d)
+		}
+	})
+	b.Run("label-apply", func(b *testing.B) {
+		g := movieDB(20000)
+		ix := index.BuildLabelIndex(g)
+		d := copyEntryDelta(b, g)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ix.Apply(d)
+		}
+	})
+	b.Run("clone-shared", func(b *testing.B) {
+		g := movieDB(20000)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			g.CloneShared()
+		}
+	})
+}
+
+// relabelTitleDelta commits, copy-on-write, the write mix's relabel shape —
+// `relabel <title node> "<title>" "<title> r"` on g's first movie title —
+// and returns its delta.
+func relabelTitleDelta(b *testing.B, g *ssd.Graph) ssd.Delta {
+	b.Helper()
+	entry := g.LookupFirst(g.Root(), ssd.Sym("Entry"))
+	title := g.LookupFirst(g.LookupFirst(entry, ssd.Sym("Movie")), ssd.Sym("Title"))
+	if title == ssd.InvalidNode || len(g.Out(title)) != 1 {
+		b.Fatal("first Entry has no movie title value")
+	}
+	old := g.Out(title)[0].Label
+	text, _ := old.Text()
+	bt := mutate.NewBatch(g)
+	if err := bt.Relabel(title, old, ssd.Str(text+" r")); err != nil {
+		b.Fatal(err)
+	}
+	_, res, err := mutate.ApplyCOW(g, bt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Delta
 }
 
 // copyEntryDelta commits, copy-on-write, a batch that copies the subgraph

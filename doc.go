@@ -43,7 +43,9 @@
 // into a Batch and applied copy-on-write (only touched adjacency slices are
 // copied), yielding a new graph version plus the edge delta that drives
 // incremental maintenance of what the planner reads — index.LabelIndex.Apply
-// patches posting lists, stats.Stats.Apply the cardinality counts, and
+// patches posting lists, stats.Stats.Apply the per-label counts (the delta
+// carries the source changes the write path saw, so Apply costs the labels
+// a commit touched, not the database), and
 // dataguide.Guide.ApplyDelta extends the strong DataGuide for added edges,
 // falling back to a rebuild only when a delete touches the accessible
 // region. internal/core publishes each version

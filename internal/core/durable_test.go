@@ -578,6 +578,37 @@ func TestRecoveredStatsMatchRebuild(t *testing.T) {
 	}
 }
 
+// TestNaNScriptLabelSurvivesCheckpoint: `NaN` in a mutation script is the
+// symbol every other front-end reads, so the commit, the checkpoint that
+// persists its statistics and the reopen all see one ordinary label.
+func TestNaNScriptLabelSurvivesCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenPath(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.MutateScriptSeq("addnode; addedge 0 NaN $0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	must(t, db.CloseWAL())
+
+	re, err := OpenPath(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.CloseWAL()
+	g := re.Graph()
+	if got := g.Lookup(g.Root(), ssd.Sym("NaN")); len(got) != 1 {
+		t.Fatalf("root NaN edges after reopen: %v", got)
+	}
+	if got := re.snapshot().statistics().Count(ssd.Sym("NaN")); got != 1 {
+		t.Fatalf("stats count of NaN = %d, want 1", got)
+	}
+}
+
 // TestOpensGenerationWithValueSection: a generation written with a value
 // index section — as every checkpoint was before the section stopped being
 // written — still opens, replays its WAL tail and checkpoints. The next

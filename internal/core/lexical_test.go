@@ -100,6 +100,9 @@ func TestLabelStringReadsBackEverywhere(t *testing.T) {
 		ssd.Float(2.5), ssd.Float(-2.5), ssd.Float(2), ssd.Float(1e21), ssd.Float(1.5e-7), ssd.Float(-3e300),
 		ssd.Bool(true), ssd.Bool(false),
 		ssd.Sym("a"), ssd.Sym("a-b"), ssd.Sym("x_1"), ssd.Sym("_x"), ssd.Sym("été"), ssd.Sym("naïve-2"), ssd.Sym("日本"),
+		// Words strconv.ParseFloat reads as numbers. Lowercase, because
+		// datalog reads a capitalised name as a variable.
+		ssd.Sym("nan"), ssd.Sym("inf"), ssd.Sym("infinity"),
 	}
 	for _, l := range labels {
 		text := l.String()

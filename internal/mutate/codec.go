@@ -139,6 +139,9 @@ func (d *decoder) label() ssd.Label {
 		return ssd.Label{}
 	}
 	l, pos, err := storage.ReadLabel(d.data, d.pos)
+	if err == nil {
+		err = checkLabel(l)
+	}
 	if err != nil {
 		d.err = err
 		return ssd.Label{}

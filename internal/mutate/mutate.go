@@ -26,6 +26,7 @@ package mutate
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ssd"
 )
@@ -122,6 +123,9 @@ func (b *Batch) AddEdge(from ssd.NodeID, l ssd.Label, to ssd.NodeID) error {
 	if err := b.checkNode(to); err != nil {
 		return err
 	}
+	if err := checkLabel(l); err != nil {
+		return err
+	}
 	b.recs = append(b.recs, Rec{Op: OpAddEdge, From: from, Label: l, To: to})
 	return nil
 }
@@ -136,6 +140,9 @@ func (b *Batch) DeleteEdge(from ssd.NodeID, l ssd.Label, to ssd.NodeID) error {
 	if err := b.checkNode(to); err != nil {
 		return err
 	}
+	if err := checkLabel(l); err != nil {
+		return err
+	}
 	b.recs = append(b.recs, Rec{Op: OpDeleteEdge, From: from, Label: l, To: to})
 	return nil
 }
@@ -143,6 +150,12 @@ func (b *Batch) DeleteEdge(from ssd.NodeID, l ssd.Label, to ssd.NodeID) error {
 // Relabel records rewriting every edge out of from labeled old to new.
 func (b *Batch) Relabel(from ssd.NodeID, old, new ssd.Label) error {
 	if err := b.checkNode(from); err != nil {
+		return err
+	}
+	if err := checkLabel(old); err != nil {
+		return err
+	}
+	if err := checkLabel(new); err != nil {
 		return err
 	}
 	b.recs = append(b.recs, Rec{Op: OpRelabel, From: from, Old: old, Label: new})
@@ -174,12 +187,23 @@ func (b *Batch) checkNode(n ssd.NodeID) error {
 	return nil
 }
 
+// checkLabel rejects a NaN float label. NaN never equals itself, so no edge
+// could be deleted or relabeled by it and no map keyed by label (the label
+// index, the statistics) could find it again.
+func checkLabel(l ssd.Label) error {
+	if f, ok := l.FloatVal(); ok && math.IsNaN(f) {
+		return fmt.Errorf("mutate: NaN is not a label")
+	}
+	return nil
+}
+
 func (b *Batch) hasAddNode() bool { return b.added > 0 }
 
 // Result summarizes one applied batch for derived-structure maintenance.
 type Result struct {
 	// Delta lists the edge occurrences added and removed, in application
-	// order (a relabel contributes one removal and one addition per edge).
+	// order (a relabel contributes one removal and one addition per edge),
+	// and the distinct-source changes those edits made.
 	Delta ssd.Delta
 	// NodesAdded counts fresh node allocations.
 	NodesAdded int
@@ -250,6 +274,9 @@ func applyRecs(g *ssd.Graph, b *Batch, cow bool) (Result, error) {
 				return Result{}, err
 			}
 			priv(r.From)
+			if !hasLabel(g.Out(r.From), r.Label) {
+				res.Delta.Sources = append(res.Delta.Sources, ssd.SourceChange{Label: r.Label, N: 1})
+			}
 			g.AddEdge(r.From, r.Label, r.To)
 			res.Delta.Added = append(res.Delta.Added, ssd.EdgeRec{From: r.From, Label: r.Label, To: r.To})
 		case OpDeleteEdge:
@@ -262,19 +289,32 @@ func applyRecs(g *ssd.Graph, b *Batch, cow bool) (Result, error) {
 			priv(r.From)
 			if g.DeleteEdge(r.From, r.Label, r.To) {
 				res.Delta.Removed = append(res.Delta.Removed, ssd.EdgeRec{From: r.From, Label: r.Label, To: r.To})
+				if !hasLabel(g.Out(r.From), r.Label) {
+					res.Delta.Sources = append(res.Delta.Sources, ssd.SourceChange{Label: r.Label, N: -1})
+				}
 			}
 		case OpRelabel:
 			if err := check(r.From); err != nil {
 				return Result{}, err
 			}
 			priv(r.From)
+			hadNew := false
 			for _, e := range g.Out(r.From) {
 				if e.Label == r.Old {
 					res.Delta.Removed = append(res.Delta.Removed, ssd.EdgeRec{From: r.From, Label: r.Old, To: e.To})
 					res.Delta.Added = append(res.Delta.Added, ssd.EdgeRec{From: r.From, Label: r.Label, To: e.To})
+				} else if e.Label == r.Label {
+					hadNew = true
 				}
 			}
-			g.Relabel(r.From, r.Old, r.Label)
+			if g.Relabel(r.From, r.Old, r.Label) > 0 && r.Old != r.Label {
+				// From lost every Old edge; it gained its first Label edge
+				// unless it already had one.
+				res.Delta.Sources = append(res.Delta.Sources, ssd.SourceChange{Label: r.Old, N: -1})
+				if !hadNew {
+					res.Delta.Sources = append(res.Delta.Sources, ssd.SourceChange{Label: r.Label, N: 1})
+				}
+			}
 		case OpSetOID:
 			if err := check(r.From); err != nil {
 				return Result{}, err
@@ -294,4 +334,14 @@ func applyRecs(g *ssd.Graph, b *Batch, cow bool) (Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// hasLabel reports whether es holds an edge labeled l (label identity).
+func hasLabel(es []ssd.Edge, l ssd.Label) bool {
+	for _, e := range es {
+		if e.Label == l {
+			return true
+		}
+	}
+	return false
 }

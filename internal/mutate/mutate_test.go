@@ -2,6 +2,7 @@ package mutate
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -216,3 +217,87 @@ addedge 0 "e\"//" 0;addedge 0 f"g 0`, g)
 }
 
 func itoa(n ssd.NodeID) string { return strconv.Itoa(int(n)) }
+
+// TestDeltaSources pins what each edit records in Delta.Sources: +1 when a
+// node gains its first out-edge with a label, −1 when it loses its last,
+// nothing otherwise.
+func TestDeltaSources(t *testing.T) {
+	x, y, z := ssd.Sym("x"), ssd.Sym("y"), ssd.Sym("z")
+	for _, c := range []struct {
+		name, script string
+		want         []ssd.SourceChange
+	}{
+		{"first edge", "addedge 1 x 2", []ssd.SourceChange{{Label: x, N: 1}}},
+		{"second edge", "addedge 1 x 2; addedge 1 x 3", []ssd.SourceChange{{Label: x, N: 1}}},
+		{"delete one of two", "addedge 1 x 2; addedge 1 x 3; deledge 1 x 2", []ssd.SourceChange{{Label: x, N: 1}}},
+		{"delete the last", "addedge 1 x 2; deledge 1 x 2", []ssd.SourceChange{{Label: x, N: 1}, {Label: x, N: -1}}},
+		{"delete a missing edge", "deledge 1 x 2", nil},
+		{"relabel to itself", "addedge 1 x 2; relabel 1 x x", []ssd.SourceChange{{Label: x, N: 1}}},
+		{"relabel to a fresh label", "addedge 1 x 2; addedge 1 x 3; relabel 1 x y",
+			[]ssd.SourceChange{{Label: x, N: 1}, {Label: x, N: -1}, {Label: y, N: 1}}},
+		{"relabel onto a present label", "addedge 1 x 2; addedge 1 z 3; relabel 1 x z",
+			[]ssd.SourceChange{{Label: x, N: 1}, {Label: z, N: 1}, {Label: x, N: -1}}},
+		{"relabel a missing label", "relabel 1 x y", nil},
+	} {
+		g := fig1Fragment()
+		b, err := ParseScript(c.script, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ApplyInPlace(g, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Delta.Sources, c.want) {
+			t.Errorf("%s: Sources = %v, want %v", c.name, res.Delta.Sources, c.want)
+		}
+	}
+}
+
+// TestNaNLabelRejected: NaN never equals itself, so a NaN float label
+// could be neither deleted nor found again by any map keyed by label. The
+// script reads NaN and Inf as symbols, like every other front-end; the
+// batch builder and the batch codec refuse a NaN float.
+func TestNaNLabelRejected(t *testing.T) {
+	g := fig1Fragment()
+	for tok, want := range map[string]ssd.Label{
+		"NaN": ssd.Sym("NaN"), "nan": ssd.Sym("nan"), "Inf": ssd.Sym("Inf"), "inf": ssd.Sym("inf"),
+		"Infinity": ssd.Sym("Infinity"), "-Inf": ssd.Sym("-Inf"), "0x10": ssd.Sym("0x10"), "1.": ssd.Sym("1."),
+		"+5": ssd.Sym("+5"), "-5": ssd.Int(-5), "1e5": ssd.Float(1e5), "-2.5e-3": ssd.Float(-2.5e-3),
+		"99999999999999999999": ssd.Float(99999999999999999999),
+	} {
+		b, err := ParseScript("addedge 0 "+tok+" 0", g)
+		if err != nil {
+			t.Errorf("%s: %v", tok, err)
+		} else if got := b.Recs()[0].Label; got != want {
+			t.Errorf("%s read as %v (%s), want %v (%s)", tok, got, got.Kind(), want, want.Kind())
+		}
+	}
+
+	nan := ssd.Float(math.NaN())
+	b := NewBatch(g)
+	for name, err := range map[string]error{
+		"AddEdge":     b.AddEdge(0, nan, 0),
+		"DeleteEdge":  b.DeleteEdge(0, nan, 0),
+		"Relabel old": b.Relabel(0, nan, ssd.Sym("x")),
+		"Relabel new": b.Relabel(0, ssd.Sym("x"), nan),
+	} {
+		if err == nil {
+			t.Errorf("%s accepted a NaN label", name)
+		}
+	}
+	if b.Len() != 0 {
+		t.Fatalf("rejected records were kept: %v", b.Recs())
+	}
+	for _, r := range []Rec{
+		{Op: OpAddEdge, Label: nan},
+		{Op: OpDeleteEdge, Label: nan},
+		{Op: OpRelabel, Old: ssd.Sym("x"), Label: nan},
+	} {
+		b := NewBatch(g)
+		b.recs = append(b.recs, r)
+		if _, err := DecodeBatch(EncodeBatch(b)); err == nil {
+			t.Errorf("DecodeBatch accepted a NaN label in %s", r.Op)
+		}
+	}
+}

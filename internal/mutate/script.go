@@ -182,11 +182,30 @@ func parseLabel(tok string) ssd.Label {
 	case "false":
 		return ssd.Bool(false)
 	}
-	if v, err := strconv.ParseInt(tok, 10, 64); err == nil {
-		return ssd.Int(v)
-	}
-	if f, err := strconv.ParseFloat(tok, 64); err == nil {
-		return ssd.Float(f)
+	if isNumber(tok) {
+		if v, err := strconv.ParseInt(tok, 10, 64); err == nil {
+			return ssd.Int(v)
+		}
+		if f, err := strconv.ParseFloat(tok, 64); err == nil {
+			return ssd.Float(f) // an integer beyond int64
+		}
 	}
 	return ssd.Sym(tok)
+}
+
+var numberSyntax = ssd.Syntax{Prefix: "mutate"}
+
+// isNumber reports whether the shared scanner reads tok as one number
+// token, so NaN, Inf and 0x10 stay symbols here as in every other
+// front-end.
+func isNumber(tok string) bool {
+	if tok == "" || tok[0] != '-' && (tok[0] < '0' || tok[0] > '9') {
+		return false
+	}
+	sc := ssd.NewScanner(&numberSyntax, tok)
+	if sc.Tok != ssd.TokInt && sc.Tok != ssd.TokFloat {
+		return false
+	}
+	sc.Next()
+	return sc.Tok == ssd.TokEOF
 }

@@ -20,9 +20,22 @@ type EdgeRec struct {
 // Delta lists the edge occurrences a mutation batch added and removed, in
 // application order. A relabel appears as one removal plus one addition of
 // the same (source, target) pair.
+//
+// Sources records, per edit, a node gaining its first out-edge with a label
+// (+1) or losing its last (−1). The write path has the node's adjacency at
+// hand when it edits it, so the distinct-source count per label can be
+// maintained from the delta alone: summed per label, the entries are the
+// exact change in the number of nodes with an out-edge of that label.
 type Delta struct {
 	Added   []EdgeRec
 	Removed []EdgeRec
+	Sources []SourceChange
+}
+
+// SourceChange is one entry of Delta.Sources: N is +1 or −1.
+type SourceChange struct {
+	Label Label
+	N     int
 }
 
 // Empty reports whether the delta carries no edge changes.
@@ -32,7 +45,9 @@ func (d Delta) Empty() bool { return len(d.Added) == 0 && len(d.Removed) == 0 }
 // delta: an edge added by a batch and deleted later in the same batch never
 // existed in the base graph, so consumers maintaining a base-derived
 // structure must not see either record. Identical records are
-// interchangeable, making the cancellation order-insensitive.
+// interchangeable, making the cancellation order-insensitive. Sources passes
+// through unchanged: an add-then-delete pair records +1 and −1 for the same
+// label, which already cancel in the per-label sum.
 func (d Delta) Normalize() Delta {
 	if len(d.Added) == 0 || len(d.Removed) == 0 {
 		return d
@@ -62,7 +77,7 @@ func (d Delta) Normalize() Delta {
 		}
 		added = append(added, a)
 	}
-	return Delta{Added: added, Removed: removed}
+	return Delta{Added: added, Removed: removed, Sources: d.Sources}
 }
 
 // DeleteEdge removes the first edge from → (label) → to whose label is

@@ -186,3 +186,24 @@ func TestPrivatizeOutSpareCapacity(t *testing.T) {
 		t.Fatalf("clone degree = %d, want 2", h.OutDegree(h.Root()))
 	}
 }
+
+// TestDeltaNormalize: an add/remove pair of one edge cancels in either
+// order, identical records cancel one for one, and Sources passes through
+// untouched — its +1/−1 entries for a cancelled pair already sum to zero.
+func TestDeltaNormalize(t *testing.T) {
+	e := EdgeRec{From: 1, Label: Sym("x"), To: 2}
+	f := EdgeRec{From: 1, Label: Sym("y"), To: 3}
+	src := []SourceChange{{Label: Sym("x"), N: 1}, {Label: Sym("y"), N: 1}, {Label: Sym("x"), N: -1}}
+	d := Delta{Added: []EdgeRec{e, f, e}, Removed: []EdgeRec{e}, Sources: src}.Normalize()
+	if !reflect.DeepEqual(d.Added, []EdgeRec{f, e}) || len(d.Removed) != 0 {
+		t.Fatalf("normalized edges: added %v, removed %v", d.Added, d.Removed)
+	}
+	if !reflect.DeepEqual(d.Sources, src) {
+		t.Fatalf("Sources = %v, want %v", d.Sources, src)
+	}
+	pair := []SourceChange{{Label: Sym("x"), N: 1}, {Label: Sym("x"), N: -1}}
+	d = Delta{Added: []EdgeRec{e}, Removed: []EdgeRec{e}, Sources: pair}.Normalize()
+	if !d.Empty() || !reflect.DeepEqual(d.Sources, pair) {
+		t.Fatalf("cancelled pair: %+v", d)
+	}
+}

@@ -6,6 +6,9 @@
 // index.LabelIndex.Apply / dataguide.ApplyDelta: every commit folds its
 // ssd.Delta in with a copy-on-write Apply instead of rescanning, and the
 // durable snapshot codec persists the result so recovery never rebuilds.
+// Apply reads only the delta — its edge records and the source changes the
+// write path recorded — so it costs the labels the commit touched, not the
+// database (Decker's principle for derived data).
 //
 // All statistics are derived from edges only. Node counts are deliberately
 // absent: ssd.Delta does not record node creation, so a node total could not
@@ -27,136 +30,143 @@ import (
 // bucket a rebuild would — the property the incremental==rebuild test pins.
 const HistBuckets = 64
 
-// labelStat is the per-label statistic record. The map is a refcount —
-// number of edge occurrences per source node — so deletions can maintain an
-// exact distinct-source count, not a sketch.
+// labelStat is the per-label statistic record: two integers. The
+// distinct-source count is kept exact without per-node state because the
+// write path reports, in ssd.Delta.Sources, every node that gains its first
+// or loses its last out-edge with a label.
 type labelStat struct {
-	count int                // edge occurrences with this label
-	srcs  map[ssd.NodeID]int // refcount per source node
+	count   int // edge occurrences with this label
+	sources int // distinct nodes with an out-edge with this label
 }
 
-func (ls *labelStat) clone() *labelStat {
-	nl := &labelStat{count: ls.count, srcs: make(map[ssd.NodeID]int, len(ls.srcs))}
-	for n, c := range ls.srcs {
-		nl.srcs[n] = c
-	}
-	return nl
-}
+// minFold is the overlay size below which Apply never folds.
+const minFold = 64
 
-// Stats is one immutable statistics version. Like the indexes it is
-// copy-on-write: Apply returns a new version sharing the untouched per-label
-// records with the receiver, which keeps answering for the old graph.
+// Stats is one immutable statistics version. The per-label table is a
+// shared, never-written base map plus a small overlay that each Apply
+// copies: a label absent from over reads from base, and a zero count in
+// over deletes the label. When the overlay outgrows the square root of the
+// base (and minFold), Apply folds it into a fresh base, so a commit copies
+// O(√labels) entries and a fold's O(labels) copy is paid once per
+// O(√labels) touched labels.
 type Stats struct {
-	edges    int
-	perLabel map[ssd.Label]*labelStat
-	hist     [HistBuckets]int64 // numeric (int/float) data-value edges
+	edges int
+	base  map[ssd.Label]labelStat
+	over  map[ssd.Label]labelStat
+	hist  [HistBuckets]int64 // numeric (int/float) data-value edges
 }
 
 // Build scans g once and returns its statistics.
 func Build(g *ssd.Graph) *Stats {
-	s := &Stats{perLabel: make(map[ssd.Label]*labelStat)}
+	s := &Stats{base: make(map[ssd.Label]labelStat)}
+	last := make(map[ssd.Label]ssd.NodeID) // the last source counted per label
 	for v := 0; v < g.NumNodes(); v++ {
 		from := ssd.NodeID(v)
 		for _, e := range g.Out(from) {
-			s.addEdge(from, e.Label)
+			ls := s.base[e.Label]
+			ls.count++
+			if prev, ok := last[e.Label]; !ok || prev != from {
+				last[e.Label] = from
+				ls.sources++
+			}
+			s.base[e.Label] = ls
+			s.edges++
+			s.addHist(e.Label, 1)
 		}
 	}
 	return s
 }
 
-func (s *Stats) addEdge(from ssd.NodeID, l ssd.Label) {
-	ls := s.perLabel[l]
-	if ls == nil {
-		ls = &labelStat{srcs: make(map[ssd.NodeID]int)}
-		s.perLabel[l] = ls
+func (s *Stats) get(l ssd.Label) labelStat {
+	if ls, ok := s.over[l]; ok {
+		return ls
 	}
-	ls.count++
-	ls.srcs[from]++
-	s.edges++
-	if v, ok := l.Numeric(); ok {
-		s.hist[bucketOf(v)]++
-	}
+	return s.base[l]
 }
 
-func (s *Stats) removeEdge(from ssd.NodeID, l ssd.Label) {
-	ls := s.perLabel[l]
-	if ls == nil {
-		return // delta inconsistent with this version; keep counts sane
-	}
-	ls.count--
-	if ls.srcs[from]--; ls.srcs[from] <= 0 {
-		delete(ls.srcs, from)
-	}
-	if ls.count <= 0 {
-		delete(s.perLabel, l)
-	}
-	s.edges--
+func (s *Stats) addHist(l ssd.Label, n int64) {
 	if v, ok := l.Numeric(); ok {
-		if b := bucketOf(v); s.hist[b] > 0 {
-			s.hist[b]--
+		if b := bucketOf(v); s.hist[b]+n >= 0 {
+			s.hist[b] += n
 		}
 	}
 }
 
 // Apply folds a mutation delta into the statistics, returning a new version
-// and leaving the receiver untouched (copy-on-write: per-label records not
-// named by the delta are shared). The delta is normalized first, mirroring
-// the index maintenance contract: an edge added and removed within one batch
-// never existed in the base graph.
+// and leaving the receiver untouched. It costs O(labels the delta touches
+// + overlay size): edge records move counts, and Delta.Sources moves the
+// distinct-source counts, so the delta must carry the source changes that
+// mutate.ApplyCOW and ApplyInPlace record. The delta is normalized first,
+// mirroring the index maintenance contract: an edge added and removed
+// within one batch never existed in the base graph.
 func (s *Stats) Apply(d ssd.Delta) *Stats {
 	d = d.Normalize()
 	if d.Empty() {
 		return s
 	}
 	ns := &Stats{
-		edges:    s.edges,
-		perLabel: make(map[ssd.Label]*labelStat, len(s.perLabel)),
-		hist:     s.hist,
+		edges: s.edges,
+		base:  s.base,
+		over:  make(map[ssd.Label]labelStat, len(s.over)+len(d.Added)+len(d.Removed)),
+		hist:  s.hist,
 	}
-	for l, ls := range s.perLabel {
-		ns.perLabel[l] = ls // shared until touched
-	}
-	touched := make(map[ssd.Label]bool)
-	privatize := func(l ssd.Label) {
-		if touched[l] {
-			return
-		}
-		touched[l] = true
-		if ls := ns.perLabel[l]; ls != nil {
-			ns.perLabel[l] = ls.clone()
-		}
+	for l, ls := range s.over {
+		ns.over[l] = ls
 	}
 	for _, r := range d.Removed {
-		privatize(r.Label)
-		ns.removeEdge(r.From, r.Label)
+		ls := ns.get(r.Label)
+		if ls.count == 0 {
+			continue // delta inconsistent with this version; keep counts sane
+		}
+		ls.count--
+		ns.over[r.Label] = ls
+		ns.edges--
+		ns.addHist(r.Label, -1)
 	}
 	for _, a := range d.Added {
-		privatize(a.Label)
-		ns.addEdge(a.From, a.Label)
+		ls := ns.get(a.Label)
+		ls.count++
+		ns.over[a.Label] = ls
+		ns.edges++
+		ns.addHist(a.Label, 1)
+	}
+	for _, c := range d.Sources {
+		ls := ns.get(c.Label)
+		ls.sources += c.N
+		ns.over[c.Label] = ls
+	}
+	if len(ns.over) > minFold && len(ns.over)*len(ns.over) > len(ns.base) {
+		ns.fold()
 	}
 	return ns
+}
+
+// fold merges the overlay into a fresh base map.
+func (s *Stats) fold() {
+	base := make(map[ssd.Label]labelStat, len(s.base)+len(s.over))
+	for l, ls := range s.base {
+		base[l] = ls
+	}
+	for l, ls := range s.over {
+		if ls.count > 0 {
+			base[l] = ls
+		} else {
+			delete(base, l)
+		}
+	}
+	s.base, s.over = base, nil
 }
 
 // Edges returns the total number of edge occurrences.
 func (s *Stats) Edges() int { return s.edges }
 
 // Count returns the number of edge occurrences labeled l.
-func (s *Stats) Count(l ssd.Label) int {
-	if ls := s.perLabel[l]; ls != nil {
-		return ls.count
-	}
-	return 0
-}
+func (s *Stats) Count(l ssd.Label) int { return s.get(l).count }
 
 // DistinctSources returns the number of distinct nodes with an out-edge
 // labeled l. For a data-value label this is "how many nodes carry this
 // value" — the quantity equality-predicate selectivity divides by.
-func (s *Stats) DistinctSources(l ssd.Label) int {
-	if ls := s.perLabel[l]; ls != nil {
-		return len(ls.srcs)
-	}
-	return 0
-}
+func (s *Stats) DistinctSources(l ssd.Label) int { return s.get(l).sources }
 
 // NumericCount returns the number of numeric (int/float) value edges — the
 // histogram's total mass.
@@ -231,18 +241,12 @@ func bucketOf(v float64) int {
 // Dump / FromDump: the deterministic flat form used by the snapshot codec
 // and by tests comparing statistics versions.
 
-// NodeCount is one (node, refcount) pair of a dump.
-type NodeCount struct {
-	Node ssd.NodeID
-	N    int
-}
-
-// LabelCard is the dumped record of one label: occurrence count plus the
-// source refcount map, sorted by node.
+// LabelCard is the dumped record of one label: occurrence count and
+// distinct-source count.
 type LabelCard struct {
-	Label ssd.Label
-	Count int
-	Srcs  []NodeCount
+	Label   ssd.Label
+	Count   int
+	Sources int
 }
 
 // Dump is the deterministic flat view of a Stats version.
@@ -252,76 +256,57 @@ type Dump struct {
 	Labels []LabelCard
 }
 
-func sortedCounts(m map[ssd.NodeID]int) []NodeCount {
-	out := make([]NodeCount, 0, len(m))
-	for n, c := range m {
-		out = append(out, NodeCount{Node: n, N: c})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
-}
-
-// Dump returns the statistics in deterministic flat form: labels sorted by
-// ssd.Label.Less, node lists sorted by id.
+// Dump returns the statistics in deterministic flat form, labels sorted by
+// ssd.Label.Less.
 func (s *Stats) Dump() Dump {
-	d := Dump{Edges: s.edges, Hist: s.hist}
-	labels := make([]ssd.Label, 0, len(s.perLabel))
-	for l := range s.perLabel {
-		labels = append(labels, l)
+	d := Dump{Edges: s.edges, Hist: s.hist, Labels: make([]LabelCard, 0, len(s.base)+len(s.over))}
+	for l, ls := range s.base {
+		if _, ok := s.over[l]; !ok {
+			d.Labels = append(d.Labels, LabelCard{Label: l, Count: ls.count, Sources: ls.sources})
+		}
 	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i].Less(labels[j]) })
-	for _, l := range labels {
-		ls := s.perLabel[l]
-		d.Labels = append(d.Labels, LabelCard{
-			Label: l,
-			Count: ls.count,
-			Srcs:  sortedCounts(ls.srcs),
-		})
+	for l, ls := range s.over {
+		if ls.count > 0 {
+			d.Labels = append(d.Labels, LabelCard{Label: l, Count: ls.count, Sources: ls.sources})
+		}
 	}
+	sort.Slice(d.Labels, func(i, j int) bool { return d.Labels[i].Label.Less(d.Labels[j].Label) })
 	return d
 }
 
 // FromDump reconstructs a Stats version from its flat form, validating the
-// invariants the codec relies on: sorted unique labels, sorted unique nodes,
-// positive refcounts, and per-label refcount sums equal to the occurrence
-// count (every edge contributes one source ref).
+// invariants the codec relies on: sorted unique labels and no NaN (which no
+// map finds again), positive counts, 1 ≤ sources ≤ count (every source has
+// an edge, every edge one source), per-label counts summing to the edge
+// total, and a histogram holding exactly the numeric labels' edges.
 func FromDump(d Dump) (*Stats, error) {
-	s := &Stats{edges: d.Edges, hist: d.Hist, perLabel: make(map[ssd.Label]*labelStat, len(d.Labels))}
+	s := &Stats{edges: d.Edges, base: make(map[ssd.Label]labelStat, len(d.Labels))}
 	total := 0
 	for i, lc := range d.Labels {
 		if i > 0 && !d.Labels[i-1].Label.Less(lc.Label) {
 			return nil, fmt.Errorf("stats: labels out of order at %v", lc.Label)
 		}
+		if f, ok := lc.Label.FloatVal(); ok && math.IsNaN(f) {
+			return nil, fmt.Errorf("stats: NaN label")
+		}
 		if lc.Count <= 0 {
 			return nil, fmt.Errorf("stats: non-positive count for %v", lc.Label)
 		}
-		ls := &labelStat{count: lc.Count, srcs: make(map[ssd.NodeID]int, len(lc.Srcs))}
-		if err := fillCounts(ls.srcs, lc.Srcs, lc.Count); err != nil {
-			return nil, fmt.Errorf("stats: label %v: %w", lc.Label, err)
+		if lc.Sources <= 0 || lc.Sources > lc.Count {
+			return nil, fmt.Errorf("stats: label %v: %d sources for %d edges", lc.Label, lc.Sources, lc.Count)
 		}
-		s.perLabel[lc.Label] = ls
+		if lc.Count > d.Edges-total {
+			return nil, fmt.Errorf("stats: per-label counts exceed edge total %d", d.Edges)
+		}
+		s.base[lc.Label] = labelStat{count: lc.Count, sources: lc.Sources}
+		s.addHist(lc.Label, int64(lc.Count))
 		total += lc.Count
 	}
 	if total != d.Edges {
 		return nil, fmt.Errorf("stats: edge total %d != per-label sum %d", d.Edges, total)
 	}
+	if s.hist != d.Hist {
+		return nil, fmt.Errorf("stats: histogram disagrees with the numeric labels")
+	}
 	return s, nil
-}
-
-func fillCounts(m map[ssd.NodeID]int, ncs []NodeCount, want int) error {
-	sum := 0
-	for i, nc := range ncs {
-		if i > 0 && ncs[i-1].Node >= nc.Node {
-			return fmt.Errorf("source refs out of order at node %d", nc.Node)
-		}
-		if nc.N <= 0 {
-			return fmt.Errorf("non-positive source refcount at node %d", nc.Node)
-		}
-		m[nc.Node] = nc.N
-		sum += nc.N
-	}
-	if sum != want {
-		return fmt.Errorf("source refcount sum %d != count %d", sum, want)
-	}
-	return nil
 }

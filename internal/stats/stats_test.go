@@ -2,97 +2,16 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/ssd"
 )
 
-// applyDeltaToGraph mutates g according to a randomly drawn batch and
-// returns the delta describing it, mirroring internal/index's delta property
-// test (and what internal/mutate produces). The label palette includes
-// numeric values so the histogram is exercised.
-func applyDeltaToGraph(g *ssd.Graph, rng *rand.Rand, ops int) ssd.Delta {
-	var d ssd.Delta
-	labels := []ssd.Label{
-		ssd.Sym("a"), ssd.Sym("b"), ssd.Str("s1"), ssd.Str("s2"),
-		ssd.Int(7), ssd.Int(-300), ssd.Float(7), ssd.Float(0.25),
-		ssd.Bool(true), ssd.OID("&x"),
-	}
-	for i := 0; i < ops; i++ {
-		switch rng.Intn(3) {
-		case 0: // add
-			from := ssd.NodeID(rng.Intn(g.NumNodes()))
-			to := ssd.NodeID(rng.Intn(g.NumNodes()))
-			l := labels[rng.Intn(len(labels))]
-			g.AddEdge(from, l, to)
-			d.Added = append(d.Added, ssd.EdgeRec{From: from, Label: l, To: to})
-		case 1: // delete
-			from := ssd.NodeID(rng.Intn(g.NumNodes()))
-			es := g.Out(from)
-			if len(es) == 0 {
-				continue
-			}
-			e := es[rng.Intn(len(es))]
-			if g.DeleteEdge(from, e.Label, e.To) {
-				d.Removed = append(d.Removed, ssd.EdgeRec{From: from, Label: e.Label, To: e.To})
-			}
-		default: // relabel
-			from := ssd.NodeID(rng.Intn(g.NumNodes()))
-			es := g.Out(from)
-			if len(es) == 0 {
-				continue
-			}
-			old := es[rng.Intn(len(es))].Label
-			nl := labels[rng.Intn(len(labels))]
-			if nl == old {
-				continue
-			}
-			for _, e := range es {
-				if e.Label == old {
-					d.Removed = append(d.Removed, ssd.EdgeRec{From: from, Label: old, To: e.To})
-					d.Added = append(d.Added, ssd.EdgeRec{From: from, Label: nl, To: e.To})
-				}
-			}
-			g.Relabel(from, old, nl)
-		}
-	}
-	return d
-}
-
-func randStatsGraph(rng *rand.Rand) *ssd.Graph {
-	g := ssd.New()
-	g.AddNodes(10 + rng.Intn(20))
-	applyDeltaToGraph(g, rng, 60) // seed edges; discard the delta
-	return g
-}
-
-// TestApplyMatchesRebuild is the incremental-maintenance property test: after
-// any random mutation batch, the incrementally maintained statistics must
-// equal a from-scratch rebuild, exactly — counts, source refcounts, and
-// histogram.
-func TestApplyMatchesRebuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for iter := 0; iter < 100; iter++ {
-		g := randStatsGraph(rng)
-		s := Build(g)
-		// Chain several batches so drift would accumulate if Apply were
-		// only approximately right.
-		for batch := 0; batch < 3; batch++ {
-			d := applyDeltaToGraph(g, rng, 1+rng.Intn(10))
-			s = s.Apply(d)
-		}
-		want := Build(g)
-		if !reflect.DeepEqual(s.Dump(), want.Dump()) {
-			t.Fatalf("iter %d: incremental stats differ from rebuild:\n got %+v\nwant %+v",
-				iter, s.Dump(), want.Dump())
-		}
-	}
-}
-
 // TestApplyLeavesReceiverUntouched pins the copy-on-write contract: the old
-// statistics version keeps answering for the old graph after Apply.
+// statistics version keeps answering for the old graph after Apply — also
+// when the new version folds its overlay into a fresh base, and for a
+// version whose overlay a later fold absorbed.
 func TestApplyLeavesReceiverUntouched(t *testing.T) {
 	g := ssd.New()
 	a := g.AddNode()
@@ -105,6 +24,7 @@ func TestApplyLeavesReceiverUntouched(t *testing.T) {
 	d := ssd.Delta{
 		Added:   []ssd.EdgeRec{{From: g.Root(), Label: ssd.Sym("x"), To: b}},
 		Removed: []ssd.EdgeRec{{From: a, Label: ssd.Int(42), To: b}},
+		Sources: []ssd.SourceChange{{Label: ssd.Int(42), N: -1}},
 	}
 	s2 := s.Apply(d)
 
@@ -116,6 +36,39 @@ func TestApplyLeavesReceiverUntouched(t *testing.T) {
 	}
 	if s2.Edges() != s.Edges() {
 		t.Fatalf("edge total: new %d, old %d (one add, one remove)", s2.Edges(), s.Edges())
+	}
+	if len(s2.over) == 0 {
+		t.Fatal("a two-label delta folded the overlay")
+	}
+
+	// Enough fresh labels to fold: s3 gets a fresh base, and neither s2
+	// (whose overlay it absorbed) nor s may see it.
+	before2 := s2.Dump()
+	var fresh ssd.Delta
+	for i := 0; i <= minFold; i++ {
+		l := ssd.Int(int64(1000 + i))
+		fresh.Added = append(fresh.Added, ssd.EdgeRec{From: b, Label: l, To: a})
+		fresh.Sources = append(fresh.Sources, ssd.SourceChange{Label: l, N: 1})
+	}
+	s3 := s2.Apply(fresh)
+	if s3.over != nil {
+		t.Fatalf("%d fresh labels did not fold (overlay %d)", len(fresh.Added), len(s3.over))
+	}
+	if !reflect.DeepEqual(s2.Dump(), before2) || !reflect.DeepEqual(s.Dump(), before) {
+		t.Fatal("a fold changed an older version")
+	}
+	if got := s3.Count(ssd.Int(1000)); got != 1 || s3.Edges() != s2.Edges()+minFold+1 {
+		t.Fatalf("folded version: count %d, edges %d", got, s3.Edges())
+	}
+
+	// And the folded version is itself a receiver Apply leaves alone.
+	before3 := s3.Dump()
+	s3.Apply(ssd.Delta{
+		Removed: []ssd.EdgeRec{{From: b, Label: ssd.Int(1000), To: a}},
+		Sources: []ssd.SourceChange{{Label: ssd.Int(1000), N: -1}},
+	})
+	if !reflect.DeepEqual(s3.Dump(), before3) {
+		t.Fatal("Apply changed a folded receiver")
 	}
 }
 
@@ -200,10 +153,13 @@ func TestFromDumpRejectsCorruption(t *testing.T) {
 	breakers := map[string]func(d *Dump){
 		"labels out of order": func(d *Dump) { d.Labels[0], d.Labels[1] = d.Labels[1], d.Labels[0] },
 		"bad edge total":      func(d *Dump) { d.Edges++ },
-		"refcount sum":        func(d *Dump) { d.Labels[0].Srcs[0].N++ },
+		"negative edge total": func(d *Dump) { d.Edges = -d.Edges },
 		"non-positive count":  func(d *Dump) { d.Labels[0].Count = 0 },
-		"nodes out of order": func(d *Dump) {
-			d.Labels[0].Srcs = []NodeCount{{Node: 5, N: 1}, {Node: 3, N: 1}}
+		"zero sources":        func(d *Dump) { d.Labels[0].Sources = 0 },
+		"sources above count": func(d *Dump) { d.Labels[0].Sources = d.Labels[0].Count + 1 },
+		"histogram":           func(d *Dump) { d.Hist[0]++ },
+		"numeric label missing from histogram": func(d *Dump) {
+			d.Labels[1].Label = ssd.Int(3) // still sorted; its edge is in no bucket
 		},
 	}
 	for name, damage := range breakers {

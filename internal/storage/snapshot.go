@@ -32,9 +32,12 @@ import (
 //	values (4)  nEntries uvarint; per entry: label, from uvarint, to uvarint
 //	guide  (5)  guideLen uvarint + SSDG guide graph | per guide node: extLen uvarint, node uvarint*
 //	stats  (6)  edges uvarint | histogram bucket uvarint* | nLabels uvarint;
-//	            per label: label, count uvarint, nSrcs + (node, refs uvarint)*
-//	            (version ≥ 2 only; version 2 follows each source list with
-//	            nDsts + (node, refs uvarint)*, which the reader skips)
+//	            per label: label, count uvarint, sources uvarint
+//	            (version ≥ 2 only. Versions 2 and 3 stored, instead of
+//	            sources, the source refcount list nSrcs + (node, refs
+//	            uvarint)*, and version 2 followed it with a destination list
+//	            of the same shape; the reader checks the lists and keeps only
+//	            the source list's length)
 //
 // meta and graph are mandatory; the index, guide, and stats sections are
 // written only when the snapshot had built them. Every payload is covered by its
@@ -54,10 +57,10 @@ import (
 const (
 	snapMagic = "SSDS"
 	// snapVersion is the version written; version 1 files (no stats
-	// section) and version 2 files (stats with destination refcounts)
+	// section) and version 2 and 3 files (stats with per-node refcounts)
 	// remain readable, so upgrading never invalidates an existing snapshot
 	// generation.
-	snapVersion    = 3
+	snapVersion    = 4
 	snapVersionMin = 1
 )
 
@@ -179,11 +182,7 @@ func encodeStats(st *stats.Stats) []byte {
 	for _, lc := range d.Labels {
 		buf = AppendLabel(buf, lc.Label)
 		buf = binary.AppendUvarint(buf, uint64(lc.Count))
-		buf = binary.AppendUvarint(buf, uint64(len(lc.Srcs)))
-		for _, nc := range lc.Srcs {
-			buf = binary.AppendUvarint(buf, uint64(nc.Node))
-			buf = binary.AppendUvarint(buf, uint64(nc.N))
-		}
+		buf = binary.AppendUvarint(buf, uint64(lc.Sources))
 	}
 	return buf
 }
@@ -333,29 +332,38 @@ func decodeStats(data []byte, numNodes int, version byte) (*stats.Stats, error) 
 	if nLabels > uint64(len(data)) {
 		return nil, fmt.Errorf("storage: implausible stats label count %d", nLabels)
 	}
-	readCounts := func() ([]stats.NodeCount, error) {
-		var n uint64
+	// readCounts checks one version 2/3 refcount list — nodes ascending and
+	// in range, refcounts positive — and returns its length and refcount
+	// sum, or an error once the sum exceeds limit.
+	readCounts := func(limit uint64) (n, sum uint64, err error) {
 		if n, pos, err = ReadUvarint(data, pos); err != nil {
-			return nil, err
+			return 0, 0, err
 		}
 		if n > uint64(len(data)) {
-			return nil, fmt.Errorf("storage: implausible stats refcount list size %d", n)
+			return 0, 0, fmt.Errorf("storage: implausible stats refcount list size %d", n)
 		}
-		ncs := make([]stats.NodeCount, 0, n)
+		var prev uint64
 		for i := uint64(0); i < n; i++ {
 			var node, refs uint64
 			if node, pos, err = ReadUvarint(data, pos); err != nil {
-				return nil, err
+				return 0, 0, err
 			}
 			if refs, pos, err = ReadUvarint(data, pos); err != nil {
-				return nil, err
+				return 0, 0, err
 			}
-			if node >= uint64(numNodes) {
-				return nil, fmt.Errorf("storage: stats node %d out of range", node)
+			switch {
+			case node >= uint64(numNodes):
+				return 0, 0, fmt.Errorf("storage: stats node %d out of range", node)
+			case i > 0 && node <= prev:
+				return 0, 0, fmt.Errorf("storage: stats refcounts out of order at node %d", node)
+			case refs == 0:
+				return 0, 0, fmt.Errorf("storage: zero stats refcount at node %d", node)
+			case refs > limit-sum:
+				return 0, 0, fmt.Errorf("storage: stats refcounts exceed %d", limit)
 			}
-			ncs = append(ncs, stats.NodeCount{Node: ssd.NodeID(node), N: int(refs)})
+			prev, sum = node, sum+refs
 		}
-		return ncs, nil
+		return n, sum, nil
 	}
 	d.Labels = make([]stats.LabelCard, 0, nLabels)
 	for i := uint64(0); i < nLabels; i++ {
@@ -363,21 +371,33 @@ func decodeStats(data []byte, numNodes int, version byte) (*stats.Stats, error) 
 		if lc.Label, pos, err = ReadLabel(data, pos); err != nil {
 			return nil, err
 		}
-		var count uint64
+		var count, sources uint64
 		if count, pos, err = ReadUvarint(data, pos); err != nil {
 			return nil, err
 		}
-		lc.Count = int(count)
-		if lc.Srcs, err = readCounts(); err != nil {
-			return nil, err
+		if version >= 4 {
+			if sources, pos, err = ReadUvarint(data, pos); err != nil {
+				return nil, err
+			}
+		} else {
+			// Versions 2 and 3 stored one refcount per source node: the
+			// list's length is the distinct-source count.
+			var sum uint64
+			if sources, sum, err = readCounts(count); err != nil {
+				return nil, err
+			}
+			if sum != count {
+				return nil, fmt.Errorf("storage: stats label %v: refcount sum %d != count %d", lc.Label, sum, count)
+			}
 		}
 		if version == 2 {
 			// Version 2 also stored destination refcounts, which nothing
-			// reads any more: check their bounds and drop them.
-			if _, err = readCounts(); err != nil {
+			// reads any more: check them and drop them.
+			if _, _, err = readCounts(count); err != nil {
 				return nil, err
 			}
 		}
+		lc.Count, lc.Sources = int(count), int(sources)
 		d.Labels = append(d.Labels, lc)
 	}
 	if pos != len(data) {

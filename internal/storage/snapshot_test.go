@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
@@ -15,7 +16,7 @@ import (
 	"repro/internal/stats"
 )
 
-func snapGraph(t *testing.T) *ssd.Graph {
+func snapGraph(t testing.TB) *ssd.Graph {
 	t.Helper()
 	g, err := ssd.Parse(`{movie: {title: "Casablanca", year: 1942, cast: {actor: "Bogart", actor: "Bergman"}},
 	                      movie: {title: "Sleeper", year: 1973},
@@ -136,12 +137,12 @@ func TestSnapshotCorruption(t *testing.T) {
 
 // TestSnapshotUnknownKind pins the closed-section-set rule per version: a
 // correctly framed section whose kind the version does not define is
-// rejected, both above the current maximum (kind 7 in a v3 file) and for a
+// rejected, both above the current maximum (kind 7 in a v4 file) and for a
 // newer section appearing in an older file (a stats section in a v1 file).
 func TestSnapshotUnknownKind(t *testing.T) {
 	g := snapGraph(t)
 
-	// v3 image with a well-formed kind-7 section spliced in before the end
+	// v4 image with a well-formed kind-7 section spliced in before the end
 	// marker.
 	base := &Snapshot{Graph: g}
 	data := EncodeSnapshot(base)
@@ -150,7 +151,7 @@ func TestSnapshotUnknownKind(t *testing.T) {
 	body = appendSection(body, 7, []byte("future"))
 	body = appendSection(body, secEnd, nil)
 	if _, err := DecodeSnapshot(body); err == nil || !strings.Contains(err.Error(), "unknown snapshot section") {
-		t.Fatalf("kind 7 in v3 image: got %v", err)
+		t.Fatalf("kind 7 in v4 image: got %v", err)
 	}
 
 	// v1 image containing a stats section: kind 6 was not defined in
@@ -189,7 +190,13 @@ func TestSnapshotV1BackCompat(t *testing.T) {
 
 // encodeStatsV2 writes g's statistics in the version-2 stats layout: each
 // label's source refcounts followed by its destination refcounts.
-func encodeStatsV2(g *ssd.Graph) []byte {
+func encodeStatsV2(g *ssd.Graph) []byte { return encodeRefcountStats(g, true) }
+
+// encodeStatsV3 writes g's statistics in the version-3 stats layout: each
+// label's source refcounts only.
+func encodeStatsV3(g *ssd.Graph) []byte { return encodeRefcountStats(g, false) }
+
+func encodeRefcountStats(g *ssd.Graph, withDsts bool) []byte {
 	srcs := make(map[ssd.Label]map[ssd.NodeID]int)
 	dsts := make(map[ssd.Label]map[ssd.NodeID]int)
 	ref := func(m map[ssd.Label]map[ssd.NodeID]int, l ssd.Label, n ssd.NodeID) {
@@ -224,7 +231,9 @@ func encodeStatsV2(g *ssd.Graph) []byte {
 		buf = AppendLabel(buf, lc.Label)
 		buf = binary.AppendUvarint(buf, uint64(lc.Count))
 		buf = appendCounts(buf, srcs[lc.Label])
-		buf = appendCounts(buf, dsts[lc.Label])
+		if withDsts {
+			buf = appendCounts(buf, dsts[lc.Label])
+		}
 	}
 	return buf
 }
@@ -269,9 +278,47 @@ func TestSnapshotV2BackCompat(t *testing.T) {
 	}
 }
 
+// TestSnapshotStatsVersions: an image of every format version opens with
+// the statistics a rebuild of its graph gives — none for version 1, which
+// has no stats section, so the database builds them — and the current
+// version writes one varint pair per label, not per source node.
+func TestSnapshotStatsVersions(t *testing.T) {
+	g := snapGraph(t)
+	want := stats.Build(g).Dump()
+	v1 := EncodeSnapshot(&Snapshot{Graph: g})
+	v1[4] = 1
+	for _, c := range []struct {
+		version byte
+		image   []byte
+	}{
+		{1, v1},
+		{2, snapshotImage(g, 2, encodeStatsV2(g))},
+		{3, snapshotImage(g, 3, encodeStatsV3(g))},
+		{4, EncodeSnapshot(&Snapshot{Graph: g, Stats: stats.Build(g)})},
+	} {
+		got, err := DecodeSnapshot(c.image)
+		if err != nil {
+			t.Fatalf("v%d image rejected: %v", c.version, err)
+		}
+		st := got.Stats
+		if c.version == 1 {
+			if st != nil {
+				t.Fatal("stats materialized from a v1 image")
+			}
+			st = stats.Build(got.Graph)
+		}
+		if st == nil || !reflect.DeepEqual(st.Dump(), want) {
+			t.Fatalf("v%d stats differ from a rebuild of the graph", c.version)
+		}
+	}
+	if v3, v4 := len(encodeStatsV3(g)), len(encodeStats(stats.Build(g))); v4 >= v3 {
+		t.Fatalf("v4 stats section %d bytes, v3 %d", v4, v3)
+	}
+}
+
 // TestSnapshotStatsCorruption damages the stats payload in ways that keep
 // the CRC frame valid (recomputing the checksum) and asserts the structural
-// validation in stats.FromDump still rejects the section.
+// validation in the decoder and stats.FromDump still rejects the section.
 func TestSnapshotStatsCorruption(t *testing.T) {
 	g := snapGraph(t)
 	payload := encodeStats(stats.Build(g))
@@ -283,6 +330,74 @@ func TestSnapshotStatsCorruption(t *testing.T) {
 	if _, err := DecodeSnapshot(snapshotImage(g, snapVersion, bad)); err == nil {
 		t.Fatal("inconsistent stats section accepted")
 	}
+
+	// v4: the payload ends with the last label's (count, sources), each one
+	// byte here; the last label has one edge from one source.
+	if n := len(payload); payload[n-2] != 1 || payload[n-1] != 1 {
+		t.Fatalf("last label (count, sources) = (%d, %d), want (1, 1)", payload[n-2], payload[n-1])
+	}
+	for name, damage := range map[string]func(p []byte){
+		"zero sources":        func(p []byte) { p[len(p)-1] = 0 },
+		"sources above count": func(p []byte) { p[len(p)-1] = 2 },
+		"bad edge total":      func(p []byte) { p[len(p)-2] = 2 },
+	} {
+		bad := append([]byte(nil), payload...)
+		damage(bad)
+		if _, err := DecodeSnapshot(snapshotImage(g, 4, bad)); err == nil {
+			t.Errorf("v4 %s accepted", name)
+		}
+	}
+
+	// v3: the payload ends with the last label's refcount list, one
+	// (node, refs) pair of one-byte varints. A refcount above the label's
+	// count breaks sum = count; so does a list whose sum falls short.
+	v3 := encodeStatsV3(g)
+	if _, err := DecodeSnapshot(snapshotImage(g, 3, v3)); err != nil {
+		t.Fatalf("v3 image rejected: %v", err)
+	}
+	for name, damage := range map[string]func(p []byte) []byte{
+		"refcount sum above count": func(p []byte) []byte { p[len(p)-1] = 2; return p },
+		"zero refcount":            func(p []byte) []byte { p[len(p)-1] = 0; return p },
+		"refcount sum below count": func(p []byte) []byte {
+			// actor: count 2, one source with refs 2 → refs 1
+			at := AppendLabel(nil, ssd.Sym("actor"))
+			i := bytes.Index(p, at) + len(at)
+			if i < len(at) || !bytes.Equal(p[i:i+2], []byte{2, 1}) || p[i+3] != 2 {
+				t.Fatalf("actor record not (count 2, one source, refs 2): % x", p[i:i+4])
+			}
+			p[i+3] = 1
+			return p
+		},
+	} {
+		bad := damage(append([]byte(nil), v3...))
+		if _, err := DecodeSnapshot(snapshotImage(g, 3, bad)); err == nil {
+			t.Errorf("v3 %s accepted", name)
+		}
+	}
+}
+
+// FuzzSnapshotStats: decoding a stats payload of any version that carries
+// the section never panics, and an accepted payload re-encodes in the
+// current layout to the same statistics.
+func FuzzSnapshotStats(f *testing.F) {
+	g := snapGraph(f)
+	f.Add(byte(2), encodeStatsV2(g))
+	f.Add(byte(3), encodeStatsV3(g))
+	f.Add(byte(snapVersion), encodeStats(stats.Build(g)))
+	f.Fuzz(func(t *testing.T, version byte, data []byte) {
+		version = 2 + version%(snapVersion-1)
+		st, err := decodeStats(data, g.NumNodes(), version)
+		if err != nil {
+			return
+		}
+		again, err := decodeStats(encodeStats(st), g.NumNodes(), snapVersion)
+		if err != nil {
+			t.Fatalf("accepted v%d payload re-encodes to a rejected one: %v", version, err)
+		}
+		if !reflect.DeepEqual(st.Dump(), again.Dump()) {
+			t.Fatalf("v%d payload changed through a re-encode:\n got %+v\nwant %+v", version, again.Dump(), st.Dump())
+		}
+	})
 }
 
 // encodeMetaFor builds a meta section binding to g, mirroring
