@@ -21,6 +21,7 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/index"
 	"repro/internal/mutate"
+	"repro/internal/oracle"
 	"repro/internal/pathexpr"
 	"repro/internal/query"
 	"repro/internal/relstore"
@@ -81,11 +82,12 @@ func BenchmarkFig1Queries(b *testing.B) {
 	}
 }
 
-// BenchmarkPlannedVsNaive ablates the two query engines over the E1
-// (path-heavy select-from-where) and E2 (browsing) workloads. The planned
-// engine's flat-slot executor must show a large allocs/op reduction on the
-// E1 path-heavy query — that is the refactor's whole point — and the
-// index-seek access path should dominate on the E2 browsing shape.
+// BenchmarkPlannedVsNaive ablates the planned engine against the reference
+// evaluator (internal/oracle) over the E1 (path-heavy select-from-where) and
+// E2 (browsing) workloads. The planned engine's flat-slot executor must
+// show a large allocs/op reduction on the E1 path-heavy query — that is the
+// refactor's whole point — and the index-seek access path should dominate
+// on the E2 browsing shape.
 func BenchmarkPlannedVsNaive(b *testing.B) {
 	workloads := []struct{ name, src string }{
 		{"e1-path-heavy", `select {Title: T} from DB.Entry.Movie M, M.Title T, M.Cast._* A where A = "Allen"`},
@@ -100,7 +102,7 @@ func BenchmarkPlannedVsNaive(b *testing.B) {
 			b.Run(fmt.Sprintf("naive/%s/entries=%d", w.name, size), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := query.EvalNaive(q, g); err != nil {
+					if _, err := oracle.Eval(q, g, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -34,3 +34,17 @@ func TestServingBinariesImportNoSurveyPackages(t *testing.T) {
 		}
 	}
 }
+
+// TestNoBinaryImportsOracle: the reference evaluator (internal/oracle) is a
+// test contract, not an engine; no binary or example links it.
+func TestNoBinaryImportsOracle(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", "./cmd/...", "./examples/...").Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
+	}
+	for _, p := range strings.Fields(string(out)) {
+		if p == "repro/internal/oracle" {
+			t.Fatal("a package under ./cmd or ./examples depends on repro/internal/oracle")
+		}
+	}
+}

@@ -28,10 +28,10 @@
 //     (posting-list seeks), dataguide.ExtentCursor (guide-pruned extents),
 //     and ssd.Graph.In (cached reverse adjacency).
 //
-// The original recursive tree-walking evaluator is retained as
-// query.EvalNaive — a reference implementation, not a selectable engine —
-// cross-checked against the planned engine on the whole query test suite
-// and ablated by BenchmarkPlannedVsNaive.
+// The original recursive tree-walking evaluator is the test-only
+// internal/oracle — a reference implementation, not a selectable engine.
+// FuzzEngines checks every execution mode against it, and
+// BenchmarkPlannedVsNaive ablates it.
 //
 // All four text front-ends (ssd text, queries, path expressions, datalog)
 // share one scanner, ssd.Scanner, and one path grammar, owned by

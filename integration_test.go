@@ -16,6 +16,7 @@ import (
 	"repro/internal/dataguide"
 	"repro/internal/datalog"
 	"repro/internal/decomp"
+	"repro/internal/oracle"
 	"repro/internal/pathexpr"
 	"repro/internal/query"
 	"repro/internal/relstore"
@@ -53,7 +54,7 @@ func TestThreeEnginesAgree(t *testing.T) {
 
 	// 2. Query language.
 	q := query.MustParse(`select X from DB._* X where X = "Bogart"`)
-	rows, err := query.EvalRows(q, g, 0)
+	rows, err := oracle.Rows(q, g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bisim"
+	"repro/internal/oracle"
 	"repro/internal/query"
 	"repro/internal/ssd"
 	"repro/internal/workload"
@@ -53,17 +54,17 @@ func TestMutationInvalidatesCaches(t *testing.T) {
 	}
 
 	// The planned query (through the incrementally maintained label index)
-	// and the naive engine must both see the new edge — and agree.
+	// and the reference evaluator must both see the new edge — and agree.
 	after := canonQuery(t, db, titles)
 	if after == before {
 		t.Fatal("query result unchanged after mutation: stale cache")
 	}
-	naive, err := query.EvalNaive(query.MustParse(titles), db.Graph())
+	naive, err := oracle.Eval(query.MustParse(titles), db.Graph(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bisim.Equal(execStmt(t, db, titles).Graph(), naive) {
-		t.Fatal("planned and naive engines disagree after mutation")
+		t.Fatal("planned engine and oracle disagree after mutation")
 	}
 	// The incrementally maintained label index holds the new string, and
 	// the delta didn't clobber the shared postings of old ones.

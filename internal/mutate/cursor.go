@@ -2,12 +2,13 @@ package mutate
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 )
 
 // This file is the read side of WAL replication: a Cursor that tails a log
@@ -136,25 +137,24 @@ func (c *Cursor) frameAt(off int64) ([]byte, error) {
 	if err != nil && err != io.EOF {
 		return nil, err
 	}
-	plen, used := binary.Uvarint(hdr[:n])
-	if used <= 0 || n < used+4 {
-		return nil, ErrNoFrame // length prefix or CRC word not fully present
+	r := bytes.NewReader(hdr[:n])
+	plen, sum, err := readFrameHead(r, maxFrameBytes)
+	if err != nil {
+		// The header is not fully present, or its length is torn bytes
+		// rather than a plausible frame.
+		return nil, ErrNoFrame
 	}
-	if plen > maxFrameBytes {
-		return nil, ErrNoFrame // torn bytes, not a plausible frame
-	}
-	sum := binary.LittleEndian.Uint32(hdr[used:])
 	if cap(c.buf) < int(plen) {
 		c.buf = make([]byte, plen)
 	}
 	payload := c.buf[:plen]
-	if _, err := c.f.ReadAt(payload, off+int64(used)+4); err != nil {
+	if _, err := c.f.ReadAt(payload, off+int64(n-r.Len())); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, ErrNoFrame // payload not fully written yet
 		}
 		return nil, err
 	}
-	if crc32.ChecksumIEEE(payload) != sum {
+	if !intact(payload, sum) {
 		return nil, ErrNoFrame // partial write still in flight, or torn tail
 	}
 	return payload, nil
@@ -193,30 +193,44 @@ func WriteFrameTo(w io.Writer, payload []byte) error {
 
 // ReadFrameFrom reads one frame from r (a replication stream), validating
 // its CRC. io.EOF means a clean end of stream before any frame byte;
-// any mid-frame truncation is io.ErrUnexpectedEOF.
+// any mid-frame truncation is io.ErrUnexpectedEOF. Memory follows the
+// bytes that arrive, not the length the header declares.
 func ReadFrameFrom(r *bufio.Reader) ([]byte, error) {
-	plen, err := binary.ReadUvarint(r)
+	n, sum, err := readFrameHead(r, maxFrameBytes)
 	if err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
-		return nil, fmt.Errorf("mutate: stream frame length: %w", err)
+		return nil, fmt.Errorf("mutate: stream frame header: %w", err)
 	}
-	if plen > maxFrameBytes {
-		return nil, fmt.Errorf("mutate: stream frame of %d bytes exceeds limit", plen)
-	}
-	var sumBuf [4]byte
-	if _, err := io.ReadFull(r, sumBuf[:]); err != nil {
-		return nil, fmt.Errorf("mutate: stream frame CRC: %w", noEOF(err))
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, n)
+	if err != nil {
 		return nil, fmt.Errorf("mutate: stream frame payload: %w", noEOF(err))
 	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(sumBuf[:]) {
+	if !intact(payload, sum) {
 		return nil, fmt.Errorf("mutate: stream frame fails CRC")
 	}
 	return payload, nil
+}
+
+// readPayload reads an n-byte payload. Up to 64 KiB it allocates once, at
+// the exact size; beyond that the buffer at most doubles per step, and only
+// after the bytes before it arrived, so a length prefix the stream does
+// not back up costs little.
+func readPayload(r io.Reader, n uint64) ([]byte, error) {
+	buf := make([]byte, min(n, 64<<10))
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	for uint64(len(buf)) < n {
+		more := int(min(n-uint64(len(buf)), uint64(len(buf))))
+		buf = slices.Grow(buf, more)
+		if _, err := io.ReadFull(r, buf[len(buf):len(buf)+more]); err != nil {
+			return nil, err
+		}
+		buf = buf[:len(buf)+more]
+	}
+	return buf, nil
 }
 
 // noEOF maps io.EOF to io.ErrUnexpectedEOF: inside a frame, a stream end is

@@ -3,11 +3,13 @@ package mutate
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -343,5 +345,46 @@ func TestStreamFrameRoundTrip(t *testing.T) {
 				t.Fatalf("cut %d: truncation inside a frame read as clean EOF", cut)
 			}
 		}
+	}
+}
+
+// TestReadFrameFromAllocatesAsBytesArrive: a stream's length prefix is not
+// trusted with memory. Ten bytes declaring a 1 GiB payload (length, CRC,
+// one payload byte) fail as a truncation after allocating well under
+// 1 MiB, while a whole frame of up to 64 KiB is allocated once, at its
+// exact size.
+func TestReadFrameFromAllocatesAsBytesArrive(t *testing.T) {
+	wire := binary.AppendUvarint(nil, 1<<30)
+	wire = append(wire, 0, 0, 0, 0, 42)
+	if len(wire) != 10 {
+		t.Fatalf("stream is %d bytes, want 10", len(wire))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrameFrom(bufio.NewReader(bytes.NewReader(wire)))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("a 10-byte stream allocated %d bytes", grew)
+	}
+
+	var buf bytes.Buffer
+	if err := WriteFrameTo(&buf, bytes.Repeat([]byte{7}, 64<<10)); err != nil {
+		t.Fatal(err)
+	}
+	src := bytes.NewReader(buf.Bytes())
+	r := bufio.NewReader(src)
+	allocs := testing.AllocsPerRun(10, func() {
+		src.Reset(buf.Bytes())
+		r.Reset(src)
+		payload, err := ReadFrameFrom(r)
+		if err != nil || len(payload) != 64<<10 || cap(payload) != len(payload) {
+			t.Fatalf("64 KiB frame: %d bytes (cap %d), err %v", len(payload), cap(payload), err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("64 KiB frame: %v allocations, want 1", allocs)
 	}
 }

@@ -1,6 +1,9 @@
 package mutate
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -132,4 +135,47 @@ func sameRecs(a, b []Rec) bool {
 		}
 	}
 	return true
+}
+
+// FuzzReadFrameFrom feeds arbitrary bytes to the replication stream's frame
+// reader. It must never panic, and every frame it accepts must re-encode
+// through WriteFrameTo to the bytes it consumed. The one allowed
+// difference is the length prefix: the reader, like the log scanner,
+// accepts a varint with redundant continuation bytes, which WriteFrameTo
+// never writes.
+//
+//	go test -run=NONE -fuzz=FuzzReadFrameFrom -fuzztime=20s ./internal/mutate
+func FuzzReadFrameFrom(f *testing.F) {
+	var stream bytes.Buffer
+	for _, p := range [][]byte{{}, {1}, bytes.Repeat([]byte{7}, 300), EncodeBatch(randBatch(fig1Fragment(), rand.New(rand.NewSource(5)), 4))} {
+		if err := WriteFrameTo(&stream, p); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append([]byte(nil), stream.Bytes()...))
+	}
+	f.Add(append(binary.AppendUvarint(nil, 1<<30), 0, 0, 0, 0, 42))
+	f.Add([]byte{0x80, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := bytes.NewReader(data)
+		r := bufio.NewReader(src)
+		pos := 0
+		for {
+			payload, err := ReadFrameFrom(r)
+			if err != nil {
+				return
+			}
+			end := len(data) - src.Len() - r.Buffered()
+			consumed := data[pos:end]
+			pos = end
+			var re bytes.Buffer
+			if err := WriteFrameTo(&re, payload); err != nil {
+				t.Fatal(err)
+			}
+			n, used := binary.Uvarint(consumed)
+			m, reUsed := binary.Uvarint(re.Bytes())
+			if used <= 0 || n != m || !bytes.Equal(consumed[used:], re.Bytes()[reUsed:]) {
+				t.Fatalf("frame % x re-encodes as % x", consumed, re.Bytes())
+			}
+		}
+	})
 }

@@ -1,9 +1,11 @@
 package mutate
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -137,22 +139,21 @@ func OpenWALMatching(path string, fps ...uint32) (*WAL, uint32, error) {
 func scanFrames(data []byte) ([][]byte, int64) {
 	var frames [][]byte
 	var end int64
-	pos := 0
-	for pos < len(data) {
-		n, used := binary.Uvarint(data[pos:])
-		// Compare in uint64: a corrupt length prefix can exceed int range,
-		// and converting first would wrap negative and pass the check.
-		if used <= 0 || n > uint64(len(data)) || pos+used+4+int(n) > len(data) {
-			break // torn or corrupt tail
+	r := bytes.NewReader(data)
+	for r.Len() > 0 {
+		// A length beyond what data holds is a torn or corrupt tail.
+		n, sum, err := readFrameHead(r, uint64(r.Len()))
+		if err != nil || n > uint64(r.Len()) {
+			break
 		}
-		sumAt := pos + used
-		payload := data[sumAt+4 : sumAt+4+int(n)]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[sumAt:]) {
+		at := len(data) - r.Len()
+		payload := data[at : at+int(n)]
+		if !intact(payload, sum) {
 			break // corrupt tail
 		}
-		pos = sumAt + 4 + int(n)
+		r.Seek(int64(n), io.SeekCurrent)
 		frames = append(frames, payload)
-		end = int64(pos)
+		end = int64(at) + int64(n)
 	}
 	return frames, end
 }
@@ -229,6 +230,32 @@ func appendFrame(buf, payload []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
 	return append(buf, payload...)
 }
+
+// readFrameHead reads a frame header, payloadLen uvarint | crc32 u32 LE,
+// from r. A payload length beyond limit is an error. err is io.EOF only
+// when r held no byte at all; a header cut short is io.ErrUnexpectedEOF.
+// The log scanner, the replication cursor and the stream reader all read
+// frames through it and check them with intact; each maps a failure to
+// its own outcome.
+func readFrameHead(r io.ByteReader, limit uint64) (n uint64, sum uint32, err error) {
+	if n, err = binary.ReadUvarint(r); err != nil {
+		return 0, 0, err
+	}
+	if n > limit {
+		return 0, 0, fmt.Errorf("mutate: frame of %d bytes exceeds limit %d", n, limit)
+	}
+	for i := 0; i < 4; i++ {
+		b, err := r.ReadByte()
+		if err != nil {
+			return 0, 0, noEOF(err)
+		}
+		sum |= uint32(b) << (8 * i)
+	}
+	return n, sum, nil
+}
+
+// intact reports whether payload matches its frame header's checksum.
+func intact(payload []byte, sum uint32) bool { return crc32.ChecksumIEEE(payload) == sum }
 
 // TruncatePrefix removes the log's first k batch frames — those a durable
 // snapshot has folded in — and rebinds the header to newFP, the

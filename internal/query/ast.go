@@ -42,7 +42,7 @@ type Query struct {
 	// Params lists the $parameter names occurring in the query, in first-
 	// occurrence order (from-paths before where). Populated by Parse; a
 	// query with parameters must be executed through a parameter-aware
-	// entry point (Plan.Cursor, Plan.EvalGraphCtx, or SubstParams).
+	// entry point (Plan.Cursor or Plan.EvalGraphCtx).
 	Params []string
 }
 

@@ -102,40 +102,8 @@ func TestCursorParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lit := len(lp.Rows(0)); lit != allen {
+	if lit := len(drainRows(t, lp, 0)); lit != allen {
 		t.Fatalf("param rows %d != literal rows %d", allen, lit)
-	}
-}
-
-// TestParamStepDedupAndSubst: a $parameter path step behaves exactly like
-// the exact-label step it substitutes to, on both engines.
-func TestParamStepDedupAndSubst(t *testing.T) {
-	g := workload.Fig1(false)
-	q := MustParse(`select X from DB.Entry.$kind.Title X`)
-	vals := map[string]ssd.Label{"kind": ssd.Sym("Movie")}
-
-	sub, err := q.SubstParams(vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sub.Params) != 0 {
-		t.Fatalf("substituted query still has params %v", sub.Params)
-	}
-	want, err := EvalNaive(sub, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := evalPlanned(q, g, PlanOptions{}, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gs, ws := ssd.FormatRoot(got), ssd.FormatRoot(want); gs != ws {
-		t.Fatalf("param step differs:\n got: %s\nwant: %s", gs, ws)
-	}
-
-	// EvalRows refuses un-substituted parameterized queries.
-	if _, err := EvalRows(q, g, 0); err == nil {
-		t.Fatal("EvalRows on parameterized query should error")
 	}
 }
 
@@ -166,25 +134,6 @@ func TestConcurrentPlansSharedQuery(t *testing.T) {
 			for cur.Next() {
 			}
 		}(i)
-	}
-	wg.Wait()
-}
-
-// TestConcurrentNaiveSharedQuery: the naive evaluator compiles per-
-// evaluation automata, so concurrent EvalNaive over one parsed query is
-// race-free too.
-func TestConcurrentNaiveSharedQuery(t *testing.T) {
-	g := workload.Movies(workload.DefaultMovieConfig(60))
-	q := MustParse(`select {Title: T} from DB.Entry.Movie M, M.Title T, M.Cast._* A where A = "Allen"`)
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := EvalNaive(q, g); err != nil {
-				t.Error(err)
-			}
-		}()
 	}
 	wg.Wait()
 }

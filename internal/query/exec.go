@@ -18,8 +18,8 @@ import (
 // extents for root-anchored scans, and plain edge slices for label-variable
 // steps. All variable bindings live in one flat slot array (regs) that the
 // operators overwrite in place — the hot path allocates nothing per binding,
-// which is the executor's whole advantage over the map-cloning naive
-// evaluator (EvalNaive).
+// which is the executor's whole advantage over the map-cloning reference
+// evaluator (internal/oracle).
 
 // regs is the flat binding array: one entry per slot, indexed by the slot
 // numbers the planner assigned.

@@ -29,7 +29,7 @@ func TestEngineGolden(t *testing.T) {
 	var out bytes.Buffer
 	for _, c := range engineCases {
 		g := caseGraph(t, c)
-		q := MustParse(c.query)
+		q := MustParse(c.Query)
 		ix := index.BuildLabelIndex(g)
 		guide := dataguide.MustBuild(g)
 		st := stats.Build(g)
@@ -45,22 +45,22 @@ func TestEngineGolden(t *testing.T) {
 		} {
 			p, err := NewPlan(q, g, v.po)
 			if err != nil {
-				t.Fatalf("%s/%s: plan: %v", c.name, v.name, err)
+				t.Fatalf("%s/%s: plan: %v", c.Name, v.name, err)
 			}
-			analyzed, err := p.ExplainAnalyze(nil, c.params)
+			analyzed, err := p.ExplainAnalyze(nil, c.Params)
 			if err != nil {
-				t.Fatalf("%s/%s: analyze: %v", c.name, v.name, err)
+				t.Fatalf("%s/%s: analyze: %v", c.Name, v.name, err)
 			}
 			// The analyzed view is the plain plan plus one actual= count
 			// per atom, so recording it pins both.
 			if plain := actualCount.ReplaceAllString(analyzed, ""); plain != p.Explain() {
-				t.Errorf("%s/%s: ExplainAnalyze without counts differs from Explain:\n%s\nvs\n%s", c.name, v.name, plain, p.Explain())
+				t.Errorf("%s/%s: ExplainAnalyze without counts differs from Explain:\n%s\nvs\n%s", c.Name, v.name, plain, p.Explain())
 			}
-			res, err := p.EvalGraphCtx(nil, c.params)
+			res, err := p.EvalGraphCtx(nil, c.Params)
 			if err != nil {
-				t.Fatalf("%s/%s: eval: %v", c.name, v.name, err)
+				t.Fatalf("%s/%s: eval: %v", c.Name, v.name, err)
 			}
-			fmt.Fprintf(&out, "== %s / %s\n%s\n%s\n%s\n", c.name, v.name, c.query, analyzed, ssd.FormatRoot(res))
+			fmt.Fprintf(&out, "== %s / %s\n%s\n%s\n%s\n", c.Name, v.name, c.Query, analyzed, ssd.FormatRoot(res))
 		}
 	}
 	path := filepath.Join("testdata", "engine_cases.golden")

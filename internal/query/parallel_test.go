@@ -20,13 +20,13 @@ import (
 // partition/merge machinery).
 func TestParallelMatchesSerialByteIdentical(t *testing.T) {
 	for _, c := range engineCases {
-		t.Run(c.name, func(t *testing.T) {
+		t.Run(c.Name, func(t *testing.T) {
 			g := caseGraph(t, c)
-			q := MustParse(c.query)
+			q := MustParse(c.Query)
 			ix := index.BuildLabelIndex(g)
 			for _, po := range []PlanOptions{{}, {Label: ix}} {
 				for _, workers := range []int{2, 4} {
-					compareParallel(t, fmt.Sprintf("index=%t/workers=%d", po.Label != nil, workers), q, g, po, c.params, workers, 2)
+					compareParallel(t, fmt.Sprintf("index=%t/workers=%d", po.Label != nil, workers), q, g, po, c.Params, workers, 2)
 				}
 			}
 		})
@@ -102,10 +102,10 @@ func sameRowStream(t *testing.T, what string, p *Plan, ser, par *Cursor) int {
 // serial engine's row stream.
 func TestParallelAdaptiveSplitByteIdentical(t *testing.T) {
 	for _, c := range engineCases {
-		t.Run(c.name, func(t *testing.T) {
-			q, g := MustParse(c.query), caseGraph(t, c)
+		t.Run(c.Name, func(t *testing.T) {
+			q, g := MustParse(c.Query), caseGraph(t, c)
 			for _, morsel := range []int{1, 4} {
-				compareParallel(t, fmt.Sprintf("morsel=%d", morsel), q, g, PlanOptions{}, c.params, 3, morsel)
+				compareParallel(t, fmt.Sprintf("morsel=%d", morsel), q, g, PlanOptions{}, c.Params, 3, morsel)
 			}
 		})
 	}

@@ -10,28 +10,6 @@ import (
 
 // Tests for the third variable kind of §3: path variables.
 
-func TestPathVarBindsWitness(t *testing.T) {
-	g := db(t)
-	q := MustParse(`select @P from DB.@P X where X = "Casablanca"`)
-	rows, err := EvalRows(q, g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("rows = %d, want 1", len(rows))
-	}
-	p := rows[0].Paths["P"]
-	want := []ssd.Label{ssd.Sym("Entry"), ssd.Sym("Movie"), ssd.Sym("Title")}
-	if len(p) != len(want) {
-		t.Fatalf("witness = %v", p)
-	}
-	for i := range want {
-		if p[i] != want[i] {
-			t.Fatalf("witness[%d] = %v, want %v", i, p[i], want[i])
-		}
-	}
-}
-
 func TestPathVarTemplate(t *testing.T) {
 	g := db(t)
 	// Re-materialize the path to Casablanca as a chain of edges.
@@ -39,50 +17,6 @@ func TestPathVarTemplate(t *testing.T) {
 	want := ssd.MustParse(`{Entry: {Movie: {Title: {}}}}`)
 	if !bisim.Equal(res, want) {
 		t.Errorf("got %s", ssd.FormatRoot(res))
-	}
-}
-
-func TestPathLen(t *testing.T) {
-	g := db(t)
-	// Nodes whose shortest witness path is exactly 2 edges long.
-	q := MustParse(`select X from DB.@P X where pathlen(@P) = 2`)
-	rows, err := EvalRows(q, g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Depth-2 nodes: Movie×2, TV-Show objects = 3 distinct nodes.
-	if len(rows) != 3 {
-		t.Fatalf("depth-2 nodes = %d, want 3", len(rows))
-	}
-	// Constrain search depth: strings within 4 edges of the root.
-	q2 := MustParse(`select {%V} from DB.@P X, X.%V Y where isstring(%V) and pathlen(@P) < 4`)
-	rows2, err := EvalRows(q2, g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows2 {
-		if len(r.Paths["P"]) >= 4 {
-			t.Fatalf("path too long: %v", r.Paths["P"])
-		}
-	}
-	if len(rows2) == 0 {
-		t.Fatal("no shallow strings found")
-	}
-}
-
-func TestPathVarOnCycle(t *testing.T) {
-	// Witness paths are shortest, so cycles terminate.
-	g := ssd.MustParse(`#r{a: {b: #r, v: 1}}`)
-	q := MustParse(`select @P from DB.@P X where X = 1`)
-	rows, err := EvalRows(q, g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("rows = %d, want 1", len(rows))
-	}
-	if got := len(rows[0].Paths["P"]); got != 2 { // a.v
-		t.Errorf("witness length = %d, want 2", got)
 	}
 }
 

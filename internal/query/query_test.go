@@ -202,18 +202,6 @@ func TestTypeTestOnTreeVar(t *testing.T) {
 	wantValue(t, res, `{IntHolder: {a}}`)
 }
 
-func TestRowCap(t *testing.T) {
-	g := db(t)
-	q := MustParse(`select X from DB._* X`)
-	rows, err := EvalRows(q, g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Errorf("row cap: %d rows, want 3", len(rows))
-	}
-}
-
 func TestParseErrors(t *testing.T) {
 	cases := []string{
 		``,
@@ -274,38 +262,4 @@ func TestQueryStringRoundTrip(t *testing.T) {
 		t.Error("print broken")
 	}
 	_ = srcs
-}
-
-func TestEvalRowsBindings(t *testing.T) {
-	g := db(t)
-	q := MustParse(`select T from DB.Entry.Movie M, M.Title T`)
-	rows, err := EvalRows(q, g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(rows))
-	}
-	for _, r := range rows {
-		if _, ok := r.Trees["M"]; !ok {
-			t.Error("M unbound in row")
-		}
-		if _, ok := r.Trees["T"]; !ok {
-			t.Error("T unbound in row")
-		}
-	}
-}
-
-func TestDedupBindingPaths(t *testing.T) {
-	// Node reachable via two paths binds once per distinct node, not per
-	// path.
-	g := ssd.MustParse(`{a: #x{v: 1}, b: #x}`)
-	q := MustParse(`select X from DB._ X`)
-	rows, err := EvalRows(q, g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Errorf("rows = %d, want 1 (shared node binds once)", len(rows))
-	}
 }

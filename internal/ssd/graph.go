@@ -235,32 +235,12 @@ func (g *Graph) Dedup() {
 	}
 }
 
-// Reachable returns the set of nodes accessible from start by forward
-// traversal, as a dense boolean slice indexed by NodeID.
-func (g *Graph) Reachable(start NodeID) []bool {
-	g.check(start)
-	seen := make([]bool, len(g.out))
-	stack := []NodeID{start}
-	seen[start] = true
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.out[n] {
-			if !seen[e.To] {
-				seen[e.To] = true
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	return seen
-}
-
 // Accessible returns a copy of g restricted to the part accessible from the
 // root — the paper's point 4 in §3: queries concern what is reachable by
 // forward traversal. The second result maps old node IDs to new ones
 // (InvalidNode for dropped nodes).
 func (g *Graph) Accessible() (*Graph, []NodeID) {
-	seen := g.Reachable(g.root)
+	seen := ReachableFrom(g, g.root)
 	remap := make([]NodeID, len(g.out))
 	h := &Graph{}
 	for n := range g.out {

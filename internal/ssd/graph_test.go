@@ -95,9 +95,9 @@ func TestReachableAndAccessible(t *testing.T) {
 	a := g.AddLeaf(g.Root(), Sym("a"))
 	orphan := g.AddNode()
 	g.AddEdge(orphan, Sym("x"), a)
-	seen := g.Reachable(g.Root())
+	seen := ReachableFrom(g, g.Root())
 	if !seen[g.Root()] || !seen[a] || seen[orphan] {
-		t.Fatalf("Reachable = %v", seen)
+		t.Fatalf("ReachableFrom = %v", seen)
 	}
 	h, remap := g.Accessible()
 	if h.NumNodes() != 2 {

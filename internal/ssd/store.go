@@ -90,9 +90,9 @@ type nopAccessor struct{ GraphStore }
 func (nopAccessor) Release() {}
 
 // ReachableFrom returns the set of nodes accessible from start by forward
-// traversal, as a dense boolean slice indexed by NodeID — Graph.Reachable
-// generalized to any store. On a paged store the DFS order matches the
-// clustered layout, so the scan is near-sequential.
+// traversal, as a dense boolean slice indexed by NodeID, over any store. On
+// a paged store the DFS order matches the clustered layout, so the scan is
+// near-sequential.
 func ReachableFrom(st GraphStore, start NodeID) []bool {
 	seen := make([]bool, st.NumNodes())
 	if int(start) < 0 || int(start) >= len(seen) {
