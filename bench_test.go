@@ -890,8 +890,10 @@ func BenchmarkCostBasedVsNoStats(b *testing.B) {
 // is one insert-sized delta: a batch that copies the first Entry subtree
 // under the root (15 edges), applied through mutate.ApplyCOW. apply-relabel
 // is the write mix's relabel shape, one title value renamed. label-apply
-// folds the insert delta into the label index, and clone-shared is the
-// graph copy every ApplyCOW starts with.
+// folds the insert delta into the label index, clone-shared is the graph
+// copy every ApplyCOW starts with, and apply-cow-insert is the whole
+// ApplyCOW of the write mix's 9-node insert (one node table, sized for the
+// batch, plus the root's privatized edge list).
 func BenchmarkStatsMaintenance(b *testing.B) {
 	b.Run("build", func(b *testing.B) {
 		g := movieDB(5000)
@@ -942,7 +944,30 @@ func BenchmarkStatsMaintenance(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			g.CloneShared()
+			g.CloneShared(0)
+		}
+	})
+	b.Run("apply-cow-insert", func(b *testing.B) {
+		g := movieDB(20000)
+		bt, err := mutate.ParseScript(`addnode; addnode; addnode; addnode; addnode; addnode; addnode; addnode; addnode
+addedge 0 Entry $0
+addedge $0 Movie $1
+addedge $1 Title $2
+addedge $2 "A Title" $3
+addedge $1 Cast $4
+addedge $4 1 $5
+addedge $5 "Allen" $6
+addedge $1 Director $7
+addedge $7 "Allen" $8`, g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := mutate.ApplyCOW(g, bt); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

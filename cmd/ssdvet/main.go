@@ -1,7 +1,7 @@
 // Command ssdvet machine-checks the engine's concurrency and resource
 // invariants: the writer-lock protocol around the WAL, atomic-only access to
-// snapshot-published fields, cursor Close/Err discipline, rev-cache
-// invalidation ordering, and cancellation polling in pull loops.
+// snapshot-published fields, cursor Close/Err discipline, page-accessor
+// Release pairing, and cancellation polling in pull loops.
 //
 // Usage:
 //

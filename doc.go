@@ -25,8 +25,9 @@
 //
 //   - iterator surfaces in the lower layers: pathexpr.Traversal (resumable
 //     product traversal sharing the lazy-DFA cache), index.Cursor
-//     (posting-list seeks), dataguide.ExtentCursor (guide-pruned extents),
-//     and ssd.Graph.In (cached reverse adjacency).
+//     (posting-list seeks) with index.TargetView (by-target postings for
+//     backward verification), and dataguide.ExtentCursor (guide-pruned
+//     extents).
 //
 // The original recursive tree-walking evaluator is the test-only
 // internal/oracle — a reference implementation, not a selectable engine.

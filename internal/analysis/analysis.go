@@ -3,11 +3,10 @@
 // of optimizer, MVCC, WAL, parallel-executor and observability work left
 // the engine with invariants that existed only as prose comments — "must
 // hold the writer lock", "atomic: health endpoints read it mid-checkpoint",
-// "invalidate the rev cache before the first in-place write". This package
-// turns those comments into a machine-checked annotation convention plus a
-// suite of project-specific analyzers (lockcheck, atomiccheck, closecheck,
-// pincheck, revcachecheck, ctxpoll) that cmd/ssdvet runs over the whole
-// module.
+// "release the accessor's pins on every path". This package turns those
+// comments into a machine-checked annotation convention plus a suite of
+// project-specific analyzers (lockcheck, atomiccheck, closecheck, pincheck,
+// ctxpoll) that cmd/ssdvet runs over the whole module.
 //
 // The framework is intentionally stdlib-only: packages are enumerated and
 // compiled with `go list -export`, type-checked from source with go/types,
@@ -29,15 +28,6 @@
 //	                           all paths, and Err consulted after Next
 //	//ssd:mustunpin            func: the returned accessor must be Released
 //	                           on all paths (its pins charge the page pool)
-//	//ssd:cache <name>         field: this atomic field is the cache <name>;
-//	                           storing into it is the invalidation
-//	//ssd:cachedby <name>      field: in-place writes to this field must be
-//	                           preceded by invalidating cache <name>
-//	//ssd:invalidates <name>   func: writes a cachedby field and promises to
-//	                           invalidate first (order is checked)
-//	//ssd:preserves <name>     func: audited — writes the representation of
-//	                           a cachedby field without changing the
-//	                           adjacency it caches (e.g. PrivatizeOut)
 //	//ssd:ctxpoll              func: every unbounded loop in it must poll
 //	                           the context (directly or via a poll helper)
 //	//ssd:poll                 func: counts as a context poll for ctxpoll
@@ -106,7 +96,7 @@ func (f Finding) String() string {
 // comma-separated subset of names (empty = all). Unknown names error so a
 // typo in CI cannot silently skip a checker.
 func Suite(only string) ([]*Analyzer, error) {
-	all := []*Analyzer{LockCheck, AtomicCheck, CloseCheck, PinCheck, RevCacheCheck, CtxPoll}
+	all := []*Analyzer{LockCheck, AtomicCheck, CloseCheck, PinCheck, CtxPoll}
 	if only == "" {
 		return all, nil
 	}

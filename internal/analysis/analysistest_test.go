@@ -106,12 +106,11 @@ func wantComments(t *testing.T, filename string) map[int]string {
 	return out
 }
 
-func TestLockCheck(t *testing.T)     { runAnalyzerTest(t, LockCheck, "lockcheck/a") }
-func TestAtomicCheck(t *testing.T)   { runAnalyzerTest(t, AtomicCheck, "atomiccheck/a") }
-func TestCloseCheck(t *testing.T)    { runAnalyzerTest(t, CloseCheck, "closecheck/a") }
-func TestPinCheck(t *testing.T)      { runAnalyzerTest(t, PinCheck, "pincheck/a") }
-func TestRevCacheCheck(t *testing.T) { runAnalyzerTest(t, RevCacheCheck, "revcachecheck/a") }
-func TestCtxPoll(t *testing.T)       { runAnalyzerTest(t, CtxPoll, "ctxpoll/a") }
+func TestLockCheck(t *testing.T)   { runAnalyzerTest(t, LockCheck, "lockcheck/a") }
+func TestAtomicCheck(t *testing.T) { runAnalyzerTest(t, AtomicCheck, "atomiccheck/a") }
+func TestCloseCheck(t *testing.T)  { runAnalyzerTest(t, CloseCheck, "closecheck/a") }
+func TestPinCheck(t *testing.T)    { runAnalyzerTest(t, PinCheck, "pincheck/a") }
+func TestCtxPoll(t *testing.T)     { runAnalyzerTest(t, CtxPoll, "ctxpoll/a") }
 
 // TestSuiteFilter pins the -only flag contract: comma filtering and the
 // error on unknown names.

@@ -8,8 +8,8 @@ import (
 
 // Index is the whole-load annotation view: every //ssd: directive found in
 // any loaded package, keyed by cross-package symbol strings, plus the
-// derived structures the analyzers consume (mustclose handle types, cache
-// specs). Build it once over all packages, then hand it to every pass —
+// derived structures the analyzers consume (mustclose and mustunpin handle
+// types). Build it once over all packages, then hand it to every pass —
 // that is how core sees the annotations on mutate.WAL methods without a
 // facts protocol.
 type Index struct {
@@ -26,19 +26,6 @@ type Index struct {
 	// (page accessors, whose forgotten pins inflate the buffer pool's
 	// pinned set past its budget).
 	PinTypes map[string]bool
-
-	// Caches maps an owner type key "pkg.Type" to its cache contract,
-	// assembled from //ssd:cache and //ssd:cachedby field annotations.
-	Caches map[string]*CacheSpec
-}
-
-// CacheSpec is one derived-cache contract on a struct: in-place writes to
-// DataFields must be preceded by an invalidating store into CacheField.
-type CacheSpec struct {
-	Owner      string // "pkg.Type"
-	Name       string // invariant name, e.g. "revcache"
-	CacheField string // e.g. "rev"
-	DataFields map[string]bool
 }
 
 // FuncDirectives returns the directives on the declaration of fn.
@@ -56,7 +43,6 @@ func BuildIndex(pkgs []*Package) *Index {
 		Fields:      make(map[string][]Directive),
 		HandleTypes: make(map[string]bool),
 		PinTypes:    make(map[string]bool),
-		Caches:      make(map[string]*CacheSpec),
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -136,16 +122,6 @@ func (ix *Index) addType(pkg *Package, ts *ast.TypeSpec) {
 		for _, nameIdent := range field.Names {
 			key := owner + "." + nameIdent.Name
 			ix.Fields[key] = append(ix.Fields[key], ds...)
-			for _, args := range argsOf(ds, "cache") {
-				if len(args) == 1 {
-					ix.cacheSpec(owner, args[0]).CacheField = nameIdent.Name
-				}
-			}
-			for _, args := range argsOf(ds, "cachedby") {
-				if len(args) == 1 {
-					ix.cacheSpec(owner, args[0]).DataFields[nameIdent.Name] = true
-				}
-			}
 		}
 	}
 }
@@ -185,40 +161,6 @@ func (ix *Index) addInterface(pkg *Package, ts *ast.TypeSpec, it *ast.InterfaceT
 			}
 		}
 	}
-}
-
-func (ix *Index) cacheSpec(owner, name string) *CacheSpec {
-	spec := ix.Caches[owner]
-	if spec == nil {
-		spec = &CacheSpec{Owner: owner, Name: name, DataFields: make(map[string]bool)}
-		ix.Caches[owner] = spec
-	}
-	return spec
-}
-
-// recvOwner returns the owner type key of a method declaration's receiver,
-// or "" for plain functions.
-func recvOwner(pkg *Package, d *ast.FuncDecl) string {
-	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return ""
-	}
-	tv, ok := pkg.Info.Types[d.Recv.List[0].Type]
-	if !ok {
-		return ""
-	}
-	name, ok := namedOf(tv.Type)
-	if !ok {
-		return ""
-	}
-	return name
-}
-
-// recvObject returns the receiver variable object of a method declaration.
-func recvObject(pkg *Package, d *ast.FuncDecl) types.Object {
-	if d.Recv == nil || len(d.Recv.List) == 0 || len(d.Recv.List[0].Names) == 0 {
-		return nil
-	}
-	return pkg.Info.Defs[d.Recv.List[0].Names[0]]
 }
 
 // declDirectives returns the directives on a declaration via the index (the

@@ -22,41 +22,40 @@ func TestLoadResolvesCrossPackageTypes(t *testing.T) {
 	for _, p := range pkgs {
 		byPath[p.Path] = p
 	}
-	ssd := byPath["repro/internal/ssd"]
-	if ssd == nil {
+	if byPath["repro/internal/ssd"] == nil {
 		t.Fatalf("repro/internal/ssd not loaded: %v", byPath)
 	}
-	// The Graph.rev field must resolve to a sync/atomic type: atomiccheck
-	// keys on exactly this.
-	g := ssd.Types.Scope().Lookup("Graph")
-	if g == nil {
-		t.Fatal("ssd.Graph not found")
-	}
-	st, ok := g.Type().Underlying().(*types.Struct)
-	if !ok {
-		t.Fatalf("ssd.Graph is %T, want struct", g.Type().Underlying())
-	}
-	found := false
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if f.Name() != "rev" {
-			continue
-		}
-		found = true
-		if name, ok := namedOf(f.Type()); !ok || name != "sync/atomic.Pointer" {
-			t.Errorf("Graph.rev resolved to %q, want sync/atomic.Pointer", name)
-		}
-	}
-	if !found {
-		t.Error("Graph.rev field not found")
-	}
-
-	// mutate imports ssd and storage: a selector into an imported package
-	// must carry a resolved *types.Func.
 	mut := byPath["repro/internal/mutate"]
 	if mut == nil {
 		t.Fatal("repro/internal/mutate not loaded")
 	}
+	// The WAL.end field must resolve to a sync/atomic type: atomiccheck
+	// keys on exactly this.
+	w := mut.Types.Scope().Lookup("WAL")
+	if w == nil {
+		t.Fatal("mutate.WAL not found")
+	}
+	st, ok := w.Type().Underlying().(*types.Struct)
+	if !ok {
+		t.Fatalf("mutate.WAL is %T, want struct", w.Type().Underlying())
+	}
+	found := false
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		if f.Name() != "end" {
+			continue
+		}
+		found = true
+		if name, ok := namedOf(f.Type()); !ok || name != "sync/atomic.Int64" {
+			t.Errorf("WAL.end resolved to %q, want sync/atomic.Int64", name)
+		}
+	}
+	if !found {
+		t.Error("WAL.end field not found")
+	}
+
+	// mutate imports ssd and storage: a selector into an imported package
+	// must carry a resolved *types.Func.
 	foundCall := false
 	for _, f := range mut.Files {
 		ast.Inspect(f, func(n ast.Node) bool {

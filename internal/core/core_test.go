@@ -55,7 +55,13 @@ func countRows(t *testing.T, db *Database, src string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := s.Query(context.Background())
+	return stmtRows(t, s)
+}
+
+// stmtRows runs s and counts its rows.
+func stmtRows(t *testing.T, s *Stmt, args ...Param) int {
+	t.Helper()
+	rows, err := s.Query(context.Background(), args...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,8 @@ import (
 //   - the serial plan under each planner input TestEngineGolden pins: bare,
 //     label index, DataGuide, index+guide, and index+statistics;
 //   - CursorParallel with one-row morsels over three worker plans;
-//   - a plan over a page store of 128-byte pages with a two-page pool;
+//   - a plan over a page store of 128-byte pages with a two-page pool,
+//     under the label index and statistics, as statements plan;
 //   - one PrepareCached statement, reused across commits (pooled plans,
 //     incrementally maintained index, statistics and DataGuide);
 //   - a follower Database fed the same batches as stream frames through
@@ -190,7 +191,7 @@ func (s *engineStmt) check(t *testing.T, batch int, snap *ssd.Graph, ins []plann
 	}
 	got, err := evalParallel(s.q, snap, ins[len(ins)-1].po, s.vals) // index+stats, as statements plan
 	compare("parallel", got, err)
-	got, err = evalPlan(s.q, ps, query.PlanOptions{}, s.vals)
+	got, err = evalPlan(s.q, ps, ins[len(ins)-1].po, s.vals)
 	compare("paged", got, err)
 	got, err = drainStmt(s.q, s.prepared, s.args)
 	compare("prepared", got, err)
@@ -234,8 +235,10 @@ type engineFixture struct {
 	Params map[string]ssd.Label
 }
 
-// engineFixtures lists diffQueries, then the engine fixtures.
-func engineFixtures(f *testing.F) []engineFixture {
+// engineFixtures lists diffQueries, the engine fixtures, and the
+// benchmark's sel statement over a small movie database, whose plan seeks
+// TV-Show and verifies Entry backward in every mode.
+func engineFixtures(f testing.TB) []engineFixture {
 	var out []engineFixture
 	for _, src := range diffQueries {
 		out = append(out, engineFixture{Query: src})
@@ -263,7 +266,38 @@ func engineFixtures(f *testing.F) []engineFixture {
 		}
 		out = append(out, fx)
 	}
-	return out
+	return append(out, engineFixture{
+		Graph:  workload.Movies(workload.DefaultMovieConfig(30)),
+		Query:  benchSel,
+		Params: map[string]ssd.Label{"lo": ssd.Int(1_960_000)},
+	})
+}
+
+// TestPagedModePlansBackward: FuzzEngines' fixtures reach backward index
+// plans in the paged mode, not only in memory.
+func TestPagedModePlansBackward(t *testing.T) {
+	backward := 0
+	for _, fx := range engineFixtures(t) {
+		if fx.Graph == nil {
+			continue
+		}
+		ps := openPaged(t, filepath.Join(t.TempDir(), "pages.ssdp"), fx.Graph)
+		ins := plannerInputs(fx.Graph)
+		p, err := query.NewPlan(query.MustParse(fx.Query), ps, ins[len(ins)-1].po)
+		ps.Close()
+		if err != nil {
+			continue
+		}
+		for _, a := range p.Atoms() {
+			if a.Access == query.AccessIndexBackward {
+				backward++
+				t.Logf("paged backward plan: %s", fx.Query)
+			}
+		}
+	}
+	if backward == 0 {
+		t.Fatal("no fixture plans index-backward over the page store")
+	}
 }
 
 // randLabels is the label alphabet of drawn graphs, statements and batches.

@@ -74,9 +74,12 @@ func (d *Guide) ApplyDelta(g *ssd.Graph, delta ssd.Delta, maxNodes int) (*Guide,
 		return d, true // nothing accessible changed; the guide is shareable as-is
 	}
 
+	// Room for one new guide node per added edge: the usual commit interns
+	// fewer, so neither table regrows.
+	grow := len(delta.Added)
 	ng := &Guide{
-		G:          d.G.CloneShared(),
-		Extent:     append([][]ssd.NodeID(nil), d.Extent...),
+		G:          d.G.CloneShared(grow),
+		Extent:     append(make([][]ssd.NodeID, 0, len(d.Extent)+grow), d.Extent...),
 		source:     g,
 		tbl:        tbl,
 		builtNodes: d.builtNodes,

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"maps"
 	"sort"
 
 	"repro/internal/ssd"
@@ -15,10 +16,12 @@ import (
 // unchanged — the property the MVCC commit path in internal/core relies on.
 
 // Apply derives the label index of the post-mutation graph. Posting lists of
-// labels the delta does not touch are shared with the receiver; touched ones
-// are copied with removals tombstoned out (one occurrence per removal record,
-// matching ssd.Graph.DeleteEdge) and additions appended. Cost is
-// O(distinct labels + touched postings), independent of total edge count.
+// labels the delta does not touch are shared with the receiver, and so are
+// their by-target views; touched ones are copied with removals tombstoned
+// out (one occurrence per removal record, matching ssd.Graph.DeleteEdge)
+// and additions appended, and their views are left to be rebuilt on first
+// use. Cost is O(distinct labels + touched postings), independent of total
+// edge count.
 func (ix *LabelIndex) Apply(d ssd.Delta) *LabelIndex {
 	d = d.Normalize()
 	if d.Empty() {
@@ -27,6 +30,15 @@ func (ix *LabelIndex) Apply(d ssd.Delta) *LabelIndex {
 	out := &LabelIndex{occ: make(map[ssd.Label][]EdgeRef, len(ix.occ))}
 	for l, refs := range ix.occ {
 		out.occ[l] = refs
+	}
+	ix.mu.Lock()
+	out.views = maps.Clone(ix.views)
+	ix.mu.Unlock()
+	for _, r := range d.Removed {
+		delete(out.views, r.Label)
+	}
+	for _, a := range d.Added {
+		delete(out.views, a.Label)
 	}
 	// Tombstone removals label by label.
 	rm := make(map[ssd.Label]map[EdgeRef]int)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/pathexpr"
@@ -159,5 +160,96 @@ func TestApplyLeavesReceiverUntouched(t *testing.T) {
 	}
 	if len(vx2.Exact(ssd.Str("v"))) != 0 {
 		t.Fatalf("new index still has removed entry")
+	}
+}
+
+// byTargetOrder sorts refs the way a TargetView holds them.
+func byTargetOrder(refs []EdgeRef) []EdgeRef {
+	out := append([]EdgeRef(nil), refs...)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].To != out[j].To {
+			return out[i].To < out[j].To
+		}
+		return out[i].From < out[j].From
+	})
+	return out
+}
+
+// TestByTargetAcrossApply: every view equals its label's postings in
+// (To, From) order, before and after Apply; Into finds exactly the
+// postings entering a node; Apply shares the views of labels the delta
+// leaves alone and rebuilds the others.
+func TestByTargetAcrossApply(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	check := func(iter int, ix *LabelIndex, g *ssd.Graph) {
+		t.Helper()
+		for _, l := range ix.Labels() {
+			v := ix.ByTarget(l)
+			if !reflect.DeepEqual([]EdgeRef(v), byTargetOrder(ix.Lookup(l))) {
+				t.Fatalf("iter %d: view of %v = %v", iter, l, v)
+			}
+			for n := 0; n < g.NumNodes(); n++ {
+				var want []EdgeRef
+				for _, ref := range v {
+					if ref.To == ssd.NodeID(n) {
+						want = append(want, ref)
+					}
+				}
+				if got := v.Into(ssd.NodeID(n)); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+					t.Fatalf("iter %d: %v.Into(%d) = %v, want %v", iter, l, n, got, want)
+				}
+			}
+		}
+	}
+	for iter := 0; iter < 100; iter++ {
+		g := randIndexGraph(rng)
+		ix := BuildLabelIndex(g)
+		check(iter, ix, g)
+		d := applyDeltaToGraph(g, rng, 1+rng.Intn(4))
+		next := ix.Apply(d)
+		touched := map[ssd.Label]bool{}
+		nd := d.Normalize()
+		for _, r := range append(nd.Added, nd.Removed...) {
+			touched[r.Label] = true
+		}
+		for l, v := range next.views {
+			if touched[l] {
+				t.Fatalf("iter %d: Apply kept the view of touched label %v", iter, l)
+			}
+			if old := ix.views[l]; len(v) > 0 && &v[0] != &old[0] {
+				t.Fatalf("iter %d: Apply copied the view of untouched label %v", iter, l)
+			}
+		}
+		check(iter, next, g)
+		if !reflect.DeepEqual(next.Labels(), BuildLabelIndex(g).Labels()) {
+			t.Fatalf("iter %d: labels differ from a rebuild", iter)
+		}
+	}
+}
+
+// TestByTargetConcurrentReaders: readers racing on a cold index share one
+// view per label (run under -race).
+func TestByTargetConcurrentReaders(t *testing.T) {
+	g := randIndexGraph(rand.New(rand.NewSource(4)))
+	ix := BuildLabelIndex(g)
+	labels := ix.Labels()
+	views := make([][]TargetView, 8)
+	var wg sync.WaitGroup
+	for w := range views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, l := range labels {
+				views[w] = append(views[w], ix.ByTarget(l))
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range views {
+		for i, v := range views[w] {
+			if len(v) > 0 && &v[0] != &views[0][i][0] {
+				t.Fatalf("reader %d got its own view of %v", w, labels[i])
+			}
+		}
 	}
 }

@@ -8,8 +8,11 @@
 package index
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/pathexpr"
 	"repro/internal/ssd"
@@ -24,6 +27,12 @@ type EdgeRef struct {
 // LabelIndex maps each distinct label to every edge carrying it.
 type LabelIndex struct {
 	occ map[ssd.Label][]EdgeRef
+
+	// views holds the by-target views ByTarget has built, one per label
+	// asked for. The index is otherwise immutable; mu guards only these
+	// lazy builds, so concurrent readers share one view per label.
+	mu    sync.Mutex
+	views map[ssd.Label]TargetView
 }
 
 // BuildLabelIndex scans g once and indexes every edge by its exact label.
@@ -68,6 +77,57 @@ func (c *Cursor) Next() (EdgeRef, bool) {
 	ref := c.refs[c.i]
 	c.i++
 	return ref, true
+}
+
+// TargetView is one label's postings sorted by (To, From): the order in
+// which backward verification asks "which edges with this label enter n?".
+type TargetView []EdgeRef
+
+// ByTarget returns l's by-target view. The first call for a label sorts a
+// copy of its posting list, or shares the list when it is already in
+// target order (root fan-outs such as Entry usually are); later calls, from
+// any goroutine, return the same view. The view is read-only.
+func (ix *LabelIndex) ByTarget(l ssd.Label) TargetView {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if v, ok := ix.views[l]; ok {
+		return v
+	}
+	v := TargetView(ix.occ[l])
+	if !slices.IsSortedFunc(v, byTarget) {
+		v = slices.Clone(v)
+		slices.SortFunc(v, byTarget)
+	}
+	if ix.views == nil {
+		ix.views = make(map[ssd.Label]TargetView)
+	}
+	ix.views[l] = v
+	return v
+}
+
+func byTarget(a, b EdgeRef) int {
+	if c := cmp.Compare(a.To, b.To); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.From, b.From)
+}
+
+// Into returns the postings of v whose target is n, by binary search.
+func (v TargetView) Into(n ssd.NodeID) []EdgeRef {
+	lo, hi := 0, len(v)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if v[m].To < n {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	end := lo
+	for end < len(v) && v[end].To == n {
+		end++
+	}
+	return v[lo:end]
 }
 
 // LookupSymbol returns occurrences of the symbol s.

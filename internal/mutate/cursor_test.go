@@ -388,3 +388,43 @@ func TestReadFrameFromAllocatesAsBytesArrive(t *testing.T) {
 		t.Fatalf("64 KiB frame: %v allocations, want 1", allocs)
 	}
 }
+
+// TestNonMinimalFrameLengthRejected: 80 00 spells the length 0 in two bytes.
+// Every frame reader refuses it — the log scanner stops before it, a
+// cursor sees no frame, a stream reader reports an error — so each payload
+// has exactly one frame encoding.
+func TestNonMinimalFrameLengthRejected(t *testing.T) {
+	frame := []byte{0x80, 0x00, 0x00, 0x00, 0x00, 0x00} // length 0, CRC of no bytes
+	if frames, end := scanFrames(frame); len(frames) != 0 || end != 0 {
+		t.Errorf("scanFrames: %d frames ending at %d, want none", len(frames), end)
+	}
+
+	path := filepath.Join(t.TempDir(), "wal")
+	log := append(appendFrame(nil, headerPayload(7)), frame...)
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenCursor(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if got, err := c.Next(); !errors.Is(err, ErrNoFrame) {
+		t.Errorf("cursor: payload % x, err %v, want ErrNoFrame", got, err)
+	}
+
+	if got, err := ReadFrameFrom(bufio.NewReader(bytes.NewReader(frame))); err == nil {
+		t.Errorf("ReadFrameFrom accepted the frame as payload % x", got)
+	}
+}
+
+// TestDecodeBatchRejectsNonMinimalVarint: 80 00 spells baseNodes = 0 in two
+// bytes, followed by a record count of 0.
+func TestDecodeBatchRejectsNonMinimalVarint(t *testing.T) {
+	if b, err := DecodeBatch([]byte{0x80, 0x00, 0x00}); err == nil {
+		t.Fatalf("DecodeBatch accepted a two-byte zero: %d records against %d base nodes", b.Len(), b.BaseNodes())
+	}
+	if _, err := DecodeBatch([]byte{0x00, 0x00}); err != nil {
+		t.Fatalf("DecodeBatch refused the minimal empty batch: %v", err)
+	}
+}

@@ -220,8 +220,10 @@ type Result struct {
 // every untouched adjacency slice with g, which stays exactly as it was —
 // readers holding g (the published MVCC snapshot) never observe a
 // half-applied batch. The returned Result feeds incremental maintenance.
+// The clone's node table is sized for the batch's new nodes, so a commit
+// copies it once and never regrows it.
 func ApplyCOW(g *ssd.Graph, b *Batch) (*ssd.Graph, Result, error) {
-	h := g.CloneShared()
+	h := g.CloneShared(b.added)
 	res, err := applyRecs(h, b, true)
 	if err != nil {
 		return nil, Result{}, err

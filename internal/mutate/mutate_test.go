@@ -5,9 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ssd"
 )
@@ -126,6 +128,35 @@ func TestApplyCOWIsolationAndDelta(t *testing.T) {
 	}
 	if _, ok := g.OIDOf(movie); ok {
 		t.Fatal("oid leaked into base graph")
+	}
+}
+
+// TestApplyCOWCopiesNodeTableOnce: the clone's node table has room for
+// the batch's nodes, so an insert allocates one table, not a copy and then
+// a regrown copy.
+func TestApplyCOWCopiesNodeTableOnce(t *testing.T) {
+	g := ssd.New()
+	g.AddNodes(100_000)
+	for n := 1; n < 100; n++ {
+		g.AddEdge(g.Root(), ssd.Sym("Entry"), ssd.NodeID(n))
+	}
+	b, err := ParseScript(writeMixScripts[0], g) // the write mix's insert: 9 nodes, 9 edges
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := uint64(g.NumNodes()) * uint64(unsafe.Sizeof([]ssd.Edge(nil)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 5
+	for i := 0; i < runs; i++ {
+		h, _, err := ApplyCOW(g, b)
+		if err != nil || h.NumNodes() != g.NumNodes()+9 {
+			t.Fatalf("apply: %v", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= table*3/2 {
+		t.Fatalf("ApplyCOW allocated %d bytes per insert; one node table is %d", per, table)
 	}
 }
 

@@ -238,7 +238,7 @@ func appendFrame(buf, payload []byte) []byte {
 // frames through it and check them with intact; each maps a failure to
 // its own outcome.
 func readFrameHead(r io.ByteReader, limit uint64) (n uint64, sum uint32, err error) {
-	if n, err = binary.ReadUvarint(r); err != nil {
+	if n, err = readUvarint(r); err != nil {
 		return 0, 0, err
 	}
 	if n > limit {
@@ -252,6 +252,33 @@ func readFrameHead(r io.ByteReader, limit uint64) (n uint64, sum uint32, err err
 		sum |= uint32(b) << (8 * i)
 	}
 	return n, sum, nil
+}
+
+// readUvarint is binary.ReadUvarint that also refuses a value spelled in
+// more bytes than it needs: appendFrame writes lengths minimally, and a
+// longer spelling would give one payload many frame encodings.
+func readUvarint(r io.ByteReader) (uint64, error) {
+	var v uint64
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		b, err := r.ReadByte()
+		if err != nil {
+			if i > 0 {
+				return 0, noEOF(err)
+			}
+			return 0, err
+		}
+		if b < 0x80 {
+			if i > 0 && b == 0 {
+				return 0, fmt.Errorf("mutate: frame length of %d bytes is not minimally encoded", i+1)
+			}
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				break
+			}
+			return v | uint64(b)<<(7*i), nil
+		}
+		v |= uint64(b&0x7f) << (7 * i)
+	}
+	return 0, fmt.Errorf("mutate: frame length overflows 64 bits")
 }
 
 // intact reports whether payload matches its frame header's checksum.

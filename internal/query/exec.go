@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/index"
 	"repro/internal/pathexpr"
 	"repro/internal/ssd"
 )
@@ -559,42 +560,42 @@ func (c *stepCursor) advance(ex *executor) bool {
 }
 
 // backwardScan implements index-backward access: seek the posting list of
-// the rarest label in the chain, verify the prefix back to the root over
-// reverse edges, then walk the suffix forward.
+// the rarest label in the chain, verify the prefix back to the root against
+// the label index's by-target views, then walk the suffix forward. The
+// views are looked up once here, so verifying a candidate costs binary
+// searches only: no map lookup, no label hash, and no reverse adjacency.
+// Chain labels are symbols or strings (exactChain), whose Equal is
+// identity, so a label's postings are exactly the edges Equal matches.
 func (as *atomState) backwardScan(ex *executor) {
 	a := as.a
-	// The planner only chooses AccessIndexBackward when the plan's store
-	// has the reverse capability (see chooseAccess); the assertion is on
-	// the raw store, not the accessor view.
-	rs, ok := ex.p.g.(ssd.ReverseStore)
-	if !ok {
-		panic("query: backward index access on a forward-only store")
+	ix := ex.p.opts.Label
+	views := make([]index.TargetView, a.chainIdx)
+	for i, l := range a.chain[:a.chainIdx] {
+		views[i] = ix.ByTarget(l)
 	}
-	rs.EnsureReverse()
-	cur := ex.p.opts.Label.Seek(a.chain[a.chainIdx])
+	cur := ix.Seek(a.chain[a.chainIdx])
 	for {
 		ref, ok := cur.Next()
 		if !ok {
 			return
 		}
-		if !ex.verifyBackward(rs, ref.From, a.chain, a.chainIdx-1) {
+		if !ex.verifyBackward(views, ref.From) {
 			continue
 		}
 		as.forwardSuffix(ex, ref.To, a.chain, a.chainIdx+1)
 	}
 }
 
-// verifyBackward checks that some path root --chain[0]--> … --chain[j]-->
-// node exists, walking reverse edges.
-func (ex *executor) verifyBackward(rs ssd.ReverseStore, node ssd.NodeID, chain []ssd.Label, j int) bool {
-	if j < 0 {
-		return node == ex.g.Root()
+// verifyBackward reports whether some path root --chain[0]--> …
+// --chain[k]--> n exists, where views[j] is chain[j]'s by-target view and
+// k = len(views)-1.
+func (ex *executor) verifyBackward(views []index.TargetView, n ssd.NodeID) bool {
+	k := len(views) - 1
+	if k < 0 {
+		return n == ex.g.Root()
 	}
-	for _, in := range rs.In(node) {
-		if !in.Label.Equal(chain[j]) {
-			continue
-		}
-		if ex.verifyBackward(rs, in.To, chain, j-1) { // in.To holds the source
+	for _, ref := range views[k].Into(n) {
+		if ex.verifyBackward(views[:k], ref.From) {
 			return true
 		}
 	}

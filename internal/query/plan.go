@@ -34,7 +34,8 @@ const (
 	AccessIndexSeek
 	// AccessIndexBackward starts from the posting list of the rarest label
 	// in a root-anchored exact-label chain and verifies the prefix backward
-	// over reverse edges — "start from the most selective atom".
+	// against the label index's by-target views — "start from the most
+	// selective atom".
 	AccessIndexBackward
 	// AccessGuide evaluates a root-anchored regex-only atom over the strong
 	// DataGuide and unions the accepting extents.
@@ -466,8 +467,8 @@ func (pl *planner) avgDeg() float64 {
 
 // Per-access-path unit costs: the relative price of producing one candidate
 // row through each mechanism. A backward-verified posting costs more than a
-// forward edge walk (each posting re-walks the chain prefix over reverse
-// edges); a dataguide product state costs more than a graph edge (extent
+// forward edge walk (each posting re-walks the chain prefix, one binary
+// search of a by-target view per step); a dataguide product state costs more than a graph edge (extent
 // union on acceptance).
 const (
 	unitForwardEdge    = 1.0
@@ -778,11 +779,9 @@ func (pl *planner) chooseAccess(a *planAtom) {
 			return
 		}
 		// Exact chain with a rare interior label: seek the rarest posting
-		// list and verify the prefix backward over reverse edges. Backward
-		// verification needs In(), which only reverse-capable stores offer
-		// (the paged store is forward-only), so gate on the capability.
-		_, reversible := pl.p.g.(ssd.ReverseStore)
-		if chain, ok := exactChain(parts); ok && len(chain) >= 2 && reversible {
+		// list and verify the prefix backward against the index itself, so
+		// every store can take this path.
+		if chain, ok := exactChain(parts); ok && len(chain) >= 2 {
 			minIdx := 0
 			for i, l := range chain {
 				if pl.countOf(l) < pl.countOf(chain[minIdx]) {
@@ -792,7 +791,7 @@ func (pl *planner) chooseAccess(a *planAtom) {
 			// Priced per candidate row: forward walks every chain edge from
 			// chain[0] onward at forward-edge cost; backward touches one
 			// posting per rarest-label edge, each verified over at most
-			// len(chain) reverse steps at the higher verify cost.
+			// len(chain) backward steps at the higher verify cost.
 			depth := float64(len(chain))
 			forward := pl.countOf(chain[0]) * depth * unitForwardEdge
 			backward := pl.countOf(chain[minIdx]) * depth * unitBackwardVerify

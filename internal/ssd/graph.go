@@ -3,7 +3,6 @@ package ssd
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 )
 
 // NodeID identifies a node within one Graph. IDs are dense: allocating n
@@ -30,23 +29,11 @@ type Edge struct {
 //
 // The zero value is not usable; call New.
 type Graph struct {
-	// out is the forward adjacency. In-place writes must drop the reverse
-	// cache first (checked by ssdvet's revcachecheck).
-	//
-	//ssd:cachedby revcache
-	out  [][]Edge
+	out  [][]Edge // forward adjacency, indexed by NodeID
 	root NodeID
 	// oid, when non-nil, assigns OEM-style object identities to nodes.
 	// Identities survive serialization but are ignored by value semantics.
 	oid map[NodeID]string
-	// rev caches the reverse adjacency (see In). Any mutation of nodes or
-	// edges drops the cache; it is rebuilt on next use. Held atomically so
-	// that concurrent *readers* of an otherwise-immutable graph (the
-	// core.Database contract) may trigger and share the lazy build safely;
-	// mutation remains single-writer, as for the rest of the struct.
-	//
-	//ssd:cache revcache
-	rev atomic.Pointer[[][]Edge]
 }
 
 // New returns an empty graph containing just a root node.
@@ -85,20 +72,14 @@ func (g *Graph) NumEdges() int {
 }
 
 // AddNode allocates a fresh node with no edges and returns its ID.
-//
-//ssd:invalidates revcache
 func (g *Graph) AddNode() NodeID {
-	g.rev.Store(nil)
 	g.out = append(g.out, nil)
 	return NodeID(len(g.out) - 1)
 }
 
 // AddNodes allocates k fresh nodes and returns the ID of the first; the rest
 // follow consecutively.
-//
-//ssd:invalidates revcache
 func (g *Graph) AddNodes(k int) NodeID {
-	g.rev.Store(nil)
 	first := NodeID(len(g.out))
 	for i := 0; i < k; i++ {
 		g.out = append(g.out, nil)
@@ -108,12 +89,9 @@ func (g *Graph) AddNodes(k int) NodeID {
 
 // AddEdge appends an edge from → (label) → to. Set semantics mean duplicate
 // additions are tolerated; call Dedup to canonicalize.
-//
-//ssd:invalidates revcache
 func (g *Graph) AddEdge(from NodeID, label Label, to NodeID) {
 	g.check(from)
 	g.check(to)
-	g.rev.Store(nil)
 	g.out[from] = append(g.out[from], Edge{Label: label, To: to})
 }
 
@@ -194,14 +172,8 @@ func (g *Graph) NodeByOID(id string) NodeID {
 
 // SortEdges orders every node's edge set (by label, then target). It makes
 // traversal order deterministic for printing and tests; set semantics are
-// unaffected. The reverse-adjacency cache is dropped: it enumerates In()
-// edges in out-slice order, and a cache built before the sort would
-// disagree with one built after — a determinism leak, if not a correctness
-// one.
-//
-//ssd:invalidates revcache
+// unaffected.
 func (g *Graph) SortEdges() {
-	g.rev.Store(nil)
 	for _, es := range g.out {
 		sort.Slice(es, func(i, j int) bool {
 			if c := es[i].Label.Compare(es[j].Label); c != 0 {
@@ -214,10 +186,7 @@ func (g *Graph) SortEdges() {
 
 // Dedup removes duplicate (label, target) edges node by node, enforcing the
 // set semantics of the model. It sorts edge lists as a side effect.
-//
-//ssd:invalidates revcache
 func (g *Graph) Dedup() {
-	g.rev.Store(nil)
 	g.SortEdges()
 	for n, es := range g.out {
 		if len(es) < 2 {
@@ -325,12 +294,9 @@ func remapOrAdd(g *Graph, n NodeID, remap map[NodeID]NodeID) (NodeID, bool) {
 // Union returns a fresh node of g whose edge set is the union of the edge
 // sets of a and b — the tree-union operation the paper notes is easy in the
 // edge-labeled model and hard in the node-labeled one.
-//
-//ssd:invalidates revcache
 func (g *Graph) Union(a, b NodeID) NodeID {
 	g.check(a)
 	g.check(b)
-	g.rev.Store(nil)
 	u := g.AddNode()
 	g.out[u] = append(g.out[u], g.out[a]...)
 	g.out[u] = append(g.out[u], g.out[b]...)
@@ -413,32 +379,6 @@ func (g *Graph) Reverse() [][]Edge {
 		}
 	}
 	return in
-}
-
-// EnsureReverse builds (or reuses) the cached reverse adjacency used by In.
-// The cache is dropped automatically whenever the graph is mutated, so
-// callers on read-only graphs pay the O(V+E) build at most once. Safe for
-// concurrent readers: racing builds settle on one winner.
-func (g *Graph) EnsureReverse() {
-	if g.rev.Load() == nil {
-		r := g.Reverse()
-		g.rev.CompareAndSwap(nil, &r)
-	}
-}
-
-// In returns the incoming edges of n as (label, from) pairs — Edge.To holds
-// the *source* node, mirroring Reverse. The slice is owned by the graph and
-// must not be mutated. The first call after a mutation rebuilds the cache;
-// query planners use In to start evaluation from the most selective atom of
-// a path and verify the prefix backward.
-func (g *Graph) In(n NodeID) []Edge {
-	g.check(n)
-	r := g.rev.Load()
-	if r == nil {
-		g.EnsureReverse()
-		r = g.rev.Load()
-	}
-	return (*r)[n]
 }
 
 func (g *Graph) check(n NodeID) {

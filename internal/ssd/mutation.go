@@ -4,9 +4,7 @@ package ssd
 // support the mutation subsystem (internal/mutate) is built on. The model
 // itself stays value-oriented: these primitives exist so a *versioned* write
 // path can produce a new graph version cheaply, not so callers can edit
-// graphs that readers hold. Every mutator follows AddEdge's contract of
-// dropping the cached reverse adjacency (g.rev.Store(nil)) so In() never
-// serves stale edges.
+// graphs that readers hold.
 
 // EdgeRec is a fully specified edge occurrence (source, label, target) — the
 // unit of the mutation deltas exchanged between the write path and
@@ -84,15 +82,12 @@ func (d Delta) Normalize() Delta {
 // identical (Go equality, not numeric Equal) to l. It reports whether an
 // edge was removed. The edge slice is edited in place; on a copy-on-write
 // clone the caller must PrivatizeOut(from) first.
-//
-//ssd:invalidates revcache
 func (g *Graph) DeleteEdge(from NodeID, l Label, to NodeID) bool {
 	g.check(from)
 	g.check(to)
 	es := g.out[from]
 	for i, e := range es {
 		if e.To == to && e.Label == l {
-			g.rev.Store(nil)
 			copy(es[i:], es[i+1:])
 			g.out[from] = es[:len(es)-1]
 			return true
@@ -105,19 +100,11 @@ func (g *Graph) DeleteEdge(from NodeID, l Label, to NodeID) bool {
 // identical to old, returning the number of edges rewritten. Like
 // DeleteEdge it edits in place and uses label identity, so Relabel(n,
 // Int(2), …) leaves a Float(2.0) edge alone.
-//
-//ssd:invalidates revcache
 func (g *Graph) Relabel(from NodeID, old, new Label) int {
 	g.check(from)
 	n := 0
 	for i := range g.out[from] {
 		if g.out[from][i].Label == old {
-			if n == 0 {
-				// Invalidate before the first in-place write, like
-				// DeleteEdge: there is never a window where out and a live
-				// rev cache disagree.
-				g.rev.Store(nil)
-			}
 			g.out[from][i].Label = new
 			n++
 		}
@@ -131,9 +118,10 @@ func (g *Graph) Relabel(from NodeID, old, new Label) int {
 // on the clone are safe immediately; before editing the edges of an
 // existing node the caller must PrivatizeOut it, or in-place edits (and
 // appends into spare capacity) would write into storage the original's
-// readers share. The reverse-adjacency cache is not carried over.
-func (g *Graph) CloneShared() *Graph {
-	h := &Graph{root: g.root, out: make([][]Edge, len(g.out))}
+// readers share. The node table has room for extra more nodes, so a batch
+// that allocates that many never regrows it.
+func (g *Graph) CloneShared(extra int) *Graph {
+	h := &Graph{root: g.root, out: make([][]Edge, len(g.out), len(g.out)+max(extra, 0))}
 	copy(h.out, g.out)
 	if g.oid != nil {
 		h.oid = make(map[NodeID]string, len(g.oid))
@@ -147,10 +135,7 @@ func (g *Graph) CloneShared() *Graph {
 // PrivatizeOut replaces n's edge slice with a freshly allocated copy so
 // subsequent in-place edits and appends cannot touch storage shared with
 // another graph (see CloneShared). Calling it on an already-private slice
-// merely wastes the copy. The row is rebound to an element-wise equal
-// slice, so any reverse cache built from the old row stays consistent.
-//
-//ssd:preserves revcache
+// merely wastes the copy.
 func (g *Graph) PrivatizeOut(n NodeID) {
 	g.check(n)
 	es := g.out[n]

@@ -5,8 +5,8 @@ package ssd
 // concrete in-memory Graph so an out-of-core paged store can stand behind
 // the same iterators. The interface is deliberately narrow — forward
 // adjacency only. Reverse edges, mutation, grafting, and OIDs stay on
-// *Graph: they are either writer-side concerns or capabilities a paged
-// store may not offer (see ReverseStore).
+// *Graph: they are writer-side or whole-graph concerns. Backward index
+// plans verify against the label index, not the store.
 
 // GraphStore is the read-only adjacency surface query evaluation pulls:
 // everything is derived from the root, the node count, and per-node
@@ -29,23 +29,6 @@ type GraphStore interface {
 
 // Compile-time check: the in-memory graph is the default GraphStore.
 var _ GraphStore = (*Graph)(nil)
-
-// ReverseStore is the optional backward-traversal capability. Only stores
-// that can enumerate incoming edges implement it (the in-memory Graph via
-// its lazily built reverse cache); the planner gates backward index
-// verification on this assertion and falls back to forward strategies
-// when the store is forward-only.
-type ReverseStore interface {
-	GraphStore
-	// EnsureReverse builds (or reuses) the reverse adjacency eagerly, off
-	// the per-edge hot path.
-	EnsureReverse()
-	// In returns the incoming edges of n as (label, from) pairs; Edge.To
-	// holds the source node.
-	In(n NodeID) []Edge
-}
-
-var _ ReverseStore = (*Graph)(nil)
 
 // StoreAccessor is a pinning read handle on a GraphStore: the same read
 // surface, plus a Release that drops whatever pages the accessor holds

@@ -11,6 +11,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -267,22 +268,39 @@ type reader struct {
 	pos  int
 }
 
+// errNonMinimal rejects a varint written in more bytes than its value
+// needs. The writers only produce minimal ones, so refusing the rest gives
+// each value exactly one encoding: equal values have equal bytes.
+var errNonMinimal = errors.New("storage: non-minimal varint")
+
 func (r *reader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.data[r.pos:])
-	if n <= 0 {
-		return 0, io.ErrUnexpectedEOF
+	if err := r.skipVarint(n); err != nil {
+		return 0, err
 	}
-	r.pos += n
 	return v, nil
 }
 
 func (r *reader) varint() (int64, error) {
 	v, n := binary.Varint(r.data[r.pos:])
+	if err := r.skipVarint(n); err != nil {
+		return 0, err
+	}
+	return v, nil
+}
+
+// skipVarint steps over the n-byte varint binary.Uvarint or binary.Varint
+// decoded at r.pos (n <= 0: cut short or overflowing). A minimal encoding
+// of more than one byte never ends in a zero byte.
+func (r *reader) skipVarint(n int) error {
 	if n <= 0 {
-		return 0, io.ErrUnexpectedEOF
+		return io.ErrUnexpectedEOF
+	}
+	if n > 1 && r.data[r.pos+n-1] == 0 {
+		return errNonMinimal
 	}
 	r.pos += n
-	return v, nil
+	return nil
 }
 
 func (r *reader) str() (string, error) {

@@ -220,11 +220,14 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	for pos < len(data) {
 		kind := data[pos]
 		pos++
-		n, used := binary.Uvarint(data[pos:])
-		if used <= 0 || n > uint64(len(data)) || pos+used+4+int(n) > len(data) {
+		n, next, err := ReadUvarint(data, pos)
+		if err == errNonMinimal {
+			return nil, fmt.Errorf("storage: snapshot section %d: %w", kind, err)
+		}
+		if err != nil || n > uint64(len(data)) || next+4+int(n) > len(data) {
 			return nil, fmt.Errorf("storage: truncated snapshot section %d", kind)
 		}
-		pos += used
+		pos = next
 		sum := binary.LittleEndian.Uint32(data[pos:])
 		pos += 4
 		payload := data[pos : pos+int(n)]

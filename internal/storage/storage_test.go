@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -97,6 +99,46 @@ func TestDecodeErrors(t *testing.T) {
 		if _, err := Decode(data[:cut]); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
+	}
+}
+
+// TestNonMinimalVarintsRejected: the shared reader accepts each value in
+// its one minimal spelling only, for unsigned and signed varints alike.
+func TestNonMinimalVarintsRejected(t *testing.T) {
+	for _, data := range [][]byte{{0x80, 0x00}, {0x81, 0x00}, {0xff, 0x80, 0x00}} {
+		if v, _, err := ReadUvarint(data, 0); err == nil {
+			t.Errorf("ReadUvarint(% x) = %d, want an error", data, v)
+		}
+	}
+	for _, data := range [][]byte{
+		{byte(ssd.KindInt), 0x80, 0x00},
+		{byte(ssd.KindInt), 0x83, 0x80, 0x00},
+		{byte(ssd.KindSymbol), 0x80, 0x00},
+		{byte(ssd.KindString), 0x81, 0x00, 'x'},
+	} {
+		if l, _, err := ReadLabel(data, 0); err == nil {
+			t.Errorf("ReadLabel(% x) = %s, want an error", data, l)
+		}
+	}
+	for _, v := range []uint64{0, 1, 127, 128, 1 << 35, 1<<64 - 1} {
+		data := binary.AppendUvarint(nil, v)
+		if got, n, err := ReadUvarint(data, 0); err != nil || got != v || n != len(data) {
+			t.Errorf("ReadUvarint(% x) = %d, %d, %v", data, got, n, err)
+		}
+	}
+	for _, v := range []int64{0, -1, 63, -64, 64, math.MinInt64, math.MaxInt64} {
+		data := AppendLabel(nil, ssd.Int(v))
+		if got, n, err := ReadLabel(data, 0); err != nil || got != ssd.Int(v) || n != len(data) {
+			t.Errorf("ReadLabel(% x) = %s, %d, %v", data, got, n, err)
+		}
+	}
+	// A graph image spelling its root in two bytes does not decode.
+	data := Encode(sample(t))
+	if _, err := Decode(data); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(append(append(data[:5:5], data[5]|0x80, 0x00), data[6:]...)); err == nil {
+		t.Error("Decode accepted a non-minimal root")
 	}
 }
 
