@@ -633,100 +633,6 @@ func BenchmarkIncrementalVsRebuild(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Intra-query parallelism. The morsel-driven parallel scan fans the
-// join work of the leading atom's rows across worker executors; on the
-// E1-style path-heavy scan it must show ≥2x at 4 workers over the serial
-// executor (the merge is order-preserving, so the output is identical).
-// The skewed arm puts nearly all the join work behind one seed — one movie
-// in 2 000 has 20 000 cast members — so it measures how well the shared
-// morsel queue alone balances a fan-out the cost model cannot see.
-
-// skewedCastDB is the 10 000-entry movie database in which every 2 000th
-// movie has 20 000 more numbered cast members.
-func skewedCastDB() *ssd.Graph {
-	g := workload.Movies(workload.DefaultMovieConfig(10000))
-	movies := 0
-	for _, e := range g.Lookup(g.Root(), ssd.Sym("Entry")) {
-		m := g.LookupFirst(e, ssd.Sym("Movie"))
-		if m == ssd.InvalidNode {
-			continue
-		}
-		if movies++; movies%2000 != 1 {
-			continue
-		}
-		cast := g.LookupFirst(m, ssd.Sym("Cast"))
-		for j := 0; j < 20000; j++ {
-			member := g.AddLeaf(cast, ssd.Int(int64(j+1)))
-			g.AddLeaf(member, ssd.Str(fmt.Sprintf("Member %d", j)))
-		}
-	}
-	return g
-}
-
-func BenchmarkParallelVsSerial(b *testing.B) {
-	drain := func(b *testing.B, cur *query.Cursor) {
-		b.Helper()
-		n := 0
-		for cur.Next() {
-			n++
-		}
-		if err := cur.Err(); err != nil {
-			b.Fatal(err)
-		}
-		cur.Close()
-		if n == 0 {
-			b.Fatal("no rows")
-		}
-	}
-	for _, arm := range []struct {
-		prefix string
-		g      *ssd.Graph
-		src    string
-	}{
-		{"", movieDB(50000), `select {Title: T} from DB.Entry.Movie M, M.Title T, M.Cast._* A where A = "Allen"`},
-		{"skewed/", skewedCastDB(), `select {Title: T} from DB.Entry.Movie M, M.Title T, M.Cast._* A`},
-	} {
-		q := query.MustParse(arm.src)
-		b.Run(arm.prefix+"serial", func(b *testing.B) {
-			p, err := query.NewPlan(q, arm.g, query.PlanOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cur, err := p.Cursor(nil, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				drain(b, cur)
-			}
-		})
-		for _, workers := range []int{2, 4} {
-			b.Run(fmt.Sprintf("%sparallel/workers=%d", arm.prefix, workers), func(b *testing.B) {
-				p, err := query.NewPlan(q, arm.g, query.PlanOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ws := make([]*query.Plan, workers)
-				for i := range ws {
-					if ws[i], err = query.NewPlan(q, arm.g, query.PlanOptions{}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					cur, err := p.CursorParallel(nil, nil, ws, 0, nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					drain(b, cur)
-				}
-			})
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
 // The statement lifecycle. Prepared re-execution must beat one-shot
 // parse+plan+run (no re-lex/re-parse/re-plan); rows-streaming is the
 // per-row cost of the Rows cursor.
@@ -863,7 +769,7 @@ func BenchmarkCostBasedVsNoStats(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cur, err := p.Cursor(nil, nil)
+			cur, err := p.Cursor(nil, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

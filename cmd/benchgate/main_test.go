@@ -44,10 +44,10 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 func TestMatches(t *testing.T) {
-	prefixes := []string{"BenchmarkPlannedVsNaive", "BenchmarkParallelVsSerial"}
+	prefixes := []string{"BenchmarkPlannedVsNaive", "BenchmarkStatsMaintenance"}
 	for name, want := range map[string]bool{
 		"BenchmarkPlannedVsNaive/planned/e1-path-heavy/entries=500-4": true,
-		"BenchmarkParallelVsSerial/serial-4":                          true,
+		"BenchmarkStatsMaintenance/apply-4":                           true,
 		"BenchmarkBrowsingScan-4":                                     false,
 		"":                                                            false,
 	} {

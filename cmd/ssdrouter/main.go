@@ -70,7 +70,7 @@ func main() {
 		Logger:         logger,
 	})
 	defer rt.Stop()
-	httpSrv := &http.Server{Addr: *addr, Handler: rt.Handler()}
+	httpSrv := server.NewHTTPServer(*addr, rt.Handler())
 
 	go func() {
 		sig := make(chan os.Signal, 1)

@@ -5,7 +5,7 @@
 //
 //	ssdserve -data dbdir                      # durable: snapshots + WAL in dbdir
 //	ssdserve -data dbdir -demo 5000           # seed a fresh dbdir, then serve it
-//	ssdserve -db movie.ssdg [-addr :8080] [-parallelism 4]   # volatile
+//	ssdserve -db movie.ssdg [-addr :8080]     # volatile
 //	ssdserve -demo 5000                       # serve a generated movie DB (volatile)
 //	ssdserve -data repdir -follow http://leader:8080   # read-only follower replica
 //
@@ -104,7 +104,7 @@ func serveDebug(addr string, logger *slog.Logger) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.Handle("/debug/vars", expvar.Handler())
 	logger.Info("debug server listening", "addr", addr)
-	if err := http.ListenAndServe(addr, mux); err != nil {
+	if err := server.NewHTTPServer(addr, mux).ListenAndServe(); err != nil {
 		logger.Error("debug server failed", "err", err)
 	}
 }
@@ -116,7 +116,6 @@ func main() {
 		dbPath       = flag.String("db", "", "database file (storage binary format)")
 		text         = flag.String("text", "", "database file in the text syntax (alternative to -db)")
 		demo         = flag.Int("demo", 0, "serve a generated movie database with this many entries instead of a file")
-		parallelism  = flag.Int("parallelism", 0, "intra-query parallel workers (0/1 = serial)")
 		timeout      = flag.Duration("timeout", 30*time.Second, "default per-request timeout (0 = none)")
 		maxTimeout   = flag.Duration("max-timeout", 5*time.Minute, "cap on per-request timeout_ms (0 = uncapped)")
 		maxRows      = flag.Int("max-rows", 0, "cap on rows streamed per request (0 = unlimited)")
@@ -159,7 +158,6 @@ func main() {
 	defer db.CloseWAL()
 
 	cfg := server.Config{
-		Parallelism:    *parallelism,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 		MaxRows:        *maxRows,
@@ -188,7 +186,7 @@ func main() {
 	if follower != nil {
 		go follower.Run(followCtx)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := server.NewHTTPServer(*addr, srv.Handler())
 
 	if *debugAddr != "" {
 		go serveDebug(*debugAddr, logger)
@@ -225,7 +223,7 @@ func main() {
 		}
 	}()
 
-	log.Printf("ssdserve: serving %s on %s (parallelism %d)", db.Describe(), *addr, db.Parallelism())
+	log.Printf("ssdserve: serving %s on %s", db.Describe(), *addr)
 	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("ssdserve: %v", err)
 	}

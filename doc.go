@@ -57,19 +57,16 @@
 // it and replays the log tail at open. Ablated by
 // BenchmarkIncrementalVsRebuild.
 //
-// # Parallel execution and serving
+// # Serving
 //
-// Queries can fan their join work across a pool of shared-nothing worker
-// executors (internal/query/parallel.go): the leading atom's rows are
-// materialized in serial order, partitioned into morsels, executed by
-// per-worker compiled plans pulling from one shared queue (the only load
-// balancer), and merged in morsel order — so parallel output is
-// byte-identical to serial output. core.Database.SetParallelism
-// sets the per-database default Stmt.Query picks up; the per-statement
-// plan pool hands out one plan per worker. cmd/ssdserve serves it all over
-// HTTP/JSON (streamed NDJSON rows, $name parameters, per-request
-// timeouts, WAL-backed writes via /mutate, graceful drain), backed by the
-// database's LRU statement cache. Ablated by BenchmarkParallelVsSerial.
+// Each query runs on one serial Volcano executor; a server keeps its cores
+// busy with concurrent requests, each drawing its own compiled plan from
+// the statement's per-snapshot plan pool. The paper's one parallel
+// evaluation, §4's decomposition of a query across sites, is
+// internal/decomp. cmd/ssdserve serves the database over HTTP/JSON
+// (streamed NDJSON rows, $name parameters, per-request timeouts,
+// WAL-backed writes via /mutate, graceful drain), backed by the database's
+// LRU statement cache.
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for the reproduced results. The root package holds only

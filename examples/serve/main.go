@@ -3,7 +3,7 @@
 // NDJSON query streams, a mutation script commit, a health check, a traced
 // query, a slow-query log line and a /metrics scrape.
 // Every request prints the equivalent curl command against a standalone
-// server (`go run ./cmd/ssdserve -demo 2000 -parallelism 4`).
+// server (`go run ./cmd/ssdserve -demo 2000`).
 //
 //	go run ./examples/serve
 package main
@@ -25,15 +25,12 @@ import (
 
 func main() {
 	// An ssdserve instance is a Server over one core.Database; the demo
-	// database is the scalable movie workload. Parallelism 4 makes every
-	// /query fan its join work across four worker executors. The 1ns
-	// slow-query threshold makes every query "slow" so the structured log
+	// database is the scalable movie workload. The 1ns slow-query threshold makes every query "slow" so the structured log
 	// line is demonstrable; real deployments set something like 100ms.
 	db := core.FromGraph(workload.Movies(workload.DefaultMovieConfig(2000)))
 	srv := server.New(db, server.Config{
-		Parallelism: 4,
-		SlowQuery:   1, // nanosecond: log every query, for the demo
-		Logger:      slog.New(slog.NewTextHandler(os.Stdout, nil)),
+		SlowQuery: 1, // nanosecond: log every query, for the demo
+		Logger:    slog.New(slog.NewTextHandler(os.Stdout, nil)),
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -73,9 +70,8 @@ func main() {
 	printBody(resp)
 
 	// 4. Tracing: ?trace=1 appends the per-operator execution trace to the
-	// terminal status line — per-atom row counts and wall time, whether the
-	// plan came from the pool, and the parallel worker/morsel shape. The
-	// same trace rides the slow-query log lines above.
+	// terminal status line — per-atom row counts and wall time, and whether
+	// the plan came from the pool. The same trace rides the slow-query log lines above.
 	fmt.Printf("\n$ curl -s 'localhost:8080/query?trace=1' -d '{\"query\": \"path: ServedBy._\"}'\n")
 	post(ts.URL+"/query?trace=1", `{"query": "path: ServedBy._"}`)
 

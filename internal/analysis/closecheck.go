@@ -7,7 +7,7 @@ import (
 )
 
 // CloseCheck enforces the cursor lifecycle on handles returned by
-// //ssd:mustclose functions (Stmt.Query, Plan.Cursor, Plan.CursorParallel):
+// //ssd:mustclose functions (Stmt.Query, Plan.Cursor):
 //
 //   - The handle must be closed: a local variable bound to a mustclose
 //     result needs a `.Close()` call (deferred or direct) somewhere in the

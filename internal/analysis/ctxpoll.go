@@ -14,8 +14,7 @@ import (
 // operand) but do not shield a `for` nested inside them: a bounded outer
 // range over an unbounded inner loop is still unbounded. Loops nested
 // inside a polled-candidate `for` are skipped — the outer iteration already
-// bounds the latency between polls to one outer step, which is the
-// granularity the engine's morsel-sized batches target.
+// bounds the latency between polls to one outer step.
 var CtxPoll = &Analyzer{
 	Name: "ctxpoll",
 	Doc:  "//ssd:ctxpoll functions must poll cancellation in every outermost for-loop",

@@ -64,10 +64,6 @@ type Database struct {
 	stmts   map[string]*list.Element // value: *stmtEntry
 	stmtLRU list.List
 
-	// parallelism is the default worker count Stmt.Query fans queries out
-	// to (see SetParallelism). 0 or 1 = serial.
-	parallelism atomic.Int32
-
 	// walRO mirrors wal for lock-free readers (WALSize): monitoring must
 	// not queue behind a writer holding writeMu through a log truncation.
 	walRO atomic.Pointer[mutate.WAL]
@@ -177,22 +173,6 @@ func (db *Database) invalidateStmtPlans() {
 	}
 	db.stmtMu.Unlock()
 }
-
-// SetParallelism sets the default intra-query parallelism for Stmt.Query:
-// the number of worker executors the morsel-driven parallel scan fans a
-// query out to. n <= 1 (the default) runs queries serially. Results are
-// byte-identical either way; the statement layer draws the extra compiled
-// plans from its per-statement pool. Safe to call concurrently with
-// queries; executions in flight keep the setting they started with.
-func (db *Database) SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	db.parallelism.Store(int32(n))
-}
-
-// Parallelism reports the database's default intra-query parallelism.
-func (db *Database) Parallelism() int { return int(db.parallelism.Load()) }
 
 // snapshot is one immutable graph version with its lazily built derived
 // structures. The graph never changes after the snapshot is published; the

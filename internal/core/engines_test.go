@@ -30,7 +30,6 @@ import (
 //
 //   - the serial plan under each planner input TestEngineGolden pins: bare,
 //     label index, DataGuide, index+guide, and index+statistics;
-//   - CursorParallel with one-row morsels over three worker plans;
 //   - a plan over a page store of 128-byte pages with a two-page pool,
 //     under the label index and statistics, as statements plan;
 //   - one PrepareCached statement, reused across commits (pooled plans,
@@ -189,9 +188,7 @@ func (s *engineStmt) check(t *testing.T, batch int, snap *ssd.Graph, ins []plann
 		got, err := evalPlan(s.q, snap, in.po, s.vals)
 		compare("serial/"+in.name, got, err)
 	}
-	got, err := evalParallel(s.q, snap, ins[len(ins)-1].po, s.vals) // index+stats, as statements plan
-	compare("parallel", got, err)
-	got, err = evalPlan(s.q, ps, ins[len(ins)-1].po, s.vals)
+	got, err := evalPlan(s.q, ps, ins[len(ins)-1].po, s.vals) // index+stats, as statements plan
 	compare("paged", got, err)
 	got, err = drainStmt(s.q, s.prepared, s.args)
 	compare("prepared", got, err)
@@ -547,36 +544,6 @@ func evalPlan(q *query.Query, st ssd.GraphStore, po query.PlanOptions, vals map[
 		return nil, err
 	}
 	return p.EvalGraphCtx(nil, vals)
-}
-
-// evalParallel runs q through a parallel cursor: one-row morsels, three
-// worker plans.
-func evalParallel(q *query.Query, g *ssd.Graph, po query.PlanOptions, vals map[string]ssd.Label) (*ssd.Graph, error) {
-	var plans []*query.Plan
-	for i := 0; i < 4; i++ {
-		p, err := query.NewPlan(q, g, po)
-		if err != nil {
-			return nil, err
-		}
-		plans = append(plans, p)
-	}
-	cur, err := plans[0].CursorParallel(context.Background(), vals, plans[1:], 1, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer cur.Close()
-	res := query.NewResult(q, g)
-	var env query.Env
-	for cur.Next() {
-		cur.EnvInto(&env)
-		if err := res.Add(env); err != nil {
-			return nil, err
-		}
-	}
-	if err := cur.Err(); err != nil {
-		return nil, err
-	}
-	return res.Graph(), nil
 }
 
 // openPaged lays g out at path in 128-byte pages and opens it behind a

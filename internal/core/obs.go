@@ -22,8 +22,6 @@ var (
 		"Plan checkouts served from a statement's per-snapshot pool.")
 	obsPlansBuilt = obs.Default.Counter("ssd_plans_built_total",
 		"Plan checkouts that compiled a fresh plan.")
-	obsParallelQueries = obs.Default.Counter("ssd_parallel_queries_total",
-		"Query executions dispatched to the morsel-driven parallel executor.")
 
 	obsStmtHits = obs.Default.Counter("ssd_stmt_cache_hits_total",
 		"PrepareCached lookups served from the statement LRU.")

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/ssd"
@@ -28,23 +29,20 @@ func pagedSeedDir(t *testing.T, entries int) string {
 // form: query results as canonicalized graph text, path results as sorted
 // node IDs, datalog results as sorted tuple strings.
 type frontEndObs struct {
-	selSerial   string
-	selParallel string
-	pathIDs     []ssd.NodeID
-	datalog     []string
-	unql        string
+	sel     string
+	pathIDs []ssd.NodeID
+	datalog []string
+	unql    string
 }
+
+// frontEndSel is the select statement observeFrontEnds runs.
+const frontEndSel = `select {Title: T} from DB.Entry.Movie M, M.Title T, M.Cast._* A where A = "Allen"`
 
 func observeFrontEnds(t *testing.T, db *Database) frontEndObs {
 	t.Helper()
-	const sel = `select {Title: T} from DB.Entry.Movie M, M.Title T, M.Cast._* A where A = "Allen"`
 	var o frontEndObs
 
-	db.SetParallelism(1)
-	o.selSerial = canonDB(execStmt(t, db, sel))
-	db.SetParallelism(4)
-	o.selParallel = canonDB(execStmt(t, db, sel))
-	db.SetParallelism(1)
+	o.sel = canonDB(execStmt(t, db, frontEndSel))
 
 	o.pathIDs = pathNodes(t, db, `Entry._.Title._`)
 
@@ -79,14 +77,8 @@ func observeFrontEnds(t *testing.T, db *Database) frontEndObs {
 
 func (o frontEndObs) assertEqual(t *testing.T, want frontEndObs) {
 	t.Helper()
-	if o.selSerial != want.selSerial {
-		t.Error("serial select differs between paged and in-memory stores")
-	}
-	if o.selParallel != want.selParallel {
-		t.Error("parallel select differs between paged and in-memory stores")
-	}
-	if o.selSerial != o.selParallel {
-		t.Error("serial and parallel select disagree")
+	if o.sel != want.sel {
+		t.Error("select differs between paged and in-memory stores")
 	}
 	if fmt.Sprint(o.pathIDs) != fmt.Sprint(want.pathIDs) {
 		t.Errorf("path results differ: %d ids vs %d ids", len(o.pathIDs), len(want.pathIDs))
@@ -101,8 +93,8 @@ func (o frontEndObs) assertEqual(t *testing.T, want frontEndObs) {
 
 // TestPagedByteIdentity is the satellite cross-check: every front-end must
 // produce byte-identical results (under bisim canonicalization) whether the
-// snapshot is served from memory or through the paged store, serially and in
-// parallel, even with a pool far smaller than the dataset.
+// snapshot is served from memory or through the paged store, even with a
+// pool far smaller than the dataset.
 func TestPagedByteIdentity(t *testing.T) {
 	dir := pagedSeedDir(t, 300)
 
@@ -156,10 +148,10 @@ func TestPagedByteIdentity(t *testing.T) {
 	}
 }
 
-// TestPagedTinyPoolStress drives the parallel executor through a two-page
-// pool — essentially every touch evicts — and checks both the answers and
-// that the resident set stays bounded by the budget (modulo transiently
-// pinned frames, which the accessor releases at morsel boundaries).
+// TestPagedTinyPoolStress drives several goroutines of cursors at once
+// through a two-page pool — essentially every touch evicts — and checks
+// both the answers and that the resident set is back within the budget
+// once every cursor has closed and released its pins.
 func TestPagedTinyPoolStress(t *testing.T) {
 	dir := pagedSeedDir(t, 200)
 
@@ -179,6 +171,36 @@ func TestPagedTinyPoolStress(t *testing.T) {
 	defer paged.CloseWAL()
 	got := observeFrontEnds(t, paged)
 	got.assertEqual(t, want)
+
+	s, err := paged.Prepare(frontEndSel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers, rounds = 4, 3
+	var wg sync.WaitGroup
+	errs := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				res, err := s.Exec(context.Background())
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got := canonDB(res); got != want.sel {
+					errs <- fmt.Errorf("round %d: concurrent select differs from the in-memory answer", i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 
 	st, ok := paged.PagePoolStats()
 	if !ok {

@@ -173,9 +173,7 @@ type Stmt struct {
 }
 
 // maxPooledPlans bounds how many idle plans (or traversals) a statement
-// keeps; more concurrent executions simply compile afresh. A parallel
-// execution borrows 1+N plans at once (seeder plus workers), so the bound
-// lets a couple of concurrent parallel executions recycle their whole sets.
+// keeps; more concurrent executions simply compile afresh.
 const maxPooledPlans = 16
 
 // Prepare parses src once and returns a reusable statement. The language
@@ -247,13 +245,7 @@ func (s *Stmt) invalidate() {
 // first (the engine is inherently bottom-up) and streams the tuples.
 // Transform statements have no rows; use Exec.
 //
-// When the database's parallelism default (SetParallelism) is above one
-// and the plan has join work to fan out, the rows stream through the
-// morsel-driven parallel executor: the pool hands out one plan per worker
-// plus the seeding plan, and the merged output is byte-identical to serial
-// execution.
-//
-// The returned Rows must be Closed to recycle the compiled plan(s). A
+// The returned Rows must be Closed to recycle the compiled plan. A
 // cancelled ctx stops iteration within one pull; Rows.Err reports it.
 //
 //ssd:mustclose
@@ -262,9 +254,9 @@ func (s *Stmt) Query(ctx context.Context, args ...Param) (*Rows, error) {
 }
 
 // QueryTraced is Query with per-execution tracing: operator-level spans
-// (per-atom rows and attributed wall time), the plan-pool outcome, and the
-// parallel execution shape are recorded into tr. The trace is complete only
-// after Rows.Close returns (a parallel pool must quiesce first). Tracing
+// (per-atom rows and attributed wall time) and the plan-pool outcome are
+// recorded into tr. The trace is complete only after Rows.Close returns.
+// Tracing
 // adds one ExecTrace allocation and a clock read per atom pull; the untraced
 // Query path stays allocation-free.
 //
@@ -414,10 +406,8 @@ func (r *Rows) Env() query.Env {
 	return r.shared
 }
 
-// Close releases the cursor, returning the compiled plan(s) (or traversal)
-// to the statement's pool for reuse. For a parallel cursor this first stops
-// the worker pool and waits for it to quiesce, so no returned plan is still
-// being mutated. Close is idempotent and always nil; the error return
+// Close releases the cursor, returning the compiled plan (or traversal) to
+// the statement's pool for reuse. Close is idempotent and always nil; the error return
 // mirrors database/sql for easy drop-in use with defer.
 func (r *Rows) Close() error {
 	if r.closed {
@@ -431,8 +421,8 @@ func (r *Rows) Close() error {
 
 // finish flushes this execution's observability state: the process-wide
 // latency/row/error counters always, and the QueryTrace when tracing. It
-// runs after the row source's teardown, so a parallel pool has quiesced and
-// the executor spans are already in the trace.
+// runs after the row source's teardown, so the executor spans are already
+// in the trace.
 func (r *Rows) finish() {
 	elapsed := time.Since(r.start)
 	obsQueryDur.Observe(elapsed)

@@ -114,14 +114,12 @@ func (q *queryStmt) checkoutPlan(snap *snapshot) (p *query.Plan, pooled bool, er
 	return p, false, err
 }
 
-// checkin returns plans to the pool, unless a commit has moved it on to
-// another snapshot since they were checked out.
-func (q *queryStmt) checkin(snap *snapshot, plans ...*query.Plan) {
+// checkin returns a plan to the pool, unless a commit has moved it on to
+// another snapshot since it was checked out.
+func (q *queryStmt) checkin(snap *snapshot, p *query.Plan) {
 	q.mu.Lock()
-	for _, p := range plans {
-		if q.snap == snap && len(q.pool) < maxPooledPlans {
-			q.pool = append(q.pool, p)
-		}
+	if q.snap == snap && len(q.pool) < maxPooledPlans {
+		q.pool = append(q.pool, p)
 	}
 	q.mu.Unlock()
 }
@@ -139,38 +137,12 @@ func (q *queryStmt) open(ctx context.Context, snap *snapshot, vals map[string]ss
 		return nil, err
 	}
 	r := &queryRows{fe: q, plan: p, snap: snap, tr: tr}
-	// The cost model decides whether fan-out pays off at all (a
-	// single-atom plan or a tiny seed set runs serial regardless of the
-	// configured ceiling), how many workers the estimated seed count
-	// supports, and the morsel size. The gate uses the leading atom's
-	// structural fan-out rather than the selectivity-discounted estimate,
-	// so a clamped-selectivity underestimate cannot force a large query
-	// serial (see Plan.ParallelHint). Each worker draws a sibling plan from
-	// the pool, so it owns its automata and lazy-DFA caches without a
-	// recompile on the hot path. Best effort: a plan-compile failure here
-	// cannot happen for a plan that just compiled against the same
-	// snapshot, but it runs serial rather than failing if it does.
-	w, morselSize := p.ParallelHint(q.db.Parallelism())
-	for i := 0; w > 1 && i < w; i++ {
-		wp, _, err := q.checkoutPlan(snap)
-		if err != nil {
-			q.checkin(snap, r.workers...)
-			r.workers = nil
-			break
-		}
-		r.workers = append(r.workers, wp)
-	}
 	if tr != nil {
 		tr.PlanPooled = pooled
-		tr.Parallel = len(r.workers) > 0
 		r.et = new(query.ExecTrace)
 	}
-	if len(r.workers) > 0 {
-		obsParallelQueries.Inc()
-	}
-	if r.cur, err = p.CursorParallel(ctx, vals, r.workers, morselSize, r.et); err != nil {
+	if r.cur, err = p.Cursor(ctx, vals, r.et); err != nil {
 		q.checkin(snap, p)
-		q.checkin(snap, r.workers...)
 		return nil, err
 	}
 	return r, nil
@@ -185,16 +157,15 @@ func (q *queryStmt) exec(ctx context.Context, snap *snapshot, vals map[string]ss
 	return p.EvalGraphCtx(ctx, vals)
 }
 
-// queryRows streams a plan's cursor; the plan and any parallel workers'
-// plans go back to the pool at close.
+// queryRows streams a plan's cursor; the plan goes back to the pool at
+// close.
 type queryRows struct {
-	fe      *queryStmt
-	cur     *query.Cursor
-	plan    *query.Plan
-	workers []*query.Plan // borrowed by the parallel cursor's worker pool
-	snap    *snapshot
-	tr      *QueryTrace
-	et      *query.ExecTrace // non-nil only when traced
+	fe   *queryStmt
+	cur  *query.Cursor
+	plan *query.Plan
+	snap *snapshot
+	tr   *QueryTrace
+	et   *query.ExecTrace // non-nil only when traced
 }
 
 func (r *queryRows) next() bool       { return r.cur.Next() }
@@ -234,14 +205,12 @@ func (r *queryRows) scan(i int, dest any) error {
 	return nil
 }
 
-// close stops the cursor (a parallel pool quiesces first), folds the
-// executor spans into the trace while the plan is still this execution's,
-// and returns every plan to the pool.
+// close stops the cursor, folds the executor spans into the trace while
+// the plan is still this execution's, and returns the plan to the pool.
 func (r *queryRows) close() {
 	r.cur.Close()
 	if r.et != nil {
 		r.tr.fillExec(r.plan, r.et)
 	}
 	r.fe.checkin(r.snap, r.plan)
-	r.fe.checkin(r.snap, r.workers...)
 }

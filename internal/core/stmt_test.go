@@ -546,6 +546,148 @@ func TestConcurrentStmtQueryDuringCommits(t *testing.T) {
 	}
 }
 
+// TestStmtCacheLRU is the regression test for the random-eviction bug: a
+// hot statement must survive any number of distinct cold statements
+// passing through the bounded cache, because every touch moves it to the
+// LRU front. Under the old map-iteration eviction it had a near-certain
+// chance of being thrown out somewhere in 300 inserts.
+func TestStmtCacheLRU(t *testing.T) {
+	db := FromGraph(workload.Fig1(false))
+	const hot = `select T from DB.Entry.Movie.Title T`
+	s0, err := db.PrepareCached(hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		cold := fmt.Sprintf(`select T from DB.Entry.Movie.Title T where T != "cold-%d"`, i)
+		if _, err := db.PrepareCached(cold); err != nil {
+			t.Fatal(err)
+		}
+		// The hot statement is touched between cold inserts, as a real
+		// workload would.
+		s, err := db.PrepareCached(hot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s != s0 {
+			t.Fatalf("hot statement evicted after %d cold inserts", i+1)
+		}
+	}
+	// The cache stayed bounded.
+	db.stmtMu.Lock()
+	n, l := len(db.stmts), db.stmtLRU.Len()
+	db.stmtMu.Unlock()
+	if n > stmtCacheMax || n != l {
+		t.Fatalf("cache size %d (lru %d), want <= %d and equal", n, l, stmtCacheMax)
+	}
+}
+
+// TestParallelRowsErrCancellation: Rows.Err over a multi-atom join (the
+// statement shape that once ran on a parallel backend) reports a cancelled
+// context, never a clean exhaustion, and still reports it after Close has
+// returned the plan and its executor to the pool for reuse.
+func TestParallelRowsErrCancellation(t *testing.T) {
+	db := FromGraph(workload.Movies(workload.DefaultMovieConfig(2000)))
+	s, err := db.Prepare(`select {Title: T} from DB.Entry.Movie M, M.Title T, M.Cast._* A`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	rows, err := s.Query(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	if !rows.Next() {
+		t.Fatal("no first row")
+	}
+	cancel()
+	for rows.Next() {
+	}
+	if rows.Err() != context.Canceled {
+		t.Fatalf("Rows.Err = %v, want context.Canceled", rows.Err())
+	}
+	rows.Close()
+	if rows.Err() != context.Canceled {
+		t.Fatalf("Rows.Err after Close = %v, want context.Canceled", rows.Err())
+	}
+}
+
+// TestConcurrentParallelStmtQueryDuringCommits is the -race stress for a
+// two-atom join statement: several goroutines run it at once from the
+// statement's plan pool while a writer publishes commits. Every execution
+// must see one consistent snapshot and report no error.
+func TestConcurrentParallelStmtQueryDuringCommits(t *testing.T) {
+	db := FromGraph(workload.Fig1(false))
+	s, err := db.Prepare(`select T from DB.Entry.Movie M, M.Title T`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		readers = 6
+		rounds  = 15
+		commits = 10
+	)
+	var wg sync.WaitGroup
+	errs := make(chan error, readers*rounds+1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < commits; i++ {
+			g := db.Graph()
+			entry := g.LookupFirst(g.Root(), ssd.Sym("Entry"))
+			movie := g.LookupFirst(entry, ssd.Sym("Movie"))
+			b := db.Begin()
+			titleNode := b.AddNode()
+			leaf := b.AddNode()
+			if err := b.AddEdge(movie, ssd.Sym("Title"), titleNode); err != nil {
+				errs <- err
+				return
+			}
+			if err := b.AddEdge(titleNode, ssd.Str(fmt.Sprintf("Sequel %d", i)), leaf); err != nil {
+				errs <- err
+				return
+			}
+			if err := db.Commit(b); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				rows, err := s.Query(context.Background())
+				if err != nil {
+					errs <- err
+					return
+				}
+				n := 0
+				for rows.Next() {
+					n++
+				}
+				err = rows.Err()
+				rows.Close()
+				if err != nil {
+					errs <- err
+					return
+				}
+				if n < 2 || n > 2+commits {
+					errs <- fmt.Errorf("inconsistent snapshot: %d titles", n)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
 // FuzzPrepare feeds arbitrary statement text to Prepare. Prepare must never
 // panic, nor must Explain on what it prepares, and a transform's Explain
 // description must prepare back (under `unql:`) to the same description.

@@ -16,12 +16,10 @@ type AtomTrace struct {
 	Op string `json:"op"`
 	// Est is the cost model's estimated rows surviving this atom.
 	Est float64 `json:"est"`
-	// Rows is the actual rows that survived the atom's filters, summed
-	// across parallel workers.
+	// Rows is the actual rows that survived the atom's filters.
 	Rows int64 `json:"rows"`
 	// TimeUS is wall time attributed to the atom's iterators in
-	// microseconds; under parallel execution worker times sum, so the
-	// total may exceed the query's elapsed time.
+	// microseconds.
 	TimeUS int64 `json:"time_us"`
 }
 
@@ -30,12 +28,6 @@ type AtomTrace struct {
 type QueryTrace struct {
 	Lang       string `json:"lang"`
 	PlanPooled bool   `json:"plan_pooled"`
-
-	Parallel    bool  `json:"parallel"`
-	Workers     int   `json:"workers,omitempty"`
-	MorselSize  int   `json:"morsel_size,omitempty"`
-	Morsels     int64 `json:"morsels,omitempty"`
-	MergeStalls int64 `json:"merge_stalls,omitempty"`
 
 	// Paged-store buffer pool activity over this execution's lifetime,
 	// present only when the snapshot is page-backed. The counters are
@@ -54,13 +46,8 @@ type QueryTrace struct {
 
 // fillExec folds the executor-level trace into the statement trace,
 // labeling each span from the plan. Runs at Rows.Close, after the cursor
-// (and any parallel pool) has quiesced.
+// has closed.
 func (t *QueryTrace) fillExec(p *query.Plan, et *query.ExecTrace) {
-	t.Workers = et.Workers
-	t.MorselSize = et.MorselSize
-	t.Morsels = et.Morsels
-	t.MergeStalls = et.MergeStalls
-
 	descs := p.AtomDescs()
 	infos := p.Atoms()
 	t.Atoms = make([]AtomTrace, len(et.AtomRows))

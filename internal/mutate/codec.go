@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/ssd"
 	"repro/internal/storage"
@@ -132,7 +133,17 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
-func (d *decoder) node() ssd.NodeID { return ssd.NodeID(d.uvarint()) }
+// node reads a node id. Ids are int32 in memory, so a wider value would
+// wrap onto another node (2^32 onto node 0) and re-encode differently;
+// it is refused instead.
+func (d *decoder) node() ssd.NodeID {
+	v := d.uvarint()
+	if v > math.MaxInt32 && d.err == nil {
+		d.err = fmt.Errorf("mutate: node id %d out of range", v)
+		return 0
+	}
+	return ssd.NodeID(v)
+}
 
 func (d *decoder) label() ssd.Label {
 	if d.err != nil {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -415,6 +416,34 @@ func TestNonMinimalFrameLengthRejected(t *testing.T) {
 
 	if got, err := ReadFrameFrom(bufio.NewReader(bytes.NewReader(frame))); err == nil {
 		t.Errorf("ReadFrameFrom accepted the frame as payload % x", got)
+	}
+}
+
+// TestDecodeBatchRejectsBoolByte: one AddEdge record from node 0 to node 0
+// whose bool label byte is 02, a second spelling of true next to 01.
+func TestDecodeBatchRejectsBoolByte(t *testing.T) {
+	batch := func(b byte) []byte {
+		return []byte{1, 1, byte(OpAddEdge), 0, byte(ssd.KindBool), b, 0}
+	}
+	if _, err := DecodeBatch(batch(1)); err != nil {
+		t.Fatalf("DecodeBatch refused bool byte 01: %v", err)
+	}
+	if b, err := DecodeBatch(batch(2)); err == nil {
+		t.Fatalf("DecodeBatch accepted bool byte 02 as %s", b.Recs()[0].Label)
+	}
+}
+
+// TestDecodeBatchRejectsWideNodeID: a SetRoot record naming node 2^32,
+// which an int32 node id would wrap onto node 0.
+func TestDecodeBatchRejectsWideNodeID(t *testing.T) {
+	batch := func(node uint64) []byte {
+		return binary.AppendUvarint([]byte{1, 1, byte(OpSetRoot)}, node)
+	}
+	if _, err := DecodeBatch(batch(math.MaxInt32)); err != nil {
+		t.Fatalf("DecodeBatch refused node id 2^31-1: %v", err)
+	}
+	if b, err := DecodeBatch(batch(1 << 32)); err == nil {
+		t.Fatalf("DecodeBatch accepted node id 2^32 as %d", b.Recs()[0].From)
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 
 // FuzzDecodeBatch feeds arbitrary bytes to the batch decoder — the bytes a
 // WAL frame or a replication stream hands it. DecodeBatch must never panic;
-// a batch it accepts must survive an encode/decode round trip unchanged, and
-// applying it copy-on-write must return an error or a result without
+// a batch it accepts must re-encode to exactly the accepted bytes (one
+// batch, one encoding) and survive an encode/decode round trip unchanged,
+// and applying it copy-on-write must return an error or a result without
 // panicking and without touching the input graph.
 //
 //	go test -run=NONE -fuzz=FuzzDecodeBatch -fuzztime=20s ./internal/mutate
@@ -39,6 +40,9 @@ func FuzzDecodeBatch(f *testing.F) {
 		b, err := DecodeBatch(data)
 		if err != nil {
 			return
+		}
+		if enc := EncodeBatch(b); !bytes.Equal(enc, data) {
+			t.Fatalf("batch % x re-encodes as % x", data, enc)
 		}
 		checkBatch(t, g, want, b)
 	})

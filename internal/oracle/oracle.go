@@ -3,13 +3,13 @@
 // binding by binding, exactly as §3 defines a query — every binding tuple
 // the paths admit, filtered by the where clause, with the select template
 // instantiated under each and the results unioned. It plans nothing and
-// has no slots, access paths, morsels or pooled state: with the engine in
+// has no slots, access paths or pooled state: with the engine in
 // internal/query it shares only the parsed AST, the path automata
 // (pathexpr) and the result builder (query.Result).
 //
 // Only tests and benchmarks import this package: every execution mode of
-// the engine — serial plans under any planner input, parallel morsels, page
-// stores, pooled statements, replicated followers — is checked to produce
+// the engine — plans under any planner input, page stores, pooled
+// statements, replicated followers — is checked to produce
 // a result bisimilar to (and, canonicalized, byte-identical with) Eval.
 package oracle
 

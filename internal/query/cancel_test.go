@@ -19,7 +19,7 @@ func TestCursorCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	cur, err := p.Cursor(ctx, nil)
+	cur, err := p.Cursor(ctx, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,14 +71,14 @@ func TestCursorParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Cursor(nil, nil); err == nil {
+	if _, err := p.Cursor(nil, nil, nil); err == nil {
 		t.Fatal("missing parameter should error")
 	}
-	if _, err := p.Cursor(nil, map[string]ssd.Label{"who": ssd.Str("Allen"), "x": ssd.Int(1)}); err == nil {
+	if _, err := p.Cursor(nil, map[string]ssd.Label{"who": ssd.Str("Allen"), "x": ssd.Int(1)}, nil); err == nil {
 		t.Fatal("unknown parameter should error")
 	}
 	count := func(who string) int {
-		cur, err := p.Cursor(nil, map[string]ssd.Label{"who": ssd.Str(who)})
+		cur, err := p.Cursor(nil, map[string]ssd.Label{"who": ssd.Str(who)}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestConcurrentPlansSharedQuery(t *testing.T) {
 				return
 			}
 			who := []string{"Allen", "Bogart", "Bacall", "Curtiz"}[i%4]
-			cur, err := p.Cursor(nil, map[string]ssd.Label{"who": ssd.Str(who)})
+			cur, err := p.Cursor(nil, map[string]ssd.Label{"who": ssd.Str(who)}, nil)
 			if err != nil {
 				t.Error(err)
 				return

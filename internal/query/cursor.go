@@ -13,18 +13,12 @@ import (
 // through reusable-slot accessors, so the per-row cost is whatever the
 // join itself does, not map building.
 //
-// A Cursor may be serial (one executor, rows pulled in place) or parallel
-// (a morsel-driven worker pool merged in order; see CursorParallel). Both
-// faces behave identically: same row order, same slot accessors, same
-// error reporting. A Cursor mutates plan-owned DFA caches and is therefore
-// not safe for concurrent use; open one cursor per goroutine (the
-// statement layer pools plans to make that cheap).
+// A Cursor mutates plan-owned DFA caches and is therefore not safe for
+// concurrent use; open one cursor per goroutine (the statement layer pools
+// plans to make that cheap).
 type Cursor struct {
-	p    *Plan
-	regs *regs // the current row: ex's registers, or the parallel merge view
-
-	ex     *executor  // serial execution
-	par    *parCursor // parallel execution (nil when serial)
+	p      *Plan
+	ex     *executor
 	closed bool
 	err    error // terminal error snapshotted at Close; see Err
 }
@@ -51,15 +45,27 @@ func (p *Plan) paramVals(params map[string]ssd.Label) ([]ssd.Label, error) {
 	return vals, nil
 }
 
-// Cursor opens a serial, untraced streaming execution of the plan: the
-// common case of CursorParallel. params supplies a value for every
-// $parameter the plan declares (Params); missing or unknown names are an
-// error. ctx cancellation stops iteration within one pull: Next returns
-// false and Err reports the context error.
+// Cursor opens a streaming execution of the plan. params supplies a value
+// for every $parameter the plan declares (Params); missing or unknown names
+// are an error. ctx cancellation stops iteration within one pull: Next
+// returns false and Err reports the context error.
+//
+// A non-nil tr (reinitialized for this plan) records operator-level
+// statistics — per-atom rows and wall time — and is complete once the
+// cursor is exhausted or closed. A nil tr runs untraced.
 //
 //ssd:mustclose
-func (p *Plan) Cursor(ctx context.Context, params map[string]ssd.Label) (*Cursor, error) {
-	return p.CursorParallel(ctx, params, nil, 0, nil)
+func (p *Plan) Cursor(ctx context.Context, params map[string]ssd.Label, tr *ExecTrace) (*Cursor, error) {
+	vals, err := p.paramVals(params)
+	if err != nil {
+		return nil, err
+	}
+	ex := p.exec(ctx, vals)
+	if tr != nil {
+		tr.init(len(p.atoms))
+		ex.trace = tr
+	}
+	return &Cursor{p: p, ex: ex}, nil
 }
 
 // Next advances to the next binding row, returning false when the space is
@@ -69,33 +75,24 @@ func (c *Cursor) Next() bool {
 	if c.closed {
 		return false
 	}
-	if c.ex != nil {
-		return c.ex.Next()
-	}
-	return c.par.Next()
+	return c.ex.Next()
 }
 
 // Err returns the terminal error that ended iteration early — context
-// cancellation, a recovered execution panic, or a parallel worker failure —
-// or nil after a clean exhaustion. Err remains valid after Close (the
-// database/sql idiom): Close snapshots it before the executor is recycled,
-// so it can never observe a later execution's state.
+// cancellation or a recovered execution panic — or nil after a clean
+// exhaustion. Err remains valid after Close (the database/sql idiom): Close
+// snapshots it before the executor is recycled, so it can never observe a
+// later execution's state.
 func (c *Cursor) Err() error {
 	if c.closed {
 		return c.err
 	}
-	if c.ex != nil {
-		return c.ex.err
-	}
-	return c.par.Err()
+	return c.ex.err
 }
 
-// Close releases the cursor's execution resources. A serial cursor hands
-// its executor (and the scratch arrays it grew) back to the plan for the
-// next execution; a parallel cursor stops the worker pool and waits for
-// the workers to quiesce, so the plans they borrowed are safe to reuse
-// afterwards. Close is idempotent. Iterating a closed cursor reports
-// exhaustion.
+// Close hands the cursor's executor (and the scratch arrays it grew) back
+// to the plan for the next execution. Close is idempotent. Iterating a
+// closed cursor reports exhaustion.
 func (c *Cursor) Close() {
 	if c.closed {
 		return
@@ -103,22 +100,18 @@ func (c *Cursor) Close() {
 	// Snapshot the terminal error before releasing: the executor may be
 	// recycled by the plan's next execution, and Err-after-Close is a
 	// documented pattern.
-	if c.ex != nil {
-		c.err = c.ex.err
-	} else {
-		c.err = c.par.Err()
-	}
+	c.err = c.ex.err
 	c.closed = true
-	if c.par != nil {
-		c.par.Close()
-	} else {
-		c.ex.release()
-	}
+	c.ex.release()
 }
 
 // Env materializes the current row as a fresh Env. Prefer EnvInto or the
 // slot accessors on hot paths.
-func (c *Cursor) Env() Env { return c.p.envFrom(c.regs) }
+func (c *Cursor) Env() Env {
+	var e Env
+	c.EnvInto(&e)
+	return e
+}
 
 // EnvInto writes the current row into e, reusing its maps (allocating them
 // on first use). The filled Env is valid until the next Next call in the
@@ -141,26 +134,27 @@ func (c *Cursor) EnvInto(e *Env) {
 	} else {
 		clear(e.Paths)
 	}
+	r := &c.ex.regs
 	for i, name := range p.treeName {
-		e.Trees[name] = c.regs.trees[i]
+		e.Trees[name] = r.trees[i]
 	}
 	for i, name := range p.labelName {
-		e.Labels[name] = c.regs.labels[i]
+		e.Labels[name] = r.labels[i]
 	}
 	for i, name := range p.pathName {
-		e.Paths[name] = c.regs.paths[i]
+		e.Paths[name] = r.paths[i]
 	}
 }
 
 // Tree returns the node bound to tree-variable slot i. Tree slots follow
 // the from-clause binding order.
-func (c *Cursor) Tree(i int) ssd.NodeID { return c.regs.trees[i] }
+func (c *Cursor) Tree(i int) ssd.NodeID { return c.ex.regs.trees[i] }
 
 // Label returns the label bound to label-variable slot i. Label slots
 // follow first-occurrence order over the from clause.
-func (c *Cursor) Label(i int) ssd.Label { return c.regs.labels[i] }
+func (c *Cursor) Label(i int) ssd.Label { return c.ex.regs.labels[i] }
 
 // Path returns the witness path bound to path-variable slot i (first-
 // occurrence order). The slice is shared with the engine; treat it as
 // read-only and copy it if it must outlive the current row.
-func (c *Cursor) Path(i int) []ssd.Label { return c.regs.paths[i] }
+func (c *Cursor) Path(i int) []ssd.Label { return c.ex.regs.paths[i] }

@@ -11,10 +11,9 @@ import (
 )
 
 // The engine cross-check fixtures. Every execution mode must answer each
-// case alike: TestEngineGolden pins the answers, the parallel tests compare
-// row streams with the serial executor, TestEnginesAgree (oracle_test.go)
-// compares with the reference evaluator, and internal/core's FuzzEngines
-// seeds its corpus from the same file.
+// case alike: TestEngineGolden pins the answers, TestEnginesAgree
+// (oracle_test.go) compares with the reference evaluator, and
+// internal/core's FuzzEngines seeds its corpus from the same file.
 
 // EngineCase is one fixture of testdata/engine_cases.json: a graph in the
 // text syntax ("" for the Figure 1 fixture), a query, and a value for each
@@ -82,7 +81,7 @@ func evalPlanned(q *Query, g ssd.GraphStore, po PlanOptions, params map[string]s
 // maxRows binding rows (all of them when maxRows is 0).
 func drainRows(t *testing.T, p *Plan, maxRows int) []Env {
 	t.Helper()
-	cur, err := p.Cursor(nil, nil)
+	cur, err := p.Cursor(nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

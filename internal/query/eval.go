@@ -34,7 +34,7 @@ func Eval(q *Query, g ssd.GraphStore) (*ssd.Graph, error) {
 // nil ctx disables the checks. The plan can be reused across calls (compile
 // once, run many).
 func (p *Plan) EvalGraphCtx(ctx context.Context, params map[string]ssd.Label) (*ssd.Graph, error) {
-	cur, err := p.Cursor(ctx, params)
+	cur, err := p.Cursor(ctx, params, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -60,8 +60,8 @@ func (p *Plan) EvalGraphCtx(ctx context.Context, params map[string]ssd.Label) (*
 // under each binding row, every instantiation merged into the one result
 // root (union semantics). Subtrees bound to tree variables are copied from
 // src, and a source node copied twice maps to one result node, so shared
-// and cyclic structure stays shared. Every way of producing rows (a serial
-// or parallel cursor, or a reference evaluator) builds its answer here.
+// and cyclic structure stays shared. Every way of producing rows (a cursor
+// or a reference evaluator) builds its answer here.
 type Result struct {
 	g     *ssd.Graph
 	sel   Template

@@ -37,8 +37,7 @@ type executor struct {
 	// g is the executor's read view of the plan's store: the store's
 	// pinning accessor when it has one (paged stores), so every adjacency
 	// read on the hot path goes through a small ring of pinned pages. acc
-	// is the same object, typed for Release — pins drop at cursor close
-	// (serial) or morsel handoff (parallel workers).
+	// is the same object, typed for Release — pins drop at cursor close.
 	g      ssd.GraphStore
 	acc    ssd.StoreAccessor
 	regs   regs
@@ -48,18 +47,6 @@ type executor struct {
 	travs   []*pathexpr.Traversal // one per planStep id, lazily created
 	started bool
 	done    bool
-
-	// base is the first atom index this executor owns. Serial execution
-	// uses 0; a parallel worker executes atoms[1:] from seed rows the
-	// coordinator materialized for atom 0 (see parallel.go) and uses 1.
-	base int
-
-	// relaxedPoll drops the one-real-context-check-per-pull guarantee down
-	// to the strided check. Parallel workers and the seeder use it: the
-	// consumer-facing cursor enforces per-pull promptness itself, so the
-	// pool's executors only need cancellation for teardown, and a mutexed
-	// ctx.Err per row is measurable overhead at fan-out row rates.
-	relaxedPoll bool
 
 	// trace records per-atom row counts and iterator wall time when non-nil.
 	// ExplainAnalyze and opt-in query tracing enable it; the normal path
@@ -118,8 +105,6 @@ func (ex *executor) reset(ctx context.Context, params []ssd.Label) {
 	ex.ctx = ctx
 	ex.params = params
 	ex.started, ex.done = false, false
-	ex.base = 0
-	ex.relaxedPoll = false
 	ex.trace = nil
 	ex.err = nil
 	ex.polls = 0
@@ -165,10 +150,9 @@ func (ex *executor) finish() bool {
 	return false
 }
 
-// fail records a terminal error and marks the executor done. Unlike the old
-// ctxErr-only path, any failure source — cancellation, a recovered panic, a
-// worker error — ends up here, so no terminal condition can masquerade as a
-// clean exhaustion.
+// fail records a terminal error and marks the executor done. Any failure
+// source — cancellation or a recovered panic — ends up here, so no terminal
+// condition can masquerade as a clean exhaustion.
 func (ex *executor) fail(err error) bool {
 	if ex.err == nil {
 		ex.err = err
@@ -189,7 +173,7 @@ func (ex *executor) cancelled(force bool) bool {
 	if ex.ctx == nil {
 		return false
 	}
-	if !force || ex.relaxedPoll {
+	if !force {
 		ex.polls++
 		if ex.polls&63 != 0 {
 			return false
@@ -229,22 +213,19 @@ func (ex *executor) next() bool {
 	var i int
 	if !ex.started {
 		ex.started = true
-		if ex.base == 0 {
-			for _, c := range ex.p.preConds {
-				if !c.eval(ex) {
-					return ex.finish()
-				}
+		for _, c := range ex.p.preConds {
+			if !c.eval(ex) {
+				return ex.finish()
 			}
 		}
-		if n <= ex.base {
+		if n == 0 {
 			return ex.finish()
 		}
-		i = ex.base
-		ex.openAtomTimed(i)
+		ex.openAtomTimed(0)
 	} else {
 		i = n - 1
 	}
-	for i >= ex.base {
+	for i >= 0 {
 		if ex.cancelled(false) {
 			return false
 		}
@@ -307,26 +288,6 @@ func (ex *executor) evalConds(conds []cCond) bool {
 		}
 	}
 	return true
-}
-
-// envFrom materializes a register row as a fresh Env under the plan's slot
-// naming — shared by the serial executor and the parallel merge cursor.
-func (p *Plan) envFrom(r *regs) Env {
-	e := Env{
-		Trees:  make(map[string]ssd.NodeID, len(p.treeName)),
-		Labels: make(map[string]ssd.Label, len(p.labelName)),
-		Paths:  make(map[string][]ssd.Label, len(p.pathName)),
-	}
-	for i, name := range p.treeName {
-		e.Trees[name] = r.trees[i]
-	}
-	for i, name := range p.labelName {
-		e.Labels[name] = r.labels[i]
-	}
-	for i, name := range p.pathName {
-		e.Paths[name] = r.paths[i]
-	}
-	return e
 }
 
 // ---------------------------------------------------------------------------

@@ -139,17 +139,6 @@ type Plan struct {
 	opts          PlanOptions
 	reach         []bool // reachability from root; built only for index access
 
-	// seedEst is the cost model's cardinality estimate for the leading
-	// atom's result set; ParallelHint sizes the morsel-driven scan from it.
-	// seedFanout is the leading atom's structural fan-out BEFORE
-	// where-conjunct selectivities were multiplied in: selectivities are
-	// clamped guesses that can underestimate badly, so the parallel gate
-	// uses the structural count (which also approximates the enumeration
-	// work the coordinator pays regardless of how many seeds survive the
-	// filters).
-	seedEst    float64
-	seedFanout float64
-
 	// idleEx is the executor released by the last closed cursor, reused by
 	// the next execution. Executors carry large per-graph scratch arrays
 	// (traversal visited/emitted bitmaps, dedup stamps, materialized
@@ -181,58 +170,6 @@ func (p *Plan) Atoms() []AtomInfo {
 // Params returns the plan's parameter names in slot order. Executions must
 // supply a value for every name.
 func (p *Plan) Params() []string { return p.paramName }
-
-// Adaptive parallelism thresholds: fan-out only pays when the seed set is
-// large enough to amortize worker start-up and channel traffic, and each
-// worker should see several morsels so the order-preserving merge does not
-// serialize on one straggler.
-const (
-	minParallelSeeds  = 64
-	minSeedsPerWorker = 32
-	morselsPerWorker  = 4
-	minMorselSize     = 8
-)
-
-// ParallelHint sizes the morsel-driven parallel scan from the cost model's
-// seed-cardinality estimate: how many workers (capped at maxWorkers) the
-// leading atom's estimated result set can keep busy, and a morsel size that
-// gives each worker several morsels. Returns (0, 0) when the plan should
-// run serially — fewer than two atoms (no join work for workers to take
-// over from the coordinator) or an estimated seed set too small to fan out.
-//
-// The gate deliberately uses the structural fan-out (seedFanout), not the
-// selectivity-discounted estimate: clamped conjunct selectivities can
-// underestimate the surviving seed count by orders of magnitude, and a
-// wrongly-serial decision is unrecoverable, whereas wrongly fanning out
-// over a small seed set costs a few idle goroutines. The asymmetry says:
-// gate on the optimistic count.
-func (p *Plan) ParallelHint(maxWorkers int) (workers, morselSize int) {
-	if maxWorkers <= 1 || len(p.atoms) < 2 {
-		return 0, 0
-	}
-	seeds := p.seedEst
-	if p.seedFanout > seeds {
-		seeds = p.seedFanout
-	}
-	if seeds < minParallelSeeds {
-		return 0, 0
-	}
-	w := int(seeds) / minSeedsPerWorker
-	if w > maxWorkers {
-		w = maxWorkers
-	}
-	if w < 2 {
-		return 0, 0
-	}
-	ms := int(seeds) / (w * morselsPerWorker)
-	if ms < minMorselSize {
-		ms = minMorselSize
-	}
-	if ms > DefaultMorselSize {
-		ms = DefaultMorselSize
-	}
-	return w, ms
-}
 
 // ---------------------------------------------------------------------------
 // Planning
@@ -326,20 +263,19 @@ func NewPlan(q *Query, g ssd.GraphStore, opts PlanOptions) (*Plan, error) {
 	boundPaths := map[string]bool{}
 	cum := 1.0
 	for len(remaining) > 0 {
-		best, bestScore, bestFanout := -1, 0.0, 0.0
+		best, bestScore := -1, 0.0
 		for ri, c := range remaining {
 			if c.b.Source != "DB" && !boundTrees[c.b.Source] {
 				continue
 			}
-			fanout := pl.atomFanout(c.b, boundLabels)
-			score := fanout
+			score := pl.atomFanout(c.b, boundLabels)
 			for _, oc := range ordConds {
 				if !oc.used && oc.deps.satisfiedWith(boundTrees, boundLabels, boundPaths, c.b) {
 					score *= oc.sel
 				}
 			}
 			if best < 0 || score < bestScore {
-				best, bestScore, bestFanout = ri, score, fanout
+				best, bestScore = ri, score
 			}
 		}
 		if best < 0 {
@@ -348,10 +284,6 @@ func NewPlan(q *Query, g ssd.GraphStore, opts PlanOptions) (*Plan, error) {
 		chosen := remaining[best]
 		remaining = append(remaining[:best], remaining[best+1:]...)
 		cum *= bestScore
-		if len(p.atoms) == 0 {
-			p.seedEst = bestScore
-			p.seedFanout = bestFanout
-		}
 		// Explain reports cumulative estimated rows after the atom, so
 		// estimates line up with ExplainAnalyze's actual counts.
 		atom, err := pl.compileAtom(chosen.b, boundLabels, cum)
@@ -1307,7 +1239,7 @@ func (p *Plan) Explain() string { return p.explainWith(nil) }
 // for Cursor. The result rows themselves are discarded.
 func (p *Plan) ExplainAnalyze(ctx context.Context, params map[string]ssd.Label) (string, error) {
 	var tr ExecTrace
-	cur, err := p.CursorParallel(ctx, params, nil, 0, &tr)
+	cur, err := p.Cursor(ctx, params, &tr)
 	if err != nil {
 		return "", err
 	}

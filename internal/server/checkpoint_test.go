@@ -66,7 +66,7 @@ func TestCheckpointEndpoint(t *testing.T) {
 }
 
 func TestCheckpointEndpointNonDurable(t *testing.T) {
-	_, ts, _ := newTestServer(t, 50, 0)
+	_, ts, _ := newTestServer(t, 50)
 	resp, err := http.Post(ts.URL+"/checkpoint", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)

@@ -109,7 +109,7 @@ func checkPromExposition(t *testing.T, body string) {
 // still streaming and asserts the exposition is valid and covers the
 // query, WAL/checkpoint, statement-cache and HTTP families.
 func TestMetricsScrapeMidStream(t *testing.T) {
-	_, ts, _ := newTestServer(t, 500, 2)
+	_, ts, _ := newTestServer(t, 500)
 
 	// Start a query and read just the first row, leaving the stream open.
 	const q = `select {Title: T} from DB.Entry.Movie M, M.Title T`
@@ -180,7 +180,7 @@ func TestMetricsScrapeMidStream(t *testing.T) {
 // TestQueryTrace: ?trace=1 appends the operator trace to the terminal
 // status line, with per-atom row counts and timings.
 func TestQueryTrace(t *testing.T) {
-	_, ts, _ := newTestServer(t, 200, 0)
+	_, ts, _ := newTestServer(t, 200)
 	const q = `select {Title: T} from DB.Entry.Movie M, M.Title T, M.Cast._* A where A = $who`
 	body := fmt.Sprintf(`{"query": %q, "params": {"who": "\"Allen\""}}`, q)
 
@@ -235,32 +235,6 @@ func TestQueryTrace(t *testing.T) {
 	}
 }
 
-// TestParallelQueryTrace: a parallel execution reports its worker shape.
-func TestParallelQueryTrace(t *testing.T) {
-	_, ts, _ := newTestServer(t, 800, 4)
-	const q = `select {Title: T} from DB.Entry.Movie M, M.Title T`
-	resp, err := http.Post(ts.URL+"/query?trace=1", "application/json",
-		strings.NewReader(fmt.Sprintf(`{"query": %q}`, q)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	rows, status := decodeStream(t, resp.Body)
-	tr := status.Trace
-	if tr == nil {
-		t.Fatal("no trace")
-	}
-	if !tr.Parallel || tr.Workers < 2 {
-		t.Fatalf("expected parallel trace, got %+v", tr)
-	}
-	if tr.Morsels < 1 {
-		t.Fatalf("parallel trace reports no morsels: %+v", tr)
-	}
-	if tr.Rows != int64(len(rows)) {
-		t.Fatalf("trace rows = %d, streamed %d", tr.Rows, len(rows))
-	}
-}
-
 // TestSlowQueryLog: with a threshold of 1ns every query is slow, and the
 // structured log line carries the query text, row count and trace.
 func TestSlowQueryLog(t *testing.T) {
@@ -294,7 +268,7 @@ func TestSlowQueryLog(t *testing.T) {
 // TestHealthzObservability: /healthz reports the statement-cache size and
 // snapshot sequence alongside the durability stats.
 func TestHealthzObservability(t *testing.T) {
-	_, ts, db := newTestServer(t, 50, 0)
+	_, ts, db := newTestServer(t, 50)
 	if _, err := db.PrepareCached(`select {T: T} from DB.Entry.Movie M, M.Title T`); err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from th
 // The goldens were written by the json.Encoder implementation of the row
 // lines; the row encoder must reproduce them byte for byte.
 func TestQueryGoldenBodies(t *testing.T) {
-	_, ts, _ := newTestServer(t, 120, 0)
+	_, ts, _ := newTestServer(t, 120)
 	for _, c := range []struct{ name, body string }{
 		{"sel", `{"query":"select {T: T} from DB.Entry.TV-Show S, S.Title T, S.Episode E where E > $lo","params":{"lo":1950000}}`},
 		{"path", `{"query":"path: Entry.Movie.References.Movie.Director._"}`},

@@ -1,5 +1,5 @@
 // Package server is the HTTP/JSON serving layer over a core.Database: the
-// front door that turns the prepared-statement lifecycle and the parallel
+// front door that turns the prepared-statement lifecycle and the query
 // executor into a network service.
 //
 //	POST /query      — run a parameterized statement, stream rows as NDJSON
@@ -18,7 +18,7 @@
 // Statements are cached by query text through the database's LRU statement
 // cache (core.Database.PrepareCached), so a hot query pays lexing, parsing
 // and planning once across all connections; per-request work is binding
-// $parameters and pulling rows from a pooled (optionally parallel) plan.
+// $parameters and pulling rows from a pooled plan.
 // Every request runs under its own context: client disconnects and
 // timeouts stop the cursor within one pull, and a drained shutdown waits
 // for in-flight cursors before returning.
@@ -48,11 +48,8 @@ import (
 	"repro/internal/ssd"
 )
 
-// Config tunes a Server. The zero value serves serially with no timeout.
+// Config tunes a Server. The zero value serves with no timeout.
 type Config struct {
-	// Parallelism is the per-database intra-query parallelism default
-	// applied at New (see core.Database.SetParallelism).
-	Parallelism int
 	// DefaultTimeout bounds requests that do not name a timeout_ms
 	// themselves. Zero = no default bound.
 	DefaultTimeout time.Duration
@@ -128,13 +125,9 @@ type Server struct {
 	replStop chan struct{}
 }
 
-// New builds a Server over db, applying cfg.Parallelism to the database
-// and starting the background checkpointer when the database is durable
-// and a checkpoint trigger is configured.
+// New builds a Server over db, starting the background checkpointer when
+// the database is durable and a checkpoint trigger is configured.
 func New(db *core.Database, cfg Config) *Server {
-	if cfg.Parallelism > 0 {
-		db.SetParallelism(cfg.Parallelism)
-	}
 	s := &Server{db: db, cfg: cfg, mux: http.NewServeMux(), log: cfg.Logger}
 	if s.log == nil {
 		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -442,7 +435,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// writeStatus emits the terminal NDJSON line. It closes the cursor
 	// first (Close is idempotent; the deferred call becomes a no-op) so the
-	// query trace is finalized — atom rows, elapsed time, parallel shape —
+	// query trace is finalized — atom rows, elapsed time, pool activity —
 	// before it is serialized, then feeds the slow-query log.
 	writeStatus := func(st statusLine) {
 		rows.Close()
@@ -652,7 +645,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"status":          "ok",
 		"nodes":           nodes,
 		"edges":           edges,
-		"parallelism":     s.db.Parallelism(),
 		"draining":        draining,
 		"durable":         s.db.Durable(),
 		"wal_bytes":       s.db.WALSize(),

@@ -17,10 +17,10 @@ import (
 	"repro/internal/workload"
 )
 
-func newTestServer(t *testing.T, entries, parallelism int) (*Server, *httptest.Server, *core.Database) {
+func newTestServer(t *testing.T, entries int) (*Server, *httptest.Server, *core.Database) {
 	t.Helper()
 	db := core.FromGraph(workload.Movies(workload.DefaultMovieConfig(entries)))
-	srv := New(db, Config{Parallelism: parallelism})
+	srv := New(db, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts, db
@@ -75,7 +75,7 @@ func decodeStream(t *testing.T, r io.Reader) ([]map[string]string, statusLine) {
 // TestQueryEndpoint: a parameterized query streams the same rows the
 // statement layer yields directly, and the terminal line reports success.
 func TestQueryEndpoint(t *testing.T) {
-	_, ts, db := newTestServer(t, 200, 2)
+	_, ts, db := newTestServer(t, 200)
 	const q = `select {Title: T} from DB.Entry.Movie M, M.Title T, M.Cast._* A where A = $who`
 	rows, status := postQuery(t, ts.URL, fmt.Sprintf(`{"query": %q, "params": {"who": "\"Allen\""}}`, q))
 	if status.Error != "" || !status.Done {
@@ -120,7 +120,7 @@ func TestQueryEndpoint(t *testing.T) {
 
 // TestQueryParamTypes exercises every JSON-to-label conversion.
 func TestQueryParamTypes(t *testing.T) {
-	_, ts, _ := newTestServer(t, 50, 0)
+	_, ts, _ := newTestServer(t, 50)
 	// Symbol parameter in a path step.
 	rows, status := postQuery(t, ts.URL,
 		`{"query": "select T from DB.Entry.$kind.Title T", "params": {"kind": "Movie"}}`)
@@ -144,7 +144,7 @@ func TestQueryParamTypes(t *testing.T) {
 // TestQueryLanguages: path and datalog statements serve through the same
 // endpoint; transforms are refused.
 func TestQueryLanguages(t *testing.T) {
-	_, ts, _ := newTestServer(t, 50, 0)
+	_, ts, _ := newTestServer(t, 50)
 	rows, status := postQuery(t, ts.URL, `{"query": "path: Entry.Movie.Title._"}`)
 	if status.Error != "" || len(rows) == 0 {
 		t.Fatalf("path: %+v, %d rows", status, len(rows))
@@ -162,7 +162,7 @@ func TestQueryLanguages(t *testing.T) {
 // TestQueryRenderTree: render=tree serializes node columns as their
 // subtree in the text syntax instead of opaque ids.
 func TestQueryRenderTree(t *testing.T) {
-	_, ts, _ := newTestServer(t, 50, 0)
+	_, ts, _ := newTestServer(t, 50)
 	rows, status := postQuery(t, ts.URL,
 		`{"query": "select T from DB.Entry.Movie.Title T", "render": "tree", "limit": 3}`)
 	if status.Error != "" || len(rows) != 3 {
@@ -177,7 +177,7 @@ func TestQueryRenderTree(t *testing.T) {
 
 // TestQueryLimit: a row limit truncates the stream and says so.
 func TestQueryLimit(t *testing.T) {
-	_, ts, _ := newTestServer(t, 200, 0)
+	_, ts, _ := newTestServer(t, 200)
 	rows, status := postQuery(t, ts.URL, `{"query": "select T from DB.Entry.Movie.Title T", "limit": 5}`)
 	if len(rows) != 5 || !status.Truncated || status.Error != "" {
 		t.Fatalf("limit: %d rows, %+v", len(rows), status)
@@ -187,7 +187,7 @@ func TestQueryLimit(t *testing.T) {
 // TestQueryTimeout: a request whose deadline expires mid-stream reports the
 // context error in its terminal line instead of posing as complete.
 func TestQueryTimeout(t *testing.T) {
-	_, ts, _ := newTestServer(t, 5000, 2)
+	_, ts, _ := newTestServer(t, 5000)
 	_, status := postQuery(t, ts.URL,
 		`{"query": "select {T: T} from DB.Entry.Movie M, M.Title T, M.Cast._* A, M.References.Movie.Title T2", "timeout_ms": 1}`)
 	if status.Done || status.Error == "" {
@@ -201,7 +201,7 @@ func TestQueryTimeout(t *testing.T) {
 // TestMutateAndHealthz: a mutation script commits through the server and is
 // visible to subsequent queries; healthz reflects the new snapshot.
 func TestMutateAndHealthz(t *testing.T) {
-	_, ts, db := newTestServer(t, 50, 0)
+	_, ts, db := newTestServer(t, 50)
 	before := db.Graph().ComputeStats()
 	resp, err := http.Post(ts.URL+"/mutate", "text/plain",
 		strings.NewReader("addnode\naddnode\naddedge 0 ServedTag $0\naddedge $0 \"hello\" $1\n"))
@@ -240,7 +240,7 @@ func TestMutateAndHealthz(t *testing.T) {
 // 413. The script here is valid line by line, so a prefix cut at the bound
 // would parse — and commit — if the handler truncated instead of refusing.
 func TestOversizedBodyRefused(t *testing.T) {
-	_, ts, db := newTestServer(t, 20, 0)
+	_, ts, db := newTestServer(t, 20)
 	seq, nodes := db.CommitSeq(), db.Graph().NumNodes()
 	script := strings.Repeat("addnode\n", maxBody/len("addnode\n")+1)
 	for path, body := range map[string]string{
@@ -266,7 +266,7 @@ func TestOversizedBodyRefused(t *testing.T) {
 }
 
 // TestConcurrentQueriesDuringCommits is the serving-layer -race acceptance
-// test: parallel parameterized queries stream while a writer commits
+// test: concurrent parameterized queries stream while a writer commits
 // batches through /mutate. Every response must be internally consistent
 // (terminal line matches row count, no mid-stream errors).
 func TestConcurrentQueriesDuringCommits(t *testing.T) {
@@ -281,7 +281,7 @@ func TestConcurrentQueriesDuringCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.CloseWAL()
-	ts := httptest.NewServer(New(db, Config{Parallelism: 3}).Handler())
+	ts := httptest.NewServer(New(db, Config{}).Handler())
 	defer ts.Close()
 	const (
 		readers = 6
@@ -350,7 +350,7 @@ func TestConcurrentQueriesDuringCommits(t *testing.T) {
 // afterwards, which only returns once in-flight handlers (and the cursors
 // they hold) are gone.
 func TestCancelledRequestStopsCursor(t *testing.T) {
-	srv, ts, _ := newTestServer(t, 5000, 2)
+	srv, ts, _ := newTestServer(t, 5000)
 	ctx, cancel := context.WithCancel(context.Background())
 	body := `{"query": "select {T: T} from DB.Entry.Movie M, M.Title T, M.Cast._* A, M.References.Movie.Title T2"}`
 	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/query", strings.NewReader(body))

@@ -34,7 +34,7 @@ var _ GraphStore = (*Graph)(nil)
 // surface, plus a Release that drops whatever pages the accessor holds
 // pinned. Iterator hot paths (one executor, one goroutine) read through
 // an accessor so repeated touches of a clustered page skip the buffer
-// pool entirely; Release runs at cursor close or morsel handoff.
+// pool entirely; Release runs at cursor close.
 //
 // An accessor is single-goroutine; Release is idempotent.
 type StoreAccessor interface {

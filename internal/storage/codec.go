@@ -273,6 +273,10 @@ type reader struct {
 // each value exactly one encoding: equal values have equal bytes.
 var errNonMinimal = errors.New("storage: non-minimal varint")
 
+// errBoolByte rejects a bool label whose payload byte is neither 0 nor 1,
+// for the same reason: AppendLabel writes only those two.
+var errBoolByte = errors.New("storage: bool label byte is neither 0 nor 1")
+
 func (r *reader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.data[r.pos:])
 	if err := r.skipVarint(n); err != nil {
@@ -348,9 +352,12 @@ func (r *reader) label() (ssd.Label, error) {
 		if r.pos >= len(r.data) {
 			return ssd.Label{}, io.ErrUnexpectedEOF
 		}
-		b := r.data[r.pos] != 0
+		b := r.data[r.pos]
+		if b > 1 {
+			return ssd.Label{}, errBoolByte
+		}
 		r.pos++
-		return ssd.Bool(b), nil
+		return ssd.Bool(b == 1), nil
 	default:
 		return ssd.Label{}, fmt.Errorf("storage: unknown label kind %d", kind)
 	}
@@ -386,6 +393,9 @@ func (r *reader) skipLabel() error {
 	case ssd.KindBool:
 		if r.pos >= len(r.data) {
 			return io.ErrUnexpectedEOF
+		}
+		if r.data[r.pos] > 1 {
+			return errBoolByte
 		}
 		r.pos++
 	default:

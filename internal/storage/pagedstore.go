@@ -40,7 +40,7 @@ package storage
 // small free list that the next miss reuses; that is safe because only
 // unpinned frames are evicted and every decode runs on a pinned frame.
 // Iterator hot paths pin a small ring of frames through a StoreAccessor
-// (see Accessor) and release at morsel or cursor boundaries.
+// (see Accessor) and release them when the cursor closes.
 
 import (
 	"cmp"

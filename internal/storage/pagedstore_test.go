@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -34,6 +35,50 @@ func pageCall(fn func()) (err error) {
 	}()
 	fn()
 	return nil
+}
+
+// TestPageRecordBoolByteChecked: a bool edge label whose payload byte is
+// 02 — a second spelling of true — fails its page at load, even with the
+// page CRC recomputed to match.
+func TestPageRecordBoolByteChecked(t *testing.T) {
+	const pageSize = 128
+	g := ssd.New()
+	g.AddLeaf(g.Root(), ssd.Bool(true))
+	path := filepath.Join(t.TempDir(), "pages.ssdp")
+	if err := WritePageFile(path, g, ClusterDFS, pageSize); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := int(binary.LittleEndian.Uint32(clean[fileHdrLen+4*int(g.Root()):]))
+	hdr := fileHdrLen + 4*g.NumNodes() + 4 + page*pageSize
+	data := clean[hdr+pageHdrLen : hdr+pageHdrLen+int(binary.LittleEndian.Uint32(clean[hdr:]))]
+	at := bytes.Index(data, []byte{byte(ssd.KindBool), 1})
+	if at < 0 {
+		t.Fatalf("no bool label on page %d: % x", page, data)
+	}
+	damaged := append([]byte(nil), clean...)
+	damaged[hdr+pageHdrLen+at+1] = 2
+	binary.LittleEndian.PutUint32(damaged[hdr+8:], crc32.ChecksumIEEE(damaged[hdr+pageHdrLen:hdr+pageHdrLen+len(data)]))
+	dpath := filepath.Join(t.TempDir(), "damaged.ssdp")
+	if err := os.WriteFile(dpath, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ps, err := OpenPageFile(dpath, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		ps.Out(g.Root())
+	}()
+	if msg, ok := got.(string); !ok || !strings.Contains(msg, "bool label byte") {
+		t.Fatalf("Out(root) on a page with bool byte 02: panic %v, want a bool label byte error", got)
+	}
 }
 
 // TestPageRecordDamageDetectedAtLoad: a record damaged inside a page whose

@@ -132,6 +132,18 @@ func TestNonMinimalVarintsRejected(t *testing.T) {
 			t.Errorf("ReadLabel(% x) = %s, %d, %v", data, got, n, err)
 		}
 	}
+	// A bool label has one byte per value: 00 or 01.
+	for b, want := range map[byte]bool{0: true, 1: true, 2: false, 0xff: false} {
+		data := []byte{byte(ssd.KindBool), b}
+		_, _, err := ReadLabel(data, 0)
+		if (err == nil) != want {
+			t.Errorf("ReadLabel(% x): err %v, want accepted=%t", data, err, want)
+		}
+		r := reader{data: data}
+		if err := r.skipLabel(); (err == nil) != want {
+			t.Errorf("skipLabel(% x): err %v, want accepted=%t", data, err, want)
+		}
+	}
 	// A graph image spelling its root in two bytes does not decode.
 	data := Encode(sample(t))
 	if _, err := Decode(data); err != nil {
