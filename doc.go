@@ -24,10 +24,11 @@
 //     allocation on the join/filter hot path;
 //
 //   - iterator surfaces in the lower layers: pathexpr.Traversal (resumable
-//     product traversal sharing the lazy-DFA cache), index.Cursor
-//     (posting-list seeks) with index.TargetView (by-target postings for
-//     backward verification), and dataguide.ExtentCursor (guide-pruned
-//     extents).
+//     product traversal sharing the lazy-DFA cache), index.LabelIndex
+//     posting lists with index.TargetView (by-target postings for
+//     backward verification), and dataguide.Guide.Eval (guide-pruned
+//     extents); traversals and the executor's dedup share one
+//     visited-node set, ssd.NodeSet.
 //
 // The original recursive tree-walking evaluator is the test-only
 // internal/oracle — a reference implementation, not a selectable engine.

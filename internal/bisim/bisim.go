@@ -70,7 +70,7 @@ func signature(g *ssd.Graph, v ssd.NodeID, cls []int, buf []byte, pairs []sigPai
 			continue // set semantics: duplicate edges are one edge
 		}
 		prev = p
-		buf = appendLabel(buf, p.label)
+		buf = ssd.AppendLabel(buf, p.label)
 		buf = binary.AppendUvarint(buf, uint64(p.class))
 	}
 	return buf, pairs
@@ -344,38 +344,4 @@ func Canonicalize(g *ssd.Graph) *ssd.Graph {
 	out.SetRoot(ssd.NodeID(cls[m.Root()]))
 	out.SortEdges()
 	return out
-}
-
-func appendLabel(buf []byte, l ssd.Label) []byte {
-	buf = append(buf, byte(l.Kind()))
-	switch l.Kind() {
-	case ssd.KindSymbol:
-		s, _ := l.Symbol()
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
-	case ssd.KindString:
-		s, _ := l.Text()
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
-	case ssd.KindOID:
-		s, _ := l.OIDVal()
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
-	case ssd.KindInt:
-		v, _ := l.IntVal()
-		buf = binary.AppendVarint(buf, v)
-	case ssd.KindFloat:
-		var tmp [8]byte
-		f, _ := l.FloatVal()
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(f))
-		buf = append(buf, tmp[:]...)
-	case ssd.KindBool:
-		b, _ := l.BoolVal()
-		if b {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	return buf
 }

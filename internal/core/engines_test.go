@@ -33,7 +33,10 @@ import (
 //   - a plan over a page store of 128-byte pages with a two-page pool,
 //     under the label index and statistics, as statements plan;
 //   - one PrepareCached statement, reused across commits (pooled plans,
-//     incrementally maintained index, statistics and DataGuide);
+//     incrementally maintained index, statistics and DataGuide), run twice
+//     on every snapshot: the second run, under freshly drawn parameter
+//     values, recycles the first one's executor (dedup node sets, pooled
+//     traversals, materialized scans);
 //   - a follower Database fed the same batches as stream frames through
 //     ApplyReplicated.
 //
@@ -84,6 +87,9 @@ func checkEngines(t *testing.T, fx engineFixture, seed []byte, size uint8) {
 		s[i%8] ^= b
 	}
 	r := rand.New(rand.NewSource(int64(binary.LittleEndian.Uint64(s[:]))))
+	// Redrawn parameter values come from their own stream, so the graph,
+	// statements and batches a seed draws stay what they were.
+	redraw := rand.New(rand.NewSource(int64(binary.LittleEndian.Uint64(s[:])) ^ 0x5eed))
 	g := randGraph(r, 1+int(size-1)%12)
 	if fx.Graph != nil {
 		g = fx.Graph
@@ -111,7 +117,7 @@ func checkEngines(t *testing.T, fx engineFixture, seed []byte, size uint8) {
 		ins := plannerInputs(snap)
 		ps := openPaged(t, pages, snap)
 		for _, s := range stmts {
-			s.check(t, batch, snap, ins, ps)
+			s.check(t, batch, snap, ins, ps, redraw)
 		}
 		ps.Close()
 		if batch == 3 || r.Intn(4) == 0 {
@@ -158,42 +164,61 @@ func prepareEngineStmt(t *testing.T, r *rand.Rand, leader, follower *Database, s
 }
 
 // check compares every mode's answer over snap with the oracle's; ins are
-// snap's planner inputs and ps is snap laid out in pages.
-func (s *engineStmt) check(t *testing.T, batch int, snap *ssd.Graph, ins []plannerInput, ps *storage.PageStore) {
+// snap's planner inputs and ps is snap laid out in pages. The cached
+// statement then runs again under values drawn from redraw.
+func (s *engineStmt) check(t *testing.T, batch int, snap *ssd.Graph, ins []plannerInput, ps *storage.PageStore, redraw *rand.Rand) {
 	t.Helper()
-	// A drawn cross product can bind millions of rows, whose answer takes
-	// seconds to canonicalize in every mode; skip answers that large.
-	sq, err := oracle.Subst(s.q, s.vals)
-	if err != nil {
-		t.Fatalf("oracle %q: %v", s.src, err)
-	}
-	if rows, err := oracle.Rows(sq, snap, maxEngineRows+1); err == nil && len(rows) > maxEngineRows {
-		return
-	}
-	want, err := oracle.Eval(s.q, snap, s.vals)
-	if err != nil {
-		t.Fatalf("oracle %q: %v", s.src, err)
-	}
-	compare := func(mode string, got *ssd.Graph, err error) {
+	compare := func(mode string, vals map[string]ssd.Label, want, got *ssd.Graph, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("batch %d, %s: %q: %v", batch, mode, s.src, err)
 		}
 		if gs, ws := ssd.FormatRoot(got), ssd.FormatRoot(want); gs != ws {
-			t.Fatalf("batch %d, %s differs from the oracle on %q over %s\n got: %s\nwant: %s",
-				batch, mode, s.src, ssd.FormatRoot(snap), gs, ws)
+			t.Fatalf("batch %d, %s differs from the oracle on %q %v over %s\n got: %s\nwant: %s",
+				batch, mode, s.src, vals, ssd.FormatRoot(snap), gs, ws)
 		}
 	}
-	for _, in := range ins {
-		got, err := evalPlan(s.q, snap, in.po, s.vals)
-		compare("serial/"+in.name, got, err)
+	if want := s.oracleAnswer(t, snap, s.vals); want != nil {
+		for _, in := range ins {
+			got, err := evalPlan(s.q, snap, in.po, s.vals)
+			compare("serial/"+in.name, s.vals, want, got, err)
+		}
+		got, err := evalPlan(s.q, ps, ins[len(ins)-1].po, s.vals) // index+stats, as statements plan
+		compare("paged", s.vals, want, got, err)
+		got, err = drainStmt(s.q, s.prepared, s.args)
+		compare("prepared", s.vals, want, got, err)
+		got, err = drainStmt(s.q, s.replica, s.args)
+		compare("follower", s.vals, want, got, err)
 	}
-	got, err := evalPlan(s.q, ps, ins[len(ins)-1].po, s.vals) // index+stats, as statements plan
-	compare("paged", got, err)
-	got, err = drainStmt(s.q, s.prepared, s.args)
-	compare("prepared", got, err)
-	got, err = drainStmt(s.q, s.replica, s.args)
-	compare("follower", got, err)
+	vals := paramValues(redraw, s.q, nil)
+	if want := s.oracleAnswer(t, snap, vals); want != nil {
+		var args []Param
+		for name, v := range vals {
+			args = append(args, P(name, v))
+		}
+		got, err := drainStmt(s.q, s.prepared, args)
+		compare("prepared/redrawn", vals, want, got, err)
+	}
+}
+
+// oracleAnswer is the reference answer over snap under vals, or nil when the
+// statement binds more than maxEngineRows rows there: a drawn cross product
+// can bind millions, whose answer takes seconds to canonicalize in every
+// mode.
+func (s *engineStmt) oracleAnswer(t *testing.T, snap *ssd.Graph, vals map[string]ssd.Label) *ssd.Graph {
+	t.Helper()
+	sq, err := oracle.Subst(s.q, vals)
+	if err != nil {
+		t.Fatalf("oracle %q: %v", s.src, err)
+	}
+	if rows, err := oracle.Rows(sq, snap, maxEngineRows+1); err == nil && len(rows) > maxEngineRows {
+		return nil
+	}
+	want, err := oracle.Eval(s.q, snap, vals)
+	if err != nil {
+		t.Fatalf("oracle %q: %v", s.src, err)
+	}
+	return want
 }
 
 // maxEngineRows bounds the binding rows of a checked answer. No fixture

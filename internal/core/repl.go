@@ -43,22 +43,19 @@ func (db *Database) CommitSeq() uint64 { return db.replSeq.Load() }
 // advanceSeq moves the replication position forward by n and wakes every
 // waiter (read-your-writes reads, replication streams). The position is
 // advanced before the broadcast so a woken waiter always observes it.
-func (db *Database) advanceSeq(n uint64) {
-	obsCommitSeq.Set(int64(db.replSeq.Add(n)))
-	db.seqMu.Lock()
-	ch := db.seqCh
-	db.seqCh = nil
-	db.seqMu.Unlock()
-	if ch != nil {
-		close(ch)
-	}
-}
+func (db *Database) advanceSeq(n uint64) { db.wakeSeq(db.replSeq.Add(n)) }
 
 // setSeq rebinds the replication position outright — bootstrap installing a
 // leader snapshot — and wakes waiters the same way a commit would.
 func (db *Database) setSeq(seq uint64) {
-	obsCommitSeq.Set(int64(seq))
 	db.replSeq.Store(seq)
+	db.wakeSeq(seq)
+}
+
+// wakeSeq publishes seq, the position just stored, and closes the channel
+// SeqChanged last handed out.
+func (db *Database) wakeSeq(seq uint64) {
+	obsCommitSeq.Set(int64(seq))
 	db.seqMu.Lock()
 	ch := db.seqCh
 	db.seqCh = nil
@@ -68,10 +65,11 @@ func (db *Database) setSeq(seq uint64) {
 	}
 }
 
-// seqChanged returns a channel closed at the next commit. Callers must
+// SeqChanged returns a channel closed at the next commit — the broadcast
+// read-your-writes waits and replication streams park on. Callers must
 // re-check CommitSeq after acquiring it: the channel covers commits from
 // this call onward, not the one that may have just happened.
-func (db *Database) seqChanged() <-chan struct{} {
+func (db *Database) SeqChanged() <-chan struct{} {
 	db.seqMu.Lock()
 	defer db.seqMu.Unlock()
 	if db.seqCh == nil {
@@ -79,11 +77,6 @@ func (db *Database) seqChanged() <-chan struct{} {
 	}
 	return db.seqCh
 }
-
-// SeqChanged returns a channel closed at the next commit — the broadcast a
-// replication stream parks on between frames. Callers must re-check
-// CommitSeq after acquiring it.
-func (db *Database) SeqChanged() <-chan struct{} { return db.seqChanged() }
 
 // WaitForSeq blocks until the database's replication position reaches seq or
 // ctx ends — the read-your-writes primitive: a replica holds a tokened read
@@ -93,7 +86,7 @@ func (db *Database) WaitForSeq(ctx context.Context, seq uint64) error {
 		if db.CommitSeq() >= seq {
 			return nil
 		}
-		ch := db.seqChanged()
+		ch := db.SeqChanged()
 		if db.CommitSeq() >= seq { // re-check: a commit may have raced the subscribe
 			return nil
 		}

@@ -217,32 +217,6 @@ func (d *Guide) Eval(au *pathexpr.Automaton) []ssd.NodeID {
 	return out
 }
 
-// ExtentCursor is a pull-based iterator over the database nodes matched by a
-// path expression evaluated through the guide — the iterator form of Eval,
-// consumed by the query executor's dataguide-pruned access path.
-type ExtentCursor struct {
-	nodes []ssd.NodeID
-	i     int
-}
-
-// Cursor evaluates au over the guide and returns a cursor over the deduped,
-// sorted union of the accepting extents. The automaton runs over the (small)
-// guide eagerly — that is the point of the access path — but downstream
-// operators pull nodes one at a time.
-func (d *Guide) Cursor(au *pathexpr.Automaton) *ExtentCursor {
-	return &ExtentCursor{nodes: d.Eval(au)}
-}
-
-// Next yields the next matching database node, or ok=false at the end.
-func (c *ExtentCursor) Next() (ssd.NodeID, bool) {
-	if c.i >= len(c.nodes) {
-		return ssd.InvalidNode, false
-	}
-	n := c.nodes[c.i]
-	c.i++
-	return n, true
-}
-
 // Paths enumerates up to limit distinct label paths of length ≤ maxDepth
 // from the root — the browsing view a DataGuide gives a user who does not
 // know the schema (§1.3, §5 "schemas are useful for browsing").

@@ -57,28 +57,6 @@ func (ix *LabelIndex) Lookup(l ssd.Label) []EdgeRef { return ix.occ[l] }
 // statistic query planners use to order pattern atoms by selectivity.
 func (ix *LabelIndex) Count(l ssd.Label) int { return len(ix.occ[l]) }
 
-// Cursor is a pull-based posting-list cursor over the occurrences of one
-// label, produced by Seek. The zero value is an exhausted cursor. Cursors
-// are plain values: copying one forks the iteration position.
-type Cursor struct {
-	refs []EdgeRef
-	i    int
-}
-
-// Seek positions a cursor at the start of l's posting list. The cursor
-// shares the index's storage and allocates nothing.
-func (ix *LabelIndex) Seek(l ssd.Label) Cursor { return Cursor{refs: ix.occ[l]} }
-
-// Next yields the next occurrence, or ok=false when the list is exhausted.
-func (c *Cursor) Next() (EdgeRef, bool) {
-	if c.i >= len(c.refs) {
-		return EdgeRef{}, false
-	}
-	ref := c.refs[c.i]
-	c.i++
-	return ref, true
-}
-
 // TargetView is one label's postings sorted by (To, From): the order in
 // which backward verification asks "which edges with this label enter n?".
 type TargetView []EdgeRef
@@ -129,9 +107,6 @@ func (v TargetView) Into(n ssd.NodeID) []EdgeRef {
 	}
 	return v[lo:end]
 }
-
-// LookupSymbol returns occurrences of the symbol s.
-func (ix *LabelIndex) LookupSymbol(s string) []EdgeRef { return ix.occ[ssd.Sym(s)] }
 
 // Labels returns all indexed labels, sorted.
 func (ix *LabelIndex) Labels() []ssd.Label {

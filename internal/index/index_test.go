@@ -28,16 +28,16 @@ func testGraph(t *testing.T) *ssd.Graph {
 func TestLabelIndexLookup(t *testing.T) {
 	g := testGraph(t)
 	ix := BuildLabelIndex(g)
-	if got := ix.LookupSymbol("Movie"); len(got) != 2 {
+	if got := ix.Lookup(ssd.Sym("Movie")); len(got) != 2 {
 		t.Errorf("Movie occurrences = %d, want 2", len(got))
 	}
-	if got := ix.LookupSymbol("Title"); len(got) != 2 {
+	if got := ix.Lookup(ssd.Sym("Title")); len(got) != 2 {
 		t.Errorf("Title occurrences = %d, want 2", len(got))
 	}
 	if got := ix.Lookup(ssd.Int(1942)); len(got) != 1 {
 		t.Errorf("1942 occurrences = %d, want 1", len(got))
 	}
-	if got := ix.LookupSymbol("Nope"); got != nil {
+	if got := ix.Lookup(ssd.Sym("Nope")); got != nil {
 		t.Errorf("missing label = %v", got)
 	}
 	if ix.Len() == 0 {

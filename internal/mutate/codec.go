@@ -32,12 +32,12 @@ func EncodeBatch(b *Batch) []byte {
 		case OpAddNode:
 		case OpAddEdge, OpDeleteEdge:
 			buf = binary.AppendUvarint(buf, uint64(r.From))
-			buf = storage.AppendLabel(buf, r.Label)
+			buf = ssd.AppendLabel(buf, r.Label)
 			buf = binary.AppendUvarint(buf, uint64(r.To))
 		case OpRelabel:
 			buf = binary.AppendUvarint(buf, uint64(r.From))
-			buf = storage.AppendLabel(buf, r.Old)
-			buf = storage.AppendLabel(buf, r.Label)
+			buf = ssd.AppendLabel(buf, r.Old)
+			buf = ssd.AppendLabel(buf, r.Label)
 		case OpSetOID:
 			buf = binary.AppendUvarint(buf, uint64(r.From))
 			buf = binary.AppendUvarint(buf, uint64(len(r.OID)))

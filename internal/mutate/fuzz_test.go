@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/ssd"
-	"repro/internal/storage"
 )
 
 // FuzzDecodeBatch feeds arbitrary bytes to the batch decoder — the bytes a
@@ -130,7 +129,7 @@ func sameRecs(a, b []Rec) bool {
 		return false
 	}
 	enc := func(r Rec) string {
-		return string(storage.AppendLabel(storage.AppendLabel(nil, r.Label), r.Old))
+		return string(ssd.AppendLabel(ssd.AppendLabel(nil, r.Label), r.Old))
 	}
 	for i := range a {
 		x, y := a[i], b[i]

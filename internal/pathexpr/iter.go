@@ -24,14 +24,11 @@ type Traversal struct {
 	g  ssd.GraphStore
 
 	stack []prodItem
-	// planes[0] holds one bit per node already yielded; planes[d+1] one bit
-	// per node pushed in dstate d. A plane is allocated when its dstate is
-	// first reached and grown when the store has more nodes than it covers.
-	// dirty lists every word a run turned non-zero, so Reset clears what the
-	// run touched rather than what the graph holds; it never outgrows the
-	// planes themselves (a word is logged once per run).
-	planes [][]uint64
-	dirty  []dirtyWord
+	// planes[0] holds the nodes already yielded; planes[d+1] the nodes
+	// pushed in dstate d. A plane is added when its dstate is first reached;
+	// each clears in what the run marked (ssd.NodeSet), so Reset costs what
+	// the run touched rather than what the graph holds.
+	planes []ssd.NodeSet
 
 	// Cancellation: when ctx is non-nil, Next polls it (strided, so the
 	// common case stays one atomic-free comparison) and stops the run by
@@ -40,9 +37,6 @@ type Traversal struct {
 	ctxErr error
 	polls  uint32
 }
-
-// dirtyWord names planes[plane][word].
-type dirtyWord struct{ plane, word uint32 }
 
 // SetContext attaches a cancellation context to the traversal. A cancelled
 // context makes Next return ok=false within one pull; Err then reports the
@@ -90,47 +84,19 @@ func (t *Traversal) Retarget(g ssd.GraphStore) { t.g = g }
 // Reset rewinds the traversal to begin from start. Buffers are retained;
 // the cost is proportional to what the previous run visited.
 func (t *Traversal) Reset(start ssd.NodeID) {
-	for _, w := range t.dirty {
-		t.planes[w.plane][w.word] = 0
+	for i := range t.planes {
+		t.planes[i].Clear()
 	}
-	t.dirty = t.dirty[:0]
 	t.stack = t.stack[:0]
 	t.ctxErr = nil
 	t.push(start, t.au.dstart)
 }
 
-// mark sets node n's bit in a plane, reporting whether it was clear.
-func (t *Traversal) mark(plane int, n ssd.NodeID) bool {
-	w := int(n >> 6)
-	if plane >= len(t.planes) || w >= len(t.planes[plane]) {
-		t.grow(plane)
-	}
-	bits := t.planes[plane]
-	m := uint64(1) << (n & 63)
-	if bits[w]&m != 0 {
-		return false
-	}
-	if bits[w] == 0 {
-		t.dirty = append(t.dirty, dirtyWord{uint32(plane), uint32(w)})
-	}
-	bits[w] |= m
-	return true
-}
-
-// grow extends a plane to cover every node of the current store. Set bits
-// and their dirty entries stay valid: words only ever gain zeroed successors.
-func (t *Traversal) grow(plane int) {
-	for plane >= len(t.planes) {
-		t.planes = append(t.planes, nil)
-	}
-	bits := t.planes[plane]
-	if words := (t.g.NumNodes() + 63) >> 6; words > len(bits) {
-		t.planes[plane] = append(bits, make([]uint64, words-len(bits))...)
-	}
-}
-
 func (t *Traversal) push(n ssd.NodeID, d int) {
-	if t.mark(d+1, n) {
+	for d+1 >= len(t.planes) {
+		t.planes = append(t.planes, ssd.NodeSet{})
+	}
+	if t.planes[d+1].Add(n) {
 		t.stack = append(t.stack, prodItem{n, d})
 	}
 }
@@ -165,7 +131,7 @@ func (t *Traversal) Next() (ssd.NodeID, bool) {
 			}
 			t.push(e.To, nd)
 		}
-		if t.au.daccept[it.dstate] && t.mark(0, it.node) {
+		if t.au.daccept[it.dstate] && t.planes[0].Add(it.node) {
 			return it.node, true
 		}
 	}

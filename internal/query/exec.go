@@ -15,7 +15,7 @@ import (
 // planner/executor split. A Plan is interpreted as a left-deep nested-loop
 // join of its atoms; each atom is itself a pipeline of step cursors
 // (Volcano-style Next() operators) over the lower layers' iterator surfaces:
-// pathexpr.Traversal for regex steps, index posting cursors and DataGuide
+// pathexpr.Traversal for regex steps, index posting lists and DataGuide
 // extents for root-anchored scans, and plain edge slices for label-variable
 // steps. All variable bindings live in one flat slot array (regs) that the
 // operators overwrite in place — the hot path allocates nothing per binding,
@@ -97,10 +97,10 @@ func (p *Plan) exec(ctx context.Context, params []ssd.Label) *executor {
 }
 
 // reset rewinds a recycled executor for a fresh execution. Scratch state
-// that clears itself on reuse (generation-stamped dedup marks, traversal
-// bitmaps with their undo logs) or is invariant for the plan's graph
-// (materialized root-anchored scans) is deliberately kept; everything
-// run-scoped is cleared.
+// that clears itself on reuse (the node sets of dedup and traversals, each
+// cleared when its atom opens or its traversal resets) or is invariant for
+// the plan's graph (materialized root-anchored scans) is deliberately kept;
+// everything run-scoped is cleared.
 func (ex *executor) reset(ctx context.Context, params []ssd.Label) {
 	ex.ctx = ctx
 	ex.params = params
@@ -313,10 +313,9 @@ type atomState struct {
 
 	emitted bool // zero-step atoms yield their source exactly once
 
-	// Destination dedup (only when the atom binds no label/path variables),
-	// generation-stamped so open() is O(1).
-	seen    []uint32
-	seenGen uint32
+	// Destination dedup (only when the atom binds no label/path variables):
+	// the nodes yielded since the last open.
+	seen ssd.NodeSet
 }
 
 type stepCursor struct {
@@ -334,19 +333,11 @@ type stepCursor struct {
 func (as *atomState) open(ex *executor, src ssd.NodeID) {
 	as.src = src
 	as.emitted = false
-	as.seenGen++
-	if as.a.dedup && as.seen == nil {
-		as.seen = make([]uint32, ex.g.NumNodes())
-	}
+	as.seen.Clear()
 	switch as.a.access {
 	case AccessIndexSeek:
 		if !as.scanned {
-			cur := ex.p.opts.Label.Seek(as.a.seekLabel)
-			for {
-				ref, ok := cur.Next()
-				if !ok {
-					break
-				}
+			for _, ref := range ex.p.opts.Label.Lookup(as.a.seekLabel) {
 				if ex.p.reach[ref.From] {
 					as.scan = append(as.scan, ref.To)
 				}
@@ -362,14 +353,7 @@ func (as *atomState) open(ex *executor, src ssd.NodeID) {
 		as.si = 0
 	case AccessGuide:
 		if !as.scanned {
-			cur := ex.p.opts.Guide.Cursor(as.a.guideAu)
-			for {
-				n, ok := cur.Next()
-				if !ok {
-					break
-				}
-				as.scan = append(as.scan, n)
-			}
+			as.scan = ex.p.opts.Guide.Eval(as.a.guideAu)
 			as.scanned = true
 		}
 		as.si = 0
@@ -396,7 +380,7 @@ func (as *atomState) next(ex *executor) (ssd.NodeID, bool) {
 		for as.si < len(as.scan) {
 			dst := as.scan[as.si]
 			as.si++
-			if as.a.dedup && !as.mark(dst) {
+			if as.a.dedup && !as.seen.Add(dst) {
 				continue
 			}
 			return dst, true
@@ -424,22 +408,13 @@ func (as *atomState) next(ex *executor) (ssd.NodeID, bool) {
 			continue
 		}
 		as.level = i
-		if as.a.dedup && !as.mark(c.node) {
+		if as.a.dedup && !as.seen.Add(c.node) {
 			continue
 		}
 		return c.node, true
 	}
 	as.level = 0
 	return ssd.InvalidNode, false
-}
-
-// mark returns false if n was already yielded for the current source row.
-func (as *atomState) mark(n ssd.NodeID) bool {
-	if as.seen[n] == as.seenGen {
-		return false
-	}
-	as.seen[n] = as.seenGen
-	return true
 }
 
 func (c *stepCursor) seed(ex *executor, src ssd.NodeID) {
@@ -534,16 +509,10 @@ func (as *atomState) backwardScan(ex *executor) {
 	for i, l := range a.chain[:a.chainIdx] {
 		views[i] = ix.ByTarget(l)
 	}
-	cur := ix.Seek(a.chain[a.chainIdx])
-	for {
-		ref, ok := cur.Next()
-		if !ok {
-			return
+	for _, ref := range ix.Lookup(a.chain[a.chainIdx]) {
+		if ex.verifyBackward(views, ref.From) {
+			as.forwardSuffix(ex, ref.To, a.chain, a.chainIdx+1)
 		}
-		if !ex.verifyBackward(views, ref.From) {
-			continue
-		}
-		as.forwardSuffix(ex, ref.To, a.chain, a.chainIdx+1)
 	}
 }
 

@@ -11,3 +11,21 @@ var (
 	PlanFor     = planFor
 	AtomOrder   = atomOrder
 )
+
+// DedupAtoms reports, per planned atom, whether it deduplicates its
+// destinations.
+func DedupAtoms(p *Plan) []bool {
+	out := make([]bool, len(p.atoms))
+	for i, a := range p.atoms {
+		out[i] = a.dedup
+	}
+	return out
+}
+
+// IdleExecutor returns the executor p's next execution will reuse, or nil.
+func IdleExecutor(p *Plan) any {
+	if p.idleEx == nil {
+		return nil
+	}
+	return p.idleEx
+}

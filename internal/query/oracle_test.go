@@ -298,6 +298,63 @@ func TestParamStepDedupAndSubst(t *testing.T) {
 	}
 }
 
+// TestRecycledExecutorsMatchOracle: one pooled plan, run with parameter
+// values that alternate between matching nothing and matching, answers
+// every run as the reference evaluator does. Every run after the first
+// reuses the executor the previous one closed, with its dedup node sets and
+// traversals; the cases dedup a root atom and an atom opened once per outer
+// row.
+func TestRecycledExecutorsMatchOracle(t *testing.T) {
+	g := query.Fig1DB(t)
+	for _, c := range []struct {
+		src       string
+		miss, hit string // values of $k
+	}{
+		{`select {X: X} from DB.Entry.$k X`, "Nothing", "Movie"},
+		{`select {T: T} from DB.Entry.Movie M, M.$k T`, "Nothing", "Title"},
+	} {
+		q := query.MustParse(c.src)
+		p, err := query.NewPlan(q, g, query.PlanOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range query.DedupAtoms(p) {
+			if !d {
+				t.Fatalf("%q: atom %d does not dedup", c.src, i)
+			}
+		}
+		var ex any
+		for run := 0; run < 6; run++ {
+			k := c.miss
+			if run%2 == 1 {
+				k = c.hit
+			}
+			vals := map[string]ssd.Label{"k": ssd.Sym(k)}
+			want, err := oracle.Eval(q, g, vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k == c.hit && want.OutDegree(want.Root()) == 0 {
+				t.Fatalf("%q with $k=%s: the oracle answers nothing", c.src, k)
+			}
+			got, err := p.EvalGraphCtx(nil, vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gs, ws := ssd.FormatRoot(got), ssd.FormatRoot(want); gs != ws {
+				t.Fatalf("%q run %d ($k=%s):\n got: %s\nwant: %s", c.src, run, k, gs, ws)
+			}
+			if run == 0 {
+				if ex = query.IdleExecutor(p); ex == nil {
+					t.Fatalf("%q: the closed cursor left no executor to reuse", c.src)
+				}
+			} else if query.IdleExecutor(p) != ex {
+				t.Fatalf("%q run %d ran on a fresh executor", c.src, run)
+			}
+		}
+	}
+}
+
 // TestConcurrentNaiveSharedQuery: the naive evaluator compiles per-
 // evaluation automata, so concurrent oracle.Eval over one parsed query is
 // race-free too.

@@ -140,9 +140,9 @@ type Plan struct {
 	reach         []bool // reachability from root; built only for index access
 
 	// idleEx is the executor released by the last closed cursor, reused by
-	// the next execution. Executors carry large per-graph scratch arrays
-	// (traversal visited/emitted bitmaps, dedup stamps, materialized
-	// scans), so a pooled plan serving many executions pays for them once.
+	// the next execution. Executors carry per-graph scratch (the node sets
+	// of traversals and dedup, materialized scans), so a pooled plan
+	// serving many executions pays for them once.
 	// Plans are single-owner between checkout and checkin, which is what
 	// makes the single cached slot safe; an unclosed cursor simply leaves
 	// the slot empty and the next execution allocates fresh.

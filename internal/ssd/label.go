@@ -12,6 +12,7 @@
 package ssd
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -87,6 +88,27 @@ func Bool(v bool) Label {
 
 // OID returns an object-identity label. OIDs are only testable for equality.
 func OID(id string) Label { return Label{kind: KindOID, s: id} }
+
+// AppendLabel appends l's byte encoding to buf: the kind byte, then a
+// uvarint length and the bytes of a symbol, string or oid, a zig-zag varint
+// for an int, the 8 little-endian IEEE 754 bytes of a float, or 00/01 for a
+// bool. It is the one label encoding: the on-disk formats (snapshots, page
+// files, the WAL) write it, and bisimulation signatures are built from it.
+func AppendLabel(buf []byte, l Label) []byte {
+	buf = append(buf, byte(l.kind))
+	switch l.kind {
+	case KindSymbol, KindString, KindOID:
+		buf = binary.AppendUvarint(buf, uint64(len(l.s)))
+		return append(buf, l.s...)
+	case KindInt:
+		return binary.AppendVarint(buf, l.n)
+	case KindFloat:
+		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(l.f))
+	case KindBool:
+		return append(buf, byte(l.n))
+	}
+	return buf
+}
 
 // Kind reports which variant of the union the label holds.
 func (l Label) Kind() Kind { return l.kind }

@@ -45,7 +45,7 @@ func Encode(g *ssd.Graph) []byte {
 		es := g.Out(ssd.NodeID(v))
 		buf = binary.AppendUvarint(buf, uint64(len(es)))
 		for _, e := range es {
-			buf = AppendLabel(buf, e.Label)
+			buf = ssd.AppendLabel(buf, e.Label)
 			buf = binary.AppendUvarint(buf, uint64(e.To))
 		}
 	}
@@ -201,44 +201,7 @@ func ReadFile(path string) (*ssd.Graph, error) {
 	return Decode(data)
 }
 
-// AppendLabel appends the codec's label encoding — kind byte plus payload —
-// to buf. It is exported so other on-disk formats (the mutation WAL) share
-// one wire representation of labels.
-func AppendLabel(buf []byte, l ssd.Label) []byte {
-	buf = append(buf, byte(l.Kind()))
-	switch l.Kind() {
-	case ssd.KindSymbol:
-		s, _ := l.Symbol()
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
-	case ssd.KindString:
-		s, _ := l.Text()
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
-	case ssd.KindOID:
-		s, _ := l.OIDVal()
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
-	case ssd.KindInt:
-		v, _ := l.IntVal()
-		buf = binary.AppendVarint(buf, v)
-	case ssd.KindFloat:
-		f, _ := l.FloatVal()
-		var tmp [8]byte
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(f))
-		buf = append(buf, tmp[:]...)
-	case ssd.KindBool:
-		b, _ := l.BoolVal()
-		if b {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	return buf
-}
-
-// ReadLabel decodes one AppendLabel-encoded label starting at data[pos],
+// ReadLabel decodes one ssd.AppendLabel-encoded label starting at data[pos],
 // returning the label and the position just past it.
 func ReadLabel(data []byte, pos int) (ssd.Label, int, error) {
 	r := &reader{data: data, pos: pos}
@@ -274,7 +237,7 @@ type reader struct {
 var errNonMinimal = errors.New("storage: non-minimal varint")
 
 // errBoolByte rejects a bool label whose payload byte is neither 0 nor 1,
-// for the same reason: AppendLabel writes only those two.
+// for the same reason: ssd.AppendLabel writes only those two.
 var errBoolByte = errors.New("storage: bool label byte is neither 0 nor 1")
 
 func (r *reader) uvarint() (uint64, error) {

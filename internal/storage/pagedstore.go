@@ -3,7 +3,7 @@ package storage
 // The real out-of-core page store: the promotion of this package's old
 // Touch()-counter simulation into an actual on-disk layout served through
 // an actual buffer pool. A page file derives from the same record wire
-// format as the snapshot codec's graph section (AppendLabel and uvarints),
+// format as the snapshot codec's graph section (ssd.AppendLabel and uvarints),
 // re-packed into fixed-size pages in DFS cluster order so parent and child
 // records usually share a page — §4's clustering argument, now load-bearing
 // instead of simulated.
@@ -22,7 +22,7 @@ package storage
 // Each run starts with a 12-byte header (dataLen u32 | nrec u16 |
 // reserved u16 | crc u32 over the record data) followed by nrec records:
 //
-//	node uvarint | degree uvarint | per edge: label (AppendLabel) + to uvarint
+//	node uvarint | degree uvarint | per edge: label (ssd.AppendLabel) + to uvarint
 //
 // Runs are laid out in clustering order, so a DFS scan reads the file
 // near-sequentially. The directory maps every node to its run's first
@@ -201,7 +201,7 @@ func appendNodeRecord(buf []byte, g *ssd.Graph, n ssd.NodeID) []byte {
 	es := g.Out(n)
 	buf = binary.AppendUvarint(buf, uint64(len(es)))
 	for _, e := range es {
-		buf = AppendLabel(buf, e.Label)
+		buf = ssd.AppendLabel(buf, e.Label)
 		buf = binary.AppendUvarint(buf, uint64(e.To))
 	}
 	return buf

@@ -101,7 +101,7 @@ func TestCodecRoundTripMutated(t *testing.T) {
 }
 
 // TestLabelCodecRoundTrip pins the exported label codec helpers the WAL
-// reuses: every kind round-trips through AppendLabel/ReadLabel.
+// reuses: every kind round-trips through ssd.AppendLabel/ReadLabel.
 func TestLabelCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	labels := []ssd.Label{
@@ -113,7 +113,7 @@ func TestLabelCodecRoundTrip(t *testing.T) {
 	}
 	var buf []byte
 	for _, l := range labels {
-		buf = AppendLabel(buf, l)
+		buf = ssd.AppendLabel(buf, l)
 	}
 	pos := 0
 	for i, want := range labels {

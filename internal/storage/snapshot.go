@@ -149,7 +149,7 @@ func encodeLabelIndex(ix *index.LabelIndex) []byte {
 	var buf []byte
 	buf = binary.AppendUvarint(buf, uint64(len(ps)))
 	for _, p := range ps {
-		buf = AppendLabel(buf, p.Label)
+		buf = ssd.AppendLabel(buf, p.Label)
 		buf = binary.AppendUvarint(buf, uint64(len(p.Refs)))
 		for _, r := range p.Refs {
 			buf = binary.AppendUvarint(buf, uint64(r.From))
@@ -164,7 +164,7 @@ func encodeValueIndex(ix *index.ValueIndex) []byte {
 	var buf []byte
 	buf = binary.AppendUvarint(buf, uint64(len(es)))
 	for _, e := range es {
-		buf = AppendLabel(buf, e.Label)
+		buf = ssd.AppendLabel(buf, e.Label)
 		buf = binary.AppendUvarint(buf, uint64(e.Ref.From))
 		buf = binary.AppendUvarint(buf, uint64(e.Ref.To))
 	}
@@ -180,7 +180,7 @@ func encodeStats(st *stats.Stats) []byte {
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(d.Labels)))
 	for _, lc := range d.Labels {
-		buf = AppendLabel(buf, lc.Label)
+		buf = ssd.AppendLabel(buf, lc.Label)
 		buf = binary.AppendUvarint(buf, uint64(lc.Count))
 		buf = binary.AppendUvarint(buf, uint64(lc.Sources))
 	}

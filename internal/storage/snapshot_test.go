@@ -228,7 +228,7 @@ func encodeRefcountStats(g *ssd.Graph, withDsts bool) []byte {
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(d.Labels)))
 	for _, lc := range d.Labels {
-		buf = AppendLabel(buf, lc.Label)
+		buf = ssd.AppendLabel(buf, lc.Label)
 		buf = binary.AppendUvarint(buf, uint64(lc.Count))
 		buf = appendCounts(buf, srcs[lc.Label])
 		if withDsts {
@@ -360,7 +360,7 @@ func TestSnapshotStatsCorruption(t *testing.T) {
 		"zero refcount":            func(p []byte) []byte { p[len(p)-1] = 0; return p },
 		"refcount sum below count": func(p []byte) []byte {
 			// actor: count 2, one source with refs 2 → refs 1
-			at := AppendLabel(nil, ssd.Sym("actor"))
+			at := ssd.AppendLabel(nil, ssd.Sym("actor"))
 			i := bytes.Index(p, at) + len(at)
 			if i < len(at) || !bytes.Equal(p[i:i+2], []byte{2, 1}) || p[i+3] != 2 {
 				t.Fatalf("actor record not (count 2, one source, refs 2): % x", p[i:i+4])

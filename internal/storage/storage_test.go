@@ -127,7 +127,7 @@ func TestNonMinimalVarintsRejected(t *testing.T) {
 		}
 	}
 	for _, v := range []int64{0, -1, 63, -64, 64, math.MinInt64, math.MaxInt64} {
-		data := AppendLabel(nil, ssd.Int(v))
+		data := ssd.AppendLabel(nil, ssd.Int(v))
 		if got, n, err := ReadLabel(data, 0); err != nil || got != ssd.Int(v) || n != len(data) {
 			t.Errorf("ReadLabel(% x) = %s, %d, %v", data, got, n, err)
 		}
