@@ -557,6 +557,33 @@ func BenchmarkBisimIncremental(b *testing.B) {
 	})
 }
 
+// BenchmarkCanonicalize times canonical answers on Movies(20000): exec is a
+// statement whose answer copies every entry (Stmt.Exec drains the rows and
+// canonicalizes the result), canonicalize is bisim.Canonicalize of the
+// database itself.
+func BenchmarkCanonicalize(b *testing.B) {
+	g := movieDB(20000)
+	b.Run("exec", func(b *testing.B) {
+		s, err := core.FromGraph(g).Prepare(`select {E: E} from DB.Entry E`)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Exec(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("canonicalize", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			bisim.Canonicalize(g)
+		}
+	})
+}
+
 func chainGraph(n int) *ssd.Graph {
 	g := ssd.New()
 	cur := g.Root()

@@ -42,7 +42,7 @@ type report struct {
 func main() {
 	baseline := flag.String("baseline", "", "baseline benchjson document (required)")
 	current := flag.String("current", "", "current benchjson document (required)")
-	match := flag.String("match", "BenchmarkPlannedVsNaive,BenchmarkInstrumentationOverhead,BenchmarkPagedVsInMemory,BenchmarkStatsMaintenance",
+	match := flag.String("match", "BenchmarkPlannedVsNaive,BenchmarkInstrumentationOverhead,BenchmarkPagedVsInMemory,BenchmarkStatsMaintenance,BenchmarkCanonicalize,BenchmarkBisim",
 		"comma-separated benchmark name prefixes to gate")
 	threshold := flag.Float64("threshold", 0.15, "allowed fractional ns/op regression")
 	warn := flag.Bool("warn", false, "report regressions but exit 0 (for cross-machine baselines)")

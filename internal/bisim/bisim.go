@@ -7,9 +7,11 @@
 package bisim
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/ssd"
 )
@@ -40,41 +42,90 @@ type sigPair struct {
 // bisimulation agrees with Label.Equal's numeric overloading.
 func canonical(l ssd.Label) ssd.Label {
 	if f, ok := l.FloatVal(); ok {
-		if f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
-			i := int64(f)
-			if float64(i) == f {
-				return ssd.Int(i)
-			}
+		if f == math.Trunc(f) && f >= math.MinInt64 && f < math.MaxInt64 {
+			return ssd.Int(int64(f))
 		}
 	}
 	return l
 }
 
-// signature serializes the successor (label, class) set of v under the
-// current partition into buf. Reuses buf and pairs to avoid allocation.
-func signature(g *ssd.Graph, v ssd.NodeID, cls []int, buf []byte, pairs []sigPair) ([]byte, []sigPair) {
+// successors returns v's successor (label, class) set, sorted by label and
+// class, duplicates removed. A successor t's class is cls[t], or cls[of[t]]
+// when of is non-nil. It reuses pairs.
+func successors(g *ssd.Graph, v ssd.NodeID, cls, of []int, pairs []sigPair) []sigPair {
 	pairs = pairs[:0]
 	for _, e := range g.Out(v) {
-		pairs = append(pairs, sigPair{canonical(e.Label), cls[e.To]})
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if c := pairs[i].label.Compare(pairs[j].label); c != 0 {
-			return c < 0
+		t := int(e.To)
+		if of != nil {
+			t = of[t]
 		}
-		return pairs[i].class < pairs[j].class
+		pairs = append(pairs, sigPair{canonical(e.Label), cls[t]})
+	}
+	slices.SortFunc(pairs, func(a, b sigPair) int {
+		if c := a.label.Compare(b.label); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.class, b.class)
 	})
-	buf = buf[:0]
-	prev := sigPair{class: -1}
-	for _, p := range pairs {
-		if p == prev {
-			continue // set semantics: duplicate edges are one edge
-		}
-		prev = p
-		buf = ssd.AppendLabel(buf, p.label)
-		buf = binary.AppendUvarint(buf, uint64(p.class))
-	}
-	return buf, pairs
+	return slices.Compact(pairs) // set semantics: duplicate edges are one edge
 }
+
+// signer is the one way this package turns nodes into classes: it signs
+// nodes into a reused byte arena, sorts them by those bytes, and reads
+// classes off the runs of equal bytes.
+type signer struct {
+	g     *ssd.Graph
+	arena []byte
+	pairs []sigPair
+	nodes []signed
+}
+
+// signed locates one node's entry in the arena: the caller's prefix at
+// [lo, sig), the node's signature at [sig, hi).
+type signed struct {
+	v           ssd.NodeID
+	lo, sig, hi int
+}
+
+func (s *signer) reset() {
+	s.arena = s.arena[:0]
+	s.nodes = s.nodes[:0]
+}
+
+// sign appends v's entry: the prefix uvarint(key) and flag, then the
+// successor (label, class) set under cls and of (see successors).
+func (s *signer) sign(v ssd.NodeID, key int, flag byte, cls, of []int) {
+	lo := len(s.arena)
+	s.arena = binary.AppendUvarint(s.arena, uint64(key))
+	s.arena = append(s.arena, flag)
+	sig := len(s.arena)
+	s.pairs = successors(s.g, v, cls, of, s.pairs)
+	for _, p := range s.pairs {
+		s.arena = ssd.AppendLabel(s.arena, p.label)
+		s.arena = binary.AppendUvarint(s.arena, uint64(p.class))
+	}
+	s.nodes = append(s.nodes, signed{v, lo, sig, len(s.arena)})
+}
+
+// sort orders the signed nodes by their entry bytes.
+func (s *signer) sort() {
+	slices.SortFunc(s.nodes, func(a, b signed) int {
+		return bytes.Compare(s.arena[a.lo:a.hi], s.arena[b.lo:b.hi])
+	})
+}
+
+// run returns the end of the run of equal entries that starts at i.
+func (s *signer) run(i int) int {
+	e := s.arena[s.nodes[i].lo:s.nodes[i].hi]
+	j := i + 1
+	for j < len(s.nodes) && bytes.Equal(e, s.arena[s.nodes[j].lo:s.nodes[j].hi]) {
+		j++
+	}
+	return j
+}
+
+// signature returns the signature bytes of entry i.
+func (s *signer) signature(i int) []byte { return s.arena[s.nodes[i].sig:s.nodes[i].hi] }
 
 func refine(g *ssd.Graph, incremental bool) []int {
 	n := g.NumNodes()
@@ -86,138 +137,107 @@ func refine(g *ssd.Graph, incremental bool) []int {
 	if incremental {
 		rev = g.Reverse()
 	}
-
-	dirty := make([]int, 0, n)
+	// Per class: its member count, and the signature its clean members
+	// carry. Invariant: all clean members of a class share one signature.
+	size := []int{n}
+	sig := [][]byte{nil}
+	dirty := make([]int, n)
 	inDirty := make([]bool, n)
-	for v := 0; v < n; v++ {
-		dirty = append(dirty, v)
+	for v := range dirty {
+		dirty[v] = v
 		inDirty[v] = true
 	}
-	nextClass := 1
-	var buf []byte
-	var pairs []sigPair
-
+	s := signer{g: g, nodes: make([]signed, 0, n)}
+	changed := make([]int, 0, n)
 	for len(dirty) > 0 {
-		// Group this round's dirty nodes by their current class, and find a
-		// clean representative plus total membership for each touched class.
-		byClass := make(map[int][]int)
+		// Sign the dirty nodes prefixed by their class, so each class's
+		// dirty members form one group of runs of equal signatures.
+		s.reset()
 		for _, v := range dirty {
-			byClass[cls[v]] = append(byClass[cls[v]], v)
-		}
-		cleanRep := make(map[int]int)
-		classSize := make(map[int]int, len(byClass))
-		for v := 0; v < n; v++ {
-			c := cls[v]
-			if _, touched := byClass[c]; !touched {
-				continue
-			}
-			classSize[c]++
-			if !inDirty[v] {
-				if _, have := cleanRep[c]; !have {
-					cleanRep[c] = v
-				}
-			}
-		}
-		for _, v := range dirty {
+			s.sign(ssd.NodeID(v), cls[v], 0, cls, nil)
 			inDirty[v] = false
 		}
-
-		var changed []int
-		for c, members := range byClass {
-			// Partition the dirty members of class c by signature. The
-			// bucket matching the class's established signature keeps c;
-			// every other bucket becomes a fresh class. Invariant: all clean
-			// members of a class share one signature, so any clean node
-			// serves as the reference.
-			table := make(map[string][]int, len(members))
-			for _, v := range members {
-				buf, pairs = signature(g, ssd.NodeID(v), cls, buf, pairs)
-				table[string(buf)] = append(table[string(buf)], v)
+		s.sort()
+		changed = changed[:0]
+		for i := 0; i < len(s.nodes); {
+			c := cls[s.nodes[i].v]
+			end := i + 1
+			for end < len(s.nodes) && cls[s.nodes[end].v] == c {
+				end++
 			}
-			var keepKey string
-			if rep, ok := cleanRep[c]; ok && classSize[c] > len(members) {
-				buf, pairs = signature(g, ssd.NodeID(rep), cls, buf, pairs)
-				keepKey = string(buf)
-			} else {
-				// Whole class dirty: the largest bucket keeps the number
-				// (any choice is sound; largest minimizes churn). Tie-break
-				// by key for determinism.
-				best := -1
-				keys := sortedKeys(table)
-				for _, k := range keys {
-					if len(table[k]) > best {
-						best, keepKey = len(table[k]), k
+			// The run carrying the clean members' signature keeps c. With
+			// no clean member, the largest run keeps it (any choice is
+			// sound; largest minimizes churn; the first in byte order on a
+			// tie). Every other run becomes a fresh class.
+			keep, best, clean := -1, 0, size[c] > end-i
+			for a := i; a < end; {
+				b := s.run(a)
+				if clean && bytes.Equal(s.signature(a), sig[c]) || !clean && b-a > best {
+					keep, best = a, b-a
+				}
+				a = b
+			}
+			if !clean {
+				sig[c] = append(sig[c][:0], s.signature(keep)...)
+			}
+			for a := i; a < end; {
+				b := s.run(a)
+				if a != keep {
+					id := len(size)
+					size[c] -= b - a
+					size = append(size, b-a)
+					sig = append(sig, append([]byte(nil), s.signature(a)...))
+					for _, e := range s.nodes[a:b] {
+						cls[e.v] = id
+						changed = append(changed, int(e.v))
 					}
 				}
+				a = b
 			}
-			for _, k := range sortedKeys(table) {
-				if k == keepKey {
-					continue
-				}
-				id := nextClass
-				nextClass++
-				for _, v := range table[k] {
-					cls[v] = id
-					changed = append(changed, v)
-				}
-			}
+			i = end
 		}
-
+		if !incremental {
+			// Naive: re-sign every node until a round changes nothing.
+			if len(changed) == 0 {
+				break
+			}
+			continue
+		}
 		// Nodes whose successors changed class must be re-signed next round.
 		dirty = dirty[:0]
-		if incremental {
-			for _, v := range changed {
-				for _, e := range rev[v] {
-					p := int(e.To)
-					if !inDirty[p] {
-						inDirty[p] = true
-						dirty = append(dirty, p)
-					}
+		for _, v := range changed {
+			for _, e := range rev[v] {
+				if p := int(e.To); !inDirty[p] {
+					inDirty[p] = true
+					dirty = append(dirty, p)
 				}
 			}
-		} else if len(changed) > 0 {
-			for v := 0; v < n; v++ {
-				dirty = append(dirty, v)
-				inDirty[v] = true
-			}
 		}
 	}
-	return normalize(cls)
+	return normalize(cls, len(size))
 }
 
-func sortedKeys(m map[string][]int) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-// normalize renumbers classes to 0..k-1 in order of first appearance, so
-// outputs are comparable across algorithms.
-func normalize(cls []int) []int {
-	seen := make(map[int]int)
+// normalize renumbers classes in [0, k) to 0..k'-1 in order of first
+// appearance, so outputs are comparable across algorithms.
+func normalize(cls []int, k int) []int {
+	id := make([]int, k)
+	next := 0
 	for i, c := range cls {
-		id, ok := seen[c]
-		if !ok {
-			id = len(seen)
-			seen[c] = id
+		if id[c] == 0 {
+			next++
+			id[c] = next
 		}
-		cls[i] = id
+		cls[i] = id[c] - 1
 	}
 	return cls
 }
 
 // NumClasses returns the number of distinct classes in a normalized result.
 func NumClasses(cls []int) int {
-	max := -1
-	for _, c := range cls {
-		if c > max {
-			max = c
-		}
+	if len(cls) == 0 {
+		return 0
 	}
-	return max + 1
+	return slices.Max(cls) + 1
 }
 
 // Bisimilar reports whether the values rooted at (g1, n1) and (g2, n2) are
@@ -227,9 +247,10 @@ func Bisimilar(g1 *ssd.Graph, n1 ssd.NodeID, g2 *ssd.Graph, n2 ssd.NodeID) bool 
 		cls := Classes(g1)
 		return cls[n1] == cls[n2]
 	}
-	comb, off := combine(g1, g2)
+	comb := g1.Clone()
+	m2 := comb.Graft(g2, n2)
 	cls := Classes(comb)
-	return cls[n1] == cls[off+n2]
+	return cls[n1] == cls[m2]
 }
 
 // Equal reports whether two rooted graphs denote the same value.
@@ -237,111 +258,66 @@ func Equal(g1, g2 *ssd.Graph) bool {
 	return Bisimilar(g1, g1.Root(), g2, g2.Root())
 }
 
-// combine copies g2 into a clone of g1, returning the combined graph and the
-// NodeID offset applied to g2's nodes.
-func combine(g1, g2 *ssd.Graph) (*ssd.Graph, ssd.NodeID) {
-	comb := g1.Clone()
-	off := ssd.NodeID(comb.NumNodes())
-	comb.AddNodes(g2.NumNodes())
-	for v := 0; v < g2.NumNodes(); v++ {
-		for _, e := range g2.Out(ssd.NodeID(v)) {
-			comb.AddEdge(off+ssd.NodeID(v), e.Label, off+e.To)
-		}
-	}
-	return comb, off
-}
-
-// Minimize returns the bisimulation quotient of the part of g accessible
-// from the root: the smallest graph (up to isomorphism) with the same value.
-// Duplicate edges are removed.
-func Minimize(g *ssd.Graph) *ssd.Graph {
-	acc, _ := g.Accessible()
-	cls := Classes(acc)
-	k := NumClasses(cls)
-	out := ssd.NewWithCapacity(k)
-	rootCls := cls[acc.Root()]
-	nodeOf := make([]ssd.NodeID, k)
-	nodeOf[rootCls] = out.Root()
-	for c := 0; c < k; c++ {
-		if c != rootCls {
-			nodeOf[c] = out.AddNode()
-		}
-	}
-	for v := 0; v < acc.NumNodes(); v++ {
-		for _, e := range acc.Out(ssd.NodeID(v)) {
-			out.AddEdge(nodeOf[cls[v]], canonical(e.Label), nodeOf[cls[e.To]])
-		}
-	}
-	out.Dedup()
-	return out
-}
-
 // Canonicalize returns the canonical representative of g's value: the
-// bisimulation quotient of the accessible part (Minimize), renumbered so
+// bisimulation quotient of the part accessible from the root, numbered so
 // that node IDs — and therefore Format output and edge order — depend only
 // on the value, never on construction order. Two graphs are value-equal iff
 // their canonicalizations are byte-identical under ssd.FormatRoot.
+// Duplicate edges are removed.
 //
-// The renumbering is iterated signature refinement with class ids assigned
-// in signature sort order: on a minimized graph every pair of nodes is
-// non-bisimilar, so refinement terminates with one structurally determined
-// rank per node.
+// One accessible member of each class stands for its quotient node. The
+// numbering is iterated signature refinement over those representatives,
+// each prefixed by its current rank and a root-class flag, with ranks
+// assigned in byte order of the entries: quotient nodes are pairwise
+// non-bisimilar, so refinement ends with one structurally determined rank
+// per node.
 func Canonicalize(g *ssd.Graph) *ssd.Graph {
-	m := Minimize(g)
-	n := m.NumNodes()
-	cls := make([]int, n)
-	k := 1
-	var buf []byte
-	var pairs []sigPair
-	for {
-		sigs := make([]string, n)
-		var own []byte
-		for v := 0; v < n; v++ {
-			own = own[:0]
-			own = binary.AppendUvarint(own, uint64(cls[v]))
-			if ssd.NodeID(v) == m.Root() {
-				own = append(own, 1)
-			} else {
-				own = append(own, 0)
+	if g.NumNodes() == 0 {
+		return ssd.New()
+	}
+	of := Classes(g)
+	seen := make([]bool, NumClasses(of))
+	var reps []ssd.NodeID
+	for v, ok := range ssd.ReachableFrom(g, g.Root()) {
+		if c := of[v]; ok && !seen[c] {
+			seen[c] = true
+			reps = append(reps, ssd.NodeID(v))
+		}
+	}
+	rootCls := of[g.Root()]
+	rank := make([]int, len(seen)) // by class
+	s := signer{g: g, nodes: make([]signed, 0, len(reps))}
+	for k := 1; ; {
+		s.reset()
+		for _, r := range reps {
+			var flag byte
+			if of[r] == rootCls {
+				flag = 1
 			}
-			buf, pairs = signature(m, ssd.NodeID(v), cls, buf, pairs)
-			sigs[v] = string(own) + string(buf)
+			s.sign(r, rank[of[r]], flag, rank, of)
 		}
-		uniq := append([]string(nil), sigs...)
-		sort.Strings(uniq)
-		w := 0
-		for i, s := range uniq {
-			if i == 0 || s != uniq[w-1] {
-				uniq[w] = s
-				w++
+		s.sort()
+		next := 0
+		for i := 0; i < len(s.nodes); next++ {
+			j := s.run(i)
+			for _, e := range s.nodes[i:j] {
+				rank[of[e.v]] = next
 			}
+			i = j
 		}
-		uniq = uniq[:w]
-		id := make(map[string]int, len(uniq))
-		for i, s := range uniq {
-			id[s] = i
-		}
-		for v := range cls {
-			cls[v] = id[sigs[v]]
-		}
-		if len(uniq) == k {
+		if next == k {
 			break
 		}
-		k = len(uniq)
+		k = next
 	}
-	out := ssd.New()
-	if n == 0 {
-		return out
-	}
-	if n > 1 {
-		out.AddNodes(n - 1)
-	}
-	for v := 0; v < n; v++ {
-		for _, e := range m.Out(ssd.NodeID(v)) {
-			out.AddEdge(ssd.NodeID(cls[v]), e.Label, ssd.NodeID(cls[e.To]))
+	out := ssd.NewWithCapacity(len(reps))
+	out.AddNodes(len(reps) - 1)
+	for _, r := range reps {
+		s.pairs = successors(g, r, rank, of, s.pairs)
+		for _, p := range s.pairs {
+			out.AddEdge(ssd.NodeID(rank[of[r]]), p.label, ssd.NodeID(p.class))
 		}
 	}
-	out.SetRoot(ssd.NodeID(cls[m.Root()]))
-	out.SortEdges()
+	out.SetRoot(ssd.NodeID(rank[rootCls]))
 	return out
 }

@@ -42,6 +42,22 @@ func TestEqualBasics(t *testing.T) {
 	}
 }
 
+// TestEqualIntsBeyond2to53 checks that edge order does not decide equality
+// when two ints round to the same float.
+func TestEqualIntsBeyond2to53(t *testing.T) {
+	a := parse(t, `{x: {9007199254740993, 9007199254740992}}`)
+	b := parse(t, `{x: {9007199254740992, 9007199254740993}}`)
+	if !Equal(a, b) {
+		t.Error("the same set of ints in another order is not Equal")
+	}
+	if fa, fb := ssd.FormatRoot(Canonicalize(a)), ssd.FormatRoot(Canonicalize(b)); fa != fb {
+		t.Errorf("canonical forms differ:\n a: %s\n b: %s", fa, fb)
+	}
+	if Equal(parse(t, `{9007199254740993}`), parse(t, `{9007199254740992.0}`)) {
+		t.Error("2⁵³+1 is Equal to the float 2⁵³")
+	}
+}
+
 func TestEqualCycles(t *testing.T) {
 	// An infinite unary a-chain equals a self-loop: classic bisimulation.
 	loop := parse(t, `#r{a: #r}`)
@@ -138,31 +154,31 @@ func TestMinimize(t *testing.T) {
 	g := parse(t, `{a: {v: 1}, b: {v: 1}, c: {v: 1}}`)
 	// v-subtrees are all bisimilar but a, b, c edges differ: quotient keeps
 	// 3 root edges into one shared class.
-	m := Minimize(g)
+	m := Canonicalize(g)
 	if got := m.NumNodes(); got != 4 { // root, shared {v:...}, shared leaf of v→1, shared {} leaf
 		t.Fatalf("minimized nodes = %d, want 4 (got %s)", got, ssd.FormatRoot(m))
 	}
 	if !Equal(g, m) {
-		t.Error("Minimize changed the value")
+		t.Error("Canonicalize changed the value")
 	}
 }
 
 func TestMinimizeCycle(t *testing.T) {
 	g := parse(t, `#r{a: {a: {a: #r}}}`)
-	m := Minimize(g)
+	m := Canonicalize(g)
 	if m.NumNodes() != 1 || m.NumEdges() != 1 {
 		t.Fatalf("cycle should minimize to a self-loop, got %d nodes %d edges", m.NumNodes(), m.NumEdges())
 	}
 	if !Equal(g, m) {
-		t.Error("Minimize changed the value")
+		t.Error("Canonicalize changed the value")
 	}
 }
 
 func TestMinimizeIdempotentProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 20, 40)
-		m := Minimize(g)
-		m2 := Minimize(m)
+		m := Canonicalize(g)
+		m2 := Canonicalize(m)
 		return m.NumNodes() == m2.NumNodes() && m.NumEdges() == m2.NumEdges() && Equal(m, g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

@@ -430,6 +430,26 @@ func TestSavePathThenOpenPath(t *testing.T) {
 	}
 }
 
+// TestReopenIntsBeyond2to53 saves two ints that a float would round to one
+// value and opens the directory again: the statistics section must decode
+// the label order its own encoder wrote.
+func TestReopenIntsBeyond2to53(t *testing.T) {
+	src, err := ParseText(`{a: 9007199254740992, a: 9007199254740993}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	must(t, src.SavePath(dir))
+	db, err := OpenPath(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.CloseWAL()
+	if got, want := canonDB(db), canonDB(src); got != want {
+		t.Fatalf("reopened state differs:\nwant %s\ngot  %s", want, got)
+	}
+}
+
 // TestOpenPathExclusiveLock pins single-process ownership: a second open
 // of a held directory must fail (two writers would interleave WAL frames
 // and truncate each other's commits), and closing releases the lock.

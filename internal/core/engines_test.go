@@ -222,8 +222,10 @@ func (s *engineStmt) oracleAnswer(t *testing.T, snap *ssd.Graph, vals map[string
 }
 
 // maxEngineRows bounds the binding rows of a checked answer. No fixture
-// comes near it.
-const maxEngineRows = 1000
+// comes near it; the corpus's kept cross product (fe9d1cf9f247af49) binds
+// 31–51k rows per snapshot and stays skipped, since checking it would take
+// about 10 s.
+const maxEngineRows = 10000
 
 // seedBytes encodes a PRNG seed as FuzzEngines' seed argument. The seed is
 // bytes, not an integer, because the fuzzer mutates an integer only by

@@ -80,6 +80,33 @@ func TestStmtQueryParams(t *testing.T) {
 	}
 }
 
+// TestStmtCompareIntWithFloat: a where clause compares an int datum with a
+// float literal by value, so 1 >= 1.0 and 1 <= 1.0 hold and 1 < 1.0 does not.
+func TestStmtCompareIntWithFloat(t *testing.T) {
+	db, err := ParseText(`{a: 1}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for op, want := range map[string]int{"<": 0, "<=": 1, ">": 0, ">=": 1, "=": 1, "!=": 0} {
+		s, err := db.Prepare(`select X from DB.a X where X ` + op + ` 1.0`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := s.Query(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for rows.Next() {
+			n++
+		}
+		rows.Close()
+		if n != want {
+			t.Errorf("X %s 1.0 over {a: 1}: %d rows, want %d", op, n, want)
+		}
+	}
+}
+
 // TestStmtRowsStreaming: the Rows cursor yields the nodes the equivalent
 // path statement matches, and Scan reads typed columns.
 func TestStmtRowsStreaming(t *testing.T) {

@@ -96,7 +96,7 @@ func TestValueIndexCompareAgainstScan(t *testing.T) {
 	g := testGraph(t)
 	ix := BuildValueIndex(g)
 	ops := []pathexpr.CmpOp{pathexpr.OpLT, pathexpr.OpLE, pathexpr.OpGT, pathexpr.OpGE, pathexpr.OpEQ, pathexpr.OpNE}
-	rhss := []ssd.Label{ssd.Int(1942), ssd.Float(8.5), ssd.Str("Annie Hall"), ssd.Int(0), ssd.Int(99999999)}
+	rhss := []ssd.Label{ssd.Int(1942), ssd.Float(1942), ssd.Float(8.5), ssd.Str("Annie Hall"), ssd.Int(0), ssd.Int(99999999)}
 	for _, op := range ops {
 		for _, rhs := range rhss {
 			pred := pathexpr.CmpPred{Op: op, Rhs: rhs}

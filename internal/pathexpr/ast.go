@@ -188,9 +188,9 @@ func (op CmpOp) String() string {
 }
 
 // Apply evaluates `a op b` with the language's comparison semantics:
-// numerics compare numerically across int/float; strings and symbols
-// compare lexicographically within their kind; all other cross-kind
-// comparisons are false (except !=, which is true when = is false).
+// numerics compare by value across int/float; strings and symbols compare
+// lexicographically within their kind; all other cross-kind comparisons are
+// false (except !=, which is true when = is false).
 func (op CmpOp) Apply(a, b ssd.Label) bool {
 	switch op {
 	case OpEQ:
@@ -202,6 +202,9 @@ func (op CmpOp) Apply(a, b ssd.Label) bool {
 		return false
 	}
 	c := a.Compare(b)
+	if a.Kind() != b.Kind() && a.Equal(b) {
+		c = 0 // 1 and 1.0: the values tie, whatever Compare's kind tie-break says
+	}
 	switch op {
 	case OpLT:
 		return c < 0

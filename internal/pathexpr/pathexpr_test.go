@@ -284,6 +284,32 @@ func TestCmpOps(t *testing.T) {
 	}
 }
 
+// TestCmpOpsAcrossNumericKinds: ordered comparisons between an int and a
+// float compare values only, so a numerically equal pair is <= and >= but
+// neither < nor >, in either order.
+func TestCmpOpsAcrossNumericKinds(t *testing.T) {
+	const p53 = 1 << 53
+	ops := []CmpOp{OpLT, OpLE, OpGT, OpGE, OpEQ, OpNE}
+	cases := []struct {
+		a, b ssd.Label
+		want [6]bool // <, <=, >, >=, =, !=
+	}{
+		{ssd.Int(1), ssd.Float(1), [6]bool{false, true, false, true, true, false}},
+		{ssd.Float(1), ssd.Int(1), [6]bool{false, true, false, true, true, false}},
+		{ssd.Int(1), ssd.Float(1.5), [6]bool{true, true, false, false, false, true}},
+		{ssd.Float(0.5), ssd.Int(1), [6]bool{true, true, false, false, false, true}},
+		{ssd.Int(p53 + 1), ssd.Float(p53), [6]bool{false, false, true, true, false, true}},
+		{ssd.Float(p53), ssd.Int(p53), [6]bool{false, true, false, true, true, false}},
+	}
+	for _, c := range cases {
+		for i, op := range ops {
+			if got := op.Apply(c.a, c.b); got != c.want[i] {
+				t.Errorf("%v %s %v = %v, want %v", c.a, op, c.b, got, c.want[i])
+			}
+		}
+	}
+}
+
 // Property: Eval and EvalNFA agree on random graphs and a fixed expression
 // battery.
 func TestEvalAgreementProperty(t *testing.T) {

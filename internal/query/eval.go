@@ -77,14 +77,10 @@ func NewResult(q *Query, src ssd.GraphStore) *Result {
 // Add merges the select template instantiated under env into the answer.
 func (r *Result) Add(env Env) error { return instantiate(r.g, r.g.Root(), r.sel, env, r.src, r.graft) }
 
-// Graph returns the answer deduplicated and canonicalized — Canonicalize,
-// not just Minimize: node numbering and edge order become value-determined,
-// so producers that enumerate rows in different orders still yield
-// byte-identical output. The Result must not be added to afterwards.
-func (r *Result) Graph() *ssd.Graph {
-	r.g.Dedup()
-	return bisim.Canonicalize(r.g)
-}
+// Graph returns the answer canonicalized: duplicate edges removed, and node
+// numbering and edge order value-determined, so producers that enumerate
+// rows in different orders still yield byte-identical output.
+func (r *Result) Graph() *ssd.Graph { return bisim.Canonicalize(r.g) }
 
 // instantiate adds the instantiation of template t under env as edges of
 // `at` in res. Union semantics: every tuple's instantiation merges into the

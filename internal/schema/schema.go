@@ -301,7 +301,7 @@ func Infer(data *ssd.Graph) *Schema {
 		}
 	}
 	gen.SetRoot(data.Root())
-	return New(bisim.Minimize(gen))
+	return New(bisim.Canonicalize(gen))
 }
 
 func generalize(l ssd.Label) ssd.Label {

@@ -12,6 +12,7 @@
 package ssd
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -152,64 +153,69 @@ func (l Label) Numeric() (float64, bool) {
 }
 
 // Equal reports label equality. Ints and floats compare across kinds when
-// numerically equal (the paper's languages overload comparisons on base
-// types); all other cross-kind comparisons are false.
+// numerically equal, exactly (the paper's languages overload comparisons on
+// base types); all other cross-kind comparisons are false.
 func (l Label) Equal(m Label) bool {
 	if l.kind == m.kind {
 		return l == m
 	}
-	lf, lok := l.Numeric()
-	mf, mok := m.Numeric()
-	return lok && mok && lf == mf
+	return l.isNumeric() && m.isNumeric() && cmpNumeric(l, m) == 0
 }
 
 // Compare orders labels: first by kind (symbol < string < int < float < bool
-// < oid), then by payload, except that ints and floats compare numerically
-// with each other. It returns -1, 0, or +1.
+// < oid), then by payload, except that ints and floats compare by exact
+// numeric value with each other (NaN below every number). It is a total
+// order and returns -1, 0, or +1.
 func (l Label) Compare(m Label) int {
-	lf, lok := l.Numeric()
-	mf, mok := m.Numeric()
-	if lok && mok {
-		switch {
-		case lf < mf:
-			return -1
-		case lf > mf:
-			return 1
+	if l.isNumeric() && m.isNumeric() {
+		if c := cmpNumeric(l, m); c != 0 {
+			return c
 		}
 		// Numerically equal: break ties by kind so Compare is a total order
 		// consistent with map-key identity.
-		return cmpKind(l.kind, m.kind)
+		return cmp.Compare(l.kind, m.kind)
 	}
-	if c := cmpKind(l.kind, m.kind); c != 0 {
+	if c := cmp.Compare(l.kind, m.kind); c != 0 {
 		return c
 	}
 	switch l.kind {
 	case KindSymbol, KindString, KindOID:
 		return strings.Compare(l.s, m.s)
 	case KindBool:
-		return cmpInt64(l.n, m.n)
+		return cmp.Compare(l.n, m.n)
 	}
 	return 0
 }
 
-func cmpKind(a, b Kind) int {
+func (l Label) isNumeric() bool { return l.kind == KindInt || l.kind == KindFloat }
+
+// cmpNumeric compares the values of two numeric labels exactly: an int is
+// never rounded to a float.
+func cmpNumeric(l, m Label) int {
 	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
+	case l.kind == KindInt && m.kind == KindInt:
+		return cmp.Compare(l.n, m.n)
+	case l.kind == KindFloat && m.kind == KindFloat:
+		return cmp.Compare(l.f, m.f)
+	case l.kind == KindInt:
+		return cmpIntFloat(l.n, m.f)
 	}
-	return 0
+	return -cmpIntFloat(m.n, l.f)
 }
 
-func cmpInt64(a, b int64) int {
+// cmpIntFloat compares i with f exactly; NaN orders below every number.
+func cmpIntFloat(i int64, f float64) int {
 	switch {
-	case a < b:
-		return -1
-	case a > b:
+	case math.IsNaN(f) || f < -1<<63:
 		return 1
+	case f >= 1<<63:
+		return -1
 	}
-	return 0
+	t := math.Trunc(f) // in int64 range, so int64(t) is exact
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmp.Compare(t, f) // i == t: f's fraction decides
 }
 
 // Less reports whether l orders strictly before m under Compare.

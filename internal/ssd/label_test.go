@@ -119,6 +119,47 @@ func TestLabelCompareNumeric(t *testing.T) {
 	}
 }
 
+// TestLabelCompareExactBeyond2to53 pins that ints are never rounded to
+// floats: distinct ints beyond 2⁵³ are ordered, and an int and a float are
+// compared by their exact values.
+func TestLabelCompareExactBeyond2to53(t *testing.T) {
+	const p53 = 1 << 53
+	cases := []struct {
+		a, b Label
+		want int
+	}{
+		{Int(p53), Int(p53 + 1), -1},
+		{Int(p53 + 1), Int(p53), 1},
+		{Int(p53 - 1), Int(p53), -1},
+		{Int(p53 + 1), Float(p53), 1},
+		{Float(p53), Int(p53 + 1), -1},
+		{Int(p53 - 1), Float(p53), -1},
+		{Int(p53), Float(p53), -1}, // numerically equal: kind breaks the tie
+		{Int(math.MaxInt64), Float(1 << 63), -1},
+		{Float(1 << 63), Int(math.MaxInt64), 1},
+		{Int(math.MinInt64), Float(-1 << 63), -1},
+		{Int(math.MinInt64), Int(math.MinInt64 + 1), -1},
+		{Int(math.MinInt64), Float(math.Inf(-1)), 1},
+		{Int(math.MaxInt64), Float(math.Inf(1)), -1},
+		{Int(-3), Float(-2.5), -1},
+		{Int(-2), Float(-2.5), 1},
+	}
+	for _, c := range cases {
+		if got := c.a.Compare(c.b); got != c.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+	if Int(p53 + 1).Equal(Float(p53)) {
+		t.Error("Int(2⁵³+1) equals Float(2⁵³)")
+	}
+	if Int(math.MaxInt64).Equal(Float(1 << 63)) {
+		t.Error("Int(MaxInt64) equals Float(2⁶³)")
+	}
+	if !Int(math.MinInt64).Equal(Float(-1<<63)) || !Float(p53).Equal(Int(p53)) {
+		t.Error("numerically equal int and float must be Equal")
+	}
+}
+
 func TestLabelSortStable(t *testing.T) {
 	ls := []Label{Int(3), Sym("z"), Str("a"), Int(1), Sym("a"), Float(2.5)}
 	sort.Slice(ls, func(i, j int) bool { return ls[i].Less(ls[j]) })
@@ -183,8 +224,9 @@ func TestIsDataIsSymbol(t *testing.T) {
 	}
 }
 
-// Property: Compare is consistent with Equal for same-kind labels, and
-// cross-kind numeric equality implies Compare breaks the tie by kind only.
+// Property: Compare is consistent with Equal for same-kind labels; an int
+// equals the float nearest to it exactly when that float is the int, and
+// then Compare breaks the tie by kind only.
 func TestCompareEqualConsistency(t *testing.T) {
 	f := func(a, b int64) bool {
 		ia, ib := Int(a), Int(b)
@@ -192,10 +234,11 @@ func TestCompareEqualConsistency(t *testing.T) {
 			return false
 		}
 		fa := Float(float64(a))
-		if !ia.Equal(fa) {
+		exact := float64(a) < 1<<63 && int64(float64(a)) == a
+		if ia.Equal(fa) != exact {
 			return false
 		}
-		return true
+		return !exact || ia.Compare(fa) == -1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
