@@ -23,14 +23,14 @@ import (
 // The result maps every NodeID to a class number in [0, k); equal numbers
 // mean bisimilar nodes.
 func Classes(g *ssd.Graph) []int {
-	return refine(g, true)
+	return refine(g, true, &signer{g: g})
 }
 
 // ClassesNaive is the textbook refinement that re-signs every node every
 // round — O(rounds × m) with rounds up to n. It is the baseline for
 // experiment E11; results are identical to Classes.
 func ClassesNaive(g *ssd.Graph) []int {
-	return refine(g, false)
+	return refine(g, false, &signer{g: g})
 }
 
 type sigPair struct {
@@ -127,16 +127,18 @@ func (s *signer) run(i int) int {
 // signature returns the signature bytes of entry i.
 func (s *signer) signature(i int) []byte { return s.arena[s.nodes[i].sig:s.nodes[i].hi] }
 
-func refine(g *ssd.Graph, incremental bool) []int {
+// refine computes g's classes with s. It sizes s's arena for a round that
+// signs every node, so s can sign g's nodes again afterwards without
+// growing.
+func refine(g *ssd.Graph, incremental bool, s *signer) []int {
 	n := g.NumNodes()
 	cls := make([]int, n)
 	if n == 0 {
 		return cls
 	}
-	var rev [][]ssd.Edge
-	if incremental {
-		rev = g.Reverse()
-	}
+	off, preds, bound := scan(g, incremental)
+	s.arena = make([]byte, 0, bound)
+	s.nodes = make([]signed, 0, n)
 	// Per class: its member count, and the signature its clean members
 	// carry. Invariant: all clean members of a class share one signature.
 	size := []int{n}
@@ -147,7 +149,6 @@ func refine(g *ssd.Graph, incremental bool) []int {
 		dirty[v] = v
 		inDirty[v] = true
 	}
-	s := signer{g: g, nodes: make([]signed, 0, n)}
 	changed := make([]int, 0, n)
 	for len(dirty) > 0 {
 		// Sign the dirty nodes prefixed by their class, so each class's
@@ -206,15 +207,55 @@ func refine(g *ssd.Graph, incremental bool) []int {
 		// Nodes whose successors changed class must be re-signed next round.
 		dirty = dirty[:0]
 		for _, v := range changed {
-			for _, e := range rev[v] {
-				if p := int(e.To); !inDirty[p] {
+			for _, p := range preds[off[v]:off[v+1]] {
+				if !inDirty[p] {
 					inDirty[p] = true
-					dirty = append(dirty, p)
+					dirty = append(dirty, int(p))
 				}
 			}
 		}
 	}
 	return normalize(cls, len(size))
+}
+
+// scan makes one pass over g's edges to bound the bytes a round that signs
+// every node appends to a signer's arena: per node a key and a flag, per
+// edge a label and a class, where keys and classes are below n and
+// canonical may turn a 9-byte float into an int of up to 11 bytes. With
+// csr set, a second pass lists every node's predecessor ids: v's are
+// preds[off[v]:off[v+1]], in edge order.
+func scan(g *ssd.Graph, csr bool) (off []int32, preds []ssd.NodeID, bound int) {
+	n := g.NumNodes()
+	if csr {
+		off = make([]int32, n+1)
+	}
+	w := len(binary.AppendUvarint(nil, uint64(n)))
+	bound = n * (w + 1)
+	var enc []byte
+	for v := range n {
+		for _, e := range g.Out(ssd.NodeID(v)) {
+			enc = ssd.AppendLabel(enc[:0], e.Label)
+			bound += len(enc) + 2 + w
+			if csr {
+				off[e.To+1]++
+			}
+		}
+	}
+	if !csr {
+		return nil, nil, bound
+	}
+	for v := range n {
+		off[v+1] += off[v]
+	}
+	preds = make([]ssd.NodeID, off[n])
+	next := slices.Clone(off[:n])
+	for v := range n {
+		for _, e := range g.Out(ssd.NodeID(v)) {
+			preds[next[e.To]] = ssd.NodeID(v)
+			next[e.To]++
+		}
+	}
+	return off, preds, bound
 }
 
 // normalize renumbers classes in [0, k) to 0..k'-1 in order of first
@@ -275,7 +316,10 @@ func Canonicalize(g *ssd.Graph) *ssd.Graph {
 	if g.NumNodes() == 0 {
 		return ssd.New()
 	}
-	of := Classes(g)
+	// refine sizes s for signing every node, so the representatives'
+	// rounds below reuse its arena without growing it.
+	s := signer{g: g}
+	of := refine(g, true, &s)
 	seen := make([]bool, NumClasses(of))
 	var reps []ssd.NodeID
 	for v, ok := range ssd.ReachableFrom(g, g.Root()) {
@@ -286,7 +330,6 @@ func Canonicalize(g *ssd.Graph) *ssd.Graph {
 	}
 	rootCls := of[g.Root()]
 	rank := make([]int, len(seen)) // by class
-	s := signer{g: g, nodes: make([]signed, 0, len(reps))}
 	for k := 1; ; {
 		s.reset()
 		for _, r := range reps {

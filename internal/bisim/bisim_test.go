@@ -1,7 +1,9 @@
 package bisim
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -133,6 +135,37 @@ func TestClassesRandomAgree(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestArenaSizedForEveryNode pins refine's arena bound: after refine, a
+// round that signs every node with the widest keys and classes, the flag
+// set, and floats that canonical turns into 11-byte ints, fits in the arena
+// without growing it.
+func TestArenaSizedForEveryNode(t *testing.T) {
+	g := ssd.New()
+	for i := 0; i < 300; i++ {
+		g.AddNode()
+	}
+	labels := []ssd.Label{ssd.Float(-1 << 63), ssd.Float(-9.2e18), ssd.Float(0.5),
+		ssd.Str(strings.Repeat("x", 200)), ssd.Sym("a"), ssd.Int(math.MinInt64), ssd.Bool(true)}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		g.AddEdge(ssd.NodeID(rng.Intn(g.NumNodes())), labels[rng.Intn(len(labels))], ssd.NodeID(rng.Intn(g.NumNodes())))
+	}
+	s := signer{g: g}
+	refine(g, true, &s)
+	before := cap(s.arena)
+	widest := make([]int, g.NumNodes()) // distinct classes, all as wide as n-1
+	for v := range widest {
+		widest[v] = len(widest) - 1 - v/2
+	}
+	s.reset()
+	for v := range g.NumNodes() {
+		s.sign(ssd.NodeID(v), len(widest)-1, 1, widest, nil)
+	}
+	if _, _, bound := scan(g, false); len(s.arena) > bound || cap(s.arena) != before {
+		t.Fatalf("round used %d bytes of a %d-byte bound; arena capacity %d → %d", len(s.arena), bound, before, cap(s.arena))
 	}
 }
 

@@ -49,8 +49,8 @@ func BuildLabelIndex(g ssd.GraphStore) *LabelIndex {
 }
 
 // Lookup returns the occurrences of exactly l (no numeric overloading: the
-// index is keyed on label identity; callers wanting 2 == 2.0 should probe
-// both labels).
+// index is keyed on label identity, which is encoding identity; callers
+// wanting 2 == 2.0, or -0.0 == 0.0, should probe every such label).
 func (ix *LabelIndex) Lookup(l ssd.Label) []EdgeRef { return ix.occ[l] }
 
 // Count returns the number of occurrences of exactly l — the per-label

@@ -33,6 +33,17 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 		f.Add(EncodeBatch(b))
 	}
+	// +0 and then -0 in one batch: distinct labels that must each re-encode
+	// as themselves.
+	b, err := ParseScript(`addnode; addedge 0 0.0 $0; addedge 0 -0.0 $0`, g)
+	if err != nil {
+		f.Fatal(err)
+	}
+	zeros := EncodeBatch(b)
+	if !bytes.Contains(zeros, []byte{byte(ssd.KindFloat), 0, 0, 0, 0, 0, 0, 0, 0x80}) {
+		f.Fatalf("the signed-zero seed % x holds no -0", zeros)
+	}
+	f.Add(zeros)
 	want := canon(g)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -5,6 +5,7 @@ package query_test
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -57,6 +58,56 @@ func TestEnginesAgree(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEnginesAgreeSignedZero: 0, 0.0 and -0.0 are three distinct labels
+// (handle identity is encoding identity) that compare equal, so the planned
+// engine, under every planner input, must find all three for X = 0.0 and
+// X = 0 exactly as the reference evaluator does.
+func TestEnginesAgreeSignedZero(t *testing.T) {
+	g := ssd.New()
+	for i, l := range []ssd.Label{ssd.Int(0), ssd.Float(0), ssd.Float(math.Copysign(0, -1)), ssd.Int(1)} {
+		x, v := g.AddNode(), g.AddNode()
+		g.AddEdge(g.Root(), ssd.Sym("a"), x)
+		g.AddEdge(g.Root(), l, x)
+		g.AddEdge(x, l, v)
+		// Keep the four values apart under bisimulation.
+		g.AddEdge(v, ssd.Int(int64(i)), g.AddNode())
+	}
+	ix := index.BuildLabelIndex(g)
+	guide := dataguide.MustBuild(g)
+	variants := map[string]query.PlanOptions{
+		"bare":        {},
+		"index":       {Label: ix},
+		"guide":       {Guide: guide},
+		"index+guide": {Label: ix, Guide: guide},
+		"stats":       {Label: ix, Stats: stats.Build(g)},
+	}
+	for _, src := range []string{
+		`select X from DB.a X where X = 0.0`,
+		`select X from DB.a X where X = 0`,
+		`select X from DB.a X where X = -0.0`,
+		`select {L: %L} from DB.%L X where %L = 0.0`,
+		`select X from DB.a X where X < 0.5`,
+	} {
+		q := query.MustParse(src)
+		want, err := oracle.Eval(q, g, nil)
+		if err != nil {
+			t.Fatalf("oracle %q: %v", src, err)
+		}
+		if want.NumEdges() == 0 {
+			t.Fatalf("%q: the oracle finds nothing", src)
+		}
+		for vn, po := range variants {
+			got, err := query.EvalPlanned(q, g, po, nil)
+			if err != nil {
+				t.Fatalf("%q planned/%s: %v", src, vn, err)
+			}
+			if gs, ws := ssd.FormatRoot(got), ssd.FormatRoot(want); gs != ws {
+				t.Errorf("%q planned/%s:\n got: %s\nwant: %s", src, vn, gs, ws)
+			}
+		}
 	}
 }
 

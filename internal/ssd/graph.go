@@ -176,8 +176,8 @@ func (g *Graph) NodeByOID(id string) NodeID {
 func (g *Graph) SortEdges() {
 	for _, es := range g.out {
 		sort.Slice(es, func(i, j int) bool {
-			if c := es[i].Label.Compare(es[j].Label); c != 0 {
-				return c < 0
+			if es[i].Label != es[j].Label {
+				return es[i].Label.Less(es[j].Label)
 			}
 			return es[i].To < es[j].To
 		})

@@ -18,6 +18,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unique"
 )
 
 // Kind discriminates the variants of the Label tagged union.
@@ -57,26 +58,58 @@ func (k Kind) String() string {
 	}
 }
 
-// Label is the tagged union of edge-label types. The zero value is the
-// symbol "". Labels are comparable and can be used as map keys.
-type Label struct {
+// Label is the tagged union of edge-label types, held as a canonical
+// handle: every label is made through unique.Make, so two labels with the
+// same payload share one handle, a Label is one pointer wide, and == and map
+// hashing compare that pointer. The table's entries are held weakly: a label
+// no graph, index or query holds any more is collected. The zero value is
+// the symbol "".
+//
+// Handle identity is encoding identity: two labels are == exactly when
+// their AppendLabel bytes are equal. Floats are therefore held by their
+// bits, so -0 and +0, and NaNs with different payloads, are distinct
+// handles; Equal and Compare still compare them numerically.
+type Label struct{ h unique.Handle[labelVal] }
+
+// labelVal is a label's payload: the kind, and a symbol, string or oid in
+// s, an int (a bool as 0/1) or a float's IEEE 754 bits in n.
+type labelVal struct {
 	kind Kind
-	s    string // symbol, string, or oid payload
-	n    int64  // int payload; bool stored as 0/1
-	f    float64
+	s    string
+	n    int64
 }
 
+// mk returns the handle of v; the zero payload, Sym(""), is the zero handle.
+func mk(v labelVal) Label {
+	if v == (labelVal{}) {
+		return Label{}
+	}
+	return Label{unique.Make(v)}
+}
+
+// val returns l's payload.
+func (l Label) val() labelVal {
+	if l == (Label{}) {
+		return labelVal{}
+	}
+	return l.h.Value()
+}
+
+func (v labelVal) float() float64 { return math.Float64frombits(uint64(v.n)) }
+
 // Sym returns a symbol label (an attribute/class name such as Movie).
-func Sym(s string) Label { return Label{kind: KindSymbol, s: s} }
+func Sym(s string) Label { return mk(labelVal{kind: KindSymbol, s: s}) }
 
 // Str returns a string data label.
-func Str(s string) Label { return Label{kind: KindString, s: s} }
+func Str(s string) Label { return mk(labelVal{kind: KindString, s: s}) }
 
 // Int returns an integer data label.
-func Int(v int64) Label { return Label{kind: KindInt, n: v} }
+func Int(v int64) Label { return mk(labelVal{kind: KindInt, n: v}) }
 
 // Float returns a floating-point data label.
-func Float(v float64) Label { return Label{kind: KindFloat, f: v} }
+func Float(v float64) Label {
+	return mk(labelVal{kind: KindFloat, n: int64(math.Float64bits(v))})
+}
 
 // Bool returns a boolean data label.
 func Bool(v bool) Label {
@@ -84,11 +117,11 @@ func Bool(v bool) Label {
 	if v {
 		n = 1
 	}
-	return Label{kind: KindBool, n: n}
+	return mk(labelVal{kind: KindBool, n: n})
 }
 
 // OID returns an object-identity label. OIDs are only testable for equality.
-func OID(id string) Label { return Label{kind: KindOID, s: id} }
+func OID(id string) Label { return mk(labelVal{kind: KindOID, s: id}) }
 
 // AppendLabel appends l's byte encoding to buf: the kind byte, then a
 // uvarint length and the bytes of a symbol, string or oid, a zig-zag varint
@@ -96,111 +129,131 @@ func OID(id string) Label { return Label{kind: KindOID, s: id} }
 // bool. It is the one label encoding: the on-disk formats (snapshots, page
 // files, the WAL) write it, and bisimulation signatures are built from it.
 func AppendLabel(buf []byte, l Label) []byte {
-	buf = append(buf, byte(l.kind))
-	switch l.kind {
+	v := l.val()
+	buf = append(buf, byte(v.kind))
+	switch v.kind {
 	case KindSymbol, KindString, KindOID:
-		buf = binary.AppendUvarint(buf, uint64(len(l.s)))
-		return append(buf, l.s...)
+		buf = binary.AppendUvarint(buf, uint64(len(v.s)))
+		return append(buf, v.s...)
 	case KindInt:
-		return binary.AppendVarint(buf, l.n)
+		return binary.AppendVarint(buf, v.n)
 	case KindFloat:
-		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(l.f))
+		return binary.LittleEndian.AppendUint64(buf, uint64(v.n))
 	case KindBool:
-		return append(buf, byte(l.n))
+		return append(buf, byte(v.n))
 	}
 	return buf
 }
 
 // Kind reports which variant of the union the label holds.
-func (l Label) Kind() Kind { return l.kind }
+func (l Label) Kind() Kind { return l.val().kind }
 
 // IsSymbol reports whether the label is a symbol (attribute name).
-func (l Label) IsSymbol() bool { return l.kind == KindSymbol }
+func (l Label) IsSymbol() bool { return l.Kind() == KindSymbol }
 
 // IsData reports whether the label carries base data (anything but a symbol
 // or an oid).
 func (l Label) IsData() bool {
-	return l.kind == KindString || l.kind == KindInt || l.kind == KindFloat || l.kind == KindBool
+	k := l.Kind()
+	return k == KindString || k == KindInt || k == KindFloat || k == KindBool
 }
 
 // Symbol returns the symbol payload; ok is false if the label is not a symbol.
-func (l Label) Symbol() (s string, ok bool) { return l.s, l.kind == KindSymbol }
+func (l Label) Symbol() (s string, ok bool) { v := l.val(); return v.s, v.kind == KindSymbol }
 
 // Text returns the string payload; ok is false if the label is not a string.
-func (l Label) Text() (s string, ok bool) { return l.s, l.kind == KindString }
+func (l Label) Text() (s string, ok bool) { v := l.val(); return v.s, v.kind == KindString }
 
 // IntVal returns the integer payload; ok is false if the label is not an int.
-func (l Label) IntVal() (v int64, ok bool) { return l.n, l.kind == KindInt }
+func (l Label) IntVal() (n int64, ok bool) { v := l.val(); return v.n, v.kind == KindInt }
 
 // FloatVal returns the float payload; ok is false if the label is not a float.
-func (l Label) FloatVal() (v float64, ok bool) { return l.f, l.kind == KindFloat }
+func (l Label) FloatVal() (f float64, ok bool) {
+	v := l.val()
+	if v.kind != KindFloat {
+		return 0, false
+	}
+	return v.float(), true
+}
 
 // BoolVal returns the boolean payload; ok is false if the label is not a bool.
-func (l Label) BoolVal() (v bool, ok bool) { return l.n != 0, l.kind == KindBool }
+func (l Label) BoolVal() (b bool, ok bool) { v := l.val(); return v.n != 0, v.kind == KindBool }
 
 // OIDVal returns the oid payload; ok is false if the label is not an oid.
-func (l Label) OIDVal() (id string, ok bool) { return l.s, l.kind == KindOID }
+func (l Label) OIDVal() (id string, ok bool) { v := l.val(); return v.s, v.kind == KindOID }
 
 // Numeric returns the label's value as a float64 if it is an int or float.
 func (l Label) Numeric() (float64, bool) {
-	switch l.kind {
+	v := l.val()
+	switch v.kind {
 	case KindInt:
-		return float64(l.n), true
+		return float64(v.n), true
 	case KindFloat:
-		return l.f, true
+		return v.float(), true
 	}
 	return 0, false
 }
 
 // Equal reports label equality. Ints and floats compare across kinds when
 // numerically equal, exactly (the paper's languages overload comparisons on
-// base types); all other cross-kind comparisons are false.
+// base types); all other cross-kind comparisons are false. Floats compare
+// as numbers, so -0 equals +0 and NaN equals nothing, although both pairs
+// are distinct handles under ==.
 func (l Label) Equal(m Label) bool {
-	if l.kind == m.kind {
+	a, b := l.val(), m.val()
+	switch {
+	case a.kind == KindFloat && b.kind == KindFloat:
+		return a.float() == b.float()
+	case a.kind == b.kind:
 		return l == m
 	}
-	return l.isNumeric() && m.isNumeric() && cmpNumeric(l, m) == 0
+	return a.isNumeric() && b.isNumeric() && cmpNumeric(a, b) == 0
 }
 
 // Compare orders labels: first by kind (symbol < string < int < float < bool
 // < oid), then by payload, except that ints and floats compare by exact
-// numeric value with each other (NaN below every number). It is a total
-// order and returns -1, 0, or +1.
+// numeric value with each other (NaN below every number). It returns -1,
+// 0, or +1, and 0 only for identical labels, -0 and +0, or two NaNs; Less
+// breaks those last ties.
 func (l Label) Compare(m Label) int {
-	if l.isNumeric() && m.isNumeric() {
-		if c := cmpNumeric(l, m); c != 0 {
+	if l == m {
+		return 0
+	}
+	a, b := l.val(), m.val()
+	if a.isNumeric() && b.isNumeric() {
+		if c := cmpNumeric(a, b); c != 0 {
 			return c
 		}
-		// Numerically equal: break ties by kind so Compare is a total order
-		// consistent with map-key identity.
-		return cmp.Compare(l.kind, m.kind)
+		// Numerically equal: break ties by kind so an int and a float
+		// never tie.
+		return cmp.Compare(a.kind, b.kind)
 	}
-	if c := cmp.Compare(l.kind, m.kind); c != 0 {
+	if c := cmp.Compare(a.kind, b.kind); c != 0 {
 		return c
 	}
-	switch l.kind {
+	switch a.kind {
 	case KindSymbol, KindString, KindOID:
-		return strings.Compare(l.s, m.s)
+		return strings.Compare(a.s, b.s)
 	case KindBool:
-		return cmp.Compare(l.n, m.n)
+		return cmp.Compare(a.n, b.n)
 	}
 	return 0
 }
 
-func (l Label) isNumeric() bool { return l.kind == KindInt || l.kind == KindFloat }
+func (v labelVal) isNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
 
 // cmpNumeric compares the values of two numeric labels exactly: an int is
 // never rounded to a float.
-func cmpNumeric(l, m Label) int {
+func cmpNumeric(a, b labelVal) int {
 	switch {
-	case l.kind == KindInt && m.kind == KindInt:
-		return cmp.Compare(l.n, m.n)
-	case l.kind == KindFloat && m.kind == KindFloat:
-		return cmp.Compare(l.f, m.f)
-	case l.kind == KindInt:
-		return cmpIntFloat(l.n, m.f)
+	case a.kind == KindInt && b.kind == KindInt:
+		return cmp.Compare(a.n, b.n)
+	case a.kind == KindFloat && b.kind == KindFloat:
+		return cmp.Compare(a.float(), b.float())
+	case a.kind == KindInt:
+		return cmpIntFloat(a.n, b.float())
 	}
-	return -cmpIntFloat(m.n, l.f)
+	return -cmpIntFloat(b.n, a.float())
 }
 
 // cmpIntFloat compares i with f exactly; NaN orders below every number.
@@ -218,30 +271,39 @@ func cmpIntFloat(i int64, f float64) int {
 	return cmp.Compare(t, f) // i == t: f's fraction decides
 }
 
-// Less reports whether l orders strictly before m under Compare.
-func (l Label) Less(m Label) bool { return l.Compare(m) < 0 }
+// Less is the sort order of labels: Compare, with the ties Compare leaves
+// between distinct labels (-0 and +0, NaNs with different payloads) broken
+// by the floats' bits. Only identical labels tie, so a sort by Less does not
+// depend on input order.
+func (l Label) Less(m Label) bool {
+	if c := l.Compare(m); c != 0 || l == m {
+		return c < 0
+	}
+	return l.val().n < m.val().n
+}
 
 // String renders the label in the package's text syntax: symbols bare,
 // strings quoted, oids as &id, and numerics/booleans as literals.
 func (l Label) String() string {
-	switch l.kind {
+	v := l.val()
+	switch v.kind {
 	case KindSymbol:
-		return l.s
+		return v.s
 	case KindString:
-		return strconv.Quote(l.s)
+		return strconv.Quote(v.s)
 	case KindInt:
-		return strconv.FormatInt(l.n, 10)
+		return strconv.FormatInt(v.n, 10)
 	case KindFloat:
-		return formatFloat(l.f)
+		return formatFloat(v.float())
 	case KindBool:
-		if l.n != 0 {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
 	case KindOID:
-		return "&" + l.s
+		return "&" + v.s
 	default:
-		return fmt.Sprintf("label(%d)", uint8(l.kind))
+		return fmt.Sprintf("label(%d)", uint8(v.kind))
 	}
 }
 

@@ -2,9 +2,13 @@ package ssd
 
 import (
 	"math"
+	"runtime"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
+	"time"
+	"unsafe"
 )
 
 func TestLabelConstructorsAndAccessors(t *testing.T) {
@@ -243,4 +247,49 @@ func TestCompareEqualConsistency(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestLabelAndEdgeSize guards the handle layout: a label is one pointer and
+// an edge a label plus a node id.
+func TestLabelAndEdgeSize(t *testing.T) {
+	if s := unsafe.Sizeof(Label{}); s > 8 {
+		t.Errorf("Label is %d bytes, want at most 8", s)
+	}
+	if s := unsafe.Sizeof(Edge{}); s > 16 {
+		t.Errorf("Edge is %d bytes, want at most 16", s)
+	}
+	if Sym("") != (Label{}) {
+		t.Error(`Sym("") is not the zero Label`)
+	}
+}
+
+// TestTransientLabelsCollected: labels nothing holds any more leave the
+// handle table, so labels made only to look something up (query parameters,
+// probes) never grow the heap.
+func TestTransientLabelsCollected(t *testing.T) {
+	const n = 200_000
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	var sink Label
+	for i := 0; i < n; i++ {
+		sink = Str("transient label " + strconv.Itoa(i))
+	}
+	_ = sink
+	// Held, the labels take about 10 MiB; let the table's cleanup, which
+	// runs after a collection, finish before measuring.
+	const bound = 2 << 20
+	var after uint64
+	for try := 0; try < 10; try++ {
+		if after = heap(); after < before+bound {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("heap grew by %d bytes after dropping %d labels, bound %d", after-before, n, bound)
 }

@@ -171,8 +171,8 @@ func (f *formatter) write(b *strings.Builder, n NodeID) {
 	}
 	es := append([]Edge(nil), f.g.Out(n)...)
 	sort.Slice(es, func(i, j int) bool {
-		if c := es[i].Label.Compare(es[j].Label); c != 0 {
-			return c < 0
+		if es[i].Label != es[j].Label {
+			return es[i].Label.Less(es[j].Label)
 		}
 		return es[i].To < es[j].To
 	})

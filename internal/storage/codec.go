@@ -73,6 +73,11 @@ func Encode(g *ssd.Graph) []byte {
 
 // Decode parses a serialized graph.
 func Decode(data []byte) (*ssd.Graph, error) {
+	return decode(data, labelCache{})
+}
+
+// decode parses a serialized graph, reading its labels through labels.
+func decode(data []byte, labels labelCache) (*ssd.Graph, error) {
 	r := &reader{data: data}
 	if len(data) < 5 || string(data[:4]) != magic {
 		return nil, fmt.Errorf("storage: bad magic")
@@ -105,7 +110,8 @@ func Decode(data []byte) (*ssd.Graph, error) {
 			return nil, err
 		}
 		for i := uint64(0); i < deg; i++ {
-			l, err := r.label()
+			var l ssd.Label
+			l, r.pos, err = labels.read(r.data, r.pos)
 			if err != nil {
 				return nil, err
 			}
@@ -324,6 +330,30 @@ func (r *reader) label() (ssd.Label, error) {
 	default:
 		return ssd.Label{}, fmt.Errorf("storage: unknown label kind %d", kind)
 	}
+}
+
+// labelCache turns each distinct label encoding into a label once. Keyed
+// by the encoding's bytes, so a lookup (c[string(raw)]) allocates nothing
+// and a decoder that meets the same bytes again reuses the handle instead
+// of interning the label anew.
+type labelCache map[string]ssd.Label
+
+// read is ReadLabel through c.
+func (c labelCache) read(data []byte, pos int) (ssd.Label, int, error) {
+	r := reader{data: data, pos: pos}
+	if err := r.skipLabel(); err != nil {
+		return ssd.Label{}, r.pos, err
+	}
+	raw := data[pos:r.pos]
+	if l, ok := c[string(raw)]; ok {
+		return l, r.pos, nil
+	}
+	l, _, err := ReadLabel(raw, 0)
+	if err != nil {
+		return ssd.Label{}, pos, err
+	}
+	c[string(raw)] = l
+	return l, r.pos, nil
 }
 
 // skipLabel steps over one label, making every check label makes — kind,

@@ -288,33 +288,36 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		// (e.g. a graph section spliced from another file).
 		return nil, fmt.Errorf("storage: snapshot fingerprint mismatch: meta %08x, graph %08x", s.SelfFP, fp)
 	}
-	if s.Graph, err = Decode(graphPayload); err != nil {
+	// One label cache for every section: the indexes, the guide and the
+	// statistics name the graph's labels again.
+	labels := labelCache{}
+	if s.Graph, err = decode(graphPayload, labels); err != nil {
 		return nil, err
 	}
 	if p, ok := sections[secLabels]; ok {
-		if s.Labels, err = decodeLabelIndex(p, s.Graph.NumNodes()); err != nil {
+		if s.Labels, err = decodeLabelIndex(p, s.Graph.NumNodes(), labels); err != nil {
 			return nil, err
 		}
 	}
 	if p, ok := sections[secValues]; ok {
-		if s.Values, err = decodeValueIndex(p, s.Graph.NumNodes()); err != nil {
+		if s.Values, err = decodeValueIndex(p, s.Graph.NumNodes(), labels); err != nil {
 			return nil, err
 		}
 	}
 	if p, ok := sections[secGuide]; ok {
-		if s.Guide, err = decodeGuide(p, s.Graph); err != nil {
+		if s.Guide, err = decodeGuide(p, s.Graph, labels); err != nil {
 			return nil, err
 		}
 	}
 	if p, ok := sections[secStats]; ok {
-		if s.Stats, err = decodeStats(p, s.Graph.NumNodes(), version); err != nil {
+		if s.Stats, err = decodeStats(p, s.Graph.NumNodes(), version, labels); err != nil {
 			return nil, err
 		}
 	}
 	return s, nil
 }
 
-func decodeStats(data []byte, numNodes int, version byte) (*stats.Stats, error) {
+func decodeStats(data []byte, numNodes int, version byte, labels labelCache) (*stats.Stats, error) {
 	var d stats.Dump
 	edges, pos, err := ReadUvarint(data, 0)
 	if err != nil {
@@ -371,7 +374,7 @@ func decodeStats(data []byte, numNodes int, version byte) (*stats.Stats, error) 
 	d.Labels = make([]stats.LabelCard, 0, nLabels)
 	for i := uint64(0); i < nLabels; i++ {
 		var lc stats.LabelCard
-		if lc.Label, pos, err = ReadLabel(data, pos); err != nil {
+		if lc.Label, pos, err = labels.read(data, pos); err != nil {
 			return nil, err
 		}
 		var count, sources uint64
@@ -424,7 +427,7 @@ func decodeRef(data []byte, pos, numNodes int) (index.EdgeRef, int, error) {
 	return index.EdgeRef{From: ssd.NodeID(from), To: ssd.NodeID(to)}, pos, nil
 }
 
-func decodeLabelIndex(data []byte, numNodes int) (*index.LabelIndex, error) {
+func decodeLabelIndex(data []byte, numNodes int, labels labelCache) (*index.LabelIndex, error) {
 	n, pos, err := ReadUvarint(data, 0)
 	if err != nil {
 		return nil, err
@@ -435,7 +438,7 @@ func decodeLabelIndex(data []byte, numNodes int) (*index.LabelIndex, error) {
 	ps := make([]index.Posting, 0, n)
 	for i := uint64(0); i < n; i++ {
 		var p index.Posting
-		if p.Label, pos, err = ReadLabel(data, pos); err != nil {
+		if p.Label, pos, err = labels.read(data, pos); err != nil {
 			return nil, err
 		}
 		var nr uint64
@@ -461,7 +464,7 @@ func decodeLabelIndex(data []byte, numNodes int) (*index.LabelIndex, error) {
 	return index.LabelIndexFromDump(ps)
 }
 
-func decodeValueIndex(data []byte, numNodes int) (*index.ValueIndex, error) {
+func decodeValueIndex(data []byte, numNodes int, labels labelCache) (*index.ValueIndex, error) {
 	n, pos, err := ReadUvarint(data, 0)
 	if err != nil {
 		return nil, err
@@ -472,7 +475,7 @@ func decodeValueIndex(data []byte, numNodes int) (*index.ValueIndex, error) {
 	es := make([]index.Entry, 0, n)
 	for i := uint64(0); i < n; i++ {
 		var e index.Entry
-		if e.Label, pos, err = ReadLabel(data, pos); err != nil {
+		if e.Label, pos, err = labels.read(data, pos); err != nil {
 			return nil, err
 		}
 		if e.Ref, pos, err = decodeRef(data, pos, numNodes); err != nil {
@@ -486,7 +489,7 @@ func decodeValueIndex(data []byte, numNodes int) (*index.ValueIndex, error) {
 	return index.ValueIndexFromDump(es)
 }
 
-func decodeGuide(data []byte, source *ssd.Graph) (*dataguide.Guide, error) {
+func decodeGuide(data []byte, source *ssd.Graph, labels labelCache) (*dataguide.Guide, error) {
 	glen, pos, err := ReadUvarint(data, 0)
 	if err != nil {
 		return nil, err
@@ -494,7 +497,7 @@ func decodeGuide(data []byte, source *ssd.Graph) (*dataguide.Guide, error) {
 	if glen > uint64(len(data)-pos) {
 		return nil, fmt.Errorf("storage: truncated guide graph")
 	}
-	gg, err := Decode(data[pos : pos+int(glen)])
+	gg, err := decode(data[pos:pos+int(glen)], labels)
 	if err != nil {
 		return nil, err
 	}

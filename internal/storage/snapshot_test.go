@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -69,6 +71,32 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if got.Stats == nil || !reflect.DeepEqual(s.Stats.Dump(), got.Stats.Dump()) {
 		t.Fatal("stats dump mismatch after round trip")
+	}
+}
+
+// TestSnapshotSignedZeroLabels: -0 and +0 are distinct labels with
+// distinct statistics and postings, which a snapshot holding both must
+// write in one order and read back; the graph reads back label for label.
+func TestSnapshotSignedZeroLabels(t *testing.T) {
+	g := ssd.New()
+	neg := ssd.Float(math.Copysign(0, -1))
+	for _, l := range []ssd.Label{neg, ssd.Float(0), neg, ssd.Int(0)} {
+		g.AddEdge(g.Root(), l, g.AddNode())
+	}
+	s := &Snapshot{Graph: g, Labels: index.BuildLabelIndex(g), Guide: dataguide.MustBuild(g), Stats: stats.Build(g)}
+	if n := len(s.Stats.Dump().Labels); n != 3 {
+		t.Fatalf("stats hold %d labels, want 3", n)
+	}
+	data := EncodeSnapshot(s)
+	got, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(EncodeSnapshot(got), data) {
+		t.Fatal("the snapshot does not re-encode to its own bytes")
+	}
+	if !slices.Equal(g.Out(g.Root()), got.Graph.Out(got.Graph.Root())) {
+		t.Fatalf("root edges %v read back as %v", g.Out(g.Root()), got.Graph.Out(got.Graph.Root()))
 	}
 }
 
@@ -386,11 +414,11 @@ func FuzzSnapshotStats(f *testing.F) {
 	f.Add(byte(snapVersion), encodeStats(stats.Build(g)))
 	f.Fuzz(func(t *testing.T, version byte, data []byte) {
 		version = 2 + version%(snapVersion-1)
-		st, err := decodeStats(data, g.NumNodes(), version)
+		st, err := decodeStats(data, g.NumNodes(), version, labelCache{})
 		if err != nil {
 			return
 		}
-		again, err := decodeStats(encodeStats(st), g.NumNodes(), snapVersion)
+		again, err := decodeStats(encodeStats(st), g.NumNodes(), snapVersion, labelCache{})
 		if err != nil {
 			t.Fatalf("accepted v%d payload re-encodes to a rejected one: %v", version, err)
 		}
