@@ -696,3 +696,42 @@ func TestOpensGenerationWithValueSection(t *testing.T) {
 		t.Fatal("new generation's graph differs from frame-by-frame")
 	}
 }
+
+// TestV4SnapshotSignedZeroRebuilt opens a version-4 generation, written
+// while Float(0) and Float(-0) were one label: its label index and
+// statistics hold one entry for the root's 0.0 and -0.0 edges. Opening must
+// rebuild both from the graph, so deleting the -0.0 edge afterwards leaves
+// them equal to a rebuild instead of keeping a stale entry.
+func TestV4SnapshotSignedZeroRebuilt(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "v4-signed-zero")
+	for _, name := range []string{"snap-0000000000000001.ssds", "wal.log"} {
+		data, err := os.ReadFile(filepath.Join(src, name))
+		must(t, err)
+		must(t, os.WriteFile(filepath.Join(dir, name), data, 0o644))
+	}
+	db, err := OpenPath(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.CloseWAL()
+	check := func(when string) {
+		t.Helper()
+		s := db.snapshot()
+		if got, want := s.labels().Dump(), index.BuildLabelIndex(s.g).Dump(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: label index %v, rebuild %v", when, got, want)
+		}
+		if got, want := s.statistics().Dump(), stats.Build(s.g).Dump(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: statistics %+v, rebuild %+v", when, got, want)
+		}
+	}
+	check("open")
+	if _, err := db.MutateScriptSeq("deledge 0 -0.0 2"); err != nil {
+		t.Fatal(err)
+	}
+	g := db.Graph()
+	if n := len(g.Out(g.Root())); n != 2 {
+		t.Fatalf("root has %d edges after deleting -0.0, want 2", n)
+	}
+	check("after deledge")
+}

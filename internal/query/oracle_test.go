@@ -62,7 +62,7 @@ func TestEnginesAgree(t *testing.T) {
 }
 
 // TestEnginesAgreeSignedZero: 0, 0.0 and -0.0 are three distinct labels
-// (handle identity is encoding identity) that compare equal, so the planned
+// (label identity is encoding identity) that compare equal, so the planned
 // engine, under every planner input, must find all three for X = 0.0 and
 // X = 0 exactly as the reference evaluator does.
 func TestEnginesAgreeSignedZero(t *testing.T) {

@@ -2,7 +2,9 @@ package ssd
 
 import (
 	"fmt"
+	"iter"
 	"sort"
+	"sync/atomic"
 )
 
 // NodeID identifies a node within one Graph. IDs are dense: allocating n
@@ -29,25 +31,79 @@ type Edge struct {
 //
 // The zero value is not usable; call New.
 type Graph struct {
-	out  [][]Edge // forward adjacency, indexed by NodeID
-	root NodeID
+	// spine holds the forward adjacency, indexed by NodeID, in chunks of
+	// spineLen nodes. CloneShared copies the spine but not its chunks: a
+	// chunk is shared until a graph writes it, and a graph writes in place
+	// only the chunks that carry its epoch (see slot).
+	spine []*spineChunk
+	n     int // nodes
+	epoch atomic.Uint64
+	root  NodeID
 	// oid, when non-nil, assigns OEM-style object identities to nodes.
 	// Identities survive serialization but are ignored by value semantics.
 	oid map[NodeID]string
 }
 
+const (
+	spineBits = 8
+	spineLen  = 1 << spineBits
+)
+
+// spineChunk holds the edge lists of up to spineLen consecutive nodes.
+type spineChunk struct {
+	epoch uint64 // the epoch of the one graph that may write it in place
+	out   [][]Edge
+}
+
+// epochs hands out graph epochs. Epoch 0 is every graph's until its first
+// CloneShared, which gives the original and the clone fresh ones.
+var epochs atomic.Uint64
+
 // New returns an empty graph containing just a root node.
 func New() *Graph {
-	g := &Graph{root: 0}
-	g.out = append(g.out, nil)
+	g := &Graph{}
+	g.AddNode()
 	return g
 }
 
 // NewWithCapacity returns an empty rooted graph with capacity hints for
 // nodes, avoiding reallocation while loading bulk data.
 func NewWithCapacity(nodes int) *Graph {
-	g := &Graph{root: 0, out: make([][]Edge, 1, max(1, nodes))}
+	g := &Graph{spine: make([]*spineChunk, 0, max(1, nodes)>>spineBits+1)}
+	g.AddNode()
 	return g
+}
+
+// out returns n's edge list; n is in range.
+func (g *Graph) out(n NodeID) []Edge { return g.spine[n>>spineBits].out[n&(spineLen-1)] }
+
+// slot returns n's edge-list header for writing, first copying n's chunk
+// if g does not own it; n is in range.
+func (g *Graph) slot(n NodeID) *[]Edge {
+	return &g.chunk(int(n >> spineBits)).out[n&(spineLen-1)]
+}
+
+// chunk returns spine chunk i, copied first if g does not own it.
+func (g *Graph) chunk(i int) *spineChunk {
+	c := g.spine[i]
+	if e := g.epoch.Load(); c.epoch != e {
+		c = &spineChunk{epoch: e, out: append(make([][]Edge, 0, cap(c.out)), c.out...)}
+		g.spine[i] = c
+	}
+	return c
+}
+
+// lists yields every node's edge list in NodeID order.
+func (g *Graph) lists() iter.Seq2[NodeID, []Edge] {
+	return func(yield func(NodeID, []Edge) bool) {
+		for i, c := range g.spine {
+			for j, es := range c.out {
+				if !yield(NodeID(i<<spineBits+j), es) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // Root returns the distinguished root node.
@@ -60,12 +116,12 @@ func (g *Graph) SetRoot(n NodeID) {
 }
 
 // NumNodes returns the number of allocated nodes (including unreachable ones).
-func (g *Graph) NumNodes() int { return len(g.out) }
+func (g *Graph) NumNodes() int { return g.n }
 
 // NumEdges returns the total number of edges.
 func (g *Graph) NumEdges() int {
 	n := 0
-	for _, es := range g.out {
+	for _, es := range g.lists() {
 		n += len(es)
 	}
 	return n
@@ -73,16 +129,28 @@ func (g *Graph) NumEdges() int {
 
 // AddNode allocates a fresh node with no edges and returns its ID.
 func (g *Graph) AddNode() NodeID {
-	g.out = append(g.out, nil)
-	return NodeID(len(g.out) - 1)
+	n := g.n
+	if n == len(g.spine)<<spineBits {
+		// A graph past its first chunk is a bulk one: give the new chunk
+		// its full length at once.
+		size := spineLen
+		if n == 0 {
+			size = 1
+		}
+		g.spine = append(g.spine, &spineChunk{epoch: g.epoch.Load(), out: make([][]Edge, 0, size)})
+	}
+	c := g.chunk(n >> spineBits)
+	c.out = append(c.out, nil)
+	g.n++
+	return NodeID(n)
 }
 
 // AddNodes allocates k fresh nodes and returns the ID of the first; the rest
 // follow consecutively.
 func (g *Graph) AddNodes(k int) NodeID {
-	first := NodeID(len(g.out))
+	first := NodeID(g.n)
 	for i := 0; i < k; i++ {
-		g.out = append(g.out, nil)
+		g.AddNode()
 	}
 	return first
 }
@@ -92,7 +160,8 @@ func (g *Graph) AddNodes(k int) NodeID {
 func (g *Graph) AddEdge(from NodeID, label Label, to NodeID) {
 	g.check(from)
 	g.check(to)
-	g.out[from] = append(g.out[from], Edge{Label: label, To: to})
+	p := g.slot(from)
+	*p = append(*p, Edge{Label: label, To: to})
 }
 
 // AddLeaf allocates a fresh leaf node, adds an edge from → (label) → leaf,
@@ -108,13 +177,13 @@ func (g *Graph) AddLeaf(from NodeID, label Label) NodeID {
 // and must not be mutated by callers.
 func (g *Graph) Out(n NodeID) []Edge {
 	g.check(n)
-	return g.out[n]
+	return g.out(n)
 }
 
 // OutDegree returns the number of outgoing edges of n.
 func (g *Graph) OutDegree(n NodeID) int {
 	g.check(n)
-	return len(g.out[n])
+	return len(g.out(n))
 }
 
 // Lookup returns the targets of edges out of n whose label equals l
@@ -122,7 +191,7 @@ func (g *Graph) OutDegree(n NodeID) int {
 func (g *Graph) Lookup(n NodeID, l Label) []NodeID {
 	g.check(n)
 	var out []NodeID
-	for _, e := range g.out[n] {
+	for _, e := range g.out(n) {
 		if e.Label.Equal(l) {
 			out = append(out, e.To)
 		}
@@ -134,7 +203,7 @@ func (g *Graph) Lookup(n NodeID, l Label) []NodeID {
 // InvalidNode if none exists.
 func (g *Graph) LookupFirst(n NodeID, l Label) NodeID {
 	g.check(n)
-	for _, e := range g.out[n] {
+	for _, e := range g.out(n) {
 		if e.Label.Equal(l) {
 			return e.To
 		}
@@ -174,7 +243,7 @@ func (g *Graph) NodeByOID(id string) NodeID {
 // traversal order deterministic for printing and tests; set semantics are
 // unaffected.
 func (g *Graph) SortEdges() {
-	for _, es := range g.out {
+	for _, es := range g.lists() {
 		sort.Slice(es, func(i, j int) bool {
 			if es[i].Label != es[j].Label {
 				return es[i].Label.Less(es[j].Label)
@@ -188,7 +257,7 @@ func (g *Graph) SortEdges() {
 // set semantics of the model. It sorts edge lists as a side effect.
 func (g *Graph) Dedup() {
 	g.SortEdges()
-	for n, es := range g.out {
+	for n, es := range g.lists() {
 		if len(es) < 2 {
 			continue
 		}
@@ -200,7 +269,7 @@ func (g *Graph) Dedup() {
 			es[w] = es[i]
 			w++
 		}
-		g.out[n] = es[:w]
+		*g.slot(n) = es[:w]
 	}
 }
 
@@ -210,23 +279,22 @@ func (g *Graph) Dedup() {
 // (InvalidNode for dropped nodes).
 func (g *Graph) Accessible() (*Graph, []NodeID) {
 	seen := ReachableFrom(g, g.root)
-	remap := make([]NodeID, len(g.out))
+	remap := make([]NodeID, g.n)
 	h := &Graph{}
-	for n := range g.out {
+	for n := range remap {
 		if seen[n] {
-			remap[n] = NodeID(len(h.out))
-			h.out = append(h.out, nil)
+			remap[n] = h.AddNode()
 		} else {
 			remap[n] = InvalidNode
 		}
 	}
-	for n, es := range g.out {
+	for n, es := range g.lists() {
 		if !seen[n] {
 			continue
 		}
 		nn := remap[n]
 		for _, e := range es {
-			h.out[nn] = append(h.out[nn], Edge{Label: e.Label, To: remap[e.To]})
+			h.AddEdge(nn, e.Label, remap[e.To])
 		}
 	}
 	h.root = remap[g.root]
@@ -240,9 +308,11 @@ func (g *Graph) Accessible() (*Graph, []NodeID) {
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
-	h := &Graph{root: g.root, out: make([][]Edge, len(g.out))}
-	for n, es := range g.out {
-		h.out[n] = append([]Edge(nil), es...)
+	h := NewWithCapacity(g.n)
+	h.AddNodes(g.n - 1)
+	h.root = g.root
+	for n, es := range g.lists() {
+		*h.slot(n) = append([]Edge(nil), es...)
 	}
 	if g.oid != nil {
 		h.oid = make(map[NodeID]string, len(g.oid))
@@ -267,7 +337,7 @@ func (g *Graph) Graft(src *Graph, srcNode NodeID) NodeID {
 		n := work[len(work)-1]
 		work = work[:len(work)-1]
 		nn := remap[n]
-		for _, e := range src.out[n] {
+		for _, e := range src.out(n) {
 			to, fresh := remapOrAdd(g, e.To, remap)
 			g.AddEdge(nn, e.Label, to)
 			if fresh {
@@ -298,23 +368,24 @@ func (g *Graph) Union(a, b NodeID) NodeID {
 	g.check(a)
 	g.check(b)
 	u := g.AddNode()
-	g.out[u] = append(g.out[u], g.out[a]...)
-	g.out[u] = append(g.out[u], g.out[b]...)
+	p := g.slot(u)
+	*p = append(*p, g.out(a)...)
+	*p = append(*p, g.out(b)...)
 	return u
 }
 
 // IsLeaf reports whether n has no outgoing edges (the empty tree {}).
 func (g *Graph) IsLeaf(n NodeID) bool {
 	g.check(n)
-	return len(g.out[n]) == 0
+	return len(g.out(n)) == 0
 }
 
 // Labels returns the distinct labels appearing on edges out of n, sorted.
 func (g *Graph) Labels(n NodeID) []Label {
 	g.check(n)
-	seen := make(map[Label]bool, len(g.out[n]))
+	seen := make(map[Label]bool, len(g.out(n)))
 	var ls []Label
-	for _, e := range g.out[n] {
+	for _, e := range g.out(n) {
 		if !seen[e.Label] {
 			seen[e.Label] = true
 			ls = append(ls, e.Label)
@@ -328,7 +399,7 @@ func (g *Graph) Labels(n NodeID) []Label {
 func (g *Graph) AllLabels() []Label {
 	seen := make(map[Label]bool)
 	var ls []Label
-	for _, es := range g.out {
+	for _, es := range g.lists() {
 		for _, e := range es {
 			if !seen[e.Label] {
 				seen[e.Label] = true
@@ -350,9 +421,9 @@ type Stats struct {
 
 // ComputeStats gathers Stats over the whole graph.
 func (g *Graph) ComputeStats() Stats {
-	s := Stats{Nodes: len(g.out)}
+	s := Stats{Nodes: g.n}
 	labels := make(map[Label]struct{})
-	for _, es := range g.out {
+	for _, es := range g.lists() {
 		s.Edges += len(es)
 		if len(es) == 0 {
 			s.Leaves++
@@ -372,18 +443,18 @@ func (g *Graph) ComputeStats() Stats {
 // Several algorithms (bisimulation refinement, DataGuide maintenance) need
 // backward edges; the core model stores only forward ones.
 func (g *Graph) Reverse() [][]Edge {
-	in := make([][]Edge, len(g.out))
-	for from, es := range g.out {
+	in := make([][]Edge, g.n)
+	for from, es := range g.lists() {
 		for _, e := range es {
-			in[e.To] = append(in[e.To], Edge{Label: e.Label, To: NodeID(from)})
+			in[e.To] = append(in[e.To], Edge{Label: e.Label, To: from})
 		}
 	}
 	return in
 }
 
 func (g *Graph) check(n NodeID) {
-	if n < 0 || int(n) >= len(g.out) {
-		panic(fmt.Sprintf("ssd: node %d out of range [0,%d)", n, len(g.out)))
+	if n < 0 || int(n) >= g.n {
+		panic(fmt.Sprintf("ssd: node %d out of range [0,%d)", n, g.n))
 	}
 }
 

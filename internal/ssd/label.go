@@ -15,10 +15,12 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strconv"
 	"strings"
-	"unique"
+	"sync"
+	"sync/atomic"
 )
 
 // Kind discriminates the variants of the Label tagged union.
@@ -58,18 +60,19 @@ func (k Kind) String() string {
 	}
 }
 
-// Label is the tagged union of edge-label types, held as a canonical
-// handle: every label is made through unique.Make, so two labels with the
-// same payload share one handle, a Label is one pointer wide, and == and map
-// hashing compare that pointer. The table's entries are held weakly: a label
-// no graph, index or query holds any more is collected. The zero value is
-// the symbol "".
+// Label is the tagged union of edge-label types, held as an id into the
+// process's label table: every label is made through the table, so two
+// labels with the same payload share one id, a Label is four bytes and
+// holds no pointer, and == and map hashing compare that id. An Edge is
+// therefore pointer-free and the collector never scans edge lists. The
+// table keeps every label it has made for the life of the process (see
+// the table below). The zero value is the symbol "".
 //
-// Handle identity is encoding identity: two labels are == exactly when
+// Label identity is encoding identity: two labels are == exactly when
 // their AppendLabel bytes are equal. Floats are therefore held by their
 // bits, so -0 and +0, and NaNs with different payloads, are distinct
-// handles; Equal and Compare still compare them numerically.
-type Label struct{ h unique.Handle[labelVal] }
+// labels; Equal and Compare still compare them numerically.
+type Label struct{ id uint32 }
 
 // labelVal is a label's payload: the kind, and a symbol, string or oid in
 // s, an int (a bool as 0/1) or a float's IEEE 754 bits in n.
@@ -79,21 +82,149 @@ type labelVal struct {
 	n    int64
 }
 
-// mk returns the handle of v; the zero payload, Sym(""), is the zero handle.
-func mk(v labelVal) Label {
-	if v == (labelVal{}) {
-		return Label{}
+// The label table maps ids to payloads and AppendLabel encodings to ids.
+// Payloads live in fixed-size chunks that never move, so a reader holding
+// an id reaches its payload with two loads and no lock. The encoding index
+// is open addressing over slots that hold id+1 (0 is empty); readers probe
+// it without a lock, and a writer, under mu, fills a payload before it
+// publishes the payload's slot. Entries are never removed: the table grows
+// with the distinct labels the process makes — its data's labels, and the
+// literals and parameters of its queries — by about 40 bytes plus the
+// string bytes per label.
+const (
+	chunkBits = 10
+	chunkLen  = 1 << chunkBits
+)
+
+type labelTable struct {
+	mu     sync.Mutex
+	seed   maphash.Seed
+	n      uint32                                // entries; guarded by mu
+	chunks atomic.Pointer[[]*[chunkLen]labelVal] // replaced, never mutated, when it grows
+	slots  atomic.Pointer[[]atomic.Uint32]       // power-of-two length, at most half full
+}
+
+// table is initialised with the zero payload, Sym(""), as id 0.
+var table = newLabelTable()
+
+func newLabelTable() *labelTable {
+	t := &labelTable{seed: maphash.MakeSeed()}
+	chunks := []*[chunkLen]labelVal{}
+	slots := make([]atomic.Uint32, 64)
+	t.chunks.Store(&chunks)
+	t.slots.Store(&slots)
+	t.add(labelVal{}, t.hash(&labelVal{}))
+	return t
+}
+
+func (t *labelTable) entry(id uint32) *labelVal {
+	return &(*t.chunks.Load())[id>>chunkBits][id&(chunkLen-1)]
+}
+
+// hash is the hash of v's encoding.
+func (t *labelTable) hash(v *labelVal) uint64 {
+	var buf [48]byte
+	return maphash.Bytes(t.seed, appendVal(buf[:0], v))
+}
+
+// lookup returns the id of the label whose encoding is enc (hash h).
+func (t *labelTable) lookup(enc []byte, h uint64) (uint32, bool) {
+	slots := *t.slots.Load()
+	mask := uint64(len(slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := slots[i].Load()
+		if s == 0 {
+			return 0, false
+		}
+		if t.entry(s - 1).encodes(enc) {
+			return s - 1, true
+		}
 	}
-	return Label{unique.Make(v)}
+}
+
+// encodes reports whether enc is v's encoding.
+func (v *labelVal) encodes(enc []byte) bool {
+	var buf [16]byte
+	switch v.kind {
+	case KindSymbol, KindString, KindOID:
+		hdr := binary.AppendUvarint(append(buf[:0], byte(v.kind)), uint64(len(v.s)))
+		return len(enc) == len(hdr)+len(v.s) && string(enc[:len(hdr)]) == string(hdr) && string(enc[len(hdr):]) == v.s
+	}
+	return string(appendVal(buf[:0], v)) == string(enc)
+}
+
+// intern returns the label of payload v, whose encoding is enc, adding it
+// to the table if it is new.
+func (t *labelTable) intern(enc []byte, v labelVal) Label {
+	h := maphash.Bytes(t.seed, enc)
+	if id, ok := t.lookup(enc, h); ok {
+		return Label{id}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if id, ok := t.lookup(enc, h); ok {
+		return Label{id}
+	}
+	return Label{t.add(v, h)}
+}
+
+// add appends v, whose encoding hashes to h, as a new entry and indexes
+// it; the caller holds mu (or owns t). v.s is copied, so the table holds
+// no caller's bytes.
+func (t *labelTable) add(v labelVal, h uint64) uint32 {
+	id := t.n
+	if id == math.MaxUint32 {
+		panic("ssd: label table full")
+	}
+	chunks := *t.chunks.Load()
+	if int(id>>chunkBits) == len(chunks) {
+		// Readers may hold the old slice: grow a copy.
+		grown := append(chunks[:len(chunks):len(chunks)], new([chunkLen]labelVal))
+		t.chunks.Store(&grown)
+		chunks = grown
+	}
+	v.s = strings.Clone(v.s)
+	chunks[id>>chunkBits][id&(chunkLen-1)] = v
+	t.n++
+	slots := *t.slots.Load()
+	if 2*int(t.n) > len(slots) {
+		slots = make([]atomic.Uint32, 2*len(slots))
+		for j := uint32(0); j < t.n; j++ {
+			place(slots, t.hash(t.entry(j)), j)
+		}
+		t.slots.Store(&slots)
+	} else {
+		place(slots, h, id)
+	}
+	return id
+}
+
+// place stores id's slot in the first free slot of h's probe sequence.
+func place(slots []atomic.Uint32, h uint64, id uint32) {
+	mask := uint64(len(slots) - 1)
+	i := h & mask
+	for slots[i].Load() != 0 {
+		i = (i + 1) & mask
+	}
+	slots[i].Store(id + 1)
+}
+
+// mk returns the label of payload v.
+func mk(v labelVal) Label {
+	var buf [48]byte
+	return table.intern(appendVal(buf[:0], &v), v)
+}
+
+// LookupLabel returns the label whose AppendLabel encoding is exactly enc,
+// if one has been made. Decoders try it before decoding a label, so bytes
+// the table already holds cost a hash and a probe, and no allocation.
+func LookupLabel(enc []byte) (Label, bool) {
+	id, ok := table.lookup(enc, maphash.Bytes(table.seed, enc))
+	return Label{id}, ok
 }
 
 // val returns l's payload.
-func (l Label) val() labelVal {
-	if l == (Label{}) {
-		return labelVal{}
-	}
-	return l.h.Value()
-}
+func (l Label) val() *labelVal { return table.entry(l.id) }
 
 func (v labelVal) float() float64 { return math.Float64frombits(uint64(v.n)) }
 
@@ -128,8 +259,10 @@ func OID(id string) Label { return mk(labelVal{kind: KindOID, s: id}) }
 // for an int, the 8 little-endian IEEE 754 bytes of a float, or 00/01 for a
 // bool. It is the one label encoding: the on-disk formats (snapshots, page
 // files, the WAL) write it, and bisimulation signatures are built from it.
-func AppendLabel(buf []byte, l Label) []byte {
-	v := l.val()
+func AppendLabel(buf []byte, l Label) []byte { return appendVal(buf, l.val()) }
+
+// appendVal appends the encoding AppendLabel gives the label of payload v.
+func appendVal(buf []byte, v *labelVal) []byte {
 	buf = append(buf, byte(v.kind))
 	switch v.kind {
 	case KindSymbol, KindString, KindOID:
@@ -198,7 +331,7 @@ func (l Label) Numeric() (float64, bool) {
 // numerically equal, exactly (the paper's languages overload comparisons on
 // base types); all other cross-kind comparisons are false. Floats compare
 // as numbers, so -0 equals +0 and NaN equals nothing, although both pairs
-// are distinct handles under ==.
+// are distinct labels under ==.
 func (l Label) Equal(m Label) bool {
 	a, b := l.val(), m.val()
 	switch {
@@ -244,7 +377,7 @@ func (v labelVal) isNumeric() bool { return v.kind == KindInt || v.kind == KindF
 
 // cmpNumeric compares the values of two numeric labels exactly: an int is
 // never rounded to a float.
-func cmpNumeric(a, b labelVal) int {
+func cmpNumeric(a, b *labelVal) int {
 	switch {
 	case a.kind == KindInt && b.kind == KindInt:
 		return cmp.Compare(a.n, b.n)

@@ -12,7 +12,7 @@ import (
 )
 
 // valLabel is a label stored by value, the way Label was before it became a
-// handle: the reference for Equal and Compare.
+// table id: the reference for Equal and Compare.
 type valLabel struct {
 	kind ssd.Kind
 	s    string
@@ -113,8 +113,8 @@ func drawLabel(k byte, s string, n uint64) ssd.Label {
 	return ssd.Sym(s)
 }
 
-// FuzzLabel checks the handle contract on pairs of drawn labels: a label
-// reads back from its encoding as the same handle, two labels are == exactly
+// FuzzLabel checks the table contract on pairs of drawn labels: a label
+// reads back from its encoding as the same label, two labels are == exactly
 // when their encodings are equal, and Equal and Compare agree with labels
 // stored by value.
 func FuzzLabel(f *testing.F) {
@@ -169,12 +169,12 @@ func FuzzLabel(f *testing.F) {
 }
 
 // TestLabelIdentityIsEncoding pins that floats are held by their bits: -0
-// made after +0 is its own handle and still encodes as -0.
+// made after +0 is its own label and still encodes as -0.
 func TestLabelIdentityIsEncoding(t *testing.T) {
 	pos := ssd.Float(0)
 	neg := ssd.Float(math.Copysign(0, -1))
 	if pos == neg {
-		t.Fatal("Float(-0) is the handle of Float(+0)")
+		t.Fatal("Float(-0) is the label of Float(+0)")
 	}
 	if !pos.Equal(neg) || pos.Compare(neg) != 0 {
 		t.Error("-0 and +0 must stay numerically equal")
@@ -185,14 +185,14 @@ func TestLabelIdentityIsEncoding(t *testing.T) {
 	}
 	back, _, err := storage.ReadLabel(enc, 0)
 	if err != nil || back != neg || back == pos {
-		t.Fatalf("-0 reads back as %v (%v), same handle %v", back, err, back == neg)
+		t.Fatalf("-0 reads back as %v (%v), same label %v", back, err, back == neg)
 	}
 	if f, _ := back.FloatVal(); !math.Signbit(f) {
 		t.Error("-0 lost its sign")
 	}
 	nan1, nan2 := ssd.Float(math.Float64frombits(0x7ff8000000000001)), ssd.Float(math.Float64frombits(0x7ff8000000000002))
 	if nan1 == nan2 || nan1 != ssd.Float(math.Float64frombits(0x7ff8000000000001)) {
-		t.Error("NaN handles must follow their payload bits")
+		t.Error("NaN labels must follow their payload bits")
 	}
 	if nan1.Equal(nan1) {
 		t.Error("NaN must not be Equal to itself")

@@ -2,12 +2,11 @@ package ssd
 
 import (
 	"math"
-	"runtime"
 	"sort"
 	"strconv"
+	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 	"unsafe"
 )
 
@@ -249,47 +248,92 @@ func TestCompareEqualConsistency(t *testing.T) {
 	}
 }
 
-// TestLabelAndEdgeSize guards the handle layout: a label is one pointer and
-// an edge a label plus a node id.
+// TestLabelAndEdgeSize guards the table layout: a label is a 4-byte id and
+// an edge a label plus a node id, with no pointer for the collector to
+// scan.
 func TestLabelAndEdgeSize(t *testing.T) {
-	if s := unsafe.Sizeof(Label{}); s > 8 {
-		t.Errorf("Label is %d bytes, want at most 8", s)
+	if s := unsafe.Sizeof(Label{}); s != 4 {
+		t.Errorf("Label is %d bytes, want 4", s)
 	}
-	if s := unsafe.Sizeof(Edge{}); s > 16 {
-		t.Errorf("Edge is %d bytes, want at most 16", s)
+	if s := unsafe.Sizeof(Edge{}); s != 8 {
+		t.Errorf("Edge is %d bytes, want 8", s)
 	}
 	if Sym("") != (Label{}) {
 		t.Error(`Sym("") is not the zero Label`)
 	}
 }
 
-// TestTransientLabelsCollected: labels nothing holds any more leave the
-// handle table, so labels made only to look something up (query parameters,
-// probes) never grow the heap.
-func TestTransientLabelsCollected(t *testing.T) {
-	const n = 200_000
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
+// TestLabelTableInternsOnce: the table adds an entry per distinct encoding
+// only, so remaking labels, or looking their bytes up, does not grow it.
+func TestLabelTableInternsOnce(t *testing.T) {
+	const n = 5000
+	size := func() uint32 {
+		table.mu.Lock()
+		defer table.mu.Unlock()
+		return table.n
 	}
-	before := heap()
-	var sink Label
-	for i := 0; i < n; i++ {
-		sink = Str("transient label " + strconv.Itoa(i))
-	}
-	_ = sink
-	// Held, the labels take about 10 MiB; let the table's cleanup, which
-	// runs after a collection, finish before measuring.
-	const bound = 2 << 20
-	var after uint64
-	for try := 0; try < 10; try++ {
-		if after = heap(); after < before+bound {
-			return
+	before := size()
+	// The table outlives a test run: name this run's labels after the
+	// table's size so a rerun (-count) makes new ones.
+	build := func() []Label {
+		ls := make([]Label, 0, 2*n)
+		for i := 0; i < n; i++ {
+			s := "interned once " + strconv.Itoa(int(before)) + "/" + strconv.Itoa(i)
+			ls = append(ls, Str(s), OID(s))
 		}
-		time.Sleep(10 * time.Millisecond)
+		return ls
 	}
-	t.Fatalf("heap grew by %d bytes after dropping %d labels, bound %d", after-before, n, bound)
+	first := build()
+	grown := size() - before
+	if grown != 2*n {
+		t.Fatalf("%d distinct labels added %d entries", 2*n, grown)
+	}
+	again := build()
+	for i := range first {
+		if first[i] != again[i] {
+			t.Fatalf("%v remade as a different label", first[i])
+		}
+		l, ok := LookupLabel(AppendLabel(nil, first[i]))
+		if !ok || l != first[i] {
+			t.Fatalf("LookupLabel(%v) = %v, %v", first[i], l, ok)
+		}
+	}
+	if size() != before+grown {
+		t.Fatalf("remaking %d labels grew the table by %d", len(first), size()-before-grown)
+	}
+	const unmade = "only looked up"
+	probe := append([]byte{byte(KindString), byte(len(unmade))}, unmade...)
+	if l, ok := LookupLabel(probe); ok || size() != before+grown {
+		t.Fatalf("LookupLabel of unmade bytes = %v, %v; table grew by %d", l, ok, size()-before-grown)
+	}
+}
+
+// TestLabelTableConcurrent: goroutines making overlapping labels at once
+// agree on every label's id, across the table's growth.
+func TestLabelTableConcurrent(t *testing.T) {
+	const workers, n = 4, 3000
+	got := make([][]Label, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				l := Sym("concurrent " + strconv.Itoa(i))
+				got[w] = append(got[w], l)
+				if s, _ := l.Symbol(); s != "concurrent "+strconv.Itoa(i) {
+					t.Errorf("label %d reads back as %q", i, s)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		for i := range got[0] {
+			if got[w][i] != got[0][i] {
+				t.Fatalf("worker %d made label %d as id %d, worker 0 as %d", w, i, got[w][i].id, got[0][i].id)
+			}
+		}
+	}
 }

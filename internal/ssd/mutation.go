@@ -85,11 +85,11 @@ func (d Delta) Normalize() Delta {
 func (g *Graph) DeleteEdge(from NodeID, l Label, to NodeID) bool {
 	g.check(from)
 	g.check(to)
-	es := g.out[from]
+	es := g.out(from)
 	for i, e := range es {
 		if e.To == to && e.Label == l {
 			copy(es[i:], es[i+1:])
-			g.out[from] = es[:len(es)-1]
+			*g.slot(from) = es[:len(es)-1]
 			return true
 		}
 	}
@@ -103,9 +103,10 @@ func (g *Graph) DeleteEdge(from NodeID, l Label, to NodeID) bool {
 func (g *Graph) Relabel(from NodeID, old, new Label) int {
 	g.check(from)
 	n := 0
-	for i := range g.out[from] {
-		if g.out[from][i].Label == old {
-			g.out[from][i].Label = new
+	es := g.out(from)
+	for i := range es {
+		if es[i].Label == old {
+			es[i].Label = new
 			n++
 		}
 	}
@@ -114,15 +115,20 @@ func (g *Graph) Relabel(from NodeID, old, new Label) int {
 
 // CloneShared returns a copy of g whose per-node edge slices are shared with
 // the original — the copy-on-write entry point of the mutation subsystem.
-// The node table, root, and oid map are private, so AddNode/SetOID/SetRoot
-// on the clone are safe immediately; before editing the edges of an
-// existing node the caller must PrivatizeOut it, or in-place edits (and
-// appends into spare capacity) would write into storage the original's
-// readers share. The node table has room for extra more nodes, so a batch
-// that allocates that many never regrows it.
+// The node table is shared by chunks: the clone copies only the spine, and
+// from then on neither graph writes a shared chunk in place — the first
+// write to one copies that chunk — so AddNode/SetOID/SetRoot on either
+// graph are safe immediately, and the clone costs O(nodes / 256). Before
+// editing the edges of an existing node the caller must PrivatizeOut it,
+// or in-place edits (and appends into spare capacity) would write into
+// storage the original's readers share. The spine has room for extra more
+// nodes.
 func (g *Graph) CloneShared(extra int) *Graph {
-	h := &Graph{root: g.root, out: make([][]Edge, len(g.out), len(g.out)+max(extra, 0))}
-	copy(h.out, g.out)
+	spine := make([]*spineChunk, len(g.spine), len(g.spine)+max(extra, 0)>>spineBits+1)
+	copy(spine, g.spine)
+	h := &Graph{spine: spine, n: g.n, root: g.root}
+	h.epoch.Store(epochs.Add(1))
+	g.epoch.Store(epochs.Add(1))
 	if g.oid != nil {
 		h.oid = make(map[NodeID]string, len(g.oid))
 		for n, id := range g.oid {
@@ -138,6 +144,6 @@ func (g *Graph) CloneShared(extra int) *Graph {
 // merely wastes the copy.
 func (g *Graph) PrivatizeOut(n NodeID) {
 	g.check(n)
-	es := g.out[n]
-	g.out[n] = append(make([]Edge, 0, len(es)+1), es...)
+	p := g.slot(n)
+	*p = append(make([]Edge, 0, len(*p)+1), *p...)
 }

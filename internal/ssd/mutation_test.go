@@ -96,6 +96,49 @@ func TestCloneSharedIsolation(t *testing.T) {
 	}
 }
 
+// TestCloneSharedChunks: the node table is shared chunk by chunk, so a
+// clone of a many-chunk graph copies only the spine, and writes on either
+// side after the clone — new nodes in a shared tail chunk, new edges on
+// privatized lists, a Dedup — stay on that side.
+func TestCloneSharedChunks(t *testing.T) {
+	const n = 3*spineLen + 7
+	g := NewWithCapacity(n)
+	g.AddNodes(n - 1)
+	for i := 1; i < n; i++ {
+		g.AddEdge(NodeID(i-1), Int(int64(i)), NodeID(i))
+	}
+	before := FormatRoot(g)
+
+	var h *Graph
+	if allocs := testing.AllocsPerRun(10, func() { h = g.CloneShared(spineLen) }); allocs > 3 {
+		t.Fatalf("CloneShared made %.0f allocations, want the spine and the graph", allocs)
+	}
+	hn := h.AddNode()
+	h.PrivatizeOut(0)
+	h.PrivatizeOut(NodeID(2 * spineLen))
+	h.AddEdge(0, Sym("h"), hn)
+	h.AddEdge(NodeID(2*spineLen), Sym("h"), hn)
+	gn := g.AddNode() // the same id, in the tail chunk both share
+	g.PrivatizeOut(0)
+	g.AddEdge(0, Sym("g"), gn)
+	if gn != hn {
+		t.Fatalf("new nodes %d and %d, want equal ids", gn, hn)
+	}
+	g.Dedup()
+
+	if g.OutDegree(0) != 2 || g.OutDegree(NodeID(2*spineLen)) != 1 || g.LookupFirst(0, Sym("h")) != InvalidNode {
+		t.Fatalf("original sees the clone's writes: %v, %v", g.Out(0), g.Out(NodeID(2*spineLen)))
+	}
+	if h.OutDegree(0) != 2 || h.OutDegree(NodeID(2*spineLen)) != 2 || h.LookupFirst(0, Sym("g")) != InvalidNode {
+		t.Fatalf("clone sees the original's writes: %v, %v", h.Out(0), h.Out(NodeID(2*spineLen)))
+	}
+	h.DeleteEdge(0, Sym("h"), hn)
+	h.DeleteEdge(NodeID(2*spineLen), Sym("h"), hn)
+	if got := FormatRoot(h); got != before {
+		t.Fatalf("clone with its writes undone differs from the original before them")
+	}
+}
+
 func TestPrivatizeOutSpareCapacity(t *testing.T) {
 	// The sharp edge CloneShared documents: appending into spare capacity of
 	// a shared slice must not be observable through the original. Privatizing

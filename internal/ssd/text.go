@@ -313,8 +313,7 @@ func (p *parser) resolve() error {
 			delete(p.g.oid, ph)
 		}
 	}
-	for n := range p.g.out {
-		es := p.g.out[n]
+	for _, es := range p.g.lists() {
 		for i := range es {
 			if t, ok := redirect[es[i].To]; ok {
 				es[i].To = t

@@ -73,11 +73,6 @@ func Encode(g *ssd.Graph) []byte {
 
 // Decode parses a serialized graph.
 func Decode(data []byte) (*ssd.Graph, error) {
-	return decode(data, labelCache{})
-}
-
-// decode parses a serialized graph, reading its labels through labels.
-func decode(data []byte, labels labelCache) (*ssd.Graph, error) {
 	r := &reader{data: data}
 	if len(data) < 5 || string(data[:4]) != magic {
 		return nil, fmt.Errorf("storage: bad magic")
@@ -110,8 +105,7 @@ func decode(data []byte, labels labelCache) (*ssd.Graph, error) {
 			return nil, err
 		}
 		for i := uint64(0); i < deg; i++ {
-			var l ssd.Label
-			l, r.pos, err = labels.read(r.data, r.pos)
+			l, err := r.label()
 			if err != nil {
 				return nil, err
 			}
@@ -291,7 +285,22 @@ func (r *reader) str() (string, error) {
 	return s, nil
 }
 
+// label reads one label. Bytes the label table already holds are looked
+// up rather than decoded, so reading a known label allocates nothing.
 func (r *reader) label() (ssd.Label, error) {
+	start := r.pos
+	if err := r.skipLabel(); err != nil {
+		return ssd.Label{}, err
+	}
+	if l, ok := ssd.LookupLabel(r.data[start:r.pos]); ok {
+		return l, nil
+	}
+	r.pos = start
+	return r.decodeLabel()
+}
+
+// decodeLabel builds the label at r.pos from its payload.
+func (r *reader) decodeLabel() (ssd.Label, error) {
 	if r.pos >= len(r.data) {
 		return ssd.Label{}, io.ErrUnexpectedEOF
 	}
@@ -332,33 +341,9 @@ func (r *reader) label() (ssd.Label, error) {
 	}
 }
 
-// labelCache turns each distinct label encoding into a label once. Keyed
-// by the encoding's bytes, so a lookup (c[string(raw)]) allocates nothing
-// and a decoder that meets the same bytes again reuses the handle instead
-// of interning the label anew.
-type labelCache map[string]ssd.Label
-
-// read is ReadLabel through c.
-func (c labelCache) read(data []byte, pos int) (ssd.Label, int, error) {
-	r := reader{data: data, pos: pos}
-	if err := r.skipLabel(); err != nil {
-		return ssd.Label{}, r.pos, err
-	}
-	raw := data[pos:r.pos]
-	if l, ok := c[string(raw)]; ok {
-		return l, r.pos, nil
-	}
-	l, _, err := ReadLabel(raw, 0)
-	if err != nil {
-		return ssd.Label{}, pos, err
-	}
-	c[string(raw)] = l
-	return l, r.pos, nil
-}
-
-// skipLabel steps over one label, making every check label makes — kind,
-// string length, varint and fixed-width payload bounds — without building
-// the label, so validating a record allocates nothing.
+// skipLabel steps over one label, making every check decodeLabel makes —
+// kind, string length, varint and fixed-width payload bounds — without
+// building the label, so validating a record allocates nothing.
 func (r *reader) skipLabel() error {
 	if r.pos >= len(r.data) {
 		return io.ErrUnexpectedEOF

@@ -257,10 +257,9 @@ func (fr *frame) find(n ssd.NodeID) int {
 
 func cmpNode(r frameRec, n ssd.NodeID) int { return cmp.Compare(r.node, n) }
 
-// out returns n's edges, decoding its record on first touch with the
-// store's labels. The caller holds a pin on fr. Concurrent first touches
-// each decode; one publishes.
-func (fr *frame) out(n ssd.NodeID, labels *sharedLabels) []ssd.Edge {
+// out returns n's edges, decoding its record on first touch. The caller
+// holds a pin on fr. Concurrent first touches each decode; one publishes.
+func (fr *frame) out(n ssd.NodeID) []ssd.Edge {
 	i := fr.find(n)
 	if i < 0 || fr.recs[i].deg == 0 {
 		return nil
@@ -270,32 +269,18 @@ func (fr *frame) out(n ssd.NodeID, labels *sharedLabels) []ssd.Edge {
 	}
 	rec := fr.recs[i]
 	es := make([]ssd.Edge, rec.deg)
-	labels.edges(&reader{data: fr.data, pos: int(rec.off)}, es)
+	// The load pass validated this record, so decoding cannot fail.
+	r := reader{data: fr.data, pos: int(rec.off)}
+	for j := range es {
+		l, _ := r.label()
+		to, _ := r.uvarint()
+		es[j] = ssd.Edge{Label: l, To: ssd.NodeID(to)}
+	}
 	if fr.state[i].CompareAndSwap(0, recClaimed) {
 		fr.edges[i] = es
 		fr.state[i].Store(recReady)
 	}
 	return es
-}
-
-// sharedLabels is the labelCache of one PageStore, which its readers share:
-// records are decoded concurrently, outside the pool mutex.
-type sharedLabels struct {
-	mu sync.Mutex
-	m  labelCache
-}
-
-// edges decodes the len(es) edges of a record at r.pos into es. The load
-// pass validated the record, so decoding cannot fail.
-func (c *sharedLabels) edges(r *reader, es []ssd.Edge) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for j := range es {
-		l, pos, _ := c.m.read(r.data, r.pos)
-		r.pos = pos
-		to, _ := r.uvarint()
-		es[j] = ssd.Edge{Label: l, To: ssd.NodeID(to)}
-	}
 }
 
 // maxFreeFrames bounds the evicted single-page frames a store keeps for
@@ -316,7 +301,6 @@ type PageStore struct {
 	numPages int
 	root     ssd.NodeID
 	dir      []uint32 // node → first page of its run
-	labels   sharedLabels
 
 	mu       sync.Mutex
 	frames   map[uint32]*frame
@@ -409,7 +393,6 @@ func OpenPageFile(path string, poolBytes int64) (*PageStore, error) {
 		numPages: numPages,
 		root:     root,
 		dir:      dir,
-		labels:   sharedLabels{m: labelCache{}},
 		frames:   make(map[uint32]*frame),
 		budget:   poolBytes,
 	}
@@ -665,7 +648,7 @@ func (ps *PageStore) NumNodes() int { return len(ps.dir) }
 func (ps *PageStore) Out(n ssd.NodeID) []ssd.Edge {
 	ps.check(n)
 	fr := ps.acquire(ps.dir[n])
-	es := fr.out(n, &ps.labels)
+	es := fr.out(n)
 	ps.release(fr)
 	return es
 }
@@ -728,5 +711,5 @@ func (a *pageAccessor) NumNodes() int { return len(a.ps.dir) }
 // Out returns the outgoing edges of n through the pinned ring.
 func (a *pageAccessor) Out(n ssd.NodeID) []ssd.Edge {
 	a.ps.check(n)
-	return a.frameFor(a.ps.dir[n]).out(n, &a.ps.labels)
+	return a.frameFor(a.ps.dir[n]).out(n)
 }

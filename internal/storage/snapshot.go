@@ -57,10 +57,12 @@ import (
 const (
 	snapMagic = "SSDS"
 	// snapVersion is the version written; version 1 files (no stats
-	// section) and version 2 and 3 files (stats with per-node refcounts)
+	// section), version 2 and 3 files (stats with per-node refcounts) and
+	// version 4 files (labels keyed by value, so -0 and +0 shared an entry)
 	// remain readable, so upgrading never invalidates an existing snapshot
-	// generation.
-	snapVersion    = 4
+	// generation. Versions before 5 have their label index and statistics
+	// rebuilt from the graph at decode, and their guide dropped.
+	snapVersion    = 5
 	snapVersionMin = 1
 )
 
@@ -288,36 +290,47 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		// (e.g. a graph section spliced from another file).
 		return nil, fmt.Errorf("storage: snapshot fingerprint mismatch: meta %08x, graph %08x", s.SelfFP, fp)
 	}
-	// One label cache for every section: the indexes, the guide and the
-	// statistics name the graph's labels again.
-	labels := labelCache{}
-	if s.Graph, err = decode(graphPayload, labels); err != nil {
+	if s.Graph, err = Decode(graphPayload); err != nil {
 		return nil, err
 	}
 	if p, ok := sections[secLabels]; ok {
-		if s.Labels, err = decodeLabelIndex(p, s.Graph.NumNodes(), labels); err != nil {
+		if s.Labels, err = decodeLabelIndex(p, s.Graph.NumNodes()); err != nil {
 			return nil, err
 		}
 	}
 	if p, ok := sections[secValues]; ok {
-		if s.Values, err = decodeValueIndex(p, s.Graph.NumNodes(), labels); err != nil {
+		if s.Values, err = decodeValueIndex(p, s.Graph.NumNodes()); err != nil {
 			return nil, err
 		}
 	}
 	if p, ok := sections[secGuide]; ok {
-		if s.Guide, err = decodeGuide(p, s.Graph, labels); err != nil {
+		if s.Guide, err = decodeGuide(p, s.Graph); err != nil {
 			return nil, err
 		}
 	}
 	if p, ok := sections[secStats]; ok {
-		if s.Stats, err = decodeStats(p, s.Graph.NumNodes(), version, labels); err != nil {
+		if s.Stats, err = decodeStats(p, s.Graph.NumNodes(), version); err != nil {
 			return nil, err
 		}
+	}
+	if version < 5 {
+		// Written while -0 and +0 were one label (and each NaN edge its
+		// own): a posting, statistics entry or guide child may cover edges
+		// that are distinct labels now. The sections were checked above;
+		// rebuild what the file carried from its graph, and leave the
+		// guide to be rebuilt on demand.
+		if s.Labels != nil {
+			s.Labels = index.BuildLabelIndex(s.Graph)
+		}
+		if s.Stats != nil {
+			s.Stats = stats.Build(s.Graph)
+		}
+		s.Guide = nil
 	}
 	return s, nil
 }
 
-func decodeStats(data []byte, numNodes int, version byte, labels labelCache) (*stats.Stats, error) {
+func decodeStats(data []byte, numNodes int, version byte) (*stats.Stats, error) {
 	var d stats.Dump
 	edges, pos, err := ReadUvarint(data, 0)
 	if err != nil {
@@ -374,7 +387,7 @@ func decodeStats(data []byte, numNodes int, version byte, labels labelCache) (*s
 	d.Labels = make([]stats.LabelCard, 0, nLabels)
 	for i := uint64(0); i < nLabels; i++ {
 		var lc stats.LabelCard
-		if lc.Label, pos, err = labels.read(data, pos); err != nil {
+		if lc.Label, pos, err = ReadLabel(data, pos); err != nil {
 			return nil, err
 		}
 		var count, sources uint64
@@ -427,7 +440,7 @@ func decodeRef(data []byte, pos, numNodes int) (index.EdgeRef, int, error) {
 	return index.EdgeRef{From: ssd.NodeID(from), To: ssd.NodeID(to)}, pos, nil
 }
 
-func decodeLabelIndex(data []byte, numNodes int, labels labelCache) (*index.LabelIndex, error) {
+func decodeLabelIndex(data []byte, numNodes int) (*index.LabelIndex, error) {
 	n, pos, err := ReadUvarint(data, 0)
 	if err != nil {
 		return nil, err
@@ -438,7 +451,7 @@ func decodeLabelIndex(data []byte, numNodes int, labels labelCache) (*index.Labe
 	ps := make([]index.Posting, 0, n)
 	for i := uint64(0); i < n; i++ {
 		var p index.Posting
-		if p.Label, pos, err = labels.read(data, pos); err != nil {
+		if p.Label, pos, err = ReadLabel(data, pos); err != nil {
 			return nil, err
 		}
 		var nr uint64
@@ -464,7 +477,7 @@ func decodeLabelIndex(data []byte, numNodes int, labels labelCache) (*index.Labe
 	return index.LabelIndexFromDump(ps)
 }
 
-func decodeValueIndex(data []byte, numNodes int, labels labelCache) (*index.ValueIndex, error) {
+func decodeValueIndex(data []byte, numNodes int) (*index.ValueIndex, error) {
 	n, pos, err := ReadUvarint(data, 0)
 	if err != nil {
 		return nil, err
@@ -475,7 +488,7 @@ func decodeValueIndex(data []byte, numNodes int, labels labelCache) (*index.Valu
 	es := make([]index.Entry, 0, n)
 	for i := uint64(0); i < n; i++ {
 		var e index.Entry
-		if e.Label, pos, err = labels.read(data, pos); err != nil {
+		if e.Label, pos, err = ReadLabel(data, pos); err != nil {
 			return nil, err
 		}
 		if e.Ref, pos, err = decodeRef(data, pos, numNodes); err != nil {
@@ -489,7 +502,7 @@ func decodeValueIndex(data []byte, numNodes int, labels labelCache) (*index.Valu
 	return index.ValueIndexFromDump(es)
 }
 
-func decodeGuide(data []byte, source *ssd.Graph, labels labelCache) (*dataguide.Guide, error) {
+func decodeGuide(data []byte, source *ssd.Graph) (*dataguide.Guide, error) {
 	glen, pos, err := ReadUvarint(data, 0)
 	if err != nil {
 		return nil, err
@@ -497,7 +510,7 @@ func decodeGuide(data []byte, source *ssd.Graph, labels labelCache) (*dataguide.
 	if glen > uint64(len(data)-pos) {
 		return nil, fmt.Errorf("storage: truncated guide graph")
 	}
-	gg, err := decode(data[pos:pos+int(glen)], labels)
+	gg, err := Decode(data[pos : pos+int(glen)])
 	if err != nil {
 		return nil, err
 	}

@@ -414,11 +414,11 @@ func FuzzSnapshotStats(f *testing.F) {
 	f.Add(byte(snapVersion), encodeStats(stats.Build(g)))
 	f.Fuzz(func(t *testing.T, version byte, data []byte) {
 		version = 2 + version%(snapVersion-1)
-		st, err := decodeStats(data, g.NumNodes(), version, labelCache{})
+		st, err := decodeStats(data, g.NumNodes(), version)
 		if err != nil {
 			return
 		}
-		again, err := decodeStats(encodeStats(st), g.NumNodes(), snapVersion, labelCache{})
+		again, err := decodeStats(encodeStats(st), g.NumNodes(), snapVersion)
 		if err != nil {
 			t.Fatalf("accepted v%d payload re-encodes to a rejected one: %v", version, err)
 		}
