@@ -522,6 +522,22 @@ func BenchmarkStorageCodec(b *testing.B) {
 			}
 		}
 	})
+	// open is what OpenPath pays for a generation before replaying its log
+	// tail: decode a Movies(20000) checkpoint image, then build the label
+	// index and statistics from its graph. image-B is the image's size.
+	b.Run("open", func(b *testing.B) {
+		img := storage.EncodeSnapshot(&storage.Snapshot{Graph: movieDB(20000)})
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s, err := storage.DecodeSnapshot(img)
+			if err != nil {
+				b.Fatal(err)
+			}
+			index.BuildLabelIndex(s.Graph)
+			stats.Build(s.Graph)
+		}
+		b.ReportMetric(float64(len(img)), "image-B")
+	})
 }
 
 // ---------------------------------------------------------------------------

@@ -64,6 +64,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/dataguide"
 	"repro/internal/mutate"
 	"repro/internal/oem"
 	"repro/internal/schema"
@@ -190,7 +191,7 @@ func main() {
 			fatal(err)
 		}
 	case "browse":
-		for _, a := range db.DataGuide().Summary(*depth, *limit) {
+		for _, a := range dataguide.MustBuild(db.Graph()).Summary(*depth, *limit) {
 			parts := make([]string, len(a.Path))
 			for i, l := range a.Path {
 				parts[i] = l.String()
@@ -198,7 +199,7 @@ func main() {
 			fmt.Printf("%-60s %d\n", strings.Join(parts, "."), a.ExtentLen)
 		}
 	case "guide":
-		g := db.DataGuide()
+		g := dataguide.MustBuild(db.Graph())
 		fmt.Printf("dataguide: %d nodes, %d edges (data: %s)\n",
 			g.NumNodes(), g.G.NumEdges(), db.Describe())
 	case "schema":
@@ -434,7 +435,7 @@ func demo(db *core.Database) {
 		fmt.Println("  ", res.Format())
 	}
 	fmt.Println("\n-- browse (dataguide paths, depth ≤ 2)")
-	for _, a := range db.DataGuide().Summary(2, 12) {
+	for _, a := range dataguide.MustBuild(db.Graph()).Summary(2, 12) {
 		parts := make([]string, len(a.Path))
 		for i, l := range a.Path {
 			parts[i] = l.String()

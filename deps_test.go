@@ -48,3 +48,18 @@ func TestNoBinaryImportsOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestCoreAndStorageImportNoDataGuide: the DataGuide is an offline tool and
+// a planner input for callers that pass one; the serving handle and the
+// snapshot codec neither build, maintain nor persist it.
+func TestCoreAndStorageImportNoDataGuide(t *testing.T) {
+	out, err := exec.Command("go", "list", "-f", "{{.ImportPath}}: {{.Imports}}", "./internal/core", "./internal/storage").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if strings.Contains(line, "repro/internal/dataguide") {
+			t.Errorf("imports the DataGuide: %s", line)
+		}
+	}
+}

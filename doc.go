@@ -45,18 +45,16 @@
 // into a Batch and applied copy-on-write (only touched adjacency slices are
 // copied), yielding a new graph version plus the edge delta that drives
 // incremental maintenance of what the planner reads — index.LabelIndex.Apply
-// patches posting lists, stats.Stats.Apply the per-label counts (the delta
-// carries the source changes the write path saw, so Apply costs the labels
-// a commit touched, not the database), and
-// dataguide.Guide.ApplyDelta extends the strong DataGuide for added edges,
-// falling back to a rebuild only when a delete touches the accessible
-// region. internal/core publishes each version
-// as an MVCC snapshot behind an atomic pointer: readers keep querying the
-// snapshot they started with while Begin/Commit installs the next one under
-// a single-writer lock. A durable directory (core.OpenPath: snapshot
-// generations plus a write-ahead log) logs every commit before publishing
-// it and replays the log tail at open. Ablated by
-// BenchmarkIncrementalVsRebuild.
+// patches posting lists and stats.Stats.Apply the per-label counts (the
+// delta carries the source changes the write path saw, so Apply costs the
+// labels a commit touched, not the database). internal/core publishes each
+// version as an MVCC snapshot behind an atomic pointer: readers keep
+// querying the snapshot they started with while Begin/Commit installs the
+// next one under a single-writer lock. A durable directory (core.OpenPath:
+// snapshot generations plus a write-ahead log) logs every commit before
+// publishing it; a generation stores only its graph, and opening one
+// replays the log tail and then builds the label index and statistics from
+// the recovered graph. Ablated by BenchmarkIncrementalVsRebuild.
 //
 // # Serving
 //

@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/dataguide"
 	"repro/internal/schema"
 	"repro/internal/ssd"
 	"repro/internal/workload"
@@ -26,7 +27,7 @@ func main() {
 
 	// --- Browsing: what does this thing even look like? (§1.3)
 	fmt.Println("\ntop label paths (DataGuide):")
-	for _, a := range db.DataGuide().Summary(2, 12) {
+	for _, a := range dataguide.MustBuild(db.Graph()).Summary(2, 12) {
 		parts := make([]string, len(a.Path))
 		for i, l := range a.Path {
 			parts[i] = l.String()

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/bisim"
 	"repro/internal/core"
+	"repro/internal/dataguide"
 	"repro/internal/workload"
 )
 
@@ -102,7 +103,7 @@ func main() {
 		where A = "Bogart"`)
 	fmt.Printf("movies crediting Bogart at 20k entries: %d\n", rows)
 
-	guide := big.DataGuide()
+	guide := dataguide.MustBuild(big.Graph())
 	fmt.Printf("dataguide: %d nodes summarize %d data nodes\n",
 		guide.NumNodes(), big.Graph().NumNodes())
 }

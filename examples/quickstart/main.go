@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/dataguide"
 	"repro/internal/index"
 	"repro/internal/pathexpr"
 	"repro/internal/schema"
@@ -110,7 +111,7 @@ func main() {
 	fmt.Println(`where is "compilers"?   `, values.Exact(ssd.Str("compilers")))
 
 	fmt.Println("\nlabel paths from the root (DataGuide):")
-	for _, a := range db.DataGuide().Summary(3, 15) {
+	for _, a := range dataguide.MustBuild(db.Graph()).Summary(3, 15) {
 		parts := make([]string, len(a.Path))
 		for i, l := range a.Path {
 			parts[i] = l.String()

@@ -9,20 +9,20 @@
 //     Stmt.Query/Exec/Explain/ExplainAnalyze,
 //   - versioned updates through the internal/mutate write path: batched
 //     mutations, a write-ahead log, MVCC snapshots and WAL-shipping
-//     replication,
-//   - the DataGuide of the current snapshot (§5).
+//     replication.
 //
-// The paper's other tools — value indexes for the §1.3 browsing questions,
-// schemas and conformance (§5), bisimulation equality (§2), relational and
-// OEM exchange (§1.2), custom structural recursion — are leaf packages
-// called on Graph(): index.BuildValueIndex, schema.Infer, bisim.Equal,
+// The paper's other tools — DataGuides and value indexes for the §1.3
+// browsing questions, schemas and conformance (§5), bisimulation equality
+// (§2), relational and OEM exchange (§1.2), custom structural recursion —
+// are leaf packages called on Graph(): dataguide.MustBuild,
+// index.BuildValueIndex, schema.Infer, bisim.Equal,
 // relstore.EncodeRelational, oem.FromGraph, unql.GExt.
 //
 // A Database is a multi-version handle: readers always see one immutable
 // published snapshot (graph plus the derived structures the serving path
-// reads — label index, statistics, and a DataGuide once built), while
-// Begin/Commit install new snapshots atomically under a single-writer
-// lock, maintaining those structures incrementally. Transform statements
+// reads — label index and statistics), while Begin/Commit install new
+// snapshots atomically under a single-writer lock, maintaining those
+// structures incrementally. Transform statements
 // (Stmt.Exec) return fresh handles with fresh caches, so no entry point can
 // ever serve derived structures computed for a different graph version.
 package core
@@ -35,7 +35,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dataguide"
 	"repro/internal/index"
 	"repro/internal/mutate"
 	"repro/internal/query"
@@ -199,11 +198,16 @@ type snapshot struct {
 
 // derived holds the structures the serving path reads beside a graph
 // version. A nil member has not been built; it is built lazily on first
-// use, or never (the DataGuide is only ever built on demand).
+// use.
 type derived struct {
 	labelIx *index.LabelIndex
-	guide   *dataguide.Guide
 	stats   *stats.Stats
+}
+
+// derive builds every derived structure from g — what opening a durable
+// generation does, since a generation stores only its graph.
+func derive(g *ssd.Graph) derived {
+	return derived{labelIx: index.BuildLabelIndex(g), stats: stats.Build(g)}
 }
 
 // built returns the structures s has built so far.
@@ -213,37 +217,16 @@ func (s *snapshot) built() derived {
 	return s.derived
 }
 
-// apply carries d across one batch that turned the previous graph into g
-// with result res — the one rule commits and recovery replay share. Each
-// member is maintained from the batch's delta; a member never built stays
-// nil, and a DataGuide the delta cannot repair (a moved root, or deletes in
-// the accessible region) is dropped for a lazy rebuild.
-func (d derived) apply(g *ssd.Graph, res mutate.Result) derived {
+// apply carries d across one committed batch with delta delta. Each member
+// is maintained from the delta; a member never built stays nil.
+func (d derived) apply(delta ssd.Delta) derived {
 	if d.labelIx != nil {
-		d.labelIx = d.labelIx.Apply(res.Delta)
+		d.labelIx = d.labelIx.Apply(delta)
 	}
 	if d.stats != nil {
-		d.stats = d.stats.Apply(res.Delta)
-	}
-	if d.guide != nil {
-		ok := false
-		if !res.RootChanged {
-			d.guide, ok = d.guide.ApplyDelta(g, res.Delta, 0)
-		}
-		if !ok {
-			d.guide = nil
-		}
+		d.stats = d.stats.Apply(delta)
 	}
 	return d
-}
-
-// image builds the storage image of s for a snapshot file: the label index
-// and statistics the planner reads are force-built so the generation
-// restores a query-ready database; the DataGuide (potentially exponential)
-// is included only if s already built it.
-func (s *snapshot) image() *storage.Snapshot {
-	labels, st := s.labels(), s.statistics()
-	return &storage.Snapshot{Graph: s.g, Labels: labels, Stats: st, Guide: s.built().guide}
 }
 
 // store returns the snapshot's read store: the paged store when this
@@ -352,7 +335,7 @@ func (db *Database) commitLocked(b *mutate.Batch) error {
 			return err
 		}
 	}
-	db.publish(&snapshot{g: g2, derived: old.built().apply(g2, res)})
+	db.publish(&snapshot{g: g2, derived: old.built().apply(res.Delta)})
 	db.advanceSeq(1)
 	obsCommitDur.Observe(time.Since(start))
 	obsCommits.Inc()
@@ -405,16 +388,13 @@ func (db *Database) PagePoolStats() (storage.PoolStats, bool) {
 // planOptions assembles the planner inputs from one snapshot, so the plan's
 // cached structures always describe the same graph version it will run on.
 func (s *snapshot) planOptions() query.PlanOptions {
-	label := s.labels()
-	st := s.statistics()
-	// The guide only if already built; never forced.
-	return query.PlanOptions{Label: label, Guide: s.built().guide, Stats: st}
+	return query.PlanOptions{Label: s.labels(), Stats: s.statistics()}
 }
 
 // statistics returns the snapshot's cardinality statistics, building them on
 // first use. Commits maintain an already-built Stats incrementally (see
-// derived.apply), and durable recovery restores them from the snapshot file's
-// stats section, so in steady state this never rescans the graph.
+// derived.apply), and opening a durable directory builds them with the
+// label index, so in steady state this never rescans the graph.
 func (s *snapshot) statistics() *stats.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -431,18 +411,6 @@ func (s *snapshot) labels() *index.LabelIndex {
 		s.labelIx = index.BuildLabelIndex(s.g)
 	}
 	return s.labelIx
-}
-
-// DataGuide returns the strong DataGuide of the current snapshot, building
-// it on first use. Commits extend an already-built guide incrementally.
-func (db *Database) DataGuide() *dataguide.Guide {
-	s := db.snapshot()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.guide == nil {
-		s.guide = dataguide.MustBuild(s.g)
-	}
-	return s.guide
 }
 
 // Describe returns a one-line summary for CLI output. It walks every node

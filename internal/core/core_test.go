@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bisim"
+	"repro/internal/dataguide"
 	"repro/internal/oem"
 	"repro/internal/pathexpr"
 	"repro/internal/ssd"
@@ -136,7 +137,7 @@ func TestPathQueryAndIndexedAgree(t *testing.T) {
 		"Entry._.Cast.(isint|Credit.Actors)._",
 	} {
 		direct := pathNodes(t, db, src)
-		indexed := db.DataGuide().Eval(pathexpr.MustCompile(src))
+		indexed := dataguide.MustBuild(db.Graph()).Eval(pathexpr.MustCompile(src))
 		if len(direct) != len(indexed) {
 			t.Errorf("%s: direct %d, indexed %d", src, len(direct), len(indexed))
 		}
@@ -174,7 +175,7 @@ func TestBrowsingQueries(t *testing.T) {
 	if want, _ := ParseText(`{Cast: {}}`); !equalDB(attrs, want) {
 		t.Errorf("attributes like Cast%%: %s", attrs.Format())
 	}
-	if paths := db.DataGuide().Summary(2, 50); len(paths) == 0 {
+	if paths := dataguide.MustBuild(db.Graph()).Summary(2, 50); len(paths) == 0 {
 		t.Error("DataGuide summary is empty")
 	}
 }

@@ -233,21 +233,16 @@ func OpenPathOptions(dir string, opts Options) (*Database, error) {
 		skipped = int(snap.Applied)
 	}
 
-	// Replay the tail in place, maintaining the restored derived structures
-	// incrementally so recovery hands back a query-ready snapshot. A value
-	// index section (written by older generations) is decoded but ignored:
-	// nothing on the serving path reads one.
+	// Replay the tail in place, then build the derived structures once from
+	// the recovered graph, so recovery hands back a query-ready snapshot.
 	g := snap.Graph
-	d := derived{labelIx: snap.Labels, guide: snap.Guide, stats: snap.Stats}
 	replayed := 0
 	if w.Batches() > 0 {
 		if err := w.Replay(func(b *mutate.Batch) error {
-			res, err := mutate.ApplyInPlace(g, b)
-			if err != nil {
+			if _, err := mutate.ApplyInPlace(g, b); err != nil {
 				return err
 			}
 			replayed++
-			d = d.apply(g, res)
 			return nil
 		}); err != nil {
 			w.Close()
@@ -262,7 +257,7 @@ func OpenPathOptions(dir string, opts Options) (*Database, error) {
 	db.replSeq.Store(snap.CommitSeq + uint64(replayed))
 	obsCommitSeq.Set(int64(snap.CommitSeq + uint64(replayed)))
 	db.snapSeq.Store(loaded.seq)
-	db.snap.Store(&snapshot{g: g, derived: d})
+	db.snap.Store(&snapshot{g: g, derived: derive(g)})
 	db.wal = w
 	db.walRO.Store(w)
 	opened = true
@@ -355,9 +350,9 @@ type CheckpointInfo struct {
 
 // Checkpoint writes the next snapshot generation and truncates the log
 // prefix it covers. The expensive part — serializing the pinned MVCC
-// snapshot with its indexes and DataGuide to a temp file and renaming it
-// in — runs without any lock the read or write paths take: readers keep
-// streaming and the single writer keeps committing throughout. Only two
+// snapshot's graph to a temp file and renaming it in — runs without any
+// lock the read or write paths take: readers keep streaming and the single
+// writer keeps committing throughout. Only two
 // brief windows take the writer lock: pinning (snapshot pointer + log
 // position must be read consistently) and the final log truncation, which
 // removes exactly the prefix the new generation folded in, so commits that
@@ -388,8 +383,8 @@ func (db *Database) Checkpoint() (CheckpointInfo, error) {
 
 	if cur := db.snapSeq.Load(); folded == 0 && cur > 0 {
 		// Nothing committed since the newest generation: rewriting an
-		// identical snapshot (and its indexes) would be pure I/O. An idle
-		// database checkpoints for free.
+		// identical snapshot would be pure I/O. An idle database
+		// checkpoints for free.
 		return CheckpointInfo{
 			Path: filepath.Join(db.dir, snapName(cur)),
 			Seq:  cur,
@@ -400,8 +395,7 @@ func (db *Database) Checkpoint() (CheckpointInfo, error) {
 
 	seq := db.snapSeq.Load() + 1
 	path := filepath.Join(db.dir, snapName(seq))
-	s := snap.image()
-	s.WALBaseFP, s.Applied, s.CommitSeq = baseFP, uint64(folded), commitSeq
+	s := &storage.Snapshot{Graph: snap.g, WALBaseFP: baseFP, Applied: uint64(folded), CommitSeq: commitSeq}
 	n, err := storage.WriteSnapshotFile(path, s)
 	if err != nil {
 		return CheckpointInfo{}, err
@@ -518,9 +512,8 @@ func (db *Database) SavePath(dir string) error {
 	if _, err := os.Stat(filepath.Join(dir, walFile)); err == nil {
 		return fmt.Errorf("core: %s already holds a write-ahead log", dir)
 	}
-	snap := db.snapshot()
-	s := snap.image()
-	s.WALBaseFP = mutate.Fingerprint(snap.g) // fresh directory: the log will start at this state
+	g := db.snapshot().g
+	s := &storage.Snapshot{Graph: g, WALBaseFP: mutate.Fingerprint(g)} // fresh directory: the log will start at this state
 	_, err = storage.WriteSnapshotFile(filepath.Join(dir, snapName(1)), s)
 	return err
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -403,7 +404,6 @@ func TestSavePathThenOpenPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.DataGuide() // build it so the export carries a guide section
 	dir := t.TempDir()
 	if err := src.SavePath(dir); err != nil {
 		t.Fatal(err)
@@ -559,11 +559,30 @@ func TestCheckpointRequiresOpenPath(t *testing.T) {
 	}
 }
 
-// TestRecoveredStatsMatchRebuild pins the statistics lifecycle across a
-// restart: a checkpoint persists the stats section, recovery restores it and
-// folds the WAL tail in via delta maintenance — so the reopened database has
-// planner statistics immediately, without a rebuild pass, and they are
-// exactly what a from-scratch build over the recovered graph produces.
+// checkDerivedBuilt asserts that the snapshot db publishes already holds a
+// label index and statistics — built at open, not lazily on first read —
+// each equal to a rebuild from its graph.
+func checkDerivedBuilt(t *testing.T, when string, db *Database) {
+	t.Helper()
+	s := db.snapshot()
+	d := s.built()
+	if d.labelIx == nil || d.stats == nil {
+		t.Fatalf("%s: published snapshot lacks a label index (%v) or statistics (%v)", when, d.labelIx != nil, d.stats != nil)
+	}
+	if got, want := d.labelIx.Dump(), index.BuildLabelIndex(s.g).Dump(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: label index differs from rebuild:\ngot  %v\nwant %v", when, got, want)
+	}
+	if got, want := d.stats.Dump(), stats.Build(s.g).Dump(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: statistics differ from rebuild:\ngot  %+v\nwant %+v", when, got, want)
+	}
+}
+
+// TestRecoveredStatsMatchRebuild pins the derived-structure lifecycle
+// across every way a durable handle comes up: after OpenPath replays a WAL
+// tail, after a follower boots from a leader's generation, and after
+// ReplaceFromSnapshot adopts one, the published snapshot already holds the
+// label index and statistics the planner reads, exactly as a from-scratch
+// build over its graph.
 func TestRecoveredStatsMatchRebuild(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenPath(dir)
@@ -571,11 +590,10 @@ func TestRecoveredStatsMatchRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	commitN(t, db, 0, 5)
-	db.snapshot().statistics() // force-build so commits maintain incrementally
 	if _, err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	commitN(t, db, 5, 3) // WAL tail: applied to the restored stats on reopen
+	commitN(t, db, 5, 3) // WAL tail, replayed on reopen
 	if err := db.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
@@ -585,17 +603,30 @@ func TestRecoveredStatsMatchRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.CloseWAL()
-	snap := re.snapshot()
-	snap.mu.Lock()
-	restored := snap.stats
-	snap.mu.Unlock()
-	if restored == nil {
-		t.Fatal("recovered snapshot has no statistics: the snapshot section was not restored")
+	if ri := re.LastRecovery(); ri.Replayed != 3 {
+		t.Fatalf("recovery %+v, want a 3-batch tail", ri)
 	}
-	want := stats.Build(snap.g)
-	if !reflect.DeepEqual(restored.Dump(), want.Dump()) {
-		t.Fatalf("recovered stats differ from rebuild:\ngot  %+v\nwant %+v", restored.Dump(), want.Dump())
+	checkDerivedBuilt(t, "OpenPath", re)
+	commitN(t, re, 8, 2) // commits maintain what open built
+	checkDerivedBuilt(t, "commits after OpenPath", re)
+
+	path, _, _ := re.SnapshotFile()
+	data, err := os.ReadFile(path)
+	must(t, err)
+	folDir := t.TempDir()
+	must(t, SeedPathSnapshot(folDir, data))
+	fol, err := OpenPath(folDir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer fol.CloseWAL()
+	checkDerivedBuilt(t, "follower bootstrap", fol)
+
+	snap, err := storage.ReadSnapshotFile(path)
+	must(t, err)
+	commitN(t, fol, 100, 2) // diverged history, superseded below
+	must(t, fol.ReplaceFromSnapshot(snap))
+	checkDerivedBuilt(t, "ReplaceFromSnapshot", fol)
 }
 
 // TestNaNScriptLabelSurvivesCheckpoint: `NaN` in a mutation script is the
@@ -629,36 +660,47 @@ func TestNaNScriptLabelSurvivesCheckpoint(t *testing.T) {
 	}
 }
 
-// TestOpensGenerationWithValueSection: a generation written with a value
-// index section — as every checkpoint was before the section stopped being
-// written — still opens, replays its WAL tail and checkpoints. The next
-// generation carries no value section, and the recovered state is the
-// frame-by-frame application of every commit, at the same CommitSeq.
-func TestOpensGenerationWithValueSection(t *testing.T) {
+// copyFixture copies the durable directory testdata/name into a fresh
+// temporary directory, which opening it may write to.
+func copyFixture(t *testing.T, name string) string {
+	t.Helper()
 	dir := t.TempDir()
-	db, err := OpenPath(dir)
-	if err != nil {
-		t.Fatal(err)
+	for _, f := range []string{"snap-0000000000000001.ssds", "wal.log"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name, f))
+		must(t, err)
+		must(t, os.WriteFile(filepath.Join(dir, f), data, 0o644))
 	}
-	commitN(t, db, 0, 5)
-	gen, err := db.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	commitN(t, db, 5, 3) // the WAL tail
-	must(t, db.CloseWAL())
+	return dir
+}
 
-	// Rewrite generation 1 the way older builds wrote it.
-	old, err := storage.ReadSnapshotFile(gen.Path)
-	if err != nil {
-		t.Fatal(err)
+// checkGraphOnly asserts that the generation at path holds only meta and
+// graph sections: it equals the encoding of its own graph and position.
+func checkGraphOnly(t *testing.T, path string) *storage.Snapshot {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	must(t, err)
+	s, err := storage.DecodeSnapshot(data)
+	must(t, err)
+	again := &storage.Snapshot{Graph: s.Graph, WALBaseFP: s.WALBaseFP, Applied: s.Applied, CommitSeq: s.CommitSeq}
+	if !bytes.Equal(storage.EncodeSnapshot(again), data) {
+		t.Fatalf("%s holds more than meta and graph (%d bytes)", path, len(data))
 	}
-	old.Values = index.BuildValueIndex(old.Graph)
-	if _, err := storage.WriteSnapshotFile(gen.Path, old); err != nil {
-		t.Fatal(err)
-	}
-	if s, err := storage.ReadSnapshotFile(gen.Path); err != nil || s.Values == nil {
-		t.Fatalf("fixture generation has no value section (err %v)", err)
+	return s
+}
+
+// TestOpensGenerationWithValueSection opens testdata/v5-every-section, a
+// directory written by a build that still persisted derived structures: its
+// generation carries labels, values, guide and stats sections after five
+// commits, and its log a 3-batch tail. It opens, replays the tail and
+// equals the frame-by-frame application of every commit at the same
+// CommitSeq; its next generation holds only meta and graph.
+func TestOpensGenerationWithValueSection(t *testing.T) {
+	dir := copyFixture(t, "v5-every-section")
+	gen := filepath.Join(dir, "snap-0000000000000001.ssds")
+	data, err := os.ReadFile(gen)
+	must(t, err)
+	if s, err := storage.DecodeSnapshot(data); err != nil || len(storage.EncodeSnapshot(s)) >= len(data) {
+		t.Fatalf("fixture generation carries no derived sections (err %v)", err)
 	}
 
 	re, err := OpenPath(dir)
@@ -677,18 +719,13 @@ func TestOpensGenerationWithValueSection(t *testing.T) {
 	if got, want := re.CommitSeq(), frames.CommitSeq(); got != want {
 		t.Fatalf("CommitSeq = %d, frame-by-frame %d", got, want)
 	}
+	checkDerivedBuilt(t, "open", re)
 
 	next, err := re.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := storage.ReadSnapshotFile(next.Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Values != nil {
-		t.Fatal("new generation still carries a value index section")
-	}
+	s := checkGraphOnly(t, next.Path)
 	if s.CommitSeq != frames.CommitSeq() {
 		t.Fatalf("new generation CommitSeq = %d, want %d", s.CommitSeq, frames.CommitSeq())
 	}

@@ -96,9 +96,6 @@ func checkEngines(t *testing.T, fx engineFixture, seed []byte, size uint8) {
 	}
 	drawn := genStmt(r)
 	leader, follower := FromGraph(g), FromGraph(g)
-	if _, ok := dataguide.Build(g, 4096); ok {
-		leader.DataGuide() // built now, so commits maintain it
-	}
 	var stmts []*engineStmt
 	// The grammar admits a few statements the planner refuses; skip those.
 	if s, err := prepareEngineStmt(t, r, leader, follower, drawn, nil); err == nil {

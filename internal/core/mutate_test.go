@@ -21,7 +21,7 @@ func canonQuery(t *testing.T, db *Database, src string) string {
 
 // TestMutationInvalidatesCaches is the stale-cache regression test: build
 // every derived structure, mutate, and verify that queries, path
-// statements, the DataGuide, and the planner all reflect the new version.
+// statements, the statistics, and the planner all reflect the new version.
 func TestMutationInvalidatesCaches(t *testing.T) {
 	db := FromGraph(workload.Fig1(false))
 
@@ -31,10 +31,9 @@ func TestMutationInvalidatesCaches(t *testing.T) {
 	if hits := pathNodes(t, db, `_*."Casablanca"`); len(hits) == 0 {
 		t.Fatal("path statement found nothing")
 	}
-	if len(db.DataGuide().Summary(2, 10)) == 0 {
-		t.Fatal("guide found nothing")
+	if db.snapshot().statistics().Count(ssd.Sym("Title")) == 0 {
+		t.Fatal("statistics found no Title")
 	}
-	guideBefore := db.DataGuide()
 
 	// Mutate: attach a second movie title through the write path.
 	g := db.Graph()
@@ -78,9 +77,9 @@ func TestMutationInvalidatesCaches(t *testing.T) {
 	if hits := pathNodes(t, db, `_*."Play It Again"`); len(hits) != 1 {
 		t.Fatalf("path statement after mutation = %v", hits)
 	}
-	// DataGuide: incrementally extended, not the stale pointer.
-	if db.DataGuide() == guideBefore {
-		t.Fatal("DataGuide not refreshed after mutation")
+	// Statistics: incrementally extended, not the stale version.
+	if got := db.snapshot().statistics().Count(ssd.Str("Play It Again")); got != 1 {
+		t.Fatalf("statistics count of the new title = %d, want 1", got)
 	}
 
 	// Transform statements return fresh handles whose caches restart.
@@ -178,13 +177,13 @@ func TestCommitWALReplay(t *testing.T) {
 }
 
 // TestConcurrentReadersDuringCommit drives queries, path statements and
-// guide reads while a writer commits batches — the snapshot-swap
+// statistics reads while a writer commits batches — the snapshot-swap
 // concurrency this must survive under -race (see ci.yml).
 func TestConcurrentReadersDuringCommit(t *testing.T) {
 	db := FromGraph(workload.Movies(workload.DefaultMovieConfig(80)))
 	// Pre-build structures so commits exercise incremental maintenance.
 	db.snapshot().labels()
-	db.DataGuide()
+	db.snapshot().statistics()
 	sel, err := db.PrepareCached(`select T from DB.Entry.Movie.Title T`)
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +220,7 @@ func TestConcurrentReadersDuringCommit(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				db.DataGuide().Summary(2, 5)
+				db.Size()
 			}
 		}(r)
 	}

@@ -154,7 +154,7 @@ func (db *Database) ReplCursor(from uint64) (*mutate.Cursor, uint64, error) {
 
 // ApplyReplicated decodes one streamed batch frame and commits it through
 // the ordinary write path: applied copy-on-write, appended to the local WAL,
-// published as a new MVCC snapshot with incremental index/DataGuide/stats
+// published as a new MVCC snapshot with incremental index and statistics
 // maintenance, and counted against the replication position. It returns the
 // position after the apply. The frame must extend the current state — a
 // batch built against a different base is rejected, which is exactly how a
@@ -218,11 +218,11 @@ func SeedPathSnapshot(dir string, data []byte) error {
 // the mid-life bootstrap a follower falls back to when the leader has
 // truncated past its position (ErrReplGone). It persists the snapshot as the
 // next local generation, truncates the local log down to an empty one bound
-// to it, publishes the snapshot's graph and derived structures, and adopts
-// its replication position. The crash windows mirror Checkpoint's: the new
-// generation records which local log (and how much of it) it supersedes, so
-// recovery between the snapshot write and the log truncation skips the
-// superseded batches and completes the truncation.
+// to it, publishes the snapshot's graph with a label index and statistics
+// built from it, and adopts its replication position. The crash windows
+// mirror Checkpoint's: the new generation records which local log (and how
+// much of it) it supersedes, so recovery between the snapshot write and the
+// log truncation skips the superseded batches and completes the truncation.
 //
 //ssd:locks writeMu
 func (db *Database) ReplaceFromSnapshot(s *storage.Snapshot) error {
@@ -240,12 +240,10 @@ func (db *Database) ReplaceFromSnapshot(s *storage.Snapshot) error {
 	seq := db.snapSeq.Load() + 1
 	// Persist under this directory's own log coordinates: the local log's
 	// every batch is superseded by the incoming state, which is precisely
-	// what WALBaseFP+Applied express to recovery. A leader image from an
-	// older build may carry a value index section; it is not re-persisted.
+	// what WALBaseFP+Applied express to recovery.
 	persisted := *s
 	persisted.WALBaseFP = db.wal.BaseFingerprint()
 	persisted.Applied = uint64(folded)
-	persisted.Values = nil
 	path := filepath.Join(db.dir, snapName(seq))
 	if _, err := storage.WriteSnapshotFile(path, &persisted); err != nil {
 		return err
@@ -255,7 +253,7 @@ func (db *Database) ReplaceFromSnapshot(s *storage.Snapshot) error {
 	}
 	db.snapSeq.Store(seq)
 	db.pruneSnapshots(seq)
-	db.publish(&snapshot{g: s.Graph, derived: derived{labelIx: s.Labels, guide: s.Guide, stats: s.Stats}})
+	db.publish(&snapshot{g: s.Graph, derived: derive(s.Graph)})
 	db.setSeq(s.CommitSeq)
 	obsCkptGen.Set(int64(seq))
 	return nil

@@ -4,11 +4,12 @@ import (
 	"context"
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
-	"repro/internal/index"
 	"repro/internal/mutate"
+	"repro/internal/ssd"
 	"repro/internal/storage"
 )
 
@@ -253,31 +254,21 @@ func TestSeedPathSnapshot(t *testing.T) {
 
 // TestReplaceFromSnapshot is the mid-life re-bootstrap: a follower whose
 // position the leader truncated away adopts the leader's snapshot outright —
-// state, derived structures and position — and the adoption is durable
-// across its own restart.
+// state and position — and the adoption is durable across its own restart.
+// The leader image is testdata/v5-every-section's generation, written by a
+// build that still persisted labels, values, guide and stats sections; the
+// adopted generation holds only meta and graph.
 func TestReplaceFromSnapshot(t *testing.T) {
-	leader, err := OpenPath(t.TempDir())
+	snap, err := storage.ReadSnapshotFile(filepath.Join("testdata", "v5-every-section", "snap-0000000000000001.ssds"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	commitN(t, leader, 0, 7)
-	if _, err := leader.Checkpoint(); err != nil {
-		t.Fatal(err)
+	if snap.CommitSeq != 5 {
+		t.Fatalf("leader snapshot CommitSeq = %d, want 5", snap.CommitSeq)
 	}
+	leader := FromGraph(ssd.New())
+	commitN(t, leader, 0, 5)
 	want := canonDB(leader)
-	path, _, _ := leader.SnapshotFile()
-	snap, err := storage.ReadSnapshotFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := leader.CloseWAL(); err != nil {
-		t.Fatal(err)
-	}
-	if snap.CommitSeq != 7 {
-		t.Fatalf("leader snapshot CommitSeq = %d, want 7", snap.CommitSeq)
-	}
-	// A leader from an older build ships a value index section too.
-	snap.Values = index.BuildValueIndex(snap.Graph)
 
 	folDir := t.TempDir()
 	fol, err := OpenPath(folDir)
@@ -291,22 +282,19 @@ func TestReplaceFromSnapshot(t *testing.T) {
 	if got := canonDB(fol); got != want {
 		t.Fatalf("after ReplaceFromSnapshot: follower differs from leader")
 	}
-	if got := fol.CommitSeq(); got != 7 {
-		t.Fatalf("adopted CommitSeq = %d, want 7", got)
+	if got := fol.CommitSeq(); got != 5 {
+		t.Fatalf("adopted CommitSeq = %d, want 5", got)
 	}
 	// Statements run against the adopted state: the leader's edges are
 	// there, the superseded local ones are not.
-	if n := countRows(t, fol, `select X from DB.6 X`); n != 1 {
-		t.Fatalf("leader edge 6: %d rows after adoption, want 1", n)
+	if n := countRows(t, fol, `select X from DB.4 X`); n != 1 {
+		t.Fatalf("leader edge 4: %d rows after adoption, want 1", n)
 	}
 	if n := countRows(t, fol, `select X from DB.100 X`); n != 0 {
 		t.Fatalf("superseded local edge 100: %d rows after adoption, want 0", n)
 	}
-	// The adopted generation is persisted without the leader's value index.
 	adopted, _, _ := fol.SnapshotFile()
-	if s, err := storage.ReadSnapshotFile(adopted); err != nil || s.Values != nil {
-		t.Fatalf("adopted generation re-persisted the value index section (err %v)", err)
-	}
+	checkGraphOnly(t, adopted)
 	if err := fol.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +307,7 @@ func TestReplaceFromSnapshot(t *testing.T) {
 	if got := canonDB(re); got != want {
 		t.Fatalf("restart after adoption differs from leader")
 	}
-	if got := re.CommitSeq(); got != 7 {
-		t.Fatalf("restarted CommitSeq = %d, want 7", got)
+	if got := re.CommitSeq(); got != 5 {
+		t.Fatalf("restarted CommitSeq = %d, want 5", got)
 	}
 }

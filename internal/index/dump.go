@@ -1,19 +1,10 @@
 package index
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/ssd"
 )
-
-// This file is the serialization surface of the two indexes: Dump exposes
-// their contents in a deterministic order and FromDump reconstructs an
-// index from dumped contents, so the snapshot codec (internal/storage) can
-// persist indexes without re-scanning the graph at recovery. Dump/FromDump
-// round-trips exactly: a restored index answers every query identically to
-// the original, and a re-Dump of the restored index is deeply equal to the
-// first.
 
 // Posting is one label's posting list, as exposed by LabelIndex.Dump.
 type Posting struct {
@@ -22,8 +13,9 @@ type Posting struct {
 }
 
 // Dump returns the index contents sorted by label, with each posting list
-// in its internal (scan) order. The returned slices share storage with the
-// index and must be treated as read-only.
+// in its internal (scan) order — the deterministic form tests compare a
+// maintained index with a rebuild by. The returned slices share storage
+// with the index and must be treated as read-only.
 func (ix *LabelIndex) Dump() []Posting {
 	out := make([]Posting, 0, len(ix.occ))
 	for l, refs := range ix.occ {
@@ -31,49 +23,4 @@ func (ix *LabelIndex) Dump() []Posting {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Label.Less(out[j].Label) })
 	return out
-}
-
-// LabelIndexFromDump reconstructs a LabelIndex from Dump output. Duplicate
-// labels are rejected: the dump of a real index never contains them, so one
-// appearing means the input does not describe an index.
-func LabelIndexFromDump(ps []Posting) (*LabelIndex, error) {
-	ix := &LabelIndex{occ: make(map[ssd.Label][]EdgeRef, len(ps))}
-	for _, p := range ps {
-		if _, dup := ix.occ[p.Label]; dup {
-			return nil, fmt.Errorf("index: duplicate label %s in dump", p.Label)
-		}
-		ix.occ[p.Label] = p.Refs
-	}
-	return ix, nil
-}
-
-// Entry is one ordered slot of the ValueIndex, as exposed by Dump.
-type Entry struct {
-	Label ssd.Label
-	Ref   EdgeRef
-}
-
-// Dump returns the value index's entries in their sorted order. The labels
-// and refs are copies of the index's values; the slice is fresh.
-func (ix *ValueIndex) Dump() []Entry {
-	out := make([]Entry, len(ix.entries))
-	for i, e := range ix.entries {
-		out[i] = Entry{Label: e.label, Ref: e.ref}
-	}
-	return out
-}
-
-// ValueIndexFromDump reconstructs a ValueIndex from Dump output. The
-// entries must already be in the index's sort order (Label.Compare
-// ascending); out-of-order input is rejected rather than silently
-// re-sorted, because it means the dump was not produced by Dump.
-func ValueIndexFromDump(es []Entry) (*ValueIndex, error) {
-	ix := &ValueIndex{entries: make([]valueEntry, len(es))}
-	for i, e := range es {
-		if i > 0 && es[i-1].Label.Compare(e.Label) > 0 {
-			return nil, fmt.Errorf("index: value dump out of order at entry %d", i)
-		}
-		ix.entries[i] = valueEntry{label: e.Label, ref: e.Ref}
-	}
-	return ix, nil
 }

@@ -3,12 +3,12 @@
 // fixed-bucket log-scale histogram over numeric data values. The
 // statistics are built in one pass over a graph (Build) and then kept
 // consistent with the derived-structure maintenance discipline of
-// index.LabelIndex.Apply / dataguide.ApplyDelta: every commit folds its
-// ssd.Delta in with a copy-on-write Apply instead of rescanning, and the
-// durable snapshot codec persists the result so recovery never rebuilds.
-// Apply reads only the delta — its edge records and the source changes the
-// write path recorded — so it costs the labels the commit touched, not the
-// database (Decker's principle for derived data).
+// index.LabelIndex.Apply: every commit folds its ssd.Delta in with a
+// copy-on-write Apply instead of rescanning, and opening a durable
+// database builds them once from the recovered graph. Apply reads only the
+// delta — its edge records and the source changes the write path recorded
+// — so it costs the labels the commit touched, not the database (Decker's
+// principle for derived data).
 //
 // All statistics are derived from edges only. Node counts are deliberately
 // absent: ssd.Delta does not record node creation, so a node total could not
@@ -17,7 +17,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -238,8 +237,7 @@ func bucketOf(v float64) int {
 }
 
 // ---------------------------------------------------------------------------
-// Dump / FromDump: the deterministic flat form used by the snapshot codec
-// and by tests comparing statistics versions.
+// Dump: the deterministic flat form tests compare statistics versions by.
 
 // LabelCard is the dumped record of one label: occurrence count and
 // distinct-source count.
@@ -272,41 +270,4 @@ func (s *Stats) Dump() Dump {
 	}
 	sort.Slice(d.Labels, func(i, j int) bool { return d.Labels[i].Label.Less(d.Labels[j].Label) })
 	return d
-}
-
-// FromDump reconstructs a Stats version from its flat form, validating the
-// invariants the codec relies on: sorted unique labels and no NaN (which no
-// map finds again), positive counts, 1 ≤ sources ≤ count (every source has
-// an edge, every edge one source), per-label counts summing to the edge
-// total, and a histogram holding exactly the numeric labels' edges.
-func FromDump(d Dump) (*Stats, error) {
-	s := &Stats{edges: d.Edges, base: make(map[ssd.Label]labelStat, len(d.Labels))}
-	total := 0
-	for i, lc := range d.Labels {
-		if i > 0 && !d.Labels[i-1].Label.Less(lc.Label) {
-			return nil, fmt.Errorf("stats: labels out of order at %v", lc.Label)
-		}
-		if f, ok := lc.Label.FloatVal(); ok && math.IsNaN(f) {
-			return nil, fmt.Errorf("stats: NaN label")
-		}
-		if lc.Count <= 0 {
-			return nil, fmt.Errorf("stats: non-positive count for %v", lc.Label)
-		}
-		if lc.Sources <= 0 || lc.Sources > lc.Count {
-			return nil, fmt.Errorf("stats: label %v: %d sources for %d edges", lc.Label, lc.Sources, lc.Count)
-		}
-		if lc.Count > d.Edges-total {
-			return nil, fmt.Errorf("stats: per-label counts exceed edge total %d", d.Edges)
-		}
-		s.base[lc.Label] = labelStat{count: lc.Count, sources: lc.Sources}
-		s.addHist(lc.Label, int64(lc.Count))
-		total += lc.Count
-	}
-	if total != d.Edges {
-		return nil, fmt.Errorf("stats: edge total %d != per-label sum %d", d.Edges, total)
-	}
-	if s.hist != d.Hist {
-		return nil, fmt.Errorf("stats: histogram disagrees with the numeric labels")
-	}
-	return s, nil
 }

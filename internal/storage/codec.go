@@ -27,7 +27,8 @@ import (
 //	per node: degree uvarint, then per edge: label, to uvarint
 //	label: kind u8 + payload (uvarint length + bytes, varint, 8-byte float,
 //	or 1-byte bool)
-//	oid section: count uvarint, then (node uvarint, len+bytes) pairs
+//	oid section: count uvarint, then (node uvarint, len+bytes) pairs in
+//	ascending node order, one per node; nothing follows it
 
 const (
 	magic   = "SSDG"
@@ -123,6 +124,7 @@ func Decode(data []byte) (*ssd.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
+	var prev uint64
 	for i := uint64(0); i < nOids; i++ {
 		node, err := r.uvarint()
 		if err != nil {
@@ -135,7 +137,16 @@ func Decode(data []byte) (*ssd.Graph, error) {
 		if node >= n {
 			return nil, fmt.Errorf("storage: oid node %d out of range", node)
 		}
+		if i > 0 && node <= prev {
+			// Encode writes one entry per node, in node order: anything else
+			// is a second encoding of some graph.
+			return nil, fmt.Errorf("storage: oid node %d out of order or repeated", node)
+		}
+		prev = node
 		g.SetOID(ssd.NodeID(node), id)
+	}
+	if r.pos != len(data) {
+		return nil, fmt.Errorf("storage: %d trailing bytes after graph", len(data)-r.pos)
 	}
 	if root >= n {
 		return nil, fmt.Errorf("storage: root %d out of range", root)

@@ -102,6 +102,51 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeOIDSectionCanonical: Encode writes one OID entry per node, in
+// node order, and nothing after the section. Decode accepts that layout
+// only, so an accepted graph encoding re-encodes to its own bytes.
+func TestDecodeOIDSectionCanonical(t *testing.T) {
+	g := ssd.New()
+	for i := 0; i < 3; i++ {
+		g.AddEdge(g.Root(), ssd.Int(int64(i)), g.AddNode())
+	}
+	body := Encode(g)
+	body = body[:len(body)-1] // drop the empty OID section's count
+	oids := func(pairs ...any) []byte {
+		buf := append([]byte(nil), body...)
+		buf = binary.AppendUvarint(buf, uint64(len(pairs)/2))
+		for i := 0; i < len(pairs); i += 2 {
+			buf = binary.AppendUvarint(buf, uint64(pairs[i].(int)))
+			id := pairs[i+1].(string)
+			buf = binary.AppendUvarint(buf, uint64(len(id)))
+			buf = append(buf, id...)
+		}
+		return buf
+	}
+	if data := oids(1, "a", 3, "b"); !reencodes(t, data) {
+		t.Fatal("node-ordered OID section does not round-trip")
+	}
+	for name, data := range map[string][]byte{
+		"out of node order": oids(3, "b", 1, "a"),
+		"node named twice":  oids(1, "a", 1, "b"),
+		"trailing byte":     append(oids(1, "a"), 0),
+	} {
+		if _, err := Decode(data); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// reencodes reports whether data decodes and re-encodes to itself.
+func reencodes(t *testing.T, data []byte) bool {
+	t.Helper()
+	g, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(Encode(g)) == string(data)
+}
+
 // TestNonMinimalVarintsRejected: the shared reader accepts each value in
 // its one minimal spelling only, for unsigned and signed varints alike.
 func TestNonMinimalVarintsRejected(t *testing.T) {
