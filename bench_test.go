@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -521,6 +522,29 @@ func BenchmarkStorageCodec(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	// decode-heap is what a decoded graph keeps alive: the HeapAlloc delta,
+	// after a GC, of decoding a Movies(20000) image with the graph still
+	// held (heap-B).
+	b.Run("decode-heap", func(b *testing.B) {
+		img := storage.Encode(movieDB(20000))
+		var ms runtime.MemStats
+		var heap int64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			before := int64(ms.HeapAlloc)
+			g, err := storage.Decode(img)
+			if err != nil {
+				b.Fatal(err)
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			heap += int64(ms.HeapAlloc) - before
+			runtime.KeepAlive(g)
+		}
+		b.ReportMetric(float64(heap)/float64(b.N), "heap-B")
 	})
 	// open is what OpenPath pays for a generation before replaying its log
 	// tail: decode a Movies(20000) checkpoint image, then build the label

@@ -96,7 +96,6 @@ func (d *Guide) ApplyDelta(g *ssd.Graph, delta ssd.Delta, maxNodes int) (*Guide,
 			labels = append(labels, l)
 		}
 		sort.Slice(labels, func(i, j int) bool { return labels[i].Less(labels[j]) })
-		privatized := false
 		for _, l := range labels {
 			target := successorSet(g, ng.Extent[gn], l)
 			cur := exactSuccessor(ng.G, gn, l)
@@ -109,10 +108,6 @@ func (d *Guide) ApplyDelta(g *ssd.Graph, delta ssd.Delta, maxNodes int) (*Guide,
 			}
 			if !existed {
 				queue = append(queue, task{to, target})
-			}
-			if !privatized {
-				ng.G.PrivatizeOut(gn)
-				privatized = true
 			}
 			if cur != ssd.InvalidNode {
 				ng.G.DeleteEdge(gn, l, cur)

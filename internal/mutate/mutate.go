@@ -217,14 +217,16 @@ type Result struct {
 }
 
 // ApplyCOW applies the batch copy-on-write: it returns a new graph sharing
-// every untouched adjacency slice with g, which stays exactly as it was —
-// readers holding g (the published MVCC snapshot) never observe a
-// half-applied batch. The returned Result feeds incremental maintenance.
-// The clone's node table is sized for the batch's new nodes, so a commit
-// copies it once and never regrows it.
+// g's base and every untouched edge list with g, which stays exactly as it
+// was — readers holding g (the published MVCC snapshot) never observe a
+// half-applied batch, because every edit copies the list it writes first.
+// The returned Result feeds incremental maintenance. The clone's spine is
+// sized for the batch's new nodes, so a commit copies it once and never
+// regrows it; once g's overlay outgrows its base, the clone is folded into a
+// new base instead (ssd.Graph.CloneShared).
 func ApplyCOW(g *ssd.Graph, b *Batch) (*ssd.Graph, Result, error) {
 	h := g.CloneShared(b.added)
-	res, err := applyRecs(h, b, true)
+	res, err := applyRecs(h, b)
 	if err != nil {
 		return nil, Result{}, err
 	}
@@ -235,28 +237,15 @@ func ApplyCOW(g *ssd.Graph, b *Batch) (*ssd.Graph, Result, error) {
 // concurrent readers. It is the recovery path: WAL batches are replayed
 // onto the freshly decoded snapshot graph before anything is published.
 func ApplyInPlace(g *ssd.Graph, b *Batch) (Result, error) {
-	return applyRecs(g, b, false)
+	return applyRecs(g, b)
 }
 
-func applyRecs(g *ssd.Graph, b *Batch, cow bool) (Result, error) {
+func applyRecs(g *ssd.Graph, b *Batch) (Result, error) {
 	if b.hasAddNode() && g.NumNodes() != b.baseNodes {
 		return Result{}, fmt.Errorf("mutate: batch allocated nodes against %d base nodes, graph has %d",
 			b.baseNodes, g.NumNodes())
 	}
 	var res Result
-	var touched map[ssd.NodeID]bool
-	priv := func(n ssd.NodeID) {
-		if !cow {
-			return
-		}
-		if touched == nil {
-			touched = make(map[ssd.NodeID]bool)
-		}
-		if !touched[n] {
-			g.PrivatizeOut(n)
-			touched[n] = true
-		}
-	}
 	check := func(n ssd.NodeID) error {
 		if n < 0 || int(n) >= g.NumNodes() {
 			return fmt.Errorf("mutate: node %d out of range [0,%d)", n, g.NumNodes())
@@ -275,7 +264,6 @@ func applyRecs(g *ssd.Graph, b *Batch, cow bool) (Result, error) {
 			if err := check(r.To); err != nil {
 				return Result{}, err
 			}
-			priv(r.From)
 			if !hasLabel(g.Out(r.From), r.Label) {
 				res.Delta.Sources = append(res.Delta.Sources, ssd.SourceChange{Label: r.Label, N: 1})
 			}
@@ -288,7 +276,6 @@ func applyRecs(g *ssd.Graph, b *Batch, cow bool) (Result, error) {
 			if err := check(r.To); err != nil {
 				return Result{}, err
 			}
-			priv(r.From)
 			if g.DeleteEdge(r.From, r.Label, r.To) {
 				res.Delta.Removed = append(res.Delta.Removed, ssd.EdgeRec{From: r.From, Label: r.Label, To: r.To})
 				if !hasLabel(g.Out(r.From), r.Label) {
@@ -299,7 +286,6 @@ func applyRecs(g *ssd.Graph, b *Batch, cow bool) (Result, error) {
 			if err := check(r.From); err != nil {
 				return Result{}, err
 			}
-			priv(r.From)
 			hadNew := false
 			for _, e := range g.Out(r.From) {
 				if e.Label == r.Old {

@@ -3,6 +3,8 @@ package ssd
 import (
 	"fmt"
 	"iter"
+	"maps"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -29,13 +31,25 @@ type Edge struct {
 // the paper's sense is whatever is accessible from that root by forward
 // traversal.
 //
+// A graph is a base plus an overlay. The base is a CSR of the first nb
+// nodes: node n's edges are edges[off[n]:off[n+1]]. Neither array holds a
+// pointer, and nothing ever writes them, so every clone shares its base.
+// The overlay holds the edge lists written since the base was built, and
+// every write goes to the overlay: a base node's list is copied into it
+// before its first edit.
+//
 // The zero value is not usable; call New.
 type Graph struct {
-	// spine holds the forward adjacency, indexed by NodeID, in chunks of
-	// spineLen nodes. CloneShared copies the spine but not its chunks: a
-	// chunk is shared until a graph writes it, and a graph writes in place
-	// only the chunks that carry its epoch (see slot).
+	off   []uint32 // len nb+1, or nil for an empty base
+	edges []Edge
+	// spine holds the overlay, indexed by NodeID, in chunks of spineLen
+	// nodes; it always covers every node. A nil chunk, or a nil list in a
+	// chunk, means the node's list is its base list (empty past the base).
+	// CloneShared copies the spine but not its chunks: a chunk is shared
+	// until a graph writes it, and a graph writes in place only the chunks
+	// that carry its epoch (see slot).
 	spine []*spineChunk
+	slots int // overlay node slots, the sum of len(c.out) over the spine
 	n     int // nodes
 	epoch atomic.Uint64
 	root  NodeID
@@ -49,10 +63,22 @@ const (
 	spineLen  = 1 << spineBits
 )
 
-// spineChunk holds the edge lists of up to spineLen consecutive nodes.
+// foldDiv sets when CloneShared folds the overlay into a new base: once the
+// overlay holds more node slots than 1/foldDiv of the base's nodes. A slot
+// is a 24-byte list header against a base node's 4-byte offset, so at that
+// size the overlay's headers alone outweigh the base's offsets; and since a
+// fold costs O(base) and comes at most once per nb/foldDiv slots written,
+// each slot written pays for copying foldDiv base nodes at most.
+const foldDiv = 4
+
+// spineChunk holds the overlay lists of up to spineLen consecutive nodes.
 type spineChunk struct {
 	epoch uint64 // the epoch of the one graph that may write it in place
-	out   [][]Edge
+	// own marks the lists whose backing array this chunk's graph allocated
+	// after the chunk was made; any other list may be shared with another
+	// graph and is copied before it is written.
+	own [spineLen / 64]uint64
+	out [][]Edge
 }
 
 // epochs hands out graph epochs. Epoch 0 is every graph's until its first
@@ -74,33 +100,104 @@ func NewWithCapacity(nodes int) *Graph {
 	return g
 }
 
-// out returns n's edge list; n is in range.
-func (g *Graph) out(n NodeID) []Edge { return g.spine[n>>spineBits].out[n&(spineLen-1)] }
-
-// slot returns n's edge-list header for writing, first copying n's chunk
-// if g does not own it; n is in range.
-func (g *Graph) slot(n NodeID) *[]Edge {
-	return &g.chunk(int(n >> spineBits)).out[n&(spineLen-1)]
+// FromCSR returns the graph, rooted at node 0, whose base is the given CSR:
+// node n's edges are edges[off[n]:off[n+1]], for the len(off)-1 >= 1 nodes.
+// The graph takes ownership of both arrays, which no one may write
+// afterwards. It panics if off is not a non-decreasing run from 0 to
+// len(edges) or an edge target is out of range.
+func FromCSR(off []uint32, edges []Edge) *Graph {
+	n := len(off) - 1
+	if n < 1 || off[0] != 0 || int(off[n]) != len(edges) {
+		panic("ssd: FromCSR: offsets do not span the edges")
+	}
+	for i := 1; i <= n; i++ {
+		if off[i] < off[i-1] {
+			panic("ssd: FromCSR: offsets decrease")
+		}
+	}
+	for _, e := range edges {
+		if e.To < 0 || int(e.To) >= n {
+			panic(fmt.Sprintf("ssd: FromCSR: edge target %d out of range [0,%d)", e.To, n))
+		}
+	}
+	return &Graph{off: off, edges: edges, spine: make([]*spineChunk, (n+spineLen-1)>>spineBits), n: n}
 }
 
-// chunk returns spine chunk i, copied first if g does not own it.
+// out returns n's edge list; n is in range. A base list is cut with its
+// capacity at its length, so no append through it reaches the next node;
+// an empty one is nil, as a leaf's list always was.
+func (g *Graph) out(n NodeID) []Edge {
+	if c := g.spine[n>>spineBits]; c != nil {
+		if j := int(n & (spineLen - 1)); j < len(c.out) && c.out[j] != nil {
+			return c.out[j]
+		}
+	}
+	if int(n) < len(g.off)-1 {
+		if lo, hi := g.off[n], g.off[n+1]; lo < hi {
+			return g.edges[lo:hi:hi]
+		}
+	}
+	return nil
+}
+
+// slot returns n's overlay list for writing; n is in range. The list is
+// the graph's own: it first copies n's chunk if g does not own it, and n's
+// list (from the base, or from a chunk it shares) if g did not allocate it.
+func (g *Graph) slot(n NodeID) *[]Edge {
+	c := g.chunk(int(n >> spineBits))
+	j := int(n & (spineLen - 1))
+	if j >= len(c.out) {
+		g.slots += j + 1 - len(c.out)
+		c.out = append(c.out, make([][]Edge, j+1-len(c.out))...)
+	}
+	if bit := uint64(1) << (j & 63); c.own[j>>6]&bit == 0 {
+		c.own[j>>6] |= bit
+		es := g.out(n)
+		c.out[j] = append(make([]Edge, 0, len(es)+1), es...)
+	}
+	return &c.out[j]
+}
+
+// chunk returns spine chunk i, made first if there is none and copied first
+// if g does not own it.
 func (g *Graph) chunk(i int) *spineChunk {
 	c := g.spine[i]
-	if e := g.epoch.Load(); c.epoch != e {
+	if e := g.epoch.Load(); c == nil {
+		c = &spineChunk{epoch: e}
+		g.spine[i] = c
+	} else if c.epoch != e {
 		c = &spineChunk{epoch: e, out: append(make([][]Edge, 0, cap(c.out)), c.out...)}
 		g.spine[i] = c
 	}
 	return c
 }
 
+// folded returns a graph equal to g whose base holds all of g's lists, in
+// the same node order and edge order, and whose overlay is empty. The
+// spine has room for extra more nodes.
+func (g *Graph) folded(extra int) *Graph {
+	off := make([]uint32, g.n+1)
+	for n := range g.n {
+		off[n+1] = off[n] + uint32(len(g.out(NodeID(n))))
+	}
+	edges := make([]Edge, 0, off[g.n])
+	for n := range g.n {
+		edges = append(edges, g.out(NodeID(n))...)
+	}
+	h := &Graph{off: off, edges: edges, n: g.n, root: g.root, oid: maps.Clone(g.oid)}
+	h.spine = make([]*spineChunk, (g.n+spineLen-1)>>spineBits, (g.n+max(extra, 0))>>spineBits+1)
+	return h
+}
+
+// overlayHeavy reports whether g's overlay has outgrown its base (foldDiv).
+func (g *Graph) overlayHeavy() bool { return g.slots > max(len(g.off)-1, 0)/foldDiv }
+
 // lists yields every node's edge list in NodeID order.
 func (g *Graph) lists() iter.Seq2[NodeID, []Edge] {
 	return func(yield func(NodeID, []Edge) bool) {
-		for i, c := range g.spine {
-			for j, es := range c.out {
-				if !yield(NodeID(i<<spineBits+j), es) {
-					return
-				}
+		for n := range NodeID(g.n) {
+			if !yield(n, g.out(n)) {
+				return
 			}
 		}
 	}
@@ -131,16 +228,8 @@ func (g *Graph) NumEdges() int {
 func (g *Graph) AddNode() NodeID {
 	n := g.n
 	if n == len(g.spine)<<spineBits {
-		// A graph past its first chunk is a bulk one: give the new chunk
-		// its full length at once.
-		size := spineLen
-		if n == 0 {
-			size = 1
-		}
-		g.spine = append(g.spine, &spineChunk{epoch: g.epoch.Load(), out: make([][]Edge, 0, size)})
+		g.spine = append(g.spine, nil)
 	}
-	c := g.chunk(n >> spineBits)
-	c.out = append(c.out, nil)
 	g.n++
 	return NodeID(n)
 }
@@ -241,16 +330,25 @@ func (g *Graph) NodeByOID(id string) NodeID {
 
 // SortEdges orders every node's edge set (by label, then target). It makes
 // traversal order deterministic for printing and tests; set semantics are
-// unaffected.
+// unaffected. Like every write it edits only the graph's own overlay: a
+// list already in order is left where it is.
 func (g *Graph) SortEdges() {
-	for _, es := range g.lists() {
-		sort.Slice(es, func(i, j int) bool {
-			if es[i].Label != es[j].Label {
-				return es[i].Label.Less(es[j].Label)
-			}
-			return es[i].To < es[j].To
-		})
+	for n, es := range g.lists() {
+		if !slices.IsSortedFunc(es, cmpEdge) {
+			slices.SortFunc(*g.slot(n), cmpEdge)
+		}
 	}
+}
+
+// cmpEdge orders edges by label (Label.Less), then by target.
+func cmpEdge(a, b Edge) int {
+	switch {
+	case a.Label != b.Label && a.Label.Less(b.Label):
+		return -1
+	case a.Label != b.Label:
+		return 1
+	}
+	return int(a.To) - int(b.To)
 }
 
 // Dedup removes duplicate (label, target) edges node by node, enforcing the
@@ -258,45 +356,46 @@ func (g *Graph) SortEdges() {
 func (g *Graph) Dedup() {
 	g.SortEdges()
 	for n, es := range g.lists() {
-		if len(es) < 2 {
-			continue
-		}
-		w := 1
 		for i := 1; i < len(es); i++ {
-			if es[i].Label == es[w-1].Label && es[i].To == es[w-1].To {
-				continue
+			if es[i] == es[i-1] {
+				p := g.slot(n)
+				*p = slices.Compact(*p)
+				break
 			}
-			es[w] = es[i]
-			w++
 		}
-		*g.slot(n) = es[:w]
 	}
 }
 
 // Accessible returns a copy of g restricted to the part accessible from the
 // root — the paper's point 4 in §3: queries concern what is reachable by
-// forward traversal. The second result maps old node IDs to new ones
-// (InvalidNode for dropped nodes).
+// forward traversal. The copy is all base. The second result maps old node
+// IDs to new ones (InvalidNode for dropped nodes).
 func (g *Graph) Accessible() (*Graph, []NodeID) {
 	seen := ReachableFrom(g, g.root)
 	remap := make([]NodeID, g.n)
-	h := &Graph{}
+	k := 0
 	for n := range remap {
+		remap[n] = InvalidNode
 		if seen[n] {
-			remap[n] = h.AddNode()
-		} else {
-			remap[n] = InvalidNode
+			remap[n] = NodeID(k)
+			k++
 		}
 	}
+	off := make([]uint32, 1, k+1)
 	for n, es := range g.lists() {
-		if !seen[n] {
-			continue
-		}
-		nn := remap[n]
-		for _, e := range es {
-			h.AddEdge(nn, e.Label, remap[e.To])
+		if seen[n] {
+			off = append(off, off[len(off)-1]+uint32(len(es)))
 		}
 	}
+	edges := make([]Edge, 0, off[k])
+	for n, es := range g.lists() {
+		if seen[n] {
+			for _, e := range es {
+				edges = append(edges, Edge{Label: e.Label, To: remap[e.To]})
+			}
+		}
+	}
+	h := FromCSR(off, edges)
 	h.root = remap[g.root]
 	for n, id := range g.oid {
 		if seen[n] {
@@ -306,22 +405,8 @@ func (g *Graph) Accessible() (*Graph, []NodeID) {
 	return h, remap
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	h := NewWithCapacity(g.n)
-	h.AddNodes(g.n - 1)
-	h.root = g.root
-	for n, es := range g.lists() {
-		*h.slot(n) = append([]Edge(nil), es...)
-	}
-	if g.oid != nil {
-		h.oid = make(map[NodeID]string, len(g.oid))
-		for n, id := range g.oid {
-			h.oid[n] = id
-		}
-	}
-	return h
-}
+// Clone returns a deep copy of the graph, all base.
+func (g *Graph) Clone() *Graph { return g.folded(0) }
 
 // Graft copies the subgraph of src accessible from srcNode into g and
 // returns the node of g corresponding to srcNode. It is the building block
@@ -369,8 +454,7 @@ func (g *Graph) Union(a, b NodeID) NodeID {
 	g.check(b)
 	u := g.AddNode()
 	p := g.slot(u)
-	*p = append(*p, g.out(a)...)
-	*p = append(*p, g.out(b)...)
+	*p = append(append(*p, g.out(a)...), g.out(b)...)
 	return u
 }
 
@@ -456,11 +540,4 @@ func (g *Graph) check(n NodeID) {
 	if n < 0 || int(n) >= g.n {
 		panic(fmt.Sprintf("ssd: node %d out of range [0,%d)", n, g.n))
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

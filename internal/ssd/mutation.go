@@ -1,5 +1,10 @@
 package ssd
 
+import (
+	"maps"
+	"slices"
+)
+
 // This file holds the in-place mutation primitives and the copy-on-write
 // support the mutation subsystem (internal/mutate) is built on. The model
 // itself stays value-oriented: these primitives exist so a *versioned* write
@@ -80,30 +85,31 @@ func (d Delta) Normalize() Delta {
 
 // DeleteEdge removes the first edge from → (label) → to whose label is
 // identical (Go equality, not numeric Equal) to l. It reports whether an
-// edge was removed. The edge slice is edited in place; on a copy-on-write
-// clone the caller must PrivatizeOut(from) first.
+// edge was removed. Like every write it edits the graph's own copy of
+// from's list (see slot), never a base or a list another graph shares.
 func (g *Graph) DeleteEdge(from NodeID, l Label, to NodeID) bool {
 	g.check(from)
 	g.check(to)
-	es := g.out(from)
-	for i, e := range es {
-		if e.To == to && e.Label == l {
-			copy(es[i:], es[i+1:])
-			*g.slot(from) = es[:len(es)-1]
-			return true
-		}
+	i := slices.Index(g.out(from), Edge{Label: l, To: to})
+	if i < 0 {
+		return false
 	}
-	return false
+	p := g.slot(from)
+	*p = slices.Delete(*p, i, i+1)
+	return true
 }
 
 // Relabel rewrites the label of every edge out of from whose label is
 // identical to old, returning the number of edges rewritten. Like
-// DeleteEdge it edits in place and uses label identity, so Relabel(n,
-// Int(2), …) leaves a Float(2.0) edge alone.
+// DeleteEdge it uses label identity, so Relabel(n, Int(2), …) leaves a
+// Float(2.0) edge alone, and it copies from's list only if an edge matches.
 func (g *Graph) Relabel(from NodeID, old, new Label) int {
 	g.check(from)
+	if !slices.ContainsFunc(g.out(from), func(e Edge) bool { return e.Label == old }) {
+		return 0
+	}
 	n := 0
-	es := g.out(from)
+	es := *g.slot(from)
 	for i := range es {
 		if es[i].Label == old {
 			es[i].Label = new
@@ -113,37 +119,32 @@ func (g *Graph) Relabel(from NodeID, old, new Label) int {
 	return n
 }
 
-// CloneShared returns a copy of g whose per-node edge slices are shared with
-// the original — the copy-on-write entry point of the mutation subsystem.
-// The node table is shared by chunks: the clone copies only the spine, and
-// from then on neither graph writes a shared chunk in place — the first
-// write to one copies that chunk — so AddNode/SetOID/SetRoot on either
-// graph are safe immediately, and the clone costs O(nodes / 256). Before
-// editing the edges of an existing node the caller must PrivatizeOut it,
-// or in-place edits (and appends into spare capacity) would write into
-// storage the original's readers share. The spine has room for extra more
-// nodes.
+// CloneShared returns a copy of g that shares g's storage — the
+// copy-on-write entry point of the mutation subsystem. The clone shares g's
+// base, and its overlay chunk by chunk: it copies only the spine, and from
+// then on neither graph writes a shared chunk or a shared list in place —
+// the first write copies it — so every write on either graph is safe
+// immediately, and the clone costs O(nodes / 256). Once g's overlay has
+// outgrown its base (foldDiv), the clone instead gets a new base holding
+// all of g's lists, with node ids and edge order kept; g keeps its own.
+// The spine has room for extra more nodes.
 func (g *Graph) CloneShared(extra int) *Graph {
+	if g.overlayHeavy() {
+		return g.folded(extra)
+	}
 	spine := make([]*spineChunk, len(g.spine), len(g.spine)+max(extra, 0)>>spineBits+1)
 	copy(spine, g.spine)
-	h := &Graph{spine: spine, n: g.n, root: g.root}
+	h := &Graph{off: g.off, edges: g.edges, spine: spine, slots: g.slots, n: g.n, root: g.root, oid: maps.Clone(g.oid)}
 	h.epoch.Store(epochs.Add(1))
 	g.epoch.Store(epochs.Add(1))
-	if g.oid != nil {
-		h.oid = make(map[NodeID]string, len(g.oid))
-		for n, id := range g.oid {
-			h.oid[n] = id
-		}
-	}
 	return h
 }
 
-// PrivatizeOut replaces n's edge slice with a freshly allocated copy so
-// subsequent in-place edits and appends cannot touch storage shared with
-// another graph (see CloneShared). Calling it on an already-private slice
-// merely wastes the copy.
+// PrivatizeOut gives n a list of g's own, with room for one more edge, so
+// that edits and appends cannot touch storage shared with another graph or
+// the base (see CloneShared). Every write already does this on its own;
+// calling it on a list g already owns does nothing.
 func (g *Graph) PrivatizeOut(n NodeID) {
 	g.check(n)
-	p := g.slot(n)
-	*p = append(make([]Edge, 0, len(*p)+1), *p...)
+	g.slot(n)
 }

@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -96,10 +97,11 @@ func TestCloneSharedIsolation(t *testing.T) {
 	}
 }
 
-// TestCloneSharedChunks: the node table is shared chunk by chunk, so a
-// clone of a many-chunk graph copies only the spine, and writes on either
-// side after the clone — new nodes in a shared tail chunk, new edges on
-// privatized lists, a Dedup — stay on that side.
+// TestCloneSharedChunks: a clone shares the base and the overlay's chunks,
+// so a clone of a many-chunk graph copies only the spine, and writes on
+// either side after the clone — new nodes in a shared tail chunk, edits of
+// base lists and of shared overlay lists, a Dedup — stay on that side and
+// never reach the base.
 func TestCloneSharedChunks(t *testing.T) {
 	const n = 3*spineLen + 7
 	g := NewWithCapacity(n)
@@ -107,43 +109,108 @@ func TestCloneSharedChunks(t *testing.T) {
 	for i := 1; i < n; i++ {
 		g.AddEdge(NodeID(i-1), Int(int64(i)), NodeID(i))
 	}
+	g = g.Clone() // all base
+	g.AddEdge(1, Sym("overlay"), 2)
+	baseEdges := slices.Clone(g.edges)
 	before := FormatRoot(g)
 
 	var h *Graph
 	if allocs := testing.AllocsPerRun(10, func() { h = g.CloneShared(spineLen) }); allocs > 3 {
 		t.Fatalf("CloneShared made %.0f allocations, want the spine and the graph", allocs)
 	}
+	if &h.edges[0] != &g.edges[0] || h.spine[0] != g.spine[0] {
+		t.Fatal("clone does not share the base and the overlay chunk")
+	}
 	hn := h.AddNode()
-	h.PrivatizeOut(0)
-	h.PrivatizeOut(NodeID(2 * spineLen))
 	h.AddEdge(0, Sym("h"), hn)
+	h.AddEdge(1, Sym("h"), hn) // a list in the shared overlay chunk
 	h.AddEdge(NodeID(2*spineLen), Sym("h"), hn)
 	gn := g.AddNode() // the same id, in the tail chunk both share
-	g.PrivatizeOut(0)
 	g.AddEdge(0, Sym("g"), gn)
+	g.Relabel(1, Sym("overlay"), Sym("g"))
 	if gn != hn {
 		t.Fatalf("new nodes %d and %d, want equal ids", gn, hn)
 	}
 	g.Dedup()
 
-	if g.OutDegree(0) != 2 || g.OutDegree(NodeID(2*spineLen)) != 1 || g.LookupFirst(0, Sym("h")) != InvalidNode {
-		t.Fatalf("original sees the clone's writes: %v, %v", g.Out(0), g.Out(NodeID(2*spineLen)))
+	if g.OutDegree(0) != 2 || g.OutDegree(NodeID(2*spineLen)) != 1 || g.LookupFirst(0, Sym("h")) != InvalidNode || g.LookupFirst(1, Sym("h")) != InvalidNode {
+		t.Fatalf("original sees the clone's writes: %v, %v, %v", g.Out(0), g.Out(1), g.Out(NodeID(2*spineLen)))
 	}
-	if h.OutDegree(0) != 2 || h.OutDegree(NodeID(2*spineLen)) != 2 || h.LookupFirst(0, Sym("g")) != InvalidNode {
-		t.Fatalf("clone sees the original's writes: %v, %v", h.Out(0), h.Out(NodeID(2*spineLen)))
+	if h.OutDegree(0) != 2 || h.OutDegree(NodeID(2*spineLen)) != 2 || h.LookupFirst(0, Sym("g")) != InvalidNode || h.LookupFirst(1, Sym("overlay")) == InvalidNode {
+		t.Fatalf("clone sees the original's writes: %v, %v, %v", h.Out(0), h.Out(1), h.Out(NodeID(2*spineLen)))
+	}
+	if !slices.Equal(g.edges, baseEdges) || !slices.Equal(h.edges, baseEdges) {
+		t.Fatal("a write reached the shared base")
 	}
 	h.DeleteEdge(0, Sym("h"), hn)
+	h.DeleteEdge(1, Sym("h"), hn)
 	h.DeleteEdge(NodeID(2*spineLen), Sym("h"), hn)
 	if got := FormatRoot(h); got != before {
 		t.Fatalf("clone with its writes undone differs from the original before them")
 	}
 }
 
+// TestCloneSharedFoldsHeavyOverlay: once the overlay holds more slots than
+// 1/foldDiv of the base's nodes, a clone gets a new base holding every list
+// in its node and edge order, and the original keeps its old one.
+func TestCloneSharedFoldsHeavyOverlay(t *testing.T) {
+	const n = 4 * spineLen
+	g := New()
+	g.AddNodes(n - 1)
+	g = g.Clone()
+	for i := 0; !g.overlayHeavy(); i += 7 {
+		g.AddEdge(NodeID(i%n), Int(int64(i)), NodeID((i+1)%n))
+		g.AddEdge(NodeID(i%n), Sym("a"), 0)
+	}
+	before, base := FormatRoot(g), g.edges
+	h := g.CloneShared(0)
+	if h.slots != 0 || h.NumNodes() != n || len(h.edges) != g.NumEdges() {
+		t.Fatalf("clone of a heavy overlay: %d slots, %d nodes, %d base edges", h.slots, h.NumNodes(), len(h.edges))
+	}
+	for i := range NodeID(n) {
+		if !slices.Equal(h.Out(i), g.Out(i)) {
+			t.Fatalf("folded Out(%d) = %v, want %v", i, h.Out(i), g.Out(i))
+		}
+	}
+	h.AddEdge(0, Sym("after"), 1)
+	if FormatRoot(g) != before || len(g.edges) != len(base) {
+		t.Fatal("the fold or a write after it changed the original")
+	}
+}
+
+// TestDedupOnCloneKeepsOriginal: Dedup and SortEdges on a CloneShared
+// graph rewrite the clone's own copies of the lists, never the original's.
+func TestDedupOnCloneKeepsOriginal(t *testing.T) {
+	for _, based := range []bool{false, true} {
+		g := New()
+		one, two := g.AddNode(), g.AddNode()
+		g.AddEdge(g.Root(), Sym("z"), one)
+		g.AddEdge(g.Root(), Sym("a"), two)
+		g.AddEdge(g.Root(), Sym("a"), two)
+		if based {
+			g = g.Clone()
+		}
+		want := slices.Clone(g.Out(g.Root()))
+		h := g.CloneShared(0)
+		h.Dedup()
+		if got := g.Out(g.Root()); !slices.Equal(got, want) {
+			t.Fatalf("based=%v: original root after the clone's Dedup = %v, want %v", based, got, want)
+		}
+		if got := h.Out(h.Root()); len(got) != 2 || got[0].Label != Sym("a") {
+			t.Fatalf("based=%v: clone root after Dedup = %v", based, got)
+		}
+		h = g.CloneShared(0)
+		h.SortEdges()
+		if got := g.Out(g.Root()); !slices.Equal(got, want) {
+			t.Fatalf("based=%v: original root after the clone's SortEdges = %v, want %v", based, got, want)
+		}
+	}
+}
+
 func TestPrivatizeOutSpareCapacity(t *testing.T) {
-	// The sharp edge CloneShared documents: appending into spare capacity of
-	// a shared slice must not be observable through the original. Privatizing
-	// makes the append safe; this test would fail under -race (and often by
-	// value) if PrivatizeOut were skipped and the original kept growing.
+	// Appending into spare capacity of a shared list must not be observable
+	// through the original: every write copies a list the graph did not
+	// allocate itself, and PrivatizeOut does that copy ahead of time.
 	g := New()
 	a := g.AddNode()
 	g.AddEdge(g.Root(), Sym("x"), a)

@@ -313,10 +313,10 @@ func (p *parser) resolve() error {
 			delete(p.g.oid, ph)
 		}
 	}
-	for _, es := range p.g.lists() {
-		for i := range es {
-			if t, ok := redirect[es[i].To]; ok {
-				es[i].To = t
+	for n, es := range p.g.lists() {
+		for i, e := range es {
+			if t, ok := redirect[e.To]; ok {
+				(*p.g.slot(n))[i].To = t
 			}
 		}
 	}

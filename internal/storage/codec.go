@@ -96,18 +96,23 @@ func Decode(data []byte) (*ssd.Graph, error) {
 	if n > uint64(len(data)) { // degree-1 lower bound sanity check
 		return nil, fmt.Errorf("storage: implausible node count %d", n)
 	}
-	g := ssd.NewWithCapacity(int(n))
-	if n > 1 {
-		g.AddNodes(int(n) - 1)
-	}
+	// Two passes over the node section: the first checks it and counts
+	// every node's edges, so that each base array is allocated once at its
+	// final size; the second reads the labels into it.
+	off := make([]uint32, n+1)
+	start := r.pos
 	for v := uint64(0); v < n; v++ {
 		deg, err := r.uvarint()
 		if err != nil {
 			return nil, err
 		}
+		// An edge takes two bytes at least, and offsets are uint32.
+		if deg > uint64(len(data)-r.pos)/2 || uint64(off[v])+deg > math.MaxUint32 {
+			return nil, io.ErrUnexpectedEOF
+		}
+		off[v+1] = off[v] + uint32(deg)
 		for i := uint64(0); i < deg; i++ {
-			l, err := r.label()
-			if err != nil {
+			if err := r.skipLabel(); err != nil {
 				return nil, err
 			}
 			to, err := r.uvarint()
@@ -117,9 +122,24 @@ func Decode(data []byte) (*ssd.Graph, error) {
 			if to >= n {
 				return nil, fmt.Errorf("storage: edge target %d out of range", to)
 			}
-			g.AddEdge(ssd.NodeID(v), l, ssd.NodeID(to))
 		}
 	}
+	end := r.pos
+	edges := make([]ssd.Edge, off[n])
+	r.pos = start
+	for v := uint64(0); v < n; v++ {
+		r.uvarint() // checked by the first pass, as is every read below
+		for i := off[v]; i < off[v+1]; i++ {
+			l, err := r.label()
+			if err != nil {
+				return nil, err
+			}
+			to, _ := r.uvarint()
+			edges[i] = ssd.Edge{Label: l, To: ssd.NodeID(to)}
+		}
+	}
+	r.pos = end
+	g := ssd.FromCSR(off, edges)
 	nOids, err := r.uvarint()
 	if err != nil {
 		return nil, err

@@ -103,9 +103,7 @@ func DeepSelect(g *ssd.Graph, pred pathexpr.Pred) *ssd.Graph {
 		}
 		mergeSubtree(out, out.Root(), g, n, cache)
 	}
-	acc, _ := out.Accessible()
-	acc.Dedup()
-	return acc
+	return accessibleSet(out)
 }
 
 // mergeSubtree adds copies of src:n's edges onto dst:at, sharing structure

@@ -112,10 +112,7 @@ func GExt(g *ssd.Graph, f Rewriter) *ssd.Graph {
 			}
 		}
 	}
-	res := eliminateEpsilons(out, eps)
-	acc, _ := res.Accessible()
-	acc.Dedup()
-	return acc
+	return accessibleSet(eliminateEpsilons(out, eps))
 }
 
 // addPath lays a label chain from ou to ov, creating intermediate nodes;
@@ -211,8 +208,16 @@ func GExtTree(g *ssd.Graph, f Rewriter, maxDepth int) (*ssd.Graph, error) {
 	if err := rec(g.Root(), out.Root(), 0); err != nil {
 		return nil, err
 	}
-	res := eliminateEpsilons(out, eps)
-	acc, _ := res.Accessible()
-	acc.Dedup()
-	return acc, nil
+	return accessibleSet(eliminateEpsilons(out, eps)), nil
+}
+
+// accessibleSet returns the part of g accessible from its root, with every
+// edge list a set. It dedups g (a result under construction, whose lists
+// are its own) before Accessible copies it into a base, so no list is
+// copied twice; Accessible renumbers nodes in order, which keeps each list
+// sorted.
+func accessibleSet(g *ssd.Graph) *ssd.Graph {
+	g.Dedup()
+	acc, _ := g.Accessible()
+	return acc
 }

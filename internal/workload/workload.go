@@ -78,7 +78,9 @@ func DefaultMovieConfig(entries int) MovieConfig {
 	}
 }
 
-// Movies generates the scalable Figure-1 database.
+// Movies generates the scalable Figure-1 database. Like every bulk
+// generator here it returns a Clone of what it built: a graph that is all
+// base, two flat arrays rather than one edge list per node.
 func Movies(cfg MovieConfig) *ssd.Graph {
 	if cfg.MaxCast < 1 {
 		cfg.MaxCast = 1
@@ -138,7 +140,7 @@ func Movies(cfg MovieConfig) *ssd.Graph {
 			}
 		}
 	}
-	return g
+	return g.Clone()
 }
 
 // SkewConfig sizes the skewed-selectivity generator.
@@ -211,7 +213,7 @@ func Skewed(cfg SkewConfig) *ssd.Graph {
 			g.AddLeaf(score, ssd.Int(int64(1+rng.Intn(10))))
 		}
 	}
-	return g
+	return g.Clone()
 }
 
 // WebConfig sizes the web-graph generator.
@@ -258,7 +260,7 @@ func Web(cfg WebConfig) *ssd.Graph {
 			popularity = append(popularity, target)
 		}
 	}
-	return g
+	return g.Clone()
 }
 
 // BioConfig sizes the ACeDB-style generator.
@@ -308,7 +310,7 @@ func ACeDB(cfg BioConfig) *ssd.Graph {
 		g.AddLeaf(name, ssd.Str(fmt.Sprintf("obj-%d", i)))
 		grow(obj, 1)
 	}
-	return g
+	return g.Clone()
 }
 
 // Relational generates movie/director tables for experiment E5.
